@@ -4,8 +4,8 @@ Usage, from the repository root:
 
     PYTHONPATH=src python docs/ledger.py [--write] [3] [6] [11]
 
-Without section numbers every section runs (about two and a half minutes
-on two cores). The output is the ledger's measurement block in Markdown; with
+Without section numbers every section runs (under a minute on two
+cores). The output is the ledger's measurement block in Markdown; with
 ``--write`` it also replaces the block between the ledger's
 ``<!-- measured -->`` markers. All numbers come from the library at the
 acceptance suite's seed, 2024, unless a line names another seed.
@@ -14,7 +14,9 @@ Section 11 compares four polarization-mismatch models, two choices of the
 channel draw times two choices of the CSIT. The library holds only the
 mended pair (independent inner factor per receive port; CSIT is the
 rotated channel). The earlier choices are rebuilt here and swapped in for
-the duration of a run:
+the duration of a run. Those runs go through the per-realization path
+(``draw_trial``, then ``sinr_report``), which the swapped-in functions
+reach; ``run_paired`` draws and precodes its stacked trials without them:
 
 * coherent draw: one inner factor per user, rotated between the two
   polarization blocks, (cos - sqrt(chi) sin, sin + sqrt(chi) cos) for
@@ -40,11 +42,19 @@ import numpy as np
 
 import dualpol.channel as channel
 from dualpol.channel import RngStream
-from dualpol.metrics import draw_trial, run_paired, sinr_bd, sinr_bds
-from dualpol.precode import build_all, build_preprocessors
+from dualpol.corrstats import mismatch_effective_stats
+from dualpol.metrics import (
+    McSummary,
+    csit_tau_sq,
+    draw_trial,
+    run_paired,
+    sinr_report,
+)
+from dualpol.modeswitch import chi_crossover_scale
+from dualpol.precode import build_preprocessors
 from dualpol.rmt import asym_bd, asym_bds
 from dualpol.scenario import make_scenario
-from dualpol.scene3d import make_scenario_3d, run_3d_paired
+from dualpol.scene3d import make_scenario_3d, reduce_to_2d, run_3d_paired
 
 SEED = 2024
 LEDGER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "LEDGER.md")
@@ -96,12 +106,10 @@ def _mc_terms(sc, mode, trials):
     """Mean per-user signal, intra and other (cross + inter) powers over
     perfect-CSIT trials; noise power 1."""
     pre = build_preprocessors(sc)
-    sinr = sinr_bd if mode == "BD" else sinr_bds
     acc = np.zeros(3)
     for t in range(trials):
         channels = draw_trial(sc, RngStream(SEED, t))
-        rep = sinr(channels, build_all(sc, channels, mode, preprocessors=pre),
-                   sc.power)
+        rep = sinr_report(sc, channels, mode, preprocessors=pre)
         acc += (rep.signal.mean(), rep.intra.mean(),
                 (rep.cross + rep.inter).mean())
     return acc / trials
@@ -246,12 +254,40 @@ def _patched(draw, csit):
 
 THETA = 0.22 * math.pi
 MODES = ["BD", "BDS", "SWITCH", "SWITCH_RAW"]
+TRIALS = 500
 
 
 def _run_3d(theta, seed):
     sc3 = make_scenario_3d().with_power_db(25.0)
-    return run_3d_paired(sc3, MODES, 500, seed, tau_sq_dist=(0.0, 1.0),
+    return run_3d_paired(sc3, MODES, TRIALS, seed, tau_sq_dist=(0.0, 1.0),
                          chi_dist=(0.0, 0.5), theta_max=theta)
+
+
+def _run_3d_per_realization(theta, seed):
+    """``_run_3d`` one realization at a time, on the same streams and with
+    the same per-trial switching decisions as ``run_paired``."""
+    sc3 = make_scenario_3d().with_power_db(25.0)
+    totals = {m: np.zeros(TRIALS) for m in MODES}
+    for l in range(sc3.n_regions):
+        sc = reduce_to_2d(sc3, l)
+        pre = build_preprocessors(sc)
+        scale = chi_crossover_scale(asym_bds(sc.with_chi(0.0), tau_sq=0.0))
+        for t in range(TRIALS):
+            gen = RngStream(seed, l * TRIALS + t).generator()
+            chi = gen.uniform(0.0, 0.5)
+            tau = np.sqrt(csit_tau_sq(gen.uniform(0.0, 1.0), None, sc.r))
+            channels = draw_trial(sc, gen, chi=chi, theta_max=theta)
+            rate = {mode: sinr_report(sc, channels, mode, tau=tau[i],
+                                      preprocessors=pre).sum_rate
+                    for i, mode in enumerate(("BD", "BDS"))}
+            chi_eff = mismatch_effective_stats(chi, theta).chi_eff
+            for mode, chi_used in (("BD", None), ("BDS", None),
+                                   ("SWITCH", chi_eff), ("SWITCH_RAW", chi)):
+                chosen = mode
+                if chi_used is not None:
+                    chosen = "BDS" if chi_used <= scale * tau[0] ** 2 else "BD"
+                totals[mode][t] += rate[chosen]
+    return {m: McSummary.from_trials(m, totals[m]) for m in MODES}
 
 
 def _paired_se(a, b):
@@ -290,7 +326,7 @@ def section_11(out):
     aligned = _run_3d(0.0, SEED)
     for (draw, csit), note in VARIANTS.items():
         with _patched(draw, csit):
-            tilted = _run_3d(THETA, SEED)
+            tilted = _run_3d_per_realization(THETA, SEED)
         label = f"{draw}, {csit}" + (f" ({note})" if note else "")
         out.append(_row(label, SEED, _verdicts(aligned, tilted)))
     for seed in (7, 11, 99):

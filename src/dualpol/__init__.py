@@ -50,7 +50,6 @@ from .precode import (
     Preprocessor,
     PrecoderSet,
     bd_preprocessor,
-    bds_preprocessor,
     build_all,
     rzf_precoder,
 )

@@ -6,6 +6,10 @@ X the users' KL coefficients, built from white inner Gaussian factors. CSIT
 imperfection corrupts those coefficients. Polarization mismatch turns each
 user's antenna by a random angle, mixing its own receive port with the
 orthogonal one, which has an independent inner factor.
+
+A channel may also stack many trials along a leading axis
+(``channel_from_normals``); the coefficient and CSIT helpers below act on
+the last two axes and broadcast per-trial chi and tau over the leading one.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ __all__ = [
     "draw_channel",
     "draw_mismatched_channel",
     "draw_single_pol_channel",
+    "channel_from_normals",
     "corrupt_csit",
     "mix_csit",
 ]
@@ -64,9 +69,13 @@ class RngStream:
         return np.random.default_rng(ss)
 
 
+def _complex(x, y):
+    return (x + 1j * y) / np.sqrt(2.0)
+
+
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """i.i.d. CN(0, 1): (x + jy)/sqrt(2) with x, y standard normal."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    return _complex(rng.standard_normal(shape), rng.standard_normal(shape))
 
 
 @dataclass(frozen=True)
@@ -82,6 +91,11 @@ class GroupChannel:
     None, since their CSIT is rebuilt from ``G``. For single-polarized
     scenarios ``pol_labels`` is None and the inner factor has ``r`` rows
     instead of ``2r``.
+
+    A trial-stacked channel (``channel_from_normals`` with
+    ``synthesize=False``) has a leading trial axis on every array, one chi
+    per trial, and H None: it is read through ``coefficients`` and
+    ``coefficients_hat``, which then take one tau per trial.
     """
 
     H: np.ndarray
@@ -97,7 +111,16 @@ class GroupChannel:
 
     @property
     def n_users(self) -> int:
-        return self.H.shape[1]
+        return self.G.shape[-1]
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """The KL coefficients X of H; single-polarized channels have X = G."""
+        if self.X is not None:
+            return self.X
+        if self.pol_labels is None:
+            return self.G
+        return _kl_coefficients(self.chi, self.G)[0]
 
     def g_hat(self, tau: float) -> np.ndarray:
         return mix_csit(self.G, self.Z, tau)
@@ -121,9 +144,9 @@ class GroupChannel:
     def copolar_hat(self, tau: float) -> tuple:
         """The co-polarized blocks of ``coefficients_hat``: the vertical
         users' upper rows and the horizontal users' lower rows."""
-        r, n2 = self.G.shape[0] // 2, self.n_users // 2
+        r, n2 = self.G.shape[-2] // 2, self.n_users // 2
         X_hat = self.coefficients_hat(tau)
-        return X_hat[:r, :n2], X_hat[r:, n2:]
+        return X_hat[..., :r, :n2], X_hat[..., r:, n2:]
 
     def h_hat(self, tau: float) -> np.ndarray:
         """Imperfect CSIT of H: the KL synthesis of ``coefficients_hat``."""
@@ -151,9 +174,10 @@ class ChannelSet:
 
 
 def _blockwise(M, w):
-    """Scale the rows of each polarization block of M (2r x n) by the
-    matching row of w (2 x n)."""
-    return (M.reshape(2, -1, M.shape[1]) * w[:, None]).reshape(M.shape)
+    """Scale the rows of each polarization block of M (..., 2r, n) by the
+    matching row of w (..., 2, n)."""
+    blocks = M.reshape(*M.shape[:-2], 2, -1, M.shape[-1])
+    return (blocks * w[..., None, :]).reshape(M.shape)
 
 
 def _kl_coefficients(chi, G, angles=None, G_cross=None):
@@ -166,16 +190,17 @@ def _kl_coefficients(chi, G, angles=None, G_cross=None):
     (vertical, horizontal) ports for vertical users and (-sin, cos) for
     horizontal ones. The terms are independent, so the standard deviation
     of an entry is the root sum of squares of its two weights. The std is
-    returned per block, shape (2, n).
+    returned per block, shape (..., 2, n).
     """
-    n2 = G.shape[1] // 2
-    sq = np.sqrt(chi)
-    own = np.array([[1.0, sq], [sq, 1.0]]).repeat(n2, axis=1)
+    n = G.shape[-1]
+    copolar = np.arange(2)[:, None] == (np.arange(n) >= n // 2)
+    own = np.where(copolar, 1.0, np.sqrt(chi)[..., None, None])
     if angles is None:
         return _blockwise(G, own), own
     c, s = np.cos(angles), np.sin(angles)
-    s[n2:] = -s[n2:]
-    w_own, w_cross = c * own, s * own[::-1]
+    s[..., n // 2:] = -s[..., n // 2:]
+    w_own = c[..., None, :] * own
+    w_cross = s[..., None, :] * own[..., ::-1, :]
     return (_blockwise(G, w_own) + _blockwise(G_cross, w_cross),
             np.hypot(w_own, w_cross))
 
@@ -184,7 +209,7 @@ def _from_coefficients(A, X, dual):
     if not dual:
         return A @ X
     r = A.shape[1]
-    return np.vstack([A @ X[:r], A @ X[r:]])
+    return np.concatenate([A @ X[..., :r, :], A @ X[..., r:, :]], axis=-2)
 
 
 def _synthesize(stats, chi, G, gain, angles, dual, G_cross=None):
@@ -204,21 +229,47 @@ def _draw(stats, pol, n_users, rng, theta_max=None, gain=1.0):
     if stats.effective_rank < 1:
         raise InvalidInputError("covariance has no significant eigenmode")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    r = stats.effective_rank
-    G = complex_normal(gen, (2 * r, n_users))
-    Z = complex_normal(gen, (2 * r, n_users))
-    angles = G_cross = None
+    shape = (2 * stats.effective_rank, n_users)
+    normals = gen.standard_normal((4, *shape))
+    angles = None
     if theta_max is not None:
         angles = gen.uniform(-theta_max, theta_max, size=n_users)
-        G_cross = complex_normal(gen, (2 * r, n_users))
-    X, X_std = _kl_coefficients(pol.chi, G, angles, G_cross)
-    H = _from_coefficients(gain * stats.factor(), X, dual=True)
-    if angles is None:
-        X = X_std = None
-    labels = ("v",) * (n_users // 2) + ("h",) * (n_users // 2)
-    return GroupChannel(H=H, G=G, Z=Z, stats=stats, chi=pol.chi, gain=gain,
-                        pol_labels=labels, mismatch_angles=angles,
-                        X=X, X_std=X_std)
+        normals = np.concatenate([normals, gen.standard_normal((2, *shape))])
+    return channel_from_normals(stats, pol.chi, normals, angles, gain)
+
+
+def channel_from_normals(stats: SpatialCovariance, chi, normals: np.ndarray,
+                         angles=None, gain: float = 1.0, dual: bool = True,
+                         synthesize: bool = True) -> GroupChannel:
+    """One group's channel from the standard normals of its draw.
+
+    ``normals`` (..., k, rows, n) holds, in draw order, the real and
+    imaginary parts of the inner factor G, of the CSIT noise Z and, for a
+    mismatched draw (``angles`` given, k = 6), of the orthogonal port's
+    inner factor. Leading axes stack trials, and ``chi`` and ``angles``
+    then carry one entry per trial. ``synthesize=False`` leaves H None, for
+    callers that read the channel only through its KL coefficients.
+    """
+    G = _complex(normals[..., 0, :, :], normals[..., 1, :, :])
+    Z = _complex(normals[..., 2, :, :], normals[..., 3, :, :])
+    if not dual:
+        H = gain * (stats.factor() @ G) if synthesize else None
+        return GroupChannel(H=H, G=G, Z=Z, stats=stats, chi=0.0, gain=gain,
+                            pol_labels=None)
+    if not np.all((0.0 <= chi) & (chi <= 1.0)):
+        raise InvalidInputError("chi must lie in [0, 1]")
+    X = X_std = None
+    if angles is not None:
+        G_cross = _complex(normals[..., 4, :, :], normals[..., 5, :, :])
+        X, X_std = _kl_coefficients(chi, G, angles, G_cross)
+    H = None
+    if synthesize:
+        X_true = X if X is not None else _kl_coefficients(chi, G)[0]
+        H = _from_coefficients(gain * stats.factor(), X_true, dual=True)
+    n2 = G.shape[-1] // 2
+    return GroupChannel(H=H, G=G, Z=Z, stats=stats, chi=chi, gain=gain,
+                        pol_labels=("v",) * n2 + ("h",) * n2,
+                        mismatch_angles=angles, X=X, X_std=X_std)
 
 
 def draw_channel(stats: SpatialCovariance, pol: PolarizationModel,
@@ -253,20 +304,21 @@ def draw_single_pol_channel(stats: SpatialCovariance, n_users: int, rng,
     if n_users < 1:
         raise InvalidInputError("n_users must be positive")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    r = stats.effective_rank
-    G = complex_normal(gen, (r, n_users))
-    Z = complex_normal(gen, (r, n_users))
-    H = gain * (stats.factor() @ G)
-    return GroupChannel(H=H, G=G, Z=Z, stats=stats, chi=0.0, gain=gain,
-                        pol_labels=None)
+    normals = gen.standard_normal((4, stats.effective_rank, n_users))
+    return channel_from_normals(stats, 0.0, normals, gain=gain, dual=False)
 
 
-def mix_csit(G: np.ndarray, Z: np.ndarray, tau: float) -> np.ndarray:
-    """sqrt(1 - tau^2) G + tau Z: variance-preserving CSIT corruption."""
-    if not 0.0 <= tau <= 1.0:
+def mix_csit(G: np.ndarray, Z: np.ndarray, tau) -> np.ndarray:
+    """sqrt(1 - tau^2) G + tau Z: variance-preserving CSIT corruption.
+
+    ``tau`` is one value, or one per trial of a trial-stacked G.
+    """
+    tau = np.asarray(tau, dtype=float)
+    if not np.all((0.0 <= tau) & (tau <= 1.0)):
         raise InvalidInputError("tau must lie in [0, 1]")
-    if tau == 0.0:
+    if not tau.any():
         return G
+    tau = tau[..., None, None]
     return np.sqrt(1.0 - tau * tau) * G + tau * Z
 
 

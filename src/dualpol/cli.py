@@ -11,8 +11,8 @@ Config grammar (one canonical parser):
     key = uniform:0:0.5  # per-trial distribution (chi_dist, tau_sq_dist)
 
 Exit codes: 0 ok, 2 config error, 3 numerical error. The CSV always carries
-the header row; numeric columns are deterministic for a fixed seed.
-Trial-level parallelism honors the DUALPOL_THREADS environment variable.
+the header row; numeric columns are deterministic for a fixed seed. Monte
+Carlo cells run single-threaded, their trials batched (``metrics.run_paired``).
 """
 
 from __future__ import annotations
@@ -23,8 +23,11 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
+# rmt's functions are looked up on the module at call time, so wrappers
+# installed there (perfbench/tracer.py) see the calls.
+from . import rmt
 from .errors import DualpolError, InvalidConfigurationError, NumericalError
-from .metrics import run_paired
+from .metrics import MC_MODES, csit_tau_sq, run_paired
 from .scenario import make_scenario
 
 __all__ = ["main", "parse_config", "preset", "list_presets", "run_config"]
@@ -32,7 +35,6 @@ __all__ = ["main", "parse_config", "preset", "list_presets", "run_config"]
 CSV_COLUMNS = ["scenario_id", "scheme", "snr_db", "chi", "tau_sq", "n_bits",
                "sum_rate", "stderr", "n_trials", "seed"]
 
-MC_SCHEMES = ("BD", "BDS", "SWITCH", "SWITCH_RAW")
 ASYM_SCHEMES = ("ASYM_BD", "ASYM_BDS")
 
 
@@ -251,7 +253,7 @@ def run_config(config: dict, out_stream) -> None:
     """Execute all (variant, sweep point, scheme) cells and write CSV rows."""
     schemes = [str(s) for s in _as_list(config.get("schemes", ["BD"]))
                if str(s).strip()]
-    unknown = [s for s in schemes if s not in MC_SCHEMES + ASYM_SCHEMES]
+    unknown = [s for s in schemes if s not in MC_MODES + ASYM_SCHEMES]
     if unknown:
         raise InvalidConfigurationError(f"unknown schemes: {', '.join(unknown)}")
     n_trials = int(config.get("n_trials", 500))
@@ -288,7 +290,7 @@ def run_config(config: dict, out_stream) -> None:
 
 def _run_cell(variant, schemes, point, snr, tau_sq, chi_dist, tau_dist,
               n_trials, seed):
-    mc_modes = [s for s in schemes if s in MC_SCHEMES]
+    mc_modes = [s for s in schemes if s in MC_MODES]
     rows = []
     theta = math.radians(point.get("theta_max_ms_deg") or 0.0)
     kwargs = dict(
@@ -317,21 +319,11 @@ def _run_cell(variant, schemes, point, snr, tau_sq, chi_dist, tau_dist,
     for scheme in schemes:
         if scheme not in ASYM_SCHEMES:
             continue
-        from .metrics import bds_tau_sq
-        from .modeswitch import FeedbackBudget, tau_from_bits
-        from .rmt import asym_bd, asym_bds
-
-        if point["n_bits"] is not None:
-            budget = FeedbackBudget(n_bits=point["n_bits"], r=sc.r)
-            t_bd = tau_from_bits(budget, "BD")
-            t_bds = tau_from_bits(budget, "BDS")
-        else:
-            t_bd = min(tau_sq or 0.0, 1.0)
-            t_bds = bds_tau_sq(t_bd)
+        t_bd, t_bds = csit_tau_sq(tau_sq or 0.0, point["n_bits"], sc.r)
         if scheme == "ASYM_BD":
-            rows.append((scheme, asym_bd(sc, tau_sq=t_bd).sum_rate, 0.0, 0))
+            rows.append((scheme, rmt.asym_bd(sc, tau_sq=t_bd).sum_rate, 0.0, 0))
         else:
-            rows.append((scheme, asym_bds(sc, tau_sq=t_bds).sum_rate, 0.0, 0))
+            rows.append((scheme, rmt.asym_bds(sc, tau_sq=t_bds).sum_rate, 0.0, 0))
     return rows
 
 

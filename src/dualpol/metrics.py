@@ -5,34 +5,55 @@ exactly: signal, intra-(sub)group, cross-polarized (BDS only) and
 inter-group interference powers, with the noise power fixed at one. Monte
 Carlo trials share channel draws across schemes (common random numbers) so
 scheme comparisons are paired.
+
+``run_paired`` evaluates a block of trials as one stacked computation in
+the KL domain (``precode.kl_projections``); every trial still draws from
+its own stream. ``draw_trial``, ``precode.build_all`` and
+``sinr_bd``/``sinr_bds`` compute the same for one realization over the
+M-row channel.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+# rmt's functions are looked up on the module at call time, so wrappers
+# installed there (perfbench/tracer.py) see the calls.
+from . import rmt
 from .channel import (
     ChannelSet,
     PolarizationModel,
     RngStream,
+    channel_from_normals,
     draw_channel,
     draw_mismatched_channel,
     draw_single_pol_channel,
 )
+from .corrstats import mismatch_effective_stats
 from .errors import InvalidInputError
-from .precode import build_all, build_preprocessors
+from .modeswitch import FeedbackBudget, chi_crossover_scale, tau_from_bits
+from .precode import build_all, build_preprocessors, kl_projections, stacked_precoders
 from .scenario import GroupScenario
 
-__all__ = ["SinrReport", "McSummary", "sinr_bd", "sinr_bds", "bds_tau_sq",
-           "run_monte_carlo", "run_paired", "draw_trial"]
+__all__ = ["SinrReport", "McSummary", "sinr_bd", "sinr_bds", "sinr_report",
+           "bds_tau_sq", "csit_tau_sq", "run_monte_carlo", "run_paired",
+           "draw_trial"]
+
+MC_MODES = ("BD", "BDS", "SWITCH", "SWITCH_RAW")
+
+#: Trials stacked into one computation; bounds the memory of a long run.
+TRIAL_BLOCK = 256
 
 
 @dataclass(frozen=True)
 class SinrReport:
-    """Per-user SINRs (linear), rates, and the interference decomposition."""
+    """Per-user SINRs (linear), rates, and the interference decomposition.
+
+    Arrays end in the user axis; a trial-stacked report leads with a trial
+    axis, and its ``sum_rate`` holds one value per trial.
+    """
 
     sinr: np.ndarray
     signal: np.ndarray = field(repr=False)
@@ -45,8 +66,9 @@ class SinrReport:
         return np.log2(1.0 + self.sinr)
 
     @property
-    def sum_rate(self) -> float:
-        return float(self.rates.sum())
+    def sum_rate(self):
+        total = self.rates.sum(axis=-1)
+        return float(total) if total.ndim == 0 else total
 
     @property
     def noise(self) -> float:
@@ -79,14 +101,10 @@ class McSummary:
 
 
 def _interference_powers(channels, precoders, per_stream_power):
-    """|h_gk^H (B_l P_l)_j|^2 tables for every (g, l) group pair."""
-    tx = [precoders.transmit_matrix(g) for g in range(len(channels))]
-    tables = {}
-    for g, entry in enumerate(channels):
-        for l in range(len(channels)):
-            amp = entry.H.conj().T @ tx[l]
-            tables[(g, l)] = per_stream_power * np.abs(amp) ** 2
-    return tables
+    """|h_gk^H (B_l P_l)_j|^2 of every group g, stacked over l: (G, n, n)."""
+    tx = np.stack([precoders.transmit_matrix(g) for g in range(len(channels))])
+    return [per_stream_power * np.abs(entry.H.conj().T @ tx) ** 2
+            for entry in channels]
 
 
 def sinr_bd(channels: ChannelSet, precoders, power: float) -> SinrReport:
@@ -103,53 +121,79 @@ def sinr_bds(channels: ChannelSet, precoders, power: float) -> SinrReport:
     return _sinr_common(channels, precoders, power, split_cross=True)
 
 
+def sinr_report(scenario: GroupScenario, channels: ChannelSet, mode: str,
+                tau: float = 0.0, preprocessors=None) -> SinrReport:
+    """Precode one realization with ``build_all`` and decompose its SINRs."""
+    pre = build_all(scenario, channels, mode, tau=tau, preprocessors=preprocessors)
+    sinr = sinr_bd if mode == "BD" else sinr_bds
+    return sinr(channels, pre, scenario.power)
+
+
 def _sinr_common(channels, precoders, power, split_cross):
     n_total = sum(entry.n_users for entry in channels)
-    per_stream = power / n_total
-    tables = _interference_powers(channels, precoders, per_stream)
-    G = len(channels)
-    signal = []
-    intra = []
-    cross = []
-    inter = []
-    for g, entry in enumerate(channels):
-        n = entry.n_users
-        own = tables[(g, g)]
-        diag = np.diag(own).real
+    return _decompose(_interference_powers(channels, precoders, power / n_total),
+                      split_cross)
+
+
+def _decompose(powers, split_cross):
+    """SINR decomposition from received powers.
+
+    ``powers[g][..., l, k, j]`` is the power user k of group g receives from
+    stream j of group l; leading axes stack trials.
+    """
+    G = len(powers)
+    signal, intra, cross, inter = [], [], [], []
+    for g, pw in enumerate(powers):
+        own = pw[..., g, :, :]
+        n = own.shape[-1]
+        diag = np.diagonal(own, axis1=-2, axis2=-1)
         if split_cross:
             n2 = n // 2
-            same_block = np.zeros(n)
-            cross_g = np.zeros(n)
-            same_block[:n2] = own[:n2, :n2].sum(axis=1)
-            same_block[n2:] = own[n2:, n2:].sum(axis=1)
-            cross_g[:n2] = own[:n2, n2:].sum(axis=1)
-            cross_g[n2:] = own[n2:, :n2].sum(axis=1)
+            same_block = np.concatenate([own[..., :n2, :n2].sum(axis=-1),
+                                         own[..., n2:, n2:].sum(axis=-1)], axis=-1)
+            cross_g = np.concatenate([own[..., :n2, n2:].sum(axis=-1),
+                                      own[..., n2:, :n2].sum(axis=-1)], axis=-1)
             intra_g = same_block - diag
         else:
-            intra_g = own.sum(axis=1) - diag
-            cross_g = np.zeros(n)
-        inter_g = sum(tables[(g, l)].sum(axis=1) for l in range(G) if l != g)
+            intra_g = own.sum(axis=-1) - diag
+            cross_g = np.zeros_like(diag)
         if G == 1:
-            inter_g = np.zeros(n)
+            inter_g = np.zeros_like(diag)
+        else:
+            inter_g = sum(pw[..., l, :, :].sum(axis=-1) for l in range(G) if l != g)
         signal.append(diag)
         intra.append(intra_g)
         cross.append(cross_g)
         inter.append(inter_g)
-    signal = np.concatenate(signal)
-    intra = np.concatenate(intra)
-    cross = np.concatenate(cross)
-    inter = np.concatenate(inter)
+    signal = np.concatenate(signal, axis=-1)
+    intra = np.concatenate(intra, axis=-1)
+    cross = np.concatenate(cross, axis=-1)
+    inter = np.concatenate(inter, axis=-1)
     sinr = signal / (intra + cross + inter + 1.0)
     return SinrReport(sinr=sinr, signal=signal, intra=intra, cross=cross, inter=inter)
 
 
-def bds_tau_sq(tau_sq_bd: float) -> float:
+def bds_tau_sq(tau_sq_bd):
     """Equal-feedback CSIT quality of BDS given BD's tau^2.
 
     Halving the quantized dimension squares the distortion bound, so the
     same bit budget that leaves BD at tau^2 leaves BDS at (tau^2)^2.
     """
-    return min(tau_sq_bd * tau_sq_bd, 1.0)
+    return np.minimum(tau_sq_bd * tau_sq_bd, 1.0)
+
+
+def csit_tau_sq(tau_sq, n_bits, r: int) -> tuple:
+    """CSIT qualities (tau_BD^2, tau_BDS^2) of the two schemes.
+
+    An ``n_bits`` budget gives each scheme its exact RVQ bound; otherwise
+    ``tau_sq`` is BD's quality, clamped to 1, and BDS gets its
+    equal-feedback equivalent. ``tau_sq`` may hold one value per trial.
+    """
+    if n_bits is not None:
+        budget = FeedbackBudget(n_bits=n_bits, r=r)
+        return tau_from_bits(budget, "BD"), tau_from_bits(budget, "BDS")
+    tau_sq = np.minimum(tau_sq, 1.0)
+    return tau_sq, bds_tau_sq(tau_sq)
 
 
 def draw_trial(scenario: GroupScenario, rng, chi=None, theta_max=0.0):
@@ -170,14 +214,72 @@ def draw_trial(scenario: GroupScenario, rng, chi=None, theta_max=0.0):
     return ChannelSet(groups=tuple(entries))
 
 
-def _evaluate_scheme(scenario, channels, preprocessors, mode, tau_bd, tau_bds):
-    if mode == "BD":
-        pre = build_all(scenario, channels, "BD", tau=tau_bd,
-                        preprocessors=preprocessors)
-        return sinr_bd(channels, pre, scenario.power)
-    pre = build_all(scenario, channels, "BDS", tau=tau_bds,
-                    preprocessors=preprocessors)
-    return sinr_bds(channels, pre, scenario.power)
+def _draw_trials(scenario, seed, streams, tau_sq, chi_dist, tau_sq_dist, theta_max):
+    """Per-trial chi and tau^2 and every group's trial-stacked channel.
+
+    Trial t reads RngStream(seed, t) in the order of ``draw_trial``: the
+    chi_dist and tau_sq_dist uniforms, then per group the normals of G and
+    Z and, when mismatched, the angles and the orthogonal port's normals.
+    Normals that follow each other in a stream come from one call.
+    """
+    mismatched = scenario.dual_pol and theta_max > 0.0
+    if mismatched and theta_max > np.pi / 2:
+        raise InvalidInputError("theta_max must lie in [0, pi/2]")
+    T, n = len(streams), scenario.n_bar
+    pols = 2 if scenario.dual_pol else 1
+    rows = [pols * cov.effective_rank for cov in scenario.covariances]
+    k = 6 if mismatched else 4
+    ends = np.cumsum([k * rows_g * n for rows_g in rows])
+    starts = np.concatenate([[0], ends[:-1]])
+    normals = np.empty((T, ends[-1]))
+    angles = np.empty((scenario.G, T, n)) if mismatched else [None] * scenario.G
+    chi = np.full(T, float(scenario.chi))
+    tau = np.full(T, float(tau_sq))
+    for t, stream in enumerate(streams):
+        gen = RngStream(seed, stream).generator()
+        if chi_dist:
+            chi[t] = gen.uniform(*chi_dist)
+        if tau_sq_dist:
+            tau[t] = gen.uniform(*tau_sq_dist)
+        if not mismatched:
+            gen.standard_normal(out=normals[t])
+            continue
+        for g, (start, end) in enumerate(zip(starts, ends)):
+            split = start + 4 * rows[g] * n
+            gen.standard_normal(out=normals[t, start:split])
+            angles[g, t] = gen.uniform(-theta_max, theta_max, size=n)
+            gen.standard_normal(out=normals[t, split:end])
+    channels = [
+        channel_from_normals(cov, chi, normals[:, start:end].reshape(T, k, rows_g, n),
+                             angles[g], scenario.gains[g], scenario.dual_pol,
+                             synthesize=False)
+        for g, (cov, rows_g, start, end) in enumerate(
+            zip(scenario.covariances, rows, starts, ends))
+    ]
+    return chi, tau, channels
+
+
+def _amplitude_maps(D, channels, pols):
+    """Per group g, X_g^H blockdiag(D_gl, D_gl) for every l: (T, G, n, B_bar).
+
+    Right-multiplied by group l's inner precoder it gives the amplitudes of
+    l's streams at g's users.
+    """
+    maps = []
+    for D_g, entry in zip(D, channels):
+        X = entry.coefficients
+        T, rows, n = X.shape
+        XpH = X.reshape(T, pols, rows // pols, n).conj().swapaxes(-1, -2)
+        Y = (XpH @ D_g).reshape(T, pols, n, len(D), -1)
+        maps.append(Y.transpose(0, 3, 2, 1, 4).reshape(T, len(D), n, -1))
+    return maps
+
+
+def _stacked_report(scenario, C, maps, channels, mode, tau, trials):
+    P = stacked_precoders(scenario, C, channels, mode, tau, trials)
+    per_stream = scenario.power / scenario.n_users
+    powers = [per_stream * np.abs(Y[trials] @ P) ** 2 for Y in maps]
+    return _decompose(powers, split_cross=mode == "BDS")
 
 
 def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
@@ -192,79 +294,71 @@ def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
     equivalent. ``chi_dist``/``tau_sq_dist`` draw those parameters per
     trial. ``stream_base`` offsets the per-trial RNG streams so independent
     sub-experiments (e.g. elevation regions) stay decorrelated.
+
+    The switching schemes pick BD or BDS per trial; each of BD and BDS is
+    evaluated only on the trials some scheme needs it for.
     """
     if n_trials < 1:
         raise InvalidInputError("n_trials must be at least 1")
     modes = list(modes)
+    unknown = [m for m in modes if m not in MC_MODES]
+    if unknown:
+        raise InvalidInputError(f"unknown schemes: {', '.join(unknown)}")
     preprocessors = build_preprocessors(scenario)
-    switch_modes = [m for m in modes if m.startswith("SWITCH")]
-    decision_stats = None
-    if switch_modes:
-        from .modeswitch import chi_crossover_scale
-
+    C, D = kl_projections(scenario, preprocessors)
+    pols = 2 if scenario.dual_pol else 1
+    scale = None
+    if any(m.startswith("SWITCH") for m in modes):
         if base is None:
-            from .rmt import asym_bds
+            base = rmt.asym_bds(scenario.with_chi(0.0), tau_sq=0.0)
+        scale = chi_crossover_scale(base)
 
-            base = asym_bds(scenario.with_chi(0.0), tau_sq=0.0)
-        decision_stats = chi_crossover_scale(base)
-
-    sums = {m: np.empty(n_trials) for m in modes}
-    user_sinrs = {m: np.empty(n_trials) for m in modes}
-    picks = {m: [None] * n_trials for m in switch_modes}
-
-    def one_trial(t):
-        gen = RngStream(seed, stream_base + t).generator()
-        chi_t = float(gen.uniform(*chi_dist)) if chi_dist else scenario.chi
-        tau_t = float(gen.uniform(*tau_sq_dist)) if tau_sq_dist else tau_sq
-        if n_bits is not None:
-            from .modeswitch import FeedbackBudget, tau_from_bits
-
-            budget = FeedbackBudget(n_bits=n_bits, r=scenario.r)
-            tau_bd = np.sqrt(tau_from_bits(budget, "BD"))
-            tau_bds = np.sqrt(tau_from_bits(budget, "BDS"))
-        else:
-            tau_bd = np.sqrt(min(tau_t, 1.0))
-            tau_bds = np.sqrt(bds_tau_sq(min(tau_t, 1.0)))
-        channels = draw_trial(scenario, gen, chi=chi_t, theta_max=theta_max)
-        reports = {}
+    sums = {m: [] for m in modes}
+    user_sinrs = {m: [] for m in modes}
+    bds_picks = {m: 0 for m in modes}
+    for first in range(0, n_trials, TRIAL_BLOCK):
+        streams = range(stream_base + first,
+                        stream_base + min(first + TRIAL_BLOCK, n_trials))
+        chi, tau_sq_t, channels = _draw_trials(
+            scenario, seed, streams, tau_sq, chi_dist, tau_sq_dist, theta_max)
+        t_bd, t_bds = csit_tau_sq(tau_sq_t, n_bits, scenario.r)
+        tau = {"BD": np.sqrt(np.broadcast_to(t_bd, chi.shape)),
+               "BDS": np.sqrt(np.broadcast_to(t_bds, chi.shape))}
+        # Per mode, the trials it evaluates with BDS.
+        uses_bds = {}
         for mode in modes:
             if mode in ("BD", "BDS"):
-                reports[mode] = _evaluate_scheme(
-                    scenario, channels, preprocessors, mode, tau_bd, tau_bds)
-            else:
-                chi_used = chi_t
-                if mode == "SWITCH" and switch_chi == "eff" and theta_max > 0.0:
-                    from .corrstats import mismatch_effective_stats
-
-                    chi_used = mismatch_effective_stats(chi_t, theta_max).chi_eff
-                chosen = "BDS" if chi_used <= decision_stats * tau_bd ** 2 else "BD"
-                picks[mode][t] = chosen
-                if chosen in reports:
-                    reports[mode] = reports[chosen]
-                else:
-                    reports[mode] = _evaluate_scheme(
-                        scenario, channels, preprocessors, chosen, tau_bd, tau_bds)
+                uses_bds[mode] = np.full(chi.shape, mode == "BDS")
+                continue
+            chi_used = chi
+            if mode == "SWITCH" and switch_chi == "eff" and theta_max > 0.0:
+                chi_used = np.array([mismatch_effective_stats(c, theta_max).chi_eff
+                                     for c in chi])
+            uses_bds[mode] = chi_used <= scale * tau["BD"] ** 2
+        picks = np.array(list(uses_bds.values()))
+        maps = _amplitude_maps(D, channels, pols)
+        rates, sinrs = {}, {}
+        for scheme, needed in (("BD", ~picks.all(axis=0)), ("BDS", picks.any(axis=0))):
+            rates[scheme] = np.full(chi.shape, np.nan)
+            sinrs[scheme] = np.full(chi.shape, np.nan)
+            if not needed.any():
+                continue
+            trials = slice(None) if needed.all() else np.flatnonzero(needed)
+            report = _stacked_report(scenario, C, maps, channels, scheme,
+                                     tau[scheme], trials)
+            rates[scheme][trials] = report.sum_rate
+            sinrs[scheme][trials] = report.sinr.mean(axis=-1)
         for mode in modes:
-            sums[mode][t] = reports[mode].sum_rate
-            user_sinrs[mode][t] = reports[mode].sinr.mean()
-
-    workers = min(thread_count(), n_trials)
-    if workers > 1:
-        # Per-trial RNG streams keep the result independent of scheduling.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(one_trial, range(n_trials)))
-    else:
-        for t in range(n_trials):
-            one_trial(t)
+            sums[mode].append(np.where(uses_bds[mode], rates["BDS"], rates["BD"]))
+            user_sinrs[mode].append(np.where(uses_bds[mode], sinrs["BDS"], sinrs["BD"]))
+            bds_picks[mode] += int(np.count_nonzero(uses_bds[mode]))
     out = {}
     for mode in modes:
         extras = {}
-        if mode in picks:
-            chosen = picks[mode]
-            extras["bds_fraction"] = chosen.count("BDS") / len(chosen)
-        out[mode] = McSummary.from_trials(mode, sums[mode], user_sinrs[mode], extras)
+        if mode.startswith("SWITCH"):
+            extras["bds_fraction"] = bds_picks[mode] / n_trials
+        out[mode] = McSummary.from_trials(mode, np.concatenate(sums[mode]),
+                                          np.concatenate(user_sinrs[mode]), extras)
     return out
 
 
@@ -272,11 +366,3 @@ def run_monte_carlo(scenario: GroupScenario, mode: str, n_trials: int,
                     seed: int, **kwargs) -> McSummary:
     """Monte Carlo mean sum rate of one scheme; deterministic in the seed."""
     return run_paired(scenario, [mode], n_trials, seed, **kwargs)[mode]
-
-
-def thread_count() -> int:
-    """Worker count for trial-level parallelism (DUALPOL_THREADS overrides)."""
-    env = os.environ.get("DUALPOL_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1

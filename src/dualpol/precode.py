@@ -21,10 +21,11 @@ __all__ = [
     "InnerPrecoder",
     "PrecoderSet",
     "bd_preprocessor",
-    "bds_preprocessor",
     "build_preprocessors",
     "rzf_precoder",
     "build_all",
+    "kl_projections",
+    "stacked_precoders",
 ]
 
 _NULLSPACE_TOL = 1e-10
@@ -127,13 +128,6 @@ def bd_preprocessor(all_stats, g: int, r: int, b_bar: int,
     return Preprocessor(B_s=E0 @ F1, r_trunc=r, dual_pol=dual_pol)
 
 
-def bds_preprocessor(bd: Preprocessor) -> Preprocessor:
-    """BDS reuses the same B_s; the zero-padded stacking happens on access."""
-    if not bd.dual_pol:
-        raise InvalidInputError("BDS requires a dual-polarized preprocessor")
-    return bd
-
-
 def build_preprocessors(scenario: GroupScenario) -> tuple:
     return tuple(
         bd_preprocessor(scenario.covariances, g, scenario.r, scenario.b_bar,
@@ -147,17 +141,20 @@ def rzf_precoder(H_eff_hat: np.ndarray, alpha: float, n_streams: int) -> InnerPr
 
     K = (H H^H + dim alpha I)^-1 with dim the row count; P = xi K H with
     xi^2 = n_streams / tr(H^H K^H K H), which fixes the transmit power.
+    Leading axes of H stack independent trials; K, P and xi^2 keep them.
     """
     if alpha <= 0.0:
         raise InvalidInputError("alpha must be positive")
-    dim = H_eff_hat.shape[0]
-    K = np.linalg.inv(H_eff_hat @ H_eff_hat.conj().T + dim * alpha * np.eye(dim))
+    dim = H_eff_hat.shape[-2]
+    gram = H_eff_hat @ H_eff_hat.conj().swapaxes(-1, -2)
+    K = np.linalg.inv(gram + dim * alpha * np.eye(dim))
     KH = K @ H_eff_hat
-    norm = float(np.sum(np.abs(KH) ** 2))
-    if norm <= 0.0:
+    norm = np.sum(np.abs(KH) ** 2, axis=(-2, -1))
+    if np.any(norm <= 0.0):
         raise DegenerateInputError("all-zero effective channel cannot be normalized")
     xi_sq = n_streams / norm
-    return InnerPrecoder(P=np.sqrt(xi_sq) * KH, xi_sq=xi_sq, alpha=alpha, K_hat=K)
+    return InnerPrecoder(P=np.sqrt(xi_sq)[..., None, None] * KH, xi_sq=xi_sq,
+                         alpha=alpha, K_hat=K)
 
 
 def build_all(scenario: GroupScenario, channels, mode: str,
@@ -200,3 +197,58 @@ def build_all(scenario: GroupScenario, channels, mode: str,
             inner.append((pv, ph))
     return PrecoderSet(mode=mode, preprocessors=tuple(preprocessors),
                        inner=tuple(inner))
+
+
+def kl_projections(scenario: GroupScenario, preprocessors) -> tuple:
+    """The outer precoders seen from every group's KL basis.
+
+    With A_g = gain_g U_g Lambda_g^(1/2) the basis group g's channel is
+    drawn in, returns (C, D): C[g] = B_s,g^H A_g and
+    D[g] = [A_g^H B_s,0, ..., A_g^H B_s,G-1] side by side. The two-stage
+    (outer BD, inner RZF) structure makes the reduced form exact: BD's
+    effective channel is blockdiag(C_g, C_g) X_hat_g, the BDS subgroups see
+    C_g X_hat_g^{pp}, and group l's inner precoder P_l reaches group g's
+    users as X_g^H blockdiag(D_gl, D_gl) P_l, so no M-row matrix is formed.
+    Single-polarized scenarios drop the block diagonal.
+    """
+    C, D = [], []
+    for pre, cov, gain in zip(preprocessors, scenario.covariances, scenario.gains):
+        A = gain * cov.factor()
+        C.append(pre.B_s.conj().T @ A)
+        D.append(np.hstack([A.conj().T @ other.B_s for other in preprocessors]))
+    return C, D
+
+
+def stacked_precoders(scenario: GroupScenario, C, channels, mode: str, tau,
+                      trials=slice(None)) -> np.ndarray:
+    """``build_all`` in the KL domain, for a stack of trials.
+
+    ``channels`` are trial-stacked group channels, ``tau`` holds one CSIT
+    quality per trial, ``C`` comes from ``kl_projections`` and ``trials``
+    selects the trials to precode. Returns the inner precoders as one
+    (T, G, B_bar, n_bar) array: group g transmits blockdiag(B_s, B_s) P_g,
+    where P_g is BD's RZF or, for BDS, blockdiag(P_v, P_h).
+    """
+    if mode not in ("BD", "BDS"):
+        raise InvalidInputError(f"unknown precoding mode {mode!r}")
+    if mode == "BDS" and not scenario.dual_pol:
+        raise InvalidInputError("BDS requires a dual-polarized scenario")
+    alpha, n_bar = scenario.alpha, scenario.n_bar
+    pols = 2 if scenario.dual_pol else 1
+    inner = []
+    for C_g, entry in zip(C, channels):
+        if mode == "BD":
+            X_hat = entry.coefficients_hat(tau)[trials]
+            blocks = X_hat.reshape(X_hat.shape[0], pols, -1, n_bar)
+            H_eff = (C_g @ blocks).reshape(X_hat.shape[0], -1, n_bar)
+            inner.append(rzf_precoder(H_eff, alpha, n_bar).P)
+            continue
+        n2, b2 = n_bar // 2, C_g.shape[0]
+        Xvv_hat, Xhh_hat = entry.copolar_hat(tau)
+        pv = rzf_precoder(C_g @ Xvv_hat[trials], 2.0 * alpha, n2)
+        ph = rzf_precoder(C_g @ Xhh_hat[trials], 2.0 * alpha, n2)
+        P = np.zeros((pv.P.shape[0], 2 * b2, n_bar), dtype=complex)
+        P[:, :b2, :n2] = pv.P
+        P[:, b2:, n2:] = ph.P
+        inner.append(P)
+    return np.stack(inner, axis=1)

@@ -1,0 +1,163 @@
+"""The trial-batched Monte Carlo engine against the per-realization path.
+
+``run_paired`` stacks trials and works in the KL domain; the reference
+below draws every trial with ``draw_trial`` from the same stream, precodes
+it with ``build_all`` and decomposes it with ``sinr_bd``/``sinr_bds``
+(through ``sinr_report``), over the M-row channel.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import dualpol.metrics as metrics
+from dualpol.channel import RngStream
+from dualpol.corrstats import mismatch_effective_stats
+from dualpol.errors import DegenerateInputError
+from dualpol.metrics import draw_trial, run_paired, sinr_report
+from dualpol.modeswitch import FeedbackBudget, chi_crossover_scale, tau_from_bits
+from dualpol.precode import build_preprocessors
+from dualpol.rmt import asym_bds
+from dualpol.scenario import make_scenario
+from dualpol.scene3d import make_scenario_3d, reduce_to_2d, run_3d_paired
+
+RTOL = 1e-12
+
+
+def reference_paired(scenario, modes, n_trials, seed, *, tau_sq=0.0,
+                     n_bits=None, theta_max=0.0, chi_dist=None,
+                     tau_sq_dist=None, stream_base=0):
+    """Per-trial sum rates of every mode, and the BDS picks of the switches."""
+    pre = build_preprocessors(scenario)
+    scale = None
+    if any(m.startswith("SWITCH") for m in modes):
+        scale = chi_crossover_scale(asym_bds(scenario.with_chi(0.0), tau_sq=0.0))
+    sums = {m: [] for m in modes}
+    picks = {m: [] for m in modes}
+    for t in range(n_trials):
+        gen = RngStream(seed, stream_base + t).generator()
+        chi = gen.uniform(*chi_dist) if chi_dist else scenario.chi
+        tau_t = gen.uniform(*tau_sq_dist) if tau_sq_dist else tau_sq
+        if n_bits is not None:
+            budget = FeedbackBudget(n_bits=n_bits, r=scenario.r)
+            t_bd, t_bds = tau_from_bits(budget, "BD"), tau_from_bits(budget, "BDS")
+        else:
+            t_bd = min(tau_t, 1.0)
+            t_bds = min(t_bd * t_bd, 1.0)
+        tau = {"BD": math.sqrt(t_bd), "BDS": math.sqrt(t_bds)}
+        channels = draw_trial(scenario, gen, chi=chi, theta_max=theta_max)
+        rates = {}
+        for mode in modes:
+            chosen = mode
+            if mode.startswith("SWITCH"):
+                chi_used = chi
+                if mode == "SWITCH" and theta_max > 0.0:
+                    chi_used = mismatch_effective_stats(chi, theta_max).chi_eff
+                chosen = "BDS" if chi_used <= scale * tau["BD"] ** 2 else "BD"
+                picks[mode].append(chosen == "BDS")
+            if chosen not in rates:
+                rates[chosen] = sinr_report(scenario, channels, chosen,
+                                            tau=tau[chosen],
+                                            preprocessors=pre).sum_rate
+            sums[mode].append(rates[chosen])
+    return {m: np.array(s) for m, s in sums.items()}, picks
+
+
+def assert_engine_matches(scenario, modes, n_trials, seed, **kwargs):
+    got = run_paired(scenario, modes, n_trials, seed, **kwargs)
+    want, picks = reference_paired(scenario, modes, n_trials, seed, **kwargs)
+    for mode in modes:
+        np.testing.assert_allclose(got[mode].trial_sum_rates, want[mode],
+                                   rtol=RTOL, atol=0.0)
+        if mode.startswith("SWITCH"):
+            assert got[mode].extras["bds_fraction"] == np.mean(picks[mode])
+    return got, picks
+
+
+@pytest.fixture(scope="module")
+def fig4(fig4_scenario):
+    return fig4_scenario.with_chi(0.1).with_power_db(10.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {},
+    {"tau_sq": 0.1},
+    {"n_bits": 60},
+    {"chi_dist": (0.0, 0.5), "tau_sq_dist": (0.0, 1.0)},
+    {"theta_max": 0.3 * math.pi, "tau_sq": 0.2},
+], ids=["perfect", "tau_sq", "n_bits", "dists", "mismatch"])
+def test_bd_bds_match_reference(fig4, kwargs):
+    assert_engine_matches(fig4, ["BD", "BDS"], 5, 17, **kwargs)
+
+
+@pytest.mark.parametrize("modes", [
+    ["SWITCH"],
+    ["SWITCH_RAW"],
+    ["BD", "BDS", "SWITCH", "SWITCH_RAW"],
+], ids=["switch", "switch_raw", "all"])
+def test_switching_matches_reference(fig4, modes):
+    # Mismatch separates SWITCH from SWITCH_RAW; the per-trial tau^2 mixes
+    # the picks, so each scheme runs on a strict subset of the trials.
+    _, picks = assert_engine_matches(
+        fig4, modes, 12, 5, theta_max=0.3 * math.pi,
+        chi_dist=(0.0, 0.5), tau_sq_dist=(0.0, 1.0))
+    for mode in modes:
+        if mode.startswith("SWITCH"):
+            assert 0 < sum(picks[mode]) < len(picks[mode])
+
+
+def test_single_pol_with_gains_matches_reference():
+    sc = make_scenario(M=40, G=2, n_bar=4, dual_pol=False, thetas=[-0.6, 0.6],
+                       spread=math.pi / 10).with_power_db(10.0)
+    sc = replace(sc, gains=(0.8, 1.3))
+    assert_engine_matches(sc, ["BD"], 4, 3, tau_sq=0.2)
+
+
+def test_single_group_matches_reference():
+    sc = make_scenario(M=16, G=1, n_bar=2, thetas=[0.1], spread=0.35,
+                       chi=0.2).with_power_db(5.0)
+    assert_engine_matches(sc, ["BD", "BDS"], 4, 2, tau_sq=0.3)
+
+
+def test_one_trial_matches_reference(fig4):
+    got, _ = assert_engine_matches(fig4, ["BD", "BDS"], 1, 8, tau_sq=0.1)
+    assert got["BD"].n_trials == 1 and got["BD"].stderr == 0.0
+
+
+def test_trial_blocks_do_not_change_results(small_scenario, monkeypatch):
+    sc = small_scenario.with_chi(0.2).with_power_db(10.0)
+    kwargs = dict(chi_dist=(0.0, 0.5), tau_sq_dist=(0.0, 1.0),
+                  theta_max=0.2 * math.pi)
+    modes = ["BD", "SWITCH"]
+    whole = run_paired(sc, modes, 10, 4, **kwargs)
+    monkeypatch.setattr(metrics, "TRIAL_BLOCK", 3)
+    blocked = run_paired(sc, modes, 10, 4, **kwargs)
+    for mode in modes:
+        assert np.array_equal(whole[mode].trial_sum_rates,
+                              blocked[mode].trial_sum_rates)
+    assert whole["SWITCH"].extras == blocked["SWITCH"].extras
+    assert_engine_matches(sc, modes, 10, 4, **kwargs)
+
+
+def test_3d_regions_use_offset_streams():
+    sc3 = make_scenario_3d().with_power_db(25.0)
+    kwargs = dict(chi_dist=(0.0, 0.5), tau_sq_dist=(0.0, 1.0),
+                  theta_max=0.22 * math.pi)
+    modes = ["BD", "BDS", "SWITCH", "SWITCH_RAW"]
+    n = 3
+    got = run_3d_paired(sc3, modes, n, 6, **kwargs)
+    for mode in modes:
+        want = sum(reference_paired(reduce_to_2d(sc3, l), [mode], n, 6,
+                                    stream_base=l * n, **kwargs)[0][mode]
+                   for l in range(sc3.n_regions))
+        np.testing.assert_allclose(got[mode].trial_sum_rates, want,
+                                   rtol=RTOL, atol=0.0)
+
+
+@pytest.mark.parametrize("mode", ["BD", "BDS"])
+def test_zero_gains_raise_instead_of_nan_rows(small_scenario, mode):
+    sc = replace(small_scenario, gains=(0.0,) * small_scenario.G)
+    with pytest.raises(DegenerateInputError):
+        run_paired(sc, [mode], 3, 1)

@@ -13,7 +13,6 @@ from dualpol.errors import (
 from dualpol.metrics import draw_trial
 from dualpol.precode import (
     bd_preprocessor,
-    bds_preprocessor,
     build_all,
     build_preprocessors,
     rzf_precoder,
@@ -69,7 +68,7 @@ def test_average_leakage_small(fig4_scenario, fig4_pre):
 
 
 def test_bds_zero_pattern_and_orthogonality(fig4_pre):
-    pre = bds_preprocessor(fig4_pre[0])
+    pre = fig4_pre[0]
     half = pre.B_s.shape[0]
     ncols = pre.B_s.shape[1]
     assert np.all(pre.bds_v[half:] == 0.0)
@@ -84,7 +83,7 @@ def test_chi_zero_cross_polarized_channels_are_nulled(fig4_scenario, fig4_pre):
     entry = channels[1]
     n2 = entry.n_users // 2
     H_v = entry.H[:, :n2]
-    pre = bds_preprocessor(fig4_pre[2])
+    pre = fig4_pre[2]
     assert np.abs(H_v.conj().T @ pre.bds_h).max() == 0.0
 
 
