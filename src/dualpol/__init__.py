@@ -56,10 +56,8 @@ from .precode import (
 from .rmt import (
     AsymptoticSolution,
     FixedPointProblem,
-    approx_bd_chi,
     approx_bds_chi,
     asym_bd,
-    asym_bd_simplified,
     asym_bds,
     bds_c0,
     solve_fixed_point,

@@ -98,10 +98,14 @@ def _parse_dist(value):
     if isinstance(value, str) and value.startswith("uniform:"):
         try:
             _, lo, hi = value.split(":")
-            return (float(lo), float(hi))
+            lo, hi = float(lo), float(hi)
         except ValueError as exc:
             raise InvalidConfigurationError(
                 f"bad distribution {value!r}; expected uniform:lo:hi") from exc
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise InvalidConfigurationError(
+                f"bad distribution {value!r}; expected finite lo <= hi")
+        return (lo, hi)
     raise InvalidConfigurationError(f"unknown distribution {value!r}")
 
 
@@ -231,6 +235,10 @@ def _sweep_points(config):
         "n_bits": _as_list(config.get("n_bits")) or [None],
         "theta_max_ms_deg": _as_list(config.get("theta_max_ms_deg", 0.0)),
     }
+    for key in ("snr_db", "chi", "tau_sq", "theta_max_ms_deg"):
+        for v in axes[key]:
+            if v is not None and not (isinstance(v, (int, float)) and math.isfinite(v)):
+                raise InvalidConfigurationError(f"{key} must be a finite number, got {v!r}")
     varying = [k for k, v in axes.items() if len(v) > 1]
     if len(varying) > 1 and not config.get("grid", False):
         raise InvalidConfigurationError(
@@ -260,8 +268,8 @@ def run_config(config: dict, out_stream) -> None:
     seed = int(config.get("seed", 1))
     chi_dist = _parse_dist(config.get("chi_dist"))
     tau_dist = _parse_dist(config.get("tau_sq_dist"))
-    variants = _build_variants(config)
     points = _sweep_points(config)
+    variants = _build_variants(config)
 
     writer = csv.writer(out_stream, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)

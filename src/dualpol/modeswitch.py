@@ -101,17 +101,3 @@ def select_mode(budget: FeedbackBudget, chi_or_chi_eff: float,
     return ModeDecision(mode=mode, threshold_bits=threshold,
                         chi_used=chi_or_chi_eff, margin=margin)
 
-
-def exact_chi_bound(base: AsymptoticSolution, tau_sq: float) -> float:
-    """Diagnostic: the un-dropped crossover bound on chi, keeping the
-    inter-group term E0 and the exact c0 denominator."""
-    from .rmt import bds_c0
-
-    u = (1.0 + base.m0) ** 2
-    B0 = base.xi_sq * base.upsilon_intra
-    D0 = u - 1.0
-    E0 = base.upsilon_inter
-    c0 = bds_c0(base)
-    num = (B0 * D0 + B0 + (1.0 + E0) * (D0 + 1.0)) * tau_sq
-    den = c0 * (B0 * D0 * tau_sq ** 2 + B0 + (1.0 + E0) * (D0 + 1.0))
-    return float((num / den).mean())

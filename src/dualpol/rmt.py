@@ -24,9 +24,7 @@ __all__ = [
     "AsymptoticSolution",
     "solve_fixed_point",
     "asym_bd",
-    "asym_bd_simplified",
     "asym_bds",
-    "approx_bd_chi",
     "approx_bds_chi",
     "bds_c0",
 ]
@@ -38,7 +36,10 @@ FIXED_POINT_MAX_ITER = 2000
 @dataclass(frozen=True)
 class FixedPointProblem:
     """Resolvent fixed point data: user-class covariances with multiplicities,
-    a Hermitian shift S, the (negative) argument z, and the trace normalizer M."""
+    a Hermitian shift S, the (negative) argument z, and the trace normalizer M.
+
+    Classes and S are either all matrices or all 1-D: the eigenvalues of
+    matrices that share one eigenbasis."""
 
     covariances: tuple
     multiplicities: tuple
@@ -53,6 +54,11 @@ class FixedPointProblem:
             raise InvalidInputError("one multiplicity per covariance class")
         object.__setattr__(self, "covariances", tuple(np.asarray(R) for R in self.covariances))
         object.__setattr__(self, "multiplicities", tuple(int(n) for n in self.multiplicities))
+        forms = {R.ndim for R in self.covariances}
+        if self.S is not None:
+            forms.add(np.ndim(self.S))
+        if len(forms) > 1:
+            raise InvalidInputError("classes and S must be all diagonal (1-D) or all matrices")
 
 
 @dataclass(frozen=True)
@@ -67,6 +73,9 @@ def solve_fixed_point(problem: FixedPointProblem, tol: float = FIXED_POINT_TOL,
                       max_iter: int = FIXED_POINT_MAX_ITER) -> FixedPointResult:
     """Solve e_i = (1/M) tr(R_i T(e)) with T(e) = ((1/M) sum_j n_j R_j/(1+e_j) + S - zI)^-1.
 
+    For 1-D (diagonal) classes T is the vector of its eigenvalues and every
+    trace a dot product.
+
     Fixed-point iteration from e = 1/alpha with step damping when the
     residual stops decreasing.
     """
@@ -77,25 +86,33 @@ def solve_fixed_point(problem: FixedPointProblem, tol: float = FIXED_POINT_TOL,
         dim = problem.S.shape[0]
     else:
         dim = problem.M
-    S = problem.S if problem.S is not None else np.zeros((dim, dim))
-    base = S - problem.z * np.eye(dim)
+    diagonal = np.ndim(problem.covariances[0] if k else problem.S) == 1
+    if diagonal:
+        base = (problem.S if problem.S is not None else np.zeros(dim)) - problem.z
+        invert, trace = np.reciprocal, np.dot
+    else:
+        S = problem.S if problem.S is not None else np.zeros((dim, dim))
+        base = S - problem.z * np.eye(dim)
+        invert = np.linalg.inv
+
+        def trace(R, T):
+            return np.trace(R @ T).real
     if k == 0:
-        T = np.linalg.inv(base)
-        return FixedPointResult(e=np.zeros(0), T=T, iterations=0, residual=0.0)
+        return FixedPointResult(e=np.zeros(0), T=invert(base), iterations=0, residual=0.0)
     alpha = -problem.z
     e = np.full(k, 1.0 / alpha)
     damp = 1.0
     prev_res = np.inf
 
     def resolvent(ev):
-        acc = base.copy().astype(complex)
+        acc = base.astype(float if diagonal else complex)
         for R, n, ej in zip(problem.covariances, problem.multiplicities, ev):
             acc += (n / (problem.M * (1.0 + ej))) * R
-        return np.linalg.inv(acc)
+        return invert(acc)
 
     for it in range(1, max_iter + 1):
         T = resolvent(e)
-        e_new = np.array([np.trace(R @ T).real / problem.M for R in problem.covariances])
+        e_new = np.array([trace(R, T) / problem.M for R in problem.covariances])
         res = float(np.max(np.abs(e_new - e)))
         if res < tol:
             return FixedPointResult(e=e_new, T=resolvent(e_new),
@@ -162,110 +179,109 @@ def _sum_rate(gamma, n_bar):
     return float((n_bar / 2.0) * np.log2(1.0 + gamma).sum())
 
 
-def _projected_covariances(scenario: GroupScenario, preprocessors):
-    """C[g] = B_g^s^H R_g^s B_g^s and D[g][l] = B_l^s^H R_g^s B_l^s (gain-scaled)."""
-    G = scenario.G
-    C = []
-    D = [[None] * G for _ in range(G)]
-    for g in range(G):
-        R = scenario.covariances[g].matrix * scenario.gains[g] ** 2
-        for l in range(G):
-            Bs = preprocessors[l].B_s
-            proj = Bs.conj().T @ R @ Bs
-            if l == g:
-                C.append(proj)
-            else:
-                D[g][l] = proj
-    return C, D
+def _eigh(C):
+    """Eigenpairs of a Hermitian C.
+
+    The eigenvalues are the Rayleigh quotients of eigh's eigenvectors, taken
+    in long double. Where that is wider than double, their absolute error
+    falls from eigh's ~ eps ||C|| to ~ ||C v - lam v||^2 / gap. At high SNR
+    the DE needs it: resolvent eigenvalues near 1/alpha amplify the error
+    of the small eigenvalues (about 4e-12 relative in m' and psi at 30 dB
+    with plain eigh).
+    """
+    _, V = np.linalg.eigh(C)
+    Vx = V.astype(np.clongdouble)
+    lam = np.sum(Vx.conj() * (C.astype(np.clongdouble) @ Vx), axis=0).real
+    return lam.astype(float), V
 
 
-def _pol_blockdiag(C, chi, p):
-    """R_bar of polarization p: blockdiag(C, chi C) for v, mirrored for h."""
-    if p == 0:
-        return np.block([[C, np.zeros_like(C)], [np.zeros_like(C), chi * C]])
-    return np.block([[chi * C, np.zeros_like(C)], [np.zeros_like(C), C]])
+class _Spectral:
+    """Fixed points and derivative systems of all groups, in the eigenbasis
+    of each group's projected covariance C_g = V_g diag(lam_g) V_g^H.
+
+    Every user class of group g commutes with C_g, so ``classes(lam_g)``
+    gives them as diagonals d (k, dim) and the resolvent T_g as a vector t.
+    Each trace tr(R_q T X T) then is ``w[g][q] @ x`` with w = d t^2 and
+    x = diag(V_g^H X V_g). ``coupling[g][l]`` is that diagonal for
+    D_gl = B_l^s^H R_g B_l^s in group l's basis. Covariances are gain-scaled.
+    """
+
+    def __init__(self, scenario: GroupScenario, preprocessors, classes,
+                 dim: int, z: float):
+        if preprocessors is None:
+            preprocessors = build_preprocessors(scenario)
+        G, n = scenario.G, scenario.n_bar // 2
+        R = [cov.matrix * gain ** 2
+             for cov, gain in zip(scenario.covariances, scenario.gains)]
+        B = [pre.B_s for pre in preprocessors]
+        eig = [_eigh(B[g].conj().T @ R[g] @ B[g]) for g in range(G)]
+        self.dim = dim
+        self.classes = [classes(lam) for lam, _ in eig]
+        self.m0 = np.zeros((G, len(self.classes[0])))
+        self.w, self.jac = [], []
+        self.iterations = 0
+        self.residual = 0.0
+        for g, d in enumerate(self.classes):
+            res = solve_fixed_point(FixedPointProblem(
+                covariances=tuple(d), multiplicities=(n,) * len(d),
+                S=None, z=z, M=dim))
+            self.m0[g] = res.e
+            self.iterations = max(self.iterations, res.iterations)
+            self.residual = max(self.residual, res.residual)
+            w = d * res.T ** 2
+            # J[p, q] = (n/dim) tr(R_p T R_q T) / (dim (1 + e_q)^2)
+            J = (n / dim) * (w @ d.T) / (dim * (1.0 + res.e) ** 2)
+            self.w.append(w)
+            self.jac.append(np.eye(len(d)) - J)
+        self.coupling = [
+            [None if l == g else
+             np.sum(V.conj() * ((B[l].conj().T @ R[g] @ B[l]) @ V), axis=0).real
+             for l, (_, V) in enumerate(eig)]
+            for g in range(G)]
+
+    def derivative(self, g: int, x) -> np.ndarray:
+        """Derivative traces m'_q of group g against the diagonal
+        perturbation(s) x (..., dim): (I - J) m' = [tr(R_q T X T) / dim]_q."""
+        rhs = np.asarray(x) @ self.w[g].T / self.dim
+        try:
+            return np.linalg.solve(self.jac[g], rhs.T).T
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("singular (I - J) derivative system") from exc
 
 
 def asym_bd(scenario: GroupScenario, tau_sq: float = 0.0,
             preprocessors=None) -> AsymptoticSolution:
-    """Full deterministic equivalent of the BD scheme (both polarizations)."""
-    if preprocessors is None:
-        preprocessors = build_preprocessors(scenario)
+    """Full deterministic equivalent of the BD scheme (both polarizations).
+
+    In the eigenbasis of C_g the class of polarization v, blockdiag(C_g,
+    chi C_g), is diag(lam, chi lam), and that of h its mirror.
+    """
     G, n_bar, b_bar = scenario.G, scenario.n_bar, scenario.b_bar
     P, N, alpha = scenario.power, scenario.n_users, scenario.alpha
-    C, D = _projected_covariances(scenario, preprocessors)
     chi = scenario.chi
 
-    Rbar = [[_pol_blockdiag(C[g], chi, p) for p in range(2)] for g in range(G)]
-    m0 = np.zeros((G, 2))
-    T = []
-    iterations = 0
-    residual = 0.0
-    for g in range(G):
-        prob = FixedPointProblem(
-            covariances=(Rbar[g][0], Rbar[g][1]),
-            multiplicities=(n_bar // 2, n_bar // 2),
-            S=None, z=-alpha, M=b_bar)
-        res = solve_fixed_point(prob)
-        m0[g] = res.e
-        T.append(res.T)
-        iterations = max(iterations, res.iterations)
-        residual = max(residual, res.residual)
+    def pol(x):
+        return np.stack([np.concatenate([x, chi * x]), np.concatenate([chi * x, x])])
 
-    def trace(A, B):
-        return np.trace(A @ B).real
-
-    J = []
-    for g in range(G):
-        Jg = np.zeros((2, 2))
-        for p in range(2):
-            for q in range(2):
-                Jg[p, q] = (n_bar / (2.0 * b_bar)) * trace(
-                    Rbar[g][p] @ T[g], Rbar[g][q] @ T[g]) / (
-                    b_bar * (1.0 + m0[g, q]) ** 2)
-        J.append(Jg)
-
-    def derivative(g, pert):
-        """Solve the 2x2 linear system for the derivative traces against a
-        perturbation matrix (inhomogeneous term tr(Rbar_gq T pert T)/B)."""
-        v = np.array([trace(Rbar[g][q] @ T[g], pert @ T[g]) / b_bar for q in range(2)])
-        mat = np.eye(2) - J[g]
-        try:
-            return np.linalg.solve(mat, v)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("singular (I - J) derivative system") from exc
-
-    m_prime = np.zeros((G, 2))
-    psi = np.zeros(G)
-    for g in range(G):
-        v_g = np.array([trace(Rbar[g][q] @ T[g], T[g]) / b_bar for q in range(2)])
-        mp = np.linalg.solve(np.eye(2) - J[g], v_g)
-        m_prime[g] = mp
-        psi[g] = (P / (2.0 * b_bar * G)) * np.sum(mp / (1.0 + m0[g]) ** 2)
+    sp = _Spectral(scenario, preprocessors, pol, b_bar, -alpha)
+    m0 = sp.m0
+    u = (1.0 + m0) ** 2
+    m_prime = np.array([sp.derivative(g, np.ones(b_bar)) for g in range(G)])
+    psi = (P / (2.0 * b_bar * G)) * np.sum(m_prime / u, axis=1)
     xi_sq_g = P / (G * psi)
 
     ups_intra = np.zeros((G, 2))
-    for g in range(G):
-        for p in range(2):
-            mp_gg = derivative(g, Rbar[g][p])
-            q = 1 - p
-            ups_intra[g, p] = (
-                (n_bar / 2.0 - 1.0) / b_bar * (P / N) * mp_gg[p] / (1.0 + m0[g, p]) ** 2
-                + n_bar / (2.0 * b_bar) * (P / N) * mp_gg[q] / (1.0 + m0[g, q]) ** 2)
-
     ups_inter = np.zeros((G, 2))
     for g in range(G):
-        for p in range(2):
-            total = 0.0
-            for l in range(G):
-                if l == g:
-                    continue
-                pert = _pol_blockdiag(D[g][l], chi, p)
-                mp_gl = derivative(l, pert)
-                ups_glp = (P / (2.0 * N)) * (n_bar / b_bar) * np.sum(
-                    mp_gl / (1.0 + m0[l]) ** 2)
-                total += xi_sq_g[l] * ups_glp
-            ups_inter[g, p] = total
+        # mp[p, q]: class q's derivative against class p; n_bar/2 - 1
+        # same-polarization users and n_bar/2 cross-polarized ones.
+        mp = sp.derivative(g, sp.classes[g]) / u[g]
+        ups_intra[g] = (P / N) / b_bar * ((n_bar / 2.0 - 1.0) * np.diag(mp)
+                                          + (n_bar / 2.0) * mp[[0, 1], [1, 0]])
+        for l in range(G):
+            if l != g:
+                mp_gl = sp.derivative(l, pol(sp.coupling[g][l])) / u[l]
+                ups_inter[g] += xi_sq_g[l] * (P / (2.0 * N)) * (n_bar / b_bar) * mp_gl.sum(axis=1)
 
     xi_sq = np.repeat(xi_sq_g[:, None], 2, axis=1)
     gamma = _assemble_gamma(P, N, tau_sq, m0, xi_sq, ups_intra,
@@ -276,92 +292,8 @@ def asym_bd(scenario: GroupScenario, tau_sq: float = 0.0,
         psi=np.repeat(psi[:, None], 2, axis=1),
         upsilon_intra=ups_intra, upsilon_cross=np.zeros((G, 2)),
         upsilon_inter=ups_inter, gamma=gamma,
-        sum_rate=_sum_rate(gamma, n_bar), iterations=iterations,
-        residual=residual)
-
-
-def asym_bd_simplified(scenario: GroupScenario, tau_sq: float = 0.0,
-                       preprocessors=None) -> AsymptoticSolution:
-    """Scalar-per-group deterministic equivalent for co-located polarizations.
-
-    With the same spatial covariance on both polarizations the two
-    polarizations share one fixed point, and every 2x2 derivative system
-    diagonalizes in the symmetric/antisymmetric polarization channels with
-    eigenvalue factors (1 +- chi)^2. All quantities reduce to scalar quotient
-    forms on the (B_bar/2)-dimensional blocks; the result matches the full
-    solver to machine precision.
-    """
-    if preprocessors is None:
-        preprocessors = build_preprocessors(scenario)
-    G, n_bar, b_bar = scenario.G, scenario.n_bar, scenario.b_bar
-    P, N, alpha = scenario.power, scenario.n_users, scenario.alpha
-    C, D = _projected_covariances(scenario, preprocessors)
-    chi = scenario.chi
-    s_plus = (1.0 + chi) ** 2
-    s_minus = (1.0 - chi) ** 2
-
-    m0 = np.zeros(G)
-    T = []
-    iterations = 0
-    residual = 0.0
-    for g in range(G):
-        prob = FixedPointProblem(covariances=((1.0 + chi) * C[g],),
-                                 multiplicities=(n_bar // 2,),
-                                 S=None, z=-alpha, M=b_bar)
-        res = solve_fixed_point(prob)
-        m0[g] = res.e[0]
-        T.append(res.T)
-        iterations = max(iterations, res.iterations)
-        residual = max(residual, res.residual)
-
-    def trace(A, B):
-        return np.trace(A @ B).real
-
-    u = (1.0 + m0) ** 2
-    tr_sq = np.array([trace(C[g] @ T[g], C[g] @ T[g]) for g in range(G)])
-    tr_res = np.array([trace(C[g] @ T[g], T[g]) for g in range(G)])
-    j = (n_bar / (2.0 * b_bar)) * tr_sq / (b_bar * u)
-    den_plus = 1.0 - j * s_plus
-    den_minus = 1.0 - j * s_minus
-
-    m_prime = (1.0 + chi) * tr_res / (b_bar * den_plus)
-    psi = (P / (G * b_bar)) * m_prime / u
-    xi_sq_g = (b_bar * u) / m_prime
-
-    # Intra-group interference: n_bar/2 - 1 same-polarization users plus
-    # n_bar/2 cross-polarized ones, via the two symmetry channels.
-    sym = (tr_sq / (2.0 * b_bar)) * s_plus / den_plus
-    anti = (tr_sq / (2.0 * b_bar)) * s_minus / den_minus
-    mp_same = sym + anti
-    mp_cross = sym - anti
-    ups_intra_g = (P / N) * ((n_bar / 2.0 - 1.0) * mp_same
-                             + (n_bar / 2.0) * mp_cross) / (b_bar * u)
-
-    # Inter-group interference keeps only the symmetric channel.
-    ups_inter_g = np.zeros(G)
-    for g in range(G):
-        total = 0.0
-        for l in range(G):
-            if l == g:
-                continue
-            trD = trace(C[l] @ T[l], D[g][l] @ T[l])
-            mp_gl_sum = (trD / b_bar) * s_plus / den_plus[l]
-            total += xi_sq_g[l] * (P / (2.0 * N)) * (n_bar / b_bar) * mp_gl_sum / u[l]
-        ups_inter_g[g] = total
-
-    def spread(a):
-        return np.repeat(np.asarray(a)[:, None], 2, axis=1)
-
-    gamma = _assemble_gamma(P, N, tau_sq, spread(m0), spread(xi_sq_g),
-                            spread(ups_intra_g), np.zeros((G, 2)),
-                            spread(ups_inter_g))
-    return AsymptoticSolution(
-        scheme="BD_SIMPLE", tau_sq=tau_sq, power=P, n_streams=N, n_bar=n_bar,
-        m0=spread(m0), m_prime=spread(m_prime), xi_sq=spread(xi_sq_g),
-        psi=spread(psi), upsilon_intra=spread(ups_intra_g),
-        upsilon_cross=np.zeros((G, 2)), upsilon_inter=spread(ups_inter_g),
-        gamma=gamma, sum_rate=_sum_rate(gamma, n_bar), iterations=iterations,
-        residual=residual)
+        sum_rate=_sum_rate(gamma, n_bar), iterations=sp.iterations,
+        residual=sp.residual)
 
 
 def asym_bds(scenario: GroupScenario, tau_sq: float = 0.0,
@@ -373,87 +305,46 @@ def asym_bds(scenario: GroupScenario, tau_sq: float = 0.0,
     through chi-weighted projected covariances. The subgroup regularizer
     matches the precoder (n_bar / P absolute, i.e. twice alpha per
     dimension), which makes the chi = 0 solution coincide with BD's exactly.
+    Both polarizations share every quantity; arrays are (G, 2) throughout.
     """
-    if preprocessors is None:
-        preprocessors = build_preprocessors(scenario)
     G, n_bar, b_bar = scenario.G, scenario.n_bar, scenario.b_bar
     P, N, alpha = scenario.power, scenario.n_users, scenario.alpha
     beta = b_bar // 2
-    C, D = _projected_covariances(scenario, preprocessors)
     chi = scenario.chi
-    alpha_eff = 2.0 * alpha
 
-    m0 = np.zeros((G, 2))
-    T = []
-    iterations = 0
-    residual = 0.0
-    for g in range(G):
-        prob = FixedPointProblem(covariances=(C[g],), multiplicities=(n_bar // 2,),
-                                 S=None, z=-alpha_eff, M=beta)
-        res = solve_fixed_point(prob)
-        m0[g, :] = res.e[0]
-        T.append(res.T)
-        iterations = max(iterations, res.iterations)
-        residual = max(residual, res.residual)
-
-    def trace(A, B):
-        return np.trace(A @ B).real
-
-    denom = np.array([
-        1.0 - (n_bar / b_bar) * trace(C[g] @ T[g], C[g] @ T[g])
-        / (beta * (1.0 + m0[g, 0]) ** 2)
-        for g in range(G)])
-    m_prime_g = np.array([(2.0 / b_bar) * trace(C[g] @ T[g], T[g])
-                          for g in range(G)]) / denom
-    psi_g = (P / (G * b_bar)) * m_prime_g / (1.0 + m0[:, 0]) ** 2
+    sp = _Spectral(scenario, preprocessors, lambda lam: lam[None, :], beta, -2.0 * alpha)
+    m0 = np.repeat(sp.m0, 2, axis=1)
+    u = (1.0 + m0) ** 2
+    m_prime = np.repeat([sp.derivative(g, np.ones(beta)) for g in range(G)], 2, axis=1)
+    psi = (P / (G * b_bar)) * m_prime / u
     # Deterministic equivalent of the per-subgroup normalization
     # xi^2 = (n_bar/2) / tr(H^H K^H K H), i.e. P / (2 G Psi).
-    xi_sq_g = P / (2.0 * G * psi_g)
+    xi_sq = P / (2.0 * G * psi)
 
-    m_prime_gg = np.array([(2.0 / b_bar) * trace(C[g] @ T[g], C[g] @ T[g])
-                           for g in range(G)]) / denom
-    ups_intra_g = ((n_bar / 2.0 - 1.0) / beta) * (P / N) * m_prime_gg / (1.0 + m0[:, 0]) ** 2
+    mp_gg = np.array([sp.derivative(g, sp.classes[g][0]) for g in range(G)])
+    ups_intra = ((n_bar / 2.0 - 1.0) / beta) * (P / N) * mp_gg / u
 
     # Interference of subgroup (l, q) onto users of (g, p): the projected
     # covariance is B_lq^H R_gp B_lq = C or D scaled by chi when q != p, so
     # the weighted interference sum is affine in chi with slope chi_slope.
-    ups_cross_g = np.zeros(G)
-    ups_inter_g = np.zeros(G)
-    chi_slope_g = np.zeros(G)
+    cross_unit = xi_sq * (P / N) * (n_bar / b_bar) * mp_gg / u
+    inter_unit = np.zeros((G, 2))
     for g in range(G):
-        mp_cross_unit = (2.0 / b_bar) * trace(C[g] @ T[g], C[g] @ T[g]) / denom[g]
-        cross_unit = xi_sq_g[g] * (P / N) * (n_bar / b_bar) * mp_cross_unit / (1.0 + m0[g, 0]) ** 2
-        ups_cross_g[g] = chi * cross_unit
-        total = 0.0
-        slope = cross_unit
         for l in range(G):
-            if l == g:
-                continue
-            mp_unit = (2.0 / b_bar) * trace(C[l] @ T[l], D[g][l] @ T[l]) / denom[l]
-            ups_unit = xi_sq_g[l] * (P / N) * (n_bar / b_bar) * mp_unit / (1.0 + m0[l, 0]) ** 2
-            total += (1.0 + chi) * ups_unit
-            slope += ups_unit
-        ups_inter_g[g] = total
-        chi_slope_g[g] = slope
+            if l != g:
+                mp_gl = sp.derivative(l, sp.coupling[g][l])
+                inter_unit[g] += xi_sq[l] * (P / N) * (n_bar / b_bar) * mp_gl / u[l]
+    ups_cross = chi * cross_unit
+    ups_inter = (1.0 + chi) * inter_unit
 
-    def spread(a):
-        return np.repeat(np.asarray(a)[:, None], 2, axis=1)
-
-    xi_sq = spread(xi_sq_g)
-    gamma = _assemble_gamma(P, N, tau_sq, m0, xi_sq, spread(ups_intra_g),
-                            spread(ups_cross_g), spread(ups_inter_g))
+    gamma = _assemble_gamma(P, N, tau_sq, m0, xi_sq, ups_intra, ups_cross, ups_inter)
     return AsymptoticSolution(
         scheme="BDS", tau_sq=tau_sq, power=P, n_streams=N, n_bar=n_bar,
-        m0=m0, m_prime=spread(m_prime_g), xi_sq=xi_sq, psi=spread(psi_g),
-        upsilon_intra=spread(ups_intra_g), upsilon_cross=spread(ups_cross_g),
-        upsilon_inter=spread(ups_inter_g), gamma=gamma,
-        sum_rate=_sum_rate(gamma, n_bar), iterations=iterations,
-        residual=residual, extras={"chi_slope": spread(chi_slope_g)})
-
-
-def approx_bd_chi(solution_at_zero: AsymptoticSolution, chi: float) -> AsymptoticSolution:
-    """BD's SINR is approximately flat in chi: the approximation is constancy."""
-    return solution_at_zero
+        m0=m0, m_prime=m_prime, xi_sq=xi_sq, psi=psi,
+        upsilon_intra=ups_intra, upsilon_cross=ups_cross,
+        upsilon_inter=ups_inter, gamma=gamma,
+        sum_rate=_sum_rate(gamma, n_bar), iterations=sp.iterations,
+        residual=sp.residual, extras={"chi_slope": cross_unit + inter_unit})
 
 
 def bds_c0(solution_at_zero: AsymptoticSolution) -> float:

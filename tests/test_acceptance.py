@@ -21,7 +21,6 @@ from dualpol.rmt import (
     FixedPointProblem,
     approx_bds_chi,
     asym_bd,
-    asym_bd_simplified,
     asym_bds,
     solve_fixed_point,
 )

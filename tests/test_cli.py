@@ -165,6 +165,30 @@ class TestMain:
     def test_missing_config_exit_two(self, capsys):
         assert main(["run", "--config", "/nonexistent.cfg"]) == 2
 
+    @pytest.mark.parametrize("line", [
+        "chi_dist = uniform:0.5:0.1", "chi_dist = uniform:nan:0.5",
+        "tau_sq_dist = uniform:0:inf"])
+    def test_bad_distribution_exit_two_before_header(self, tmp_path, capsys, line):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("m = 24\ngroups = 2\nn_bar = 4\nschemes = BD\n"
+                       f"n_trials = 2\n{line}\n")
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert out.read_text() == ""
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["snr_db = nan", "chi = inf", "tau_sq = nan"])
+    @pytest.mark.parametrize("scheme", ["BD", "ASYM_BD"])
+    def test_non_finite_sweep_value_exit_two_before_header(self, tmp_path, capsys,
+                                                         line, scheme):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("m = 24\ngroups = 2\nn_bar = 4\nn_trials = 2\n"
+                       f"schemes = {scheme}\n{line}\n")
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert out.read_text() == ""
+        assert "finite" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("scenario_id = rerun\nm = 24\ngroups = 2\nn_bar = 4\n"
