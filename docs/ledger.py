@@ -34,8 +34,8 @@ import math
 import os
 import re
 import sys
-from contextlib import ExitStack
-from dataclasses import replace
+from contextlib import nullcontext
+from dataclasses import dataclass, fields, replace
 from unittest import mock
 
 import numpy as np
@@ -194,9 +194,7 @@ def section_6(out):
 # Criterion 11: the four polarization-mismatch models
 # ----------------------------------------------------------------------
 
-def _coherent_coefficients(chi, G, angles=None):
-    if angles is None:
-        return channel._kl_coefficients(chi, G)
+def _coherent_coefficients(chi, G, angles):
     n2, sq = G.shape[1] // 2, math.sqrt(chi)
     c, s = np.cos(angles), np.sin(angles)
     fac_top = np.concatenate([c[:n2] - sq * s[:n2], sq * c[n2:] - s[n2:]])
@@ -205,31 +203,51 @@ def _coherent_coefficients(chi, G, angles=None):
     return channel._blockwise(G, w), np.abs(w)
 
 
-def _coherent_draw(stats, pol, n_users, rng, theta_max=None, gain=1.0):
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    r = stats.effective_rank
-    G = channel.complex_normal(gen, (2 * r, n_users))
-    Z = channel.complex_normal(gen, (2 * r, n_users))
-    angles = None
-    if theta_max is not None:
+@dataclass(frozen=True)
+class _AlignedCsit(channel.GroupChannel):
+    """A channel whose CSIT ignores the rotation: the estimate is the
+    aligned KL synthesis of the corrupted inner factor ``G``, with ``chi``
+    and the unscaled noise ``W`` of the same draw."""
+
+    G: np.ndarray = None
+    chi: float = 0.0
+    W: np.ndarray = None
+
+    def coefficients_hat(self, tau):
+        return channel._kl_coefficients(self.chi, channel.mix_csit(self.G, self.W, tau))[0]
+
+    def h_hat(self, tau):
+        return self._synthesis(self.coefficients_hat(tau))
+
+
+def _variant_draw(draw, csit):
+    """A stand-in for ``channel._draw`` with the given draw and CSIT model.
+
+    It reads the stream in the library's order: the normals of G and of
+    the CSIT noise, the angles and, for the independent draw, the
+    orthogonal port's normals.
+    """
+    def _draw(stats, pol, n_users, rng, theta_max=None, gain=1.0):
+        gen = rng.generator() if isinstance(rng, RngStream) else rng
+        shape = (2 * stats.effective_rank, n_users)
+        normals = gen.standard_normal((4, *shape))
         angles = gen.uniform(-theta_max, theta_max, size=n_users)
-    X, X_std = _coherent_coefficients(pol.chi, G, angles)
-    H = channel._from_coefficients(gain * stats.factor(), X, dual=True)
-    labels = ("v",) * (n_users // 2) + ("h",) * (n_users // 2)
-    return channel.GroupChannel(H=H, G=G, Z=Z, stats=stats, chi=pol.chi,
-                                gain=gain, pol_labels=labels,
-                                mismatch_angles=angles, X=X, X_std=X_std)
-
-
-def _aligned_coefficients_hat(self, tau):
-    return channel._kl_coefficients(self.chi, self.g_hat(tau))[0]
-
-
-def _aligned_h_hat(self, tau):
-    if tau == 0.0 and self.mismatch_angles is None:
-        return self.H
-    return channel._from_coefficients(self.gain * self.stats.factor(),
-                                      self.coefficients_hat(tau), dual=True)
+        G = channel._complex(normals[0], normals[1])
+        W = channel._complex(normals[2], normals[3])
+        if draw == "coherent":
+            X, X_std = _coherent_coefficients(pol.chi, G, angles)
+            entry = channel.GroupChannel(X=X, Z=channel._blockwise(W, X_std),
+                                         stats=stats, gain=gain,
+                                         mismatch_angles=angles)
+        else:
+            normals = np.concatenate([normals, gen.standard_normal((2, *shape))])
+            entry = channel.channel_from_normals(stats, pol.chi, normals,
+                                                 angles, gain)
+        if csit == "aligned":
+            state = {f.name: getattr(entry, f.name) for f in fields(entry)}
+            entry = _AlignedCsit(**state, G=G, chi=pol.chi, W=W)
+        return entry
+    return _draw
 
 
 VARIANTS = {
@@ -241,15 +259,9 @@ VARIANTS = {
 
 
 def _patched(draw, csit):
-    stack = ExitStack()
-    if draw == "coherent":
-        stack.enter_context(mock.patch.object(channel, "_draw", _coherent_draw))
-    if csit == "aligned":
-        stack.enter_context(mock.patch.object(
-            channel.GroupChannel, "coefficients_hat", _aligned_coefficients_hat))
-        stack.enter_context(mock.patch.object(
-            channel.GroupChannel, "h_hat", _aligned_h_hat))
-    return stack
+    if (draw, csit) == ("independent", "measured"):
+        return nullcontext()
+    return mock.patch.object(channel, "_draw", _variant_draw(draw, csit))
 
 
 THETA = 0.22 * math.pi

@@ -19,7 +19,6 @@ from .corrstats import (
     ula,
 )
 from .channel import (
-    ChannelSet,
     GroupChannel,
     PolarizationModel,
     RngStream,

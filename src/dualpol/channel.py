@@ -1,11 +1,16 @@
 """Channel realizations and the imperfect-CSIT model.
 
-Channels live in the Karhunen-Loeve (KL) domain: a group's channel is
-H = blockdiag(A, A) X with A = U Lambda^(1/2) the covariance eigenmodes and
-X the users' KL coefficients, built from white inner Gaussian factors. CSIT
-imperfection corrupts those coefficients. Polarization mismatch turns each
-user's antenna by a random angle, mixing its own receive port with the
-orthogonal one, which has an independent inner factor.
+A group's channel is held as one state: its Karhunen-Loeve (KL)
+coefficients X and their CSIT noise Z. The channel is
+H = gain blockdiag(A, A) X with A = U Lambda^(1/2) the covariance
+eigenmodes (gain A X for a single-polarized array), and X is built from
+white inner Gaussian factors. Polarization mismatch turns each user's
+antenna by a random angle, mixing its own receive port with the orthogonal
+one, which has an independent inner factor. Z is drawn white and scaled to
+the standard deviation of each entry of X, so every CSIT view follows one
+rule: the estimate of X is ``mix_csit(X, Z, tau)``, the variance-preserving
+mix of Wagner, Couillet, Debbah and Slock (IEEE Trans. Inf. Theory, 2012),
+and the estimate of H is its KL synthesis.
 
 A channel may also stack many trials along a leading axis
 (``channel_from_normals``); the coefficient and CSIT helpers below act on
@@ -15,6 +20,7 @@ the last two axes and broadcast per-trial chi and tau over the leading one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +31,6 @@ __all__ = [
     "PolarizationModel",
     "RngStream",
     "GroupChannel",
-    "ChannelSet",
     "draw_channel",
     "draw_mismatched_channel",
     "draw_single_pol_channel",
@@ -48,13 +53,10 @@ class PolarizationModel:
     """
 
     chi: float
-    r_xp: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.chi <= 1.0:
             raise InvalidInputError("chi must lie in [0, 1]")
-        if self.r_xp != 0.0:
-            raise InvalidInputError("nonzero cross-polar correlation is unsupported")
 
 
 @dataclass(frozen=True)
@@ -80,97 +82,68 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GroupChannel:
-    """One group's realization: true channel, inner factors, corruption noise.
+    """One group's realization: KL coefficients and their CSIT noise.
 
-    The first half of the columns are vertically polarized users, the second
-    half horizontally polarized ones (``pol_labels`` state it explicitly).
-    ``G`` is the inner factor of each user's own receive port. Mismatched
-    draws carry the users' rotation angles, the KL coefficients ``X`` of H
-    (H = blockdiag(A, A) X) and the standard deviation ``X_std`` of their
-    entries, one row per polarization block; aligned draws leave all three
-    None, since their CSIT is rebuilt from ``G``. For single-polarized
-    scenarios ``pol_labels`` is None and the inner factor has ``r`` rows
-    instead of ``2r``.
+    ``X`` holds the KL coefficients of H (H = gain blockdiag(A, A) X with
+    A = U Lambda^(1/2)), one row block per polarization; its first half of
+    columns are vertically polarized users, the second half horizontally
+    polarized ones. ``Z`` is the CSIT noise, scaled at draw time to the
+    standard deviation of each entry of X. Single-polarized channels have
+    one row block (H = gain A X). Mismatched draws carry the users'
+    rotation angles.
 
-    A trial-stacked channel (``channel_from_normals`` with
-    ``synthesize=False``) has a leading trial axis on every array, one chi
-    per trial, and H None: it is read through ``coefficients`` and
-    ``coefficients_hat``, which then take one tau per trial.
+    A trial-stacked channel (``channel_from_normals``) has a leading trial
+    axis on X and Z: ``coefficients_hat`` then takes one tau per trial.
     """
 
-    H: np.ndarray
-    G: np.ndarray
+    X: np.ndarray = field(repr=False)
     Z: np.ndarray = field(repr=False)
     stats: SpatialCovariance = field(repr=False)
-    chi: float = 0.0
     gain: float = 1.0
-    pol_labels: tuple | None = None
     mismatch_angles: np.ndarray | None = None
-    X: np.ndarray | None = field(default=None, repr=False)
-    X_std: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_users(self) -> int:
-        return self.G.shape[-1]
+        return self.X.shape[-1]
 
     @property
-    def coefficients(self) -> np.ndarray:
-        """The KL coefficients X of H; single-polarized channels have X = G."""
-        if self.X is not None:
-            return self.X
-        if self.pol_labels is None:
-            return self.G
-        return _kl_coefficients(self.chi, self.G)[0]
+    def dual_pol(self) -> bool:
+        """Whether X has a row block per polarization."""
+        return self.X.shape[-2] == 2 * self.stats.effective_rank
 
-    def g_hat(self, tau: float) -> np.ndarray:
-        return mix_csit(self.G, self.Z, tau)
+    def _synthesis(self, X) -> np.ndarray:
+        """The channel with KL coefficients X in this group's basis."""
+        A = self.gain * self.stats.factor()
+        if not self.dual_pol:
+            return A @ X
+        r = A.shape[1]
+        return np.concatenate([A @ X[..., :r, :], A @ X[..., r:, :]], axis=-2)
 
-    def coefficients_hat(self, tau: float) -> np.ndarray:
+    @cached_property
+    def H(self) -> np.ndarray:
+        """The true channel, synthesised from X on first use."""
+        return self._synthesis(self.X)
+
+    def coefficients_hat(self, tau) -> np.ndarray:
         """Imperfect CSIT of the KL coefficients of H.
 
         A user measures the channel it actually sees, rotation included, so
-        a mismatched estimate is ``X`` corrupted by ``mix_csit`` with the
-        noise ``Z`` scaled to each entry's standard deviation: tau keeps its
-        meaning as the estimate's distance from X. For aligned users the
-        same rule reads: the aligned weights applied to the corrupted inner
-        factor. Single-polarized channels have X = G.
+        the estimate is X corrupted by ``mix_csit``; since Z is scaled to
+        each entry's standard deviation, tau keeps its meaning as the
+        estimate's distance from X.
         """
-        if self.pol_labels is None:
-            return self.g_hat(tau)
-        if self.mismatch_angles is None:
-            return _kl_coefficients(self.chi, self.g_hat(tau))[0]
-        return mix_csit(self.X, _blockwise(self.Z, self.X_std), tau)
+        return mix_csit(self.X, self.Z, tau)
 
-    def copolar_hat(self, tau: float) -> tuple:
+    def copolar_hat(self, tau) -> tuple:
         """The co-polarized blocks of ``coefficients_hat``: the vertical
         users' upper rows and the horizontal users' lower rows."""
-        r, n2 = self.G.shape[-2] // 2, self.n_users // 2
+        r, n2 = self.X.shape[-2] // 2, self.n_users // 2
         X_hat = self.coefficients_hat(tau)
         return X_hat[..., :r, :n2], X_hat[..., r:, n2:]
 
     def h_hat(self, tau: float) -> np.ndarray:
         """Imperfect CSIT of H: the KL synthesis of ``coefficients_hat``."""
-        if tau == 0.0:
-            return self.H
-        return _from_coefficients(self.gain * self.stats.factor(),
-                                  self.coefficients_hat(tau),
-                                  dual=self.pol_labels is not None)
-
-
-@dataclass(frozen=True)
-class ChannelSet:
-    """Per-group channel realizations for one coherence block."""
-
-    groups: tuple
-
-    def __iter__(self):
-        return iter(self.groups)
-
-    def __getitem__(self, g):
-        return self.groups[g]
-
-    def __len__(self):
-        return len(self.groups)
+        return self.H if tau == 0.0 else self._synthesis(self.coefficients_hat(tau))
 
 
 def _blockwise(M, w):
@@ -205,24 +178,6 @@ def _kl_coefficients(chi, G, angles=None, G_cross=None):
             np.hypot(w_own, w_cross))
 
 
-def _from_coefficients(A, X, dual):
-    if not dual:
-        return A @ X
-    r = A.shape[1]
-    return np.concatenate([A @ X[..., :r, :], A @ X[..., r:, :]], axis=-2)
-
-
-def _synthesize(stats, chi, G, gain, angles, dual, G_cross=None):
-    """H = gain blockdiag(A, A) X of a group's inner factors.
-
-    X follows ``_kl_coefficients``: users turned by ``angles`` add their
-    orthogonal receive port, whose inner factor is ``G_cross``. A
-    single-polarized channel is gain A G.
-    """
-    X = _kl_coefficients(chi, G, angles, G_cross)[0] if dual else G
-    return _from_coefficients(gain * stats.factor(), X, dual)
-
-
 def _draw(stats, pol, n_users, rng, theta_max=None, gain=1.0):
     if n_users % 2 != 0:
         raise InvalidInputError("n_users must be even")
@@ -239,37 +194,28 @@ def _draw(stats, pol, n_users, rng, theta_max=None, gain=1.0):
 
 
 def channel_from_normals(stats: SpatialCovariance, chi, normals: np.ndarray,
-                         angles=None, gain: float = 1.0, dual: bool = True,
-                         synthesize: bool = True) -> GroupChannel:
+                         angles=None, gain: float = 1.0,
+                         dual: bool = True) -> GroupChannel:
     """One group's channel from the standard normals of its draw.
 
     ``normals`` (..., k, rows, n) holds, in draw order, the real and
-    imaginary parts of the inner factor G, of the CSIT noise Z and, for a
+    imaginary parts of the inner factor G, of the CSIT noise and, for a
     mismatched draw (``angles`` given, k = 6), of the orthogonal port's
     inner factor. Leading axes stack trials, and ``chi`` and ``angles``
-    then carry one entry per trial. ``synthesize=False`` leaves H None, for
-    callers that read the channel only through its KL coefficients.
+    then carry one entry per trial. A single-polarized channel has X = G.
     """
     G = _complex(normals[..., 0, :, :], normals[..., 1, :, :])
     Z = _complex(normals[..., 2, :, :], normals[..., 3, :, :])
     if not dual:
-        H = gain * (stats.factor() @ G) if synthesize else None
-        return GroupChannel(H=H, G=G, Z=Z, stats=stats, chi=0.0, gain=gain,
-                            pol_labels=None)
+        return GroupChannel(X=G, Z=Z, stats=stats, gain=gain)
     if not np.all((0.0 <= chi) & (chi <= 1.0)):
         raise InvalidInputError("chi must lie in [0, 1]")
-    X = X_std = None
+    G_cross = None
     if angles is not None:
         G_cross = _complex(normals[..., 4, :, :], normals[..., 5, :, :])
-        X, X_std = _kl_coefficients(chi, G, angles, G_cross)
-    H = None
-    if synthesize:
-        X_true = X if X is not None else _kl_coefficients(chi, G)[0]
-        H = _from_coefficients(gain * stats.factor(), X_true, dual=True)
-    n2 = G.shape[-1] // 2
-    return GroupChannel(H=H, G=G, Z=Z, stats=stats, chi=chi, gain=gain,
-                        pol_labels=("v",) * n2 + ("h",) * n2,
-                        mismatch_angles=angles, X=X, X_std=X_std)
+    X, std = _kl_coefficients(chi, G, angles, G_cross)
+    return GroupChannel(X=X, Z=_blockwise(Z, std), stats=stats, gain=gain,
+                        mismatch_angles=angles)
 
 
 def draw_channel(stats: SpatialCovariance, pol: PolarizationModel,

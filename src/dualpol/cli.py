@@ -37,6 +37,15 @@ CSV_COLUMNS = ["scenario_id", "scheme", "snr_db", "chi", "tau_sq", "n_bits",
 
 ASYM_SCHEMES = ("ASYM_BD", "ASYM_BDS")
 
+#: The keys a config may set: those of every config, and those of 2D or of
+#: 3D (``mode_3d``) configs only. Any other key is a config error.
+CONFIG_KEYS = frozenset((
+    "scenario_id schemes n_trials seed grid snr_db chi tau_sq n_bits "
+    "theta_max_ms_deg chi_dist tau_sq_dist groups n_bar spacing spread_deg "
+    "mode_3d").split())
+KEYS_2D = frozenset(("m", "b_bar", "r", "arrays"))
+KEYS_3D = frozenset(("m_e", "m_a", "height", "distances"))
+
 
 def _parse_value(raw: str):
     raw = raw.strip()
@@ -257,18 +266,41 @@ def _clamped_tau(tau_sq, scenario_id, point):
     return tau_sq
 
 
+def _check_range(key, values, lo, hi=math.inf):
+    for v in values:
+        if v is not None and not (isinstance(v, (int, float)) and lo <= v <= hi):
+            raise InvalidConfigurationError(f"{key} must lie in [{lo:g}, {hi:g}], got {v!r}")
+
+
 def run_config(config: dict, out_stream) -> None:
-    """Execute all (variant, sweep point, scheme) cells and write CSV rows."""
+    """Check the whole config, then execute all (variant, sweep point,
+    scheme) cells and write the CSV header and rows."""
+    mode = "3D" if config.get("mode_3d") else "2D"
+    unknown = sorted(set(config) - CONFIG_KEYS - (KEYS_3D if mode == "3D" else KEYS_2D))
+    if unknown:
+        raise InvalidConfigurationError(
+            f"unknown keys for a {mode} config: {', '.join(unknown)}")
     schemes = [str(s) for s in _as_list(config.get("schemes", ["BD"]))
                if str(s).strip()]
     unknown = [s for s in schemes if s not in MC_MODES + ASYM_SCHEMES]
     if unknown:
         raise InvalidConfigurationError(f"unknown schemes: {', '.join(unknown)}")
-    n_trials = int(config.get("n_trials", 500))
-    seed = int(config.get("seed", 1))
+    asym = [s for s in schemes if s in ASYM_SCHEMES]
+    if asym and mode == "3D":
+        raise InvalidConfigurationError(
+            f"3D configs run Monte Carlo schemes only, not {', '.join(asym)}")
+    try:
+        n_trials, seed = int(config.get("n_trials", 500)), int(config.get("seed", 1))
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfigurationError(f"n_trials and seed must be integers: {exc}") from exc
+    _check_range("n_trials", [n_trials], 1)
+    _check_range("seed", [seed], 0)
     chi_dist = _parse_dist(config.get("chi_dist"))
     tau_dist = _parse_dist(config.get("tau_sq_dist"))
     points = _sweep_points(config)
+    _check_range("chi", _as_list(config.get("chi", 0.0)) + list(chi_dist or ()), 0.0, 1.0)
+    _check_range("tau_sq", [p["tau_sq"] for p in points] + list(tau_dist or ()), 0.0)
+    _check_range("theta_max_ms_deg", [p["theta_max_ms_deg"] for p in points], 0.0, 90.0)
     variants = _build_variants(config)
 
     writer = csv.writer(out_stream, lineterminator="\n")

@@ -49,7 +49,6 @@ class ArrayLayout:
     """
 
     positions: np.ndarray
-    wavelength: float = 1.0
 
     def __post_init__(self):
         pos = np.atleast_2d(np.asarray(self.positions, dtype=float))

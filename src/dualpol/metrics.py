@@ -23,7 +23,6 @@ import numpy as np
 # installed there (perfbench/tracer.py) see the calls.
 from . import rmt
 from .channel import (
-    ChannelSet,
     PolarizationModel,
     RngStream,
     channel_from_normals,
@@ -84,44 +83,35 @@ class McSummary:
     sum_rate: float
     stderr: float
     trial_sum_rates: np.ndarray = field(repr=False)
-    mean_user_sinr: float = float("nan")
     extras: dict = field(default_factory=dict, repr=False)
 
     @staticmethod
-    def from_trials(scheme, sums, user_sinr=None, extras=None):
+    def from_trials(scheme, sums, extras=None):
         sums = np.asarray(sums, dtype=float)
         n = sums.size
         std = sums.std(ddof=1) if n > 1 else 0.0
         return McSummary(
             scheme=scheme, n_trials=n, sum_rate=float(sums.mean()),
             stderr=float(std / np.sqrt(n)), trial_sum_rates=sums,
-            mean_user_sinr=float(np.mean(user_sinr)) if user_sinr is not None else float("nan"),
             extras=extras or {},
         )
 
 
-def _interference_powers(channels, precoders, per_stream_power):
-    """|h_gk^H (B_l P_l)_j|^2 of every group g, stacked over l: (G, n, n)."""
-    tx = np.stack([precoders.transmit_matrix(g) for g in range(len(channels))])
-    return [per_stream_power * np.abs(entry.H.conj().T @ tx) ** 2
-            for entry in channels]
-
-
-def sinr_bd(channels: ChannelSet, precoders, power: float) -> SinrReport:
+def sinr_bd(channels: tuple, precoders, power: float) -> SinrReport:
     """SINR decomposition of the BD scheme for one realization."""
     if precoders.mode != "BD":
         raise InvalidInputError("sinr_bd needs BD-mode precoders")
     return _sinr_common(channels, precoders, power, split_cross=False)
 
 
-def sinr_bds(channels: ChannelSet, precoders, power: float) -> SinrReport:
+def sinr_bds(channels: tuple, precoders, power: float) -> SinrReport:
     """SINR decomposition of the BDS scheme for one realization."""
     if precoders.mode != "BDS":
         raise InvalidInputError("sinr_bds needs BDS-mode precoders")
     return _sinr_common(channels, precoders, power, split_cross=True)
 
 
-def sinr_report(scenario: GroupScenario, channels: ChannelSet, mode: str,
+def sinr_report(scenario: GroupScenario, channels: tuple, mode: str,
                 tau: float = 0.0, preprocessors=None) -> SinrReport:
     """Precode one realization with ``build_all`` and decompose its SINRs."""
     pre = build_all(scenario, channels, mode, tau=tau, preprocessors=preprocessors)
@@ -130,9 +120,11 @@ def sinr_report(scenario: GroupScenario, channels: ChannelSet, mode: str,
 
 
 def _sinr_common(channels, precoders, power, split_cross):
-    n_total = sum(entry.n_users for entry in channels)
-    return _decompose(_interference_powers(channels, precoders, power / n_total),
-                      split_cross)
+    """Decompose |h_gk^H (B_l P_l)_j|^2 of every group g, stacked over l."""
+    per_stream = power / sum(entry.n_users for entry in channels)
+    tx = np.stack([precoders.transmit_matrix(g) for g in range(len(channels))])
+    return _decompose([per_stream * np.abs(entry.H.conj().T @ tx) ** 2
+                       for entry in channels], split_cross)
 
 
 def _decompose(powers, split_cross):
@@ -197,7 +189,7 @@ def csit_tau_sq(tau_sq, n_bits, r: int) -> tuple:
 
 
 def draw_trial(scenario: GroupScenario, rng, chi=None, theta_max=0.0):
-    """All groups' channels for one coherence block, in group order."""
+    """All groups' channels for one coherence block: a tuple in group order."""
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     chi = scenario.chi if chi is None else chi
     entries = []
@@ -211,7 +203,7 @@ def draw_trial(scenario: GroupScenario, rng, chi=None, theta_max=0.0):
         else:
             entries.append(draw_channel(cov, PolarizationModel(chi),
                                         scenario.n_bar, gen, gain))
-    return ChannelSet(groups=tuple(entries))
+    return tuple(entries)
 
 
 def _draw_trials(scenario, seed, streams, tau_sq, chi_dist, tau_sq_dist, theta_max):
@@ -251,8 +243,7 @@ def _draw_trials(scenario, seed, streams, tau_sq, chi_dist, tau_sq_dist, theta_m
             gen.standard_normal(out=normals[t, split:end])
     channels = [
         channel_from_normals(cov, chi, normals[:, start:end].reshape(T, k, rows_g, n),
-                             angles[g], scenario.gains[g], scenario.dual_pol,
-                             synthesize=False)
+                             angles[g], scenario.gains[g], scenario.dual_pol)
         for g, (cov, rows_g, start, end) in enumerate(
             zip(scenario.covariances, rows, starts, ends))
     ]
@@ -267,7 +258,7 @@ def _amplitude_maps(D, channels, pols):
     """
     maps = []
     for D_g, entry in zip(D, channels):
-        X = entry.coefficients
+        X = entry.X
         T, rows, n = X.shape
         XpH = X.reshape(T, pols, rows // pols, n).conj().swapaxes(-1, -2)
         Y = (XpH @ D_g).reshape(T, pols, n, len(D), -1)
@@ -284,7 +275,7 @@ def _stacked_report(scenario, C, maps, channels, mode, tau, trials):
 
 def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
                *, tau_sq=0.0, n_bits=None, theta_max=0.0,
-               chi_dist=None, tau_sq_dist=None, switch_chi="eff",
+               chi_dist=None, tau_sq_dist=None,
                base=None, stream_base: int = 0) -> dict:
     """Run all requested schemes on shared channel draws.
 
@@ -295,8 +286,10 @@ def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
     trial. ``stream_base`` offsets the per-trial RNG streams so independent
     sub-experiments (e.g. elevation regions) stay decorrelated.
 
-    The switching schemes pick BD or BDS per trial; each of BD and BDS is
-    evaluated only on the trials some scheme needs it for.
+    The switching schemes pick BD or BDS per trial, from chi: SWITCH from
+    the effective chi of a mismatched draw, SWITCH_RAW from the raw one.
+    Each of BD and BDS is evaluated only on the trials some scheme needs it
+    for.
     """
     if n_trials < 1:
         raise InvalidInputError("n_trials must be at least 1")
@@ -314,7 +307,6 @@ def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
         scale = chi_crossover_scale(base)
 
     sums = {m: [] for m in modes}
-    user_sinrs = {m: [] for m in modes}
     bds_picks = {m: 0 for m in modes}
     for first in range(0, n_trials, TRIAL_BLOCK):
         streams = range(stream_base + first,
@@ -331,34 +323,30 @@ def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
                 uses_bds[mode] = np.full(chi.shape, mode == "BDS")
                 continue
             chi_used = chi
-            if mode == "SWITCH" and switch_chi == "eff" and theta_max > 0.0:
+            if mode == "SWITCH" and theta_max > 0.0:
                 chi_used = np.array([mismatch_effective_stats(c, theta_max).chi_eff
                                      for c in chi])
             uses_bds[mode] = chi_used <= scale * tau["BD"] ** 2
         picks = np.array(list(uses_bds.values()))
         maps = _amplitude_maps(D, channels, pols)
-        rates, sinrs = {}, {}
+        rates = {}
         for scheme, needed in (("BD", ~picks.all(axis=0)), ("BDS", picks.any(axis=0))):
             rates[scheme] = np.full(chi.shape, np.nan)
-            sinrs[scheme] = np.full(chi.shape, np.nan)
             if not needed.any():
                 continue
             trials = slice(None) if needed.all() else np.flatnonzero(needed)
             report = _stacked_report(scenario, C, maps, channels, scheme,
                                      tau[scheme], trials)
             rates[scheme][trials] = report.sum_rate
-            sinrs[scheme][trials] = report.sinr.mean(axis=-1)
         for mode in modes:
             sums[mode].append(np.where(uses_bds[mode], rates["BDS"], rates["BD"]))
-            user_sinrs[mode].append(np.where(uses_bds[mode], sinrs["BDS"], sinrs["BD"]))
             bds_picks[mode] += int(np.count_nonzero(uses_bds[mode]))
     out = {}
     for mode in modes:
         extras = {}
         if mode.startswith("SWITCH"):
             extras["bds_fraction"] = bds_picks[mode] / n_trials
-        out[mode] = McSummary.from_trials(mode, np.concatenate(sums[mode]),
-                                          np.concatenate(user_sinrs[mode]), extras)
+        out[mode] = McSummary.from_trials(mode, np.concatenate(sums[mode]), extras)
     return out
 
 

@@ -157,6 +157,13 @@ def rzf_precoder(H_eff_hat: np.ndarray, alpha: float, n_streams: int) -> InnerPr
                          alpha=alpha, K_hat=K)
 
 
+def _check_mode(scenario: GroupScenario, mode: str):
+    if mode not in ("BD", "BDS"):
+        raise InvalidInputError(f"unknown precoding mode {mode!r}")
+    if mode == "BDS" and not scenario.dual_pol:
+        raise InvalidInputError("BDS requires a dual-polarized scenario")
+
+
 def build_all(scenario: GroupScenario, channels, mode: str,
               tau: float = 0.0, preprocessors=None) -> PrecoderSet:
     """Assemble the outer/inner precoders of every group for one realization.
@@ -168,12 +175,9 @@ def build_all(scenario: GroupScenario, channels, mode: str,
     half the streams at half the power), which is what makes BDS coincide
     with BD when the polarizations do not leak into each other.
     """
+    _check_mode(scenario, mode)
     if preprocessors is None:
         preprocessors = build_preprocessors(scenario)
-    if mode not in ("BD", "BDS"):
-        raise InvalidInputError(f"unknown precoding mode {mode!r}")
-    if mode == "BDS" and not scenario.dual_pol:
-        raise InvalidInputError("BDS requires a dual-polarized scenario")
     alpha = scenario.alpha
     n_bar = scenario.n_bar
     inner = []
@@ -186,15 +190,10 @@ def build_all(scenario: GroupScenario, channels, mode: str,
             # Only the co-polarized CSIT blocks are read: the vertical
             # subgroup uses the upper blocks of its users' estimates, the
             # horizontal one the lower blocks.
-            n2 = n_bar // 2
             A = entry.gain * entry.stats.factor()
-            Bs = pre.B_s
-            Xvv_hat, Xhh_hat = entry.copolar_hat(tau)
-            Hvv_hat = A @ Xvv_hat
-            Hhh_hat = A @ Xhh_hat
-            pv = rzf_precoder(Bs.conj().T @ Hvv_hat, 2.0 * alpha, n2)
-            ph = rzf_precoder(Bs.conj().T @ Hhh_hat, 2.0 * alpha, n2)
-            inner.append((pv, ph))
+            inner.append(tuple(
+                rzf_precoder(pre.B_s.conj().T @ (A @ X_hat), 2.0 * alpha, n_bar // 2)
+                for X_hat in entry.copolar_hat(tau)))
     return PrecoderSet(mode=mode, preprocessors=tuple(preprocessors),
                        inner=tuple(inner))
 
@@ -229,10 +228,7 @@ def stacked_precoders(scenario: GroupScenario, C, channels, mode: str, tau,
     (T, G, B_bar, n_bar) array: group g transmits blockdiag(B_s, B_s) P_g,
     where P_g is BD's RZF or, for BDS, blockdiag(P_v, P_h).
     """
-    if mode not in ("BD", "BDS"):
-        raise InvalidInputError(f"unknown precoding mode {mode!r}")
-    if mode == "BDS" and not scenario.dual_pol:
-        raise InvalidInputError("BDS requires a dual-polarized scenario")
+    _check_mode(scenario, mode)
     alpha, n_bar = scenario.alpha, scenario.n_bar
     pols = 2 if scenario.dual_pol else 1
     inner = []

@@ -206,14 +206,11 @@ class _Spectral:
     D_gl = B_l^s^H R_g B_l^s in group l's basis. Covariances are gain-scaled.
     """
 
-    def __init__(self, scenario: GroupScenario, preprocessors, classes,
-                 dim: int, z: float):
-        if preprocessors is None:
-            preprocessors = build_preprocessors(scenario)
+    def __init__(self, scenario: GroupScenario, classes, dim: int, z: float):
         G, n = scenario.G, scenario.n_bar // 2
         R = [cov.matrix * gain ** 2
              for cov, gain in zip(scenario.covariances, scenario.gains)]
-        B = [pre.B_s for pre in preprocessors]
+        B = [pre.B_s for pre in build_preprocessors(scenario)]
         eig = [_eigh(B[g].conj().T @ R[g] @ B[g]) for g in range(G)]
         self.dim = dim
         self.classes = [classes(lam) for lam, _ in eig]
@@ -249,8 +246,7 @@ class _Spectral:
             raise NumericalError("singular (I - J) derivative system") from exc
 
 
-def asym_bd(scenario: GroupScenario, tau_sq: float = 0.0,
-            preprocessors=None) -> AsymptoticSolution:
+def asym_bd(scenario: GroupScenario, tau_sq: float = 0.0) -> AsymptoticSolution:
     """Full deterministic equivalent of the BD scheme (both polarizations).
 
     In the eigenbasis of C_g the class of polarization v, blockdiag(C_g,
@@ -263,7 +259,7 @@ def asym_bd(scenario: GroupScenario, tau_sq: float = 0.0,
     def pol(x):
         return np.stack([np.concatenate([x, chi * x]), np.concatenate([chi * x, x])])
 
-    sp = _Spectral(scenario, preprocessors, pol, b_bar, -alpha)
+    sp = _Spectral(scenario, pol, b_bar, -alpha)
     m0 = sp.m0
     u = (1.0 + m0) ** 2
     m_prime = np.array([sp.derivative(g, np.ones(b_bar)) for g in range(G)])
@@ -296,8 +292,7 @@ def asym_bd(scenario: GroupScenario, tau_sq: float = 0.0,
         residual=sp.residual)
 
 
-def asym_bds(scenario: GroupScenario, tau_sq: float = 0.0,
-             preprocessors=None) -> AsymptoticSolution:
+def asym_bds(scenario: GroupScenario, tau_sq: float = 0.0) -> AsymptoticSolution:
     """Full deterministic equivalent of the BDS scheme.
 
     Each co-polarized subgroup has a scalar fixed point on its (B_bar/2)-dim
@@ -312,7 +307,7 @@ def asym_bds(scenario: GroupScenario, tau_sq: float = 0.0,
     beta = b_bar // 2
     chi = scenario.chi
 
-    sp = _Spectral(scenario, preprocessors, lambda lam: lam[None, :], beta, -2.0 * alpha)
+    sp = _Spectral(scenario, lambda lam: lam[None, :], beta, -2.0 * alpha)
     m0 = np.repeat(sp.m0, 2, axis=1)
     u = (1.0 + m0) ** 2
     m_prime = np.repeat([sp.derivative(g, np.ones(beta)) for g in range(G)], 2, axis=1)

@@ -129,7 +129,6 @@ def make_scenario(
     b_bar: int | None = None,
     r: int | None = None,
     dual_pol: bool = True,
-    rank_tol: float = 1e-6,
     scenario_id: str = "scenario",
     enforce_rank_constraint: bool = True,
 ) -> GroupScenario:
@@ -145,7 +144,7 @@ def make_scenario(
     n_positions = M // 2 if dual_pol else M
     array = ula(n_positions, spacing)
     covs = tuple(
-        one_ring_covariance(GroupGeometry(theta, spread), array, rank_tol)
+        one_ring_covariance(GroupGeometry(theta, spread), array)
         for theta in thetas
     )
     min_rank = min(c.effective_rank for c in covs)

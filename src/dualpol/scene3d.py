@@ -23,6 +23,7 @@ from .corrstats import (
 )
 from .errors import InfeasibleRegionError, InvalidInputError
 from .metrics import McSummary, run_paired
+from .precode import _null_space_basis
 from .scenario import GroupScenario, default_theta_grid
 
 __all__ = [
@@ -93,15 +94,10 @@ def elevation_prefilter(region_covs, l: int, r_trunc: int = 1):
     effective-rank eigenspaces would also annihilate the own region.
     """
     own = region_covs[l]
-    others = [c for i, c in enumerate(region_covs) if i != l]
-    if others:
-        U_minus = np.hstack([c.dominant_eigvecs(min(r_trunc, c.effective_rank))
-                             for c in others])
-        u, s, _ = np.linalg.svd(U_minus, full_matrices=True)
-        rank = int(np.count_nonzero(s >= 1e-10 * s[0])) if s.size else 0
-        nullspace = u[:, rank:]
-    else:
-        nullspace = np.eye(own.dim, dtype=complex)
+    others = [c.dominant_eigvecs(min(r_trunc, c.effective_rank))
+              for i, c in enumerate(region_covs) if i != l]
+    U_minus = np.hstack(others) if others else np.zeros((own.dim, 0))
+    nullspace = _null_space_basis(U_minus, own.dim)
     if nullspace.shape[1] == 0:
         raise InfeasibleRegionError(
             f"region {l}: other regions' eigenspaces fill the vertical array")
@@ -126,8 +122,6 @@ def make_scenario_3d(
     power: float = 1.0,
     b_bar: int | None = None,
     r: int | None = None,
-    elevation_r: int = 1,
-    rank_tol: float = 1e-6,
     scenario_id: str = "scene3d",
 ) -> Scenario3D:
     """Build the planar-array scenario: one elevation ring per distance, all
@@ -140,10 +134,10 @@ def make_scenario_3d(
     covs_elev = []
     for d in distances:
         s = d * math.tan(spread)
-        covs_elev.append(elevation_covariance(height, d, s, vertical, rank_tol))
+        covs_elev.append(elevation_covariance(height, d, s, vertical))
     horizontal = ula(m_a, spacing)
     covs_az = tuple(
-        one_ring_covariance(GroupGeometry(theta, spread), horizontal, rank_tol)
+        one_ring_covariance(GroupGeometry(theta, spread), horizontal)
         for theta in default_theta_grid(G)
     )
     azimuth = GroupScenario(
@@ -155,7 +149,7 @@ def make_scenario_3d(
     )
     regions = []
     for l, d in enumerate(distances):
-        q, lam = elevation_prefilter(covs_elev, l, elevation_r)
+        q, lam = elevation_prefilter(covs_elev, l)
         regions.append(ElevationRegion(
             cov_elev=covs_elev[l], distance=float(d), height=height,
             scatter_radius=d * math.tan(spread), q=q, lambda_tilde=lam,

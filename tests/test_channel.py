@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dualpol.channel import (
     PolarizationModel,
     RngStream,
-    _synthesize,
+    channel_from_normals,
     corrupt_csit,
     draw_channel,
     draw_mismatched_channel,
@@ -32,8 +32,15 @@ def test_chi_zero_vertical_user_has_empty_horizontal_block(stats):
 
 
 def test_reconstruction_invariant(stats):
+    # H = [[A Gvv, sqrt(chi) A Ghv], [sqrt(chi) A Gvh, A Ghh]] with G the
+    # first normals of the same stream.
     entry = draw_channel(stats, PolarizationModel(0.37), 6, RngStream(5, 2))
-    rebuilt = _synthesize(stats, 0.37, entry.G, 1.0, None, dual=True)
+    r = stats.effective_rank
+    normals = RngStream(5, 2).generator().standard_normal((2, 2 * r, 6))
+    G = (normals[0] + 1j * normals[1]) / math.sqrt(2.0)
+    A, w = stats.factor(), math.sqrt(0.37)
+    rebuilt = np.block([[A @ G[:r, :3], w * A @ G[:r, 3:]],
+                        [w * A @ G[r:, :3], A @ G[r:, 3:]]])
     assert np.abs(rebuilt - entry.H).max() < 1e-12
 
 
@@ -48,11 +55,6 @@ def test_determinism(stats):
 def test_odd_user_count_rejected(stats):
     with pytest.raises(InvalidInputError):
         draw_channel(stats, PolarizationModel(0.0), 5, RngStream(1, 0))
-
-
-def test_nonzero_rxp_rejected():
-    with pytest.raises(InvalidInputError):
-        PolarizationModel(0.1, r_xp=0.2)
 
 
 def _column_sample_cov(stats, chi, n_draws, cols, theta_max=None, seed=3):
@@ -118,12 +120,9 @@ def test_quarter_turn_moves_vertical_user_to_horizontal_block(stats):
     # chi = 0 and theta = pi/2: cos factor vanishes, all energy in the
     # cross-polarized block.
     r = stats.effective_rank
-    gen = RngStream(2, 0).generator()
-    from dualpol.channel import complex_normal
-
-    G = complex_normal(gen, (2 * r, 4))
-    H = _synthesize(stats, 0.0, G, 1.0, np.full(4, math.pi / 2), dual=True,
-                    G_cross=complex_normal(gen, (2 * r, 4)))
+    normals = RngStream(2, 0).generator().standard_normal((6, 2 * r, 4))
+    H = channel_from_normals(stats, 0.0, normals,
+                             angles=np.full(4, math.pi / 2)).H
     assert np.abs(H[:stats.dim, :2]).max() < 1e-12
     assert np.abs(H[stats.dim:, :2]).max() > 0.0
 
@@ -165,7 +164,7 @@ def test_mismatched_csit_keeps_tau_meaning(stats):
 def test_single_pol_draw(stats):
     entry = draw_single_pol_channel(stats, 4, RngStream(3, 0))
     assert entry.H.shape == (stats.dim, 4)
-    assert entry.pol_labels is None
+    assert not entry.dual_pol
 
 
 class TestCorruptCsit:

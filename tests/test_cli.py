@@ -189,6 +189,42 @@ class TestMain:
         assert out.read_text() == ""
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, message", [
+        ("n_trails = 3", "unknown keys for a 2D config: n_trails"),
+        ("m_e = 4", "unknown keys for a 2D config: m_e"),
+        ("n_trials = 0", "n_trials must lie in"),
+        ("n_trials = abc", "n_trials and seed must be integers"),
+        ("seed = -1", "seed must lie in"),
+        ("chi = 2", "chi must lie in [0, 1]"),
+        ("chi = 0.1, 1.5", "chi must lie in [0, 1]"),
+        ("chi_dist = uniform:0:2", "chi must lie in [0, 1]"),
+        ("tau_sq = -0.1", "tau_sq must lie in"),
+        ("tau_sq_dist = uniform:-1:0.5", "tau_sq must lie in"),
+        ("theta_max_ms_deg = 100", "theta_max_ms_deg must lie in"),
+    ])
+    def test_invalid_value_exit_two_before_header(self, tmp_path, capsys, line,
+                                                  message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("m = 24\ngroups = 2\nn_bar = 4\nschemes = BD\n"
+                       f"n_trials = 2\n{line}\n")
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert out.read_text() == ""
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines, message", [
+        ("schemes = BD, ASYM_BD, ASYM_BDS", "not ASYM_BD, ASYM_BDS"),
+        ("schemes = BD\nb_bar = 16\nr = 3", "unknown keys for a 3D config: b_bar, r"),
+    ])
+    def test_3d_config_exit_two_before_header(self, tmp_path, capsys, lines,
+                                              message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"mode_3d = true\nn_trials = 2\n{lines}\n")
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert out.read_text() == ""
+        assert message in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("scenario_id = rerun\nm = 24\ngroups = 2\nn_bar = 4\n"

@@ -114,14 +114,8 @@ class TestReduction:
         precoders = build_all(base, channels, "BD", tau=0.0)
         rep1 = sinr_bd(channels, precoders, base.power)
         lam = 1.7
-        scaled_groups = tuple(
-            type(e)(H=math.sqrt(lam) * e.H, G=e.G, Z=e.Z, stats=e.stats,
-                    chi=e.chi, gain=e.gain, pol_labels=e.pol_labels,
-                    mismatch_angles=e.mismatch_angles)
-            for e in channels)
-        from dualpol.channel import ChannelSet
-
-        rep2 = sinr_bd(ChannelSet(groups=scaled_groups), precoders, base.power)
+        scaled = tuple(replace(e, gain=math.sqrt(lam) * e.gain) for e in channels)
+        rep2 = sinr_bd(scaled, precoders, base.power)
         assert np.allclose(rep2.signal, lam * rep1.signal, rtol=1e-10)
 
 
