@@ -22,7 +22,6 @@ from .channel import (
     GroupChannel,
     PolarizationModel,
     RngStream,
-    corrupt_csit,
     draw_channel,
     draw_mismatched_channel,
     draw_single_pol_channel,
@@ -36,7 +35,7 @@ from .errors import (
     NonConvergenceError,
     NumericalError,
 )
-from .metrics import McSummary, SinrReport, run_monte_carlo, run_paired, sinr_bd, sinr_bds
+from .metrics import McSummary, SinrReport, SweepPoint, run_paired, sinr_bd, sinr_bds
 from .modeswitch import (
     FeedbackBudget,
     ModeDecision,
@@ -68,7 +67,6 @@ from .scene3d import (
     elevation_prefilter,
     make_scenario_3d,
     reduce_to_2d,
-    run_3d,
     run_3d_paired,
 )
 

@@ -35,7 +35,6 @@ __all__ = [
     "draw_mismatched_channel",
     "draw_single_pol_channel",
     "channel_from_normals",
-    "corrupt_csit",
     "mix_csit",
 ]
 
@@ -267,9 +266,3 @@ def mix_csit(G: np.ndarray, Z: np.ndarray, tau) -> np.ndarray:
     tau = tau[..., None, None]
     return np.sqrt(1.0 - tau * tau) * G + tau * Z
 
-
-def corrupt_csit(G: np.ndarray, tau: float, rng) -> np.ndarray:
-    """Corrupt an inner factor with freshly drawn noise of matching shape."""
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    Z = complex_normal(gen, np.shape(G))
-    return mix_csit(np.asarray(G), Z, tau)

@@ -12,7 +12,8 @@ Config grammar (one canonical parser):
 
 Exit codes: 0 ok, 2 config error, 3 numerical error. The CSV always carries
 the header row; numeric columns are deterministic for a fixed seed. Monte
-Carlo cells run single-threaded, their trials batched (``metrics.run_paired``).
+Carlo cells run single-threaded, their trials batched, and all sweep points
+of a variant in one ``metrics.run_paired`` call that draws the trials once.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from dataclasses import dataclass, replace
 # installed there (perfbench/tracer.py) see the calls.
 from . import rmt
 from .errors import DualpolError, InvalidConfigurationError, NumericalError
-from .metrics import MC_MODES, csit_tau_sq, run_paired
-from .scenario import make_scenario
+from .metrics import MC_MODES, SweepPoint, csit_tau_sq, run_paired
+from .scenario import make_scenario, power_from_db
 
 __all__ = ["main", "parse_config", "preset", "list_presets", "run_config"]
 
@@ -37,14 +38,52 @@ CSV_COLUMNS = ["scenario_id", "scheme", "snr_db", "chi", "tau_sq", "n_bits",
 
 ASYM_SCHEMES = ("ASYM_BD", "ASYM_BDS")
 
-#: The keys a config may set: those of every config, and those of 2D or of
-#: 3D (``mode_3d``) configs only. Any other key is a config error.
-CONFIG_KEYS = frozenset((
-    "scenario_id schemes n_trials seed grid snr_db chi tau_sq n_bits "
-    "theta_max_ms_deg chi_dist tau_sq_dist groups n_bar spacing spread_deg "
-    "mode_3d").split())
-KEYS_2D = frozenset(("m", "b_bar", "r", "arrays"))
-KEYS_3D = frozenset(("m_e", "m_a", "height", "distances"))
+#: The type of every key a config may set: those of every config, and
+#: those of 2D or of 3D (``mode_3d``) configs only. An int is a whole number
+#: (``n_trials = 2.5`` is an error), a number an int or a float, and text
+#: takes numbers as written (``scenario_id = 7``). A key of LIST_KEYS may
+#: also hold a comma-separated list of its type. Any other key, or a value
+#: of another type, is a config error.
+KEY_TYPES = {
+    "scenario_id": "text", "schemes": "text", "n_trials": "int", "seed": "int",
+    "grid": "bool", "snr_db": "number", "chi": "number", "tau_sq": "number",
+    "n_bits": "int", "theta_max_ms_deg": "number", "chi_dist": "text",
+    "tau_sq_dist": "text", "groups": "int", "n_bar": "int",
+    "spacing": "number", "spread_deg": "number", "mode_3d": "bool",
+}
+KEY_TYPES_2D = {"m": "int", "b_bar": "int", "r": "int", "arrays": "text"}
+KEY_TYPES_3D = {"m_e": "int", "m_a": "int", "height": "number",
+                "distances": "number"}
+LIST_KEYS = frozenset(
+    "schemes snr_db chi tau_sq n_bits theta_max_ms_deg arrays distances".split())
+
+_TYPE_NAMES = {"int": "an integer", "number": "a number", "bool": "true or false",
+               "text": "text"}
+
+
+def _has_type(value, kind) -> bool:
+    if isinstance(value, bool):
+        return kind == "bool"
+    return isinstance(value, {"int": int, "number": (int, float), "bool": bool,
+                              "text": (str, int, float)}[kind])
+
+
+def _check_types(config, mode):
+    """Reject unknown keys, values of the wrong type and empty lists."""
+    types = {**KEY_TYPES, **(KEY_TYPES_3D if mode == "3D" else KEY_TYPES_2D)}
+    unknown = sorted(set(config) - set(types))
+    if unknown:
+        raise InvalidConfigurationError(
+            f"unknown keys for a {mode} config: {', '.join(unknown)}")
+    for key, value in config.items():
+        many = key in LIST_KEYS and isinstance(value, (list, tuple))
+        values = list(value) if many else [value]
+        if values and all(_has_type(v, types[key]) for v in values):
+            continue
+        kind = _TYPE_NAMES[types[key]]
+        raise InvalidConfigurationError(
+            f"{key} must be {kind}{' or a list of them' if key in LIST_KEYS else ''}, "
+            f"got {value!r}")
 
 
 def _parse_value(raw: str):
@@ -246,7 +285,7 @@ def _sweep_points(config):
     }
     for key in ("snr_db", "chi", "tau_sq", "theta_max_ms_deg"):
         for v in axes[key]:
-            if v is not None and not (isinstance(v, (int, float)) and math.isfinite(v)):
+            if v is not None and not math.isfinite(v):
                 raise InvalidConfigurationError(f"{key} must be a finite number, got {v!r}")
     varying = [k for k, v in axes.items() if len(v) > 1]
     if len(varying) > 1 and not config.get("grid", False):
@@ -268,7 +307,7 @@ def _clamped_tau(tau_sq, scenario_id, point):
 
 def _check_range(key, values, lo, hi=math.inf):
     for v in values:
-        if v is not None and not (isinstance(v, (int, float)) and lo <= v <= hi):
+        if v is not None and not lo <= v <= hi:
             raise InvalidConfigurationError(f"{key} must lie in [{lo:g}, {hi:g}], got {v!r}")
 
 
@@ -276,10 +315,7 @@ def run_config(config: dict, out_stream) -> None:
     """Check the whole config, then execute all (variant, sweep point,
     scheme) cells and write the CSV header and rows."""
     mode = "3D" if config.get("mode_3d") else "2D"
-    unknown = sorted(set(config) - CONFIG_KEYS - (KEYS_3D if mode == "3D" else KEYS_2D))
-    if unknown:
-        raise InvalidConfigurationError(
-            f"unknown keys for a {mode} config: {', '.join(unknown)}")
+    _check_types(config, mode)
     schemes = [str(s) for s in _as_list(config.get("schemes", ["BD"]))
                if str(s).strip()]
     unknown = [s for s in schemes if s not in MC_MODES + ASYM_SCHEMES]
@@ -289,10 +325,7 @@ def run_config(config: dict, out_stream) -> None:
     if asym and mode == "3D":
         raise InvalidConfigurationError(
             f"3D configs run Monte Carlo schemes only, not {', '.join(asym)}")
-    try:
-        n_trials, seed = int(config.get("n_trials", 500)), int(config.get("seed", 1))
-    except (TypeError, ValueError) as exc:
-        raise InvalidConfigurationError(f"n_trials and seed must be integers: {exc}") from exc
+    n_trials, seed = config.get("n_trials", 500), config.get("seed", 1)
     _check_range("n_trials", [n_trials], 1)
     _check_range("seed", [seed], 0)
     chi_dist = _parse_dist(config.get("chi_dist"))
@@ -314,57 +347,56 @@ def run_config(config: dict, out_stream) -> None:
         return str(x)
 
     for variant in variants:
-        for point in points:
-            snr = point["snr_db"]
-            tau_sq = _clamped_tau(point["tau_sq"], variant.scenario_id, point)
-            rows = _run_cell(variant, schemes, point, snr, tau_sq, chi_dist,
-                             tau_dist, n_trials, seed)
+        tau_sqs = [_clamped_tau(p["tau_sq"], variant.scenario_id, p) for p in points]
+        cells = _run_variant(variant, schemes, points, tau_sqs, chi_dist, tau_dist,
+                             n_trials, seed)
+        for point, rows in zip(points, cells):
             for scheme, sum_rate, stderr, trials in rows:
                 writer.writerow([
-                    variant.scenario_id, scheme, fmt(float(snr)),
+                    variant.scenario_id, scheme, fmt(float(point["snr_db"])),
                     fmt(point["chi"]), fmt(point["tau_sq"]),
                     fmt(point["n_bits"]), fmt(sum_rate), fmt(stderr),
                     trials, seed,
                 ])
 
 
-def _run_cell(variant, schemes, point, snr, tau_sq, chi_dist, tau_dist,
-              n_trials, seed):
+def _run_variant(variant, schemes, points, tau_sqs, chi_dist, tau_dist,
+                 n_trials, seed):
+    """Every sweep point's rows of one variant: its Monte Carlo schemes from
+    one sweep call (``run_paired``, or ``run_3d_paired`` over the regions),
+    then its DE schemes."""
     mc_modes = [s for s in schemes if s in MC_MODES]
-    rows = []
-    theta = math.radians(point.get("theta_max_ms_deg") or 0.0)
-    kwargs = dict(
-        tau_sq=tau_sq if tau_sq is not None else 0.0,
-        n_bits=point["n_bits"], theta_max=theta,
-        chi_dist=chi_dist, tau_sq_dist=tau_dist,
-    )
-    if variant.scenario3d is not None:
-        from .scene3d import run_3d_paired
-
-        sc3 = variant.scenario3d.with_power_db(snr)
-        if point["chi"] is not None:
-            sc3 = sc3.with_chi(point["chi"])
-        if mc_modes:
-            results = run_3d_paired(sc3, mc_modes, n_trials, seed, **kwargs)
-            rows += [(m, results[m].sum_rate, results[m].stderr, n_trials)
-                     for m in mc_modes]
-        return rows
-    sc = variant.scenario.with_power_db(snr)
-    if point["chi"] is not None:
-        sc = sc.with_chi(point["chi"])
+    cells = [[] for _ in points]
     if mc_modes:
-        results = run_paired(sc, mc_modes, n_trials, seed, **kwargs)
-        rows += [(m, results[m].sum_rate, results[m].stderr, n_trials)
-                 for m in mc_modes]
-    for scheme in schemes:
-        if scheme not in ASYM_SCHEMES:
-            continue
-        t_bd, t_bds = csit_tau_sq(tau_sq or 0.0, point["n_bits"], sc.r)
-        if scheme == "ASYM_BD":
-            rows.append((scheme, rmt.asym_bd(sc, tau_sq=t_bd).sum_rate, 0.0, 0))
+        sweep = [SweepPoint(power=power_from_db(p["snr_db"]), chi=p["chi"],
+                            tau_sq=tau_sq if tau_sq is not None else 0.0,
+                            n_bits=p["n_bits"],
+                            theta_max=math.radians(p["theta_max_ms_deg"] or 0.0))
+                 for p, tau_sq in zip(points, tau_sqs)]
+        kwargs = dict(points=sweep, chi_dist=chi_dist, tau_sq_dist=tau_dist)
+        if variant.scenario3d is not None:
+            from .scene3d import run_3d_paired
+
+            results = run_3d_paired(variant.scenario3d, mc_modes, n_trials, seed,
+                                    **kwargs)
         else:
-            rows.append((scheme, rmt.asym_bds(sc, tau_sq=t_bds).sum_rate, 0.0, 0))
-    return rows
+            results = run_paired(variant.scenario, mc_modes, n_trials, seed, **kwargs)
+        for rows, result in zip(cells, results):
+            rows += [(m, result[m].sum_rate, result[m].stderr, n_trials)
+                     for m in mc_modes]
+    asym = [s for s in schemes if s in ASYM_SCHEMES]
+    if asym:
+        for rows, point, tau_sq in zip(cells, points, tau_sqs):
+            sc = variant.scenario.with_power_db(point["snr_db"])
+            if point["chi"] is not None:
+                sc = sc.with_chi(point["chi"])
+            t_bd, t_bds = csit_tau_sq(tau_sq or 0.0, point["n_bits"], sc.r)
+            for scheme in asym:
+                if scheme == "ASYM_BD":
+                    rows.append((scheme, rmt.asym_bd(sc, tau_sq=t_bd).sum_rate, 0.0, 0))
+                else:
+                    rows.append((scheme, rmt.asym_bds(sc, tau_sq=t_bds).sum_rate, 0.0, 0))
+    return cells
 
 
 # ----------------------------------------------------------------------

@@ -185,24 +185,33 @@ def _one_ring_kernel(displacements, theta, delta, tol=QUADRATURE_TOL):
 
     Vectorized adaptive composite Simpson over all displacement rows at once;
     panel count doubles until the worst entry moves by less than `tol`.
+    Each level keeps the integrand values of the one before, which sit on
+    its even nodes exactly, and evaluates only its new odd nodes.
     """
     d = np.atleast_2d(displacements)
 
-    def simpson(n_panels):
-        alpha = np.linspace(-delta, delta, 2 * n_panels + 1)
+    def integrand(alpha):
         phase = np.cos(alpha + theta)[None, :] * d[:, :1] + np.sin(alpha + theta)[None, :] * d[:, 1:2]
-        f = np.exp(-1j * np.pi * phase)
-        w = np.ones(alpha.size)
+        return np.exp(-1j * np.pi * phase)
+
+    def simpson(f, n_panels):
+        w = np.ones(f.shape[1])
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
         h = (2.0 * delta) / (2 * n_panels)
         return (h / 3.0) * (f @ w) / (2.0 * delta)
 
     n = 8
-    prev = simpson(n)
+    f = integrand(np.linspace(-delta, delta, 2 * n + 1))
+    prev = simpson(f, n)
     while n <= _MAX_PANELS:
         n *= 2
-        cur = simpson(n)
+        odd = integrand(np.linspace(-delta, delta, 2 * n + 1)[1::2])
+        finer = np.empty((f.shape[0], 2 * n + 1), dtype=complex)
+        finer[:, ::2] = f
+        finer[:, 1::2] = odd
+        f = finer
+        cur = simpson(f, n)
         err = np.abs(cur - prev).max()
         if err < tol:
             return cur

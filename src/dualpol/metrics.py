@@ -8,14 +8,18 @@ scheme comparisons are paired.
 
 ``run_paired`` evaluates a block of trials as one stacked computation in
 the KL domain (``precode.kl_projections``); every trial still draws from
-its own stream. ``draw_trial``, ``precode.build_all`` and
-``sinr_bd``/``sinr_bds`` compute the same for one realization over the
-M-row channel.
+its own stream. One call runs a whole sweep on one geometry: the sweep
+points (``SweepPoint``) share the preprocessors and every trial's draws,
+since the preprocessors depend only on the long-term statistics and the
+normals only on the seed; power, chi and tau^2 change only the RZF
+regularizer, the cross-block scale and the CSIT mix. ``draw_trial``,
+``precode.build_all`` and ``sinr_bd``/``sinr_bds`` compute the same for one
+realization over the M-row channel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,8 +40,8 @@ from .modeswitch import FeedbackBudget, chi_crossover_scale, tau_from_bits
 from .precode import build_all, build_preprocessors, kl_projections, stacked_precoders
 from .scenario import GroupScenario
 
-__all__ = ["SinrReport", "McSummary", "sinr_bd", "sinr_bds", "sinr_report",
-           "bds_tau_sq", "csit_tau_sq", "run_monte_carlo", "run_paired",
+__all__ = ["SinrReport", "McSummary", "SweepPoint", "sinr_bd", "sinr_bds",
+           "sinr_report", "bds_tau_sq", "csit_tau_sq", "run_paired",
            "draw_trial"]
 
 MC_MODES = ("BD", "BDS", "SWITCH", "SWITCH_RAW")
@@ -206,33 +210,51 @@ def draw_trial(scenario: GroupScenario, rng, chi=None, theta_max=0.0):
     return tuple(entries)
 
 
-def _draw_trials(scenario, seed, streams, tau_sq, chi_dist, tau_sq_dist, theta_max):
-    """Per-trial chi and tau^2 and every group's trial-stacked channel.
+@dataclass(frozen=True)
+class SweepPoint:
+    """One point of a sweep over a fixed geometry and seed.
+
+    ``power`` and ``chi`` default to the scenario's. ``tau_sq`` and
+    ``n_bits`` set the CSIT qualities as in ``csit_tau_sq``; a run's
+    ``chi_dist``/``tau_sq_dist`` draw chi/tau^2 per trial instead. A
+    positive ``theta_max`` turns each user's antenna by a random angle.
+    """
+
+    power: float | None = None
+    chi: float | None = None
+    tau_sq: float = 0.0
+    n_bits: int | None = None
+    theta_max: float = 0.0
+
+
+def _draw_block(scenario, seed, streams, chi_dist, tau_sq_dist, theta_max):
+    """A trial block's draws: (chi, tau^2, normals, angles).
 
     Trial t reads RngStream(seed, t) in the order of ``draw_trial``: the
-    chi_dist and tau_sq_dist uniforms, then per group the normals of G and
-    Z and, when mismatched, the angles and the orthogonal port's normals.
-    Normals that follow each other in a stream come from one call.
+    chi_dist and tau_sq_dist uniforms (chi and tau^2 are None without
+    them), then per group the normals of G and Z and, when mismatched
+    (``theta_max`` > 0), the angles and the orthogonal port's normals.
+    Normals that follow each other in a stream come from one call. The
+    normals come per group, shaped (T, k, rows, n) for
+    ``channel_from_normals``.
     """
-    mismatched = scenario.dual_pol and theta_max > 0.0
-    if mismatched and theta_max > np.pi / 2:
-        raise InvalidInputError("theta_max must lie in [0, pi/2]")
     T, n = len(streams), scenario.n_bar
+    mismatched = theta_max > 0.0
+    k = 6 if mismatched else 4
     pols = 2 if scenario.dual_pol else 1
     rows = [pols * cov.effective_rank for cov in scenario.covariances]
-    k = 6 if mismatched else 4
     ends = np.cumsum([k * rows_g * n for rows_g in rows])
     starts = np.concatenate([[0], ends[:-1]])
     normals = np.empty((T, ends[-1]))
     angles = np.empty((scenario.G, T, n)) if mismatched else [None] * scenario.G
-    chi = np.full(T, float(scenario.chi))
-    tau = np.full(T, float(tau_sq))
+    chi = np.empty(T) if chi_dist else None
+    tau_sq = np.empty(T) if tau_sq_dist else None
     for t, stream in enumerate(streams):
         gen = RngStream(seed, stream).generator()
         if chi_dist:
             chi[t] = gen.uniform(*chi_dist)
         if tau_sq_dist:
-            tau[t] = gen.uniform(*tau_sq_dist)
+            tau_sq[t] = gen.uniform(*tau_sq_dist)
         if not mismatched:
             gen.standard_normal(out=normals[t])
             continue
@@ -241,13 +263,9 @@ def _draw_trials(scenario, seed, streams, tau_sq, chi_dist, tau_sq_dist, theta_m
             gen.standard_normal(out=normals[t, start:split])
             angles[g, t] = gen.uniform(-theta_max, theta_max, size=n)
             gen.standard_normal(out=normals[t, split:end])
-    channels = [
-        channel_from_normals(cov, chi, normals[:, start:end].reshape(T, k, rows_g, n),
-                             angles[g], scenario.gains[g], scenario.dual_pol)
-        for g, (cov, rows_g, start, end) in enumerate(
-            zip(scenario.covariances, rows, starts, ends))
-    ]
-    return chi, tau, channels
+    per_group = [normals[:, start:end].reshape(T, k, rows_g, n)
+                 for rows_g, start, end in zip(rows, starts, ends)]
+    return chi, tau_sq, per_group, angles
 
 
 def _amplitude_maps(D, channels, pols):
@@ -273,10 +291,69 @@ def _stacked_report(scenario, C, maps, channels, mode, tau, trials):
     return _decompose(powers, split_cross=mode == "BDS")
 
 
+def _point_rates(scenario, C, maps, channels, modes, point, tau_sq, chi_used, scale):
+    """Per-trial sum rates of every mode at one sweep point, and the trials
+    each mode evaluates with BDS.
+
+    ``scenario`` is at the point's power and ``tau_sq`` holds the drawn
+    per-trial tau^2, or None. The switching schemes pick BDS where their
+    chi (``chi_used``) is at most ``scale`` tau_BD^2. Each of BD and BDS is
+    evaluated only on the trials some mode needs it for.
+    """
+    T = channels[0].X.shape[0]
+    if tau_sq is None:
+        tau_sq = np.full(T, float(point.tau_sq))
+    t_bd, t_bds = csit_tau_sq(tau_sq, point.n_bits, scenario.r)
+    tau = {"BD": np.sqrt(np.broadcast_to(t_bd, (T,))),
+           "BDS": np.sqrt(np.broadcast_to(t_bds, (T,)))}
+    uses_bds = {}
+    for mode in modes:
+        if mode in ("BD", "BDS"):
+            uses_bds[mode] = np.full(T, mode == "BDS")
+        else:
+            uses_bds[mode] = chi_used[mode] <= scale * tau["BD"] ** 2
+    picks = np.array(list(uses_bds.values()))
+    rates = {}
+    for scheme, needed in (("BD", ~picks.all(axis=0)), ("BDS", picks.any(axis=0))):
+        rates[scheme] = np.full(T, np.nan)
+        if not needed.any():
+            continue
+        trials = slice(None) if needed.all() else np.flatnonzero(needed)
+        report = _stacked_report(scenario, C, maps, channels, scheme,
+                                 tau[scheme], trials)
+        rates[scheme][trials] = report.sum_rate
+    return {m: np.where(uses_bds[m], rates["BDS"], rates["BD"]) for m in modes}, uses_bds
+
+
+def _chi_rates(scenario, C, D, modes, chi, draws, theta_max, points, scenarios,
+               scales):
+    """``_point_rates`` of the points that share one chi's channels, built
+    from a trial block's ``draws`` (tau^2, normals, angles)."""
+    tau_sq, normals, angles = draws
+    channels = [channel_from_normals(cov, chi, normals_g, angles_g, gain, scenario.dual_pol)
+                for cov, normals_g, angles_g, gain in zip(
+                    scenario.covariances, normals, angles, scenario.gains)]
+    maps = _amplitude_maps(D, channels, 2 if scenario.dual_pol else 1)
+    chi_used = {"SWITCH": chi, "SWITCH_RAW": chi}
+    if theta_max > 0.0 and "SWITCH" in modes:
+        chi_used["SWITCH"] = np.array([mismatch_effective_stats(c, theta_max).chi_eff
+                                       for c in chi])
+    return [_point_rates(scenarios[p.power], C, maps, channels, modes, p, tau_sq,
+                         chi_used, scales.get(p.power)) for p in points]
+
+
+def _grouped(indices, key):
+    """The indices grouped by ``key``, in order of first appearance."""
+    groups = {}
+    for i in indices:
+        groups.setdefault(key(i), []).append(i)
+    return groups.items()
+
+
 def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
                *, tau_sq=0.0, n_bits=None, theta_max=0.0,
                chi_dist=None, tau_sq_dist=None,
-               base=None, stream_base: int = 0) -> dict:
+               base=None, stream_base: int = 0, points=None):
     """Run all requested schemes on shared channel draws.
 
     ``modes`` may contain BD, BDS, SWITCH, and SWITCH_RAW. CSIT quality comes
@@ -284,12 +361,20 @@ def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
     ``tau_sq`` interpreted as BD's quality, with BDS at its equal-feedback
     equivalent. ``chi_dist``/``tau_sq_dist`` draw those parameters per
     trial. ``stream_base`` offsets the per-trial RNG streams so independent
-    sub-experiments (e.g. elevation regions) stay decorrelated.
+    sub-experiments (e.g. elevation regions) stay decorrelated. Returns a
+    dict of ``McSummary`` per mode.
+
+    ``points``, a sequence of ``SweepPoint``, runs a whole sweep on one
+    geometry instead and returns one such dict per point; ``tau_sq``,
+    ``n_bits`` and ``theta_max`` then come from the points. The points share
+    the preprocessors, the trial draws (one per theta_max) and the
+    channels built from them (one per chi). Each point's results are those
+    of the one-point call on ``scenario`` at its power and chi.
 
     The switching schemes pick BD or BDS per trial, from chi: SWITCH from
     the effective chi of a mismatched draw, SWITCH_RAW from the raw one.
-    Each of BD and BDS is evaluated only on the trials some scheme needs it
-    for.
+    Their crossover comes from ``rmt.asym_bds`` at chi = 0 and each point's
+    power, or from ``base``.
     """
     if n_trials < 1:
         raise InvalidInputError("n_trials must be at least 1")
@@ -297,60 +382,55 @@ def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
     unknown = [m for m in modes if m not in MC_MODES]
     if unknown:
         raise InvalidInputError(f"unknown schemes: {', '.join(unknown)}")
+    one_point = points is None
+    if one_point:
+        points = [SweepPoint(tau_sq=tau_sq, n_bits=n_bits, theta_max=theta_max)]
+    elif (tau_sq, n_bits, theta_max) != (0.0, None, 0.0):
+        raise InvalidInputError("a sweep takes tau_sq, n_bits and theta_max per point")
+    points = [replace(p, power=scenario.power if p.power is None else p.power,
+                      chi=scenario.chi if p.chi is None else p.chi) for p in points]
+    if scenario.dual_pol and any(p.theta_max > np.pi / 2 for p in points):
+        raise InvalidInputError("theta_max must lie in [0, pi/2]")
     preprocessors = build_preprocessors(scenario)
     C, D = kl_projections(scenario, preprocessors)
-    pols = 2 if scenario.dual_pol else 1
-    scale = None
+    scenarios = {p.power: scenario.with_power(p.power) for p in points}
+    scales = {}
     if any(m.startswith("SWITCH") for m in modes):
-        if base is None:
-            base = rmt.asym_bds(scenario.with_chi(0.0), tau_sq=0.0)
-        scale = chi_crossover_scale(base)
+        if base is not None and len(scenarios) > 1:
+            raise InvalidInputError("base serves one power; the points have several")
+        for power, sc in scenarios.items():
+            scales[power] = chi_crossover_scale(
+                base if base is not None else rmt.asym_bds(sc.with_chi(0.0), tau_sq=0.0))
 
-    sums = {m: [] for m in modes}
-    bds_picks = {m: 0 for m in modes}
+    sums = [{m: [] for m in modes} for _ in points]
+    bds_picks = [dict.fromkeys(modes, 0) for _ in points]
+    # Aligned draws serve every theta_max = 0 point; single-polarized
+    # arrays are never mismatched.
+    by_draw = _grouped(range(len(points)), lambda i: (
+        points[i].theta_max if scenario.dual_pol and points[i].theta_max > 0.0 else 0.0))
     for first in range(0, n_trials, TRIAL_BLOCK):
         streams = range(stream_base + first,
                         stream_base + min(first + TRIAL_BLOCK, n_trials))
-        chi, tau_sq_t, channels = _draw_trials(
-            scenario, seed, streams, tau_sq, chi_dist, tau_sq_dist, theta_max)
-        t_bd, t_bds = csit_tau_sq(tau_sq_t, n_bits, scenario.r)
-        tau = {"BD": np.sqrt(np.broadcast_to(t_bd, chi.shape)),
-               "BDS": np.sqrt(np.broadcast_to(t_bds, chi.shape))}
-        # Per mode, the trials it evaluates with BDS.
-        uses_bds = {}
+        for theta_max, at_theta in by_draw:
+            chi_drawn, *draws = _draw_block(
+                scenario, seed, streams, chi_dist, tau_sq_dist, theta_max)
+            for chi, at_chi in _grouped(
+                    at_theta, lambda i: None if chi_dist else points[i].chi):
+                chi = chi_drawn if chi_dist else np.full(len(streams), float(chi))
+                at_chi_rates = _chi_rates(
+                    scenario, C, D, modes, chi, draws, theta_max,
+                    [points[i] for i in at_chi], scenarios, scales)
+                for i, (rates, uses_bds) in zip(at_chi, at_chi_rates):
+                    for mode in modes:
+                        sums[i][mode].append(rates[mode])
+                        bds_picks[i][mode] += int(np.count_nonzero(uses_bds[mode]))
+    out = []
+    for sums_p, picks_p in zip(sums, bds_picks):
+        results = {}
         for mode in modes:
-            if mode in ("BD", "BDS"):
-                uses_bds[mode] = np.full(chi.shape, mode == "BDS")
-                continue
-            chi_used = chi
-            if mode == "SWITCH" and theta_max > 0.0:
-                chi_used = np.array([mismatch_effective_stats(c, theta_max).chi_eff
-                                     for c in chi])
-            uses_bds[mode] = chi_used <= scale * tau["BD"] ** 2
-        picks = np.array(list(uses_bds.values()))
-        maps = _amplitude_maps(D, channels, pols)
-        rates = {}
-        for scheme, needed in (("BD", ~picks.all(axis=0)), ("BDS", picks.any(axis=0))):
-            rates[scheme] = np.full(chi.shape, np.nan)
-            if not needed.any():
-                continue
-            trials = slice(None) if needed.all() else np.flatnonzero(needed)
-            report = _stacked_report(scenario, C, maps, channels, scheme,
-                                     tau[scheme], trials)
-            rates[scheme][trials] = report.sum_rate
-        for mode in modes:
-            sums[mode].append(np.where(uses_bds[mode], rates["BDS"], rates["BD"]))
-            bds_picks[mode] += int(np.count_nonzero(uses_bds[mode]))
-    out = {}
-    for mode in modes:
-        extras = {}
-        if mode.startswith("SWITCH"):
-            extras["bds_fraction"] = bds_picks[mode] / n_trials
-        out[mode] = McSummary.from_trials(mode, np.concatenate(sums[mode]), extras)
-    return out
-
-
-def run_monte_carlo(scenario: GroupScenario, mode: str, n_trials: int,
-                    seed: int, **kwargs) -> McSummary:
-    """Monte Carlo mean sum rate of one scheme; deterministic in the seed."""
-    return run_paired(scenario, [mode], n_trials, seed, **kwargs)[mode]
+            extras = {}
+            if mode.startswith("SWITCH"):
+                extras["bds_fraction"] = picks_p[mode] / n_trials
+            results[mode] = McSummary.from_trials(mode, np.concatenate(sums_p[mode]), extras)
+        out.append(results)
+    return out[0] if one_point else out

@@ -9,7 +9,7 @@ subgroups that only consume co-polarized CSIT.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,12 +63,11 @@ class Preprocessor:
 
 @dataclass(frozen=True)
 class InnerPrecoder:
-    """RZF inner precoder with its normalization and cached resolvent."""
+    """RZF inner precoder with its normalization."""
 
     P: np.ndarray
     xi_sq: float
     alpha: float
-    K_hat: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -139,22 +138,24 @@ def build_preprocessors(scenario: GroupScenario) -> tuple:
 def rzf_precoder(H_eff_hat: np.ndarray, alpha: float, n_streams: int) -> InnerPrecoder:
     """Regularized ZF on the effective channel estimate.
 
-    K = (H H^H + dim alpha I)^-1 with dim the row count; P = xi K H with
+    P = xi K H with K = (H H^H + dim alpha I)^-1, dim the row count and
     xi^2 = n_streams / tr(H^H K^H K H), which fixes the transmit power.
-    Leading axes of H stack independent trials; K, P and xi^2 keep them.
+    K H is formed by push-through as H (H^H H + dim alpha I)^-1, which
+    inverts the users-side Gram matrix: H has no more columns than rows
+    (``GroupScenario.validate`` keeps n_bar <= b_bar). Leading axes of H
+    stack independent trials; P and xi^2 keep them.
     """
     if alpha <= 0.0:
         raise InvalidInputError("alpha must be positive")
-    dim = H_eff_hat.shape[-2]
-    gram = H_eff_hat @ H_eff_hat.conj().swapaxes(-1, -2)
-    K = np.linalg.inv(gram + dim * alpha * np.eye(dim))
-    KH = K @ H_eff_hat
+    dim, n = H_eff_hat.shape[-2:]
+    gram = H_eff_hat.conj().swapaxes(-1, -2) @ H_eff_hat
+    KH = H_eff_hat @ np.linalg.inv(gram + dim * alpha * np.eye(n))
     norm = np.sum(np.abs(KH) ** 2, axis=(-2, -1))
     if np.any(norm <= 0.0):
         raise DegenerateInputError("all-zero effective channel cannot be normalized")
     xi_sq = n_streams / norm
     return InnerPrecoder(P=np.sqrt(xi_sq)[..., None, None] * KH, xi_sq=xi_sq,
-                         alpha=alpha, K_hat=K)
+                         alpha=alpha)
 
 
 def _check_mode(scenario: GroupScenario, mode: str):

@@ -20,7 +20,12 @@ from .corrstats import (
 )
 from .errors import InvalidConfigurationError
 
-__all__ = ["GroupScenario", "make_scenario", "default_theta_grid"]
+__all__ = ["GroupScenario", "make_scenario", "default_theta_grid", "power_from_db"]
+
+
+def power_from_db(snr_db: float) -> float:
+    """Transmit power of an SNR in dB; the noise power is one."""
+    return 10.0 ** (snr_db / 10.0)
 
 
 def default_theta_grid(n_groups: int) -> list:
@@ -111,7 +116,7 @@ class GroupScenario:
         return replace(self, power=power)
 
     def with_power_db(self, snr_db: float) -> "GroupScenario":
-        return replace(self, power=10.0 ** (snr_db / 10.0))
+        return replace(self, power=power_from_db(snr_db))
 
     def with_chi(self, chi: float) -> "GroupScenario":
         return replace(self, chi=chi)

@@ -24,7 +24,7 @@ from .corrstats import (
 from .errors import InfeasibleRegionError, InvalidInputError
 from .metrics import McSummary, run_paired
 from .precode import _null_space_basis
-from .scenario import GroupScenario, default_theta_grid
+from .scenario import GroupScenario, default_theta_grid, power_from_db
 
 __all__ = [
     "ElevationRegion",
@@ -33,7 +33,6 @@ __all__ = [
     "path_loss",
     "reduce_to_2d",
     "make_scenario_3d",
-    "run_3d",
     "run_3d_paired",
 ]
 
@@ -76,7 +75,7 @@ class Scenario3D:
         return len(self.regions)
 
     def with_power_db(self, snr_db: float) -> "Scenario3D":
-        return replace(self, power=10.0 ** (snr_db / 10.0))
+        return replace(self, power=power_from_db(snr_db))
 
     def with_chi(self, chi: float) -> "Scenario3D":
         return replace(self, azimuth_scenario=self.azimuth_scenario.with_chi(chi))
@@ -190,20 +189,23 @@ def reduce_to_2d(scenario3d: Scenario3D, l: int) -> GroupScenario:
 
 
 def run_3d_paired(scenario3d: Scenario3D, modes, n_trials: int, seed: int,
-                  **kwargs) -> dict:
-    """All schemes over all regions on shared draws; per-trial region sums."""
+                  *, points=None, **kwargs):
+    """All schemes over all regions on shared draws; per-trial region sums.
+
+    One ``run_paired`` call per region; with ``points`` (``SweepPoint``s
+    whose power is the whole cell's) it returns one dict per point, like
+    ``run_paired``.
+    """
     modes = list(modes)
-    totals = {m: np.zeros(n_trials) for m in modes}
-    for l in range(scenario3d.n_regions):
-        sc = reduce_to_2d(scenario3d, l)
-        results = run_paired(sc, modes, n_trials, seed,
-                             stream_base=l * n_trials, **kwargs)
-        for m in modes:
-            totals[m] += results[m].trial_sum_rates
-    return {m: McSummary.from_trials(m, totals[m]) for m in modes}
-
-
-def run_3d(scenario3d: Scenario3D, mode: str, n_trials: int, seed: int,
-           **kwargs) -> McSummary:
-    """Monte Carlo sum rate of one scheme over the whole 3D cell."""
-    return run_3d_paired(scenario3d, [mode], n_trials, seed, **kwargs)[mode]
+    n_regions = scenario3d.n_regions
+    sweep = None if points is None else [
+        p if p.power is None else replace(p, power=p.power / n_regions)
+        for p in points]
+    regions = [run_paired(reduce_to_2d(scenario3d, l), modes, n_trials, seed,
+                          stream_base=l * n_trials, points=sweep, **kwargs)
+               for l in range(n_regions)]
+    if points is None:
+        regions = [[results] for results in regions]
+    out = [{m: McSummary.from_trials(m, sum(r[i][m].trial_sum_rates for r in regions))
+            for m in modes} for i in range(len(regions[0]))]
+    return out[0] if points is None else out

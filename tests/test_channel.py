@@ -9,7 +9,7 @@ from dualpol.channel import (
     PolarizationModel,
     RngStream,
     channel_from_normals,
-    corrupt_csit,
+    complex_normal,
     draw_channel,
     draw_mismatched_channel,
     draw_single_pol_channel,
@@ -167,27 +167,30 @@ def test_single_pol_draw(stats):
     assert not entry.dual_pol
 
 
+def corrupted(G, tau, stream):
+    """G mixed with CSIT noise drawn from ``stream``."""
+    return mix_csit(G, complex_normal(stream.generator(), G.shape), tau)
+
+
 class TestCorruptCsit:
     def test_tau_zero_is_identity(self):
         G = np.arange(12).reshape(3, 4) + 0j
-        assert np.array_equal(corrupt_csit(G, 0.0, RngStream(1, 0)), G)
+        assert np.array_equal(corrupted(G, 0.0, RngStream(1, 0)), G)
 
     def test_tau_one_is_independent(self):
         gen = RngStream(8, 0).generator()
-        from dualpol.channel import complex_normal
 
         G = complex_normal(gen, (250, 400))
-        G_hat = corrupt_csit(G, 1.0, RngStream(8, 1))
+        G_hat = corrupted(G, 1.0, RngStream(8, 1))
         corr = np.abs(np.vdot(G, G_hat)) / (np.linalg.norm(G) * np.linalg.norm(G_hat))
         assert corr < 0.01
 
     def test_tau_06_correlation(self):
         # corr(G_hat, G) = sqrt(1 - 0.36) = 0.8 within 1 % over 1e5 entries
         gen = RngStream(8, 2).generator()
-        from dualpol.channel import complex_normal
 
         G = complex_normal(gen, (250, 400))
-        G_hat = corrupt_csit(G, 0.6, RngStream(8, 3))
+        G_hat = corrupted(G, 0.6, RngStream(8, 3))
         corr = np.real(np.vdot(G, G_hat)) / (np.linalg.norm(G) * np.linalg.norm(G_hat))
         assert corr == pytest.approx(0.8, rel=0.01)
 
@@ -195,7 +198,6 @@ class TestCorruptCsit:
     @settings(max_examples=20, deadline=None)
     def test_variance_preserved(self, tau):
         gen = np.random.default_rng(17)
-        from dualpol.channel import complex_normal
 
         G = complex_normal(gen, (200, 250))
         Z = complex_normal(gen, (200, 250))

@@ -193,7 +193,7 @@ class TestMain:
         ("n_trails = 3", "unknown keys for a 2D config: n_trails"),
         ("m_e = 4", "unknown keys for a 2D config: m_e"),
         ("n_trials = 0", "n_trials must lie in"),
-        ("n_trials = abc", "n_trials and seed must be integers"),
+        ("n_trials = abc", "n_trials must be an integer"),
         ("seed = -1", "seed must lie in"),
         ("chi = 2", "chi must lie in [0, 1]"),
         ("chi = 0.1, 1.5", "chi must lie in [0, 1]"),
@@ -212,8 +212,32 @@ class TestMain:
         assert out.read_text() == ""
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, message", [
+        ("groups = abc", "groups must be an integer, got 'abc'"),
+        ("spread_deg = x", "spread_deg must be a number, got 'x'"),
+        ("n_trials = 2.5", "n_trials must be an integer, got 2.5"),
+        ("m = 24.0", "m must be an integer, got 24.0"),
+        ("seed = 1, 2", "seed must be an integer, got [1, 2]"),
+        ("grid = 1", "grid must be true or false, got 1"),
+        ("chi = 0.1, abc", "chi must be a number or a list of them"),
+        ("snr_db = ,", "snr_db must be a number or a list of them, got []"),
+        ("n_bits = 50, 60.5", "n_bits must be an integer or a list of them"),
+        ("schemes = true", "schemes must be text or a list of them, got True"),
+    ])
+    def test_wrong_type_exit_two_before_header(self, tmp_path, capsys, line,
+                                               message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("m = 24\ngroups = 2\nn_bar = 4\nschemes = BD\n"
+                       f"n_trials = 2\n{line}\n")
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert out.read_text() == ""
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     @pytest.mark.parametrize("lines, message", [
         ("schemes = BD, ASYM_BD, ASYM_BDS", "not ASYM_BD, ASYM_BDS"),
+        ("schemes = BD\ndistances = 30, far", "distances must be a number"),
         ("schemes = BD\nb_bar = 16\nr = 3", "unknown keys for a 3D config: b_bar, r"),
     ])
     def test_3d_config_exit_two_before_header(self, tmp_path, capsys, lines,

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualpol.corrstats import (
+    QUADRATURE_TOL,
     ArrayLayout,
     GroupGeometry,
     SpatialCovariance,
     eigendecompose,
     elevation_covariance,
     mismatch_effective_stats,
+    _one_ring_kernel,
     one_ring_covariance,
     ula,
 )
@@ -26,6 +29,30 @@ def simpson_oracle(dy, theta, delta, n=10000):
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return (2 * delta / n / 3.0) * np.sum(w * f) / (2 * delta)
+
+
+def adaptive_simpson_oracle(d, theta, delta):
+    """The kernel's adaptive rule with every level's nodes evaluated afresh."""
+
+    def simpson(n_panels):
+        alpha = np.linspace(-delta, delta, 2 * n_panels + 1)
+        phase = (np.cos(alpha + theta)[None, :] * d[:, :1]
+                 + np.sin(alpha + theta)[None, :] * d[:, 1:2])
+        f = np.exp(-1j * np.pi * phase)
+        w = np.ones(alpha.size)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        h = (2.0 * delta) / (2 * n_panels)
+        return (h / 3.0) * (f @ w) / (2.0 * delta)
+
+    n = 8
+    prev = simpson(n)
+    while True:
+        n *= 2
+        cur = simpson(n)
+        if np.abs(cur - prev).max() < QUADRATURE_TOL:
+            return cur
+        prev = cur
 
 
 THETA = -math.pi / 4
@@ -56,6 +83,18 @@ class TestOneRing:
             assert cov.matrix[m, n] == pytest.approx(value, abs=1e-9)
             oracle = simpson_oracle((m - n) * 0.5, self.theta, self.delta)
             assert cov.matrix[m, n] == pytest.approx(oracle, abs=1e-8)
+
+    def test_kernel_reuse_is_bit_exact(self):
+        # Reusing the coarse level's integrand values must not move a bit:
+        # the small eigenmodes of the covariance amplify any rounding change.
+        for spacing, size, theta, delta in itertools.product(
+                [0.25, 0.5, 1.0], [10, 60], [-0.8, 0.0, 0.7],
+                [1e-9, 0.14, 0.26, 1.0]):
+            pos = ula(size, spacing).positions
+            iu, ju = np.triu_indices(size, k=1)
+            d = np.unique(np.round(pos[iu] - pos[ju], 12), axis=0)
+            assert np.array_equal(_one_ring_kernel(d, theta, delta),
+                                  adaptive_simpson_oracle(d, theta, delta))
 
     def test_effective_rank_matches_reference_eigensolver(self, cov):
         # Reference eigensolver on the oracle-integrated matrix counts 11

@@ -15,8 +15,8 @@ import pytest
 import dualpol.metrics as metrics
 from dualpol.channel import RngStream
 from dualpol.corrstats import mismatch_effective_stats
-from dualpol.errors import DegenerateInputError
-from dualpol.metrics import draw_trial, run_paired, sinr_report
+from dualpol.errors import DegenerateInputError, InvalidInputError
+from dualpol.metrics import SweepPoint, draw_trial, run_paired, sinr_report
 from dualpol.modeswitch import FeedbackBudget, chi_crossover_scale, tau_from_bits
 from dualpol.precode import build_preprocessors
 from dualpol.rmt import asym_bds
@@ -161,3 +161,88 @@ def test_zero_gains_raise_instead_of_nan_rows(small_scenario, mode):
     sc = replace(small_scenario, gains=(0.0,) * small_scenario.G)
     with pytest.raises(DegenerateInputError):
         run_paired(sc, [mode], 3, 1)
+
+
+# ----------------------------------------------------------------------
+# A sweep shares draws and channels across its points; each point's
+# results must be those of its own one-point call, bit for bit.
+# ----------------------------------------------------------------------
+
+ALL_MODES = ["BD", "BDS", "SWITCH", "SWITCH_RAW"]
+
+
+def assert_sweep_equals_cells(scenario, modes, n_trials, seed, points, **kwargs):
+    sweep = run_paired(scenario, modes, n_trials, seed, points=points, **kwargs)
+    assert len(sweep) == len(points)
+    for point, got in zip(points, sweep):
+        sc = scenario
+        if point.power is not None:
+            sc = sc.with_power(point.power)
+        if point.chi is not None:
+            sc = sc.with_chi(point.chi)
+        want = run_paired(sc, modes, n_trials, seed, tau_sq=point.tau_sq,
+                          n_bits=point.n_bits, theta_max=point.theta_max, **kwargs)
+        for mode in modes:
+            assert np.array_equal(got[mode].trial_sum_rates,
+                                  want[mode].trial_sum_rates), (point, mode)
+            assert got[mode].stderr == want[mode].stderr
+            assert got[mode].extras == want[mode].extras
+
+
+@pytest.mark.parametrize("points, kwargs", [
+    ([SweepPoint(power=p, chi=c) for p in (1.0, 31.6) for c in (0.0, 0.3, 1.0)], {}),
+    ([SweepPoint(tau_sq=t) for t in (0.0, 0.1, 0.5, 1.0)], {}),
+    ([SweepPoint(power=p, chi=0.1, n_bits=b) for p in (3.0, 100.0) for b in (30, 60)], {}),
+    ([SweepPoint(power=p, n_bits=b) for p in (3.0, 100.0) for b in (None, 60)],
+     {"chi_dist": (0.0, 0.5), "tau_sq_dist": (0.0, 1.0)}),
+    ([SweepPoint(theta_max=t, chi=c, tau_sq=0.2) for t in (0.0, 0.69) for c in (0.1, 0.4)],
+     {}),
+], ids=["chi_power", "tau_sq", "n_bits", "dists", "mixed_theta"])
+def test_sweep_equals_cells(small_scenario, points, kwargs):
+    sc = small_scenario.with_power_db(10.0)
+    assert_sweep_equals_cells(sc, ALL_MODES, 7, 3, points, **kwargs)
+
+
+def test_sweep_equals_cells_on_fig4(fig4):
+    points = [SweepPoint(power=p, chi=c, tau_sq=t)
+              for p in (1.0, 1000.0) for c in (0.0, 0.1) for t in (0.0, 0.1)]
+    assert_sweep_equals_cells(fig4, ["BD", "BDS"], 5, 17, points)
+
+
+def test_single_pol_sweep_equals_cells():
+    sc = make_scenario(M=40, G=2, n_bar=4, dual_pol=False, thetas=[-0.6, 0.6],
+                       spread=math.pi / 10).with_power_db(10.0)
+    sc = replace(sc, gains=(0.8, 1.3))
+    points = [SweepPoint(power=p, tau_sq=t, theta_max=th)
+              for p in (1.0, 100.0) for t in (0.0, 0.2) for th in (0.0, 0.69)]
+    assert_sweep_equals_cells(sc, ["BD"], 4, 3, points)
+
+
+def test_blocked_sweep_equals_cells(small_scenario, monkeypatch):
+    monkeypatch.setattr(metrics, "TRIAL_BLOCK", 3)
+    points = [SweepPoint(power=p, theta_max=t) for p in (3.0, 100.0)
+              for t in (0.0, 0.69)]
+    assert_sweep_equals_cells(small_scenario, ALL_MODES, 10, 4, points,
+                              chi_dist=(0.0, 0.5), tau_sq_dist=(0.0, 1.0))
+
+
+def test_3d_sweep_equals_cells():
+    sc3 = make_scenario_3d()
+    points = [SweepPoint(power=p, theta_max=t) for p in (100.0, 316.0)
+              for t in (0.0, 0.69)]
+    kwargs = dict(chi_dist=(0.0, 0.5), tau_sq_dist=(0.0, 1.0))
+    sweep = run_3d_paired(sc3, ALL_MODES, 3, 6, points=points, **kwargs)
+    for point, got in zip(points, sweep):
+        want = run_3d_paired(replace(sc3, power=point.power), ALL_MODES, 3, 6,
+                             theta_max=point.theta_max, **kwargs)
+        for mode in ALL_MODES:
+            assert np.array_equal(got[mode].trial_sum_rates,
+                                  want[mode].trial_sum_rates)
+
+
+def test_sweep_rejects_per_call_point_arguments(small_scenario):
+    with pytest.raises(InvalidInputError):
+        run_paired(small_scenario, ["BD"], 2, 1, points=[SweepPoint()], tau_sq=0.1)
+    with pytest.raises(InvalidInputError):
+        run_paired(small_scenario, ["SWITCH"], 2, 1, base=object(),
+                   points=[SweepPoint(power=1.0), SweepPoint(power=2.0)])

@@ -6,7 +6,6 @@ from dualpol.errors import InvalidInputError
 from dualpol.metrics import (
     bds_tau_sq,
     draw_trial,
-    run_monte_carlo,
     run_paired,
     sinr_bd,
     sinr_bds,
@@ -128,7 +127,7 @@ def test_chi_zero_cross_power_is_zero(fig4_scenario):
 
 def test_chi_one_subgroup_symmetry(small_scenario):
     sc = small_scenario.with_chi(1.0).with_power_db(10.0)
-    res = run_monte_carlo(sc, "BDS", 400, 7)
+    res = run_paired(sc, ["BDS"], 400, 7)["BDS"]
     # vertical and horizontal subgroup SINR means agree within MC error:
     # re-run collecting per-user SINRs
     pre = build_preprocessors(sc)
@@ -159,20 +158,20 @@ def test_fig4_chi0_bd_equals_bds_trialwise(fig4_scenario):
 
 def test_monte_carlo_basics(small_scenario):
     sc = small_scenario.with_power_db(10.0)
-    one = run_monte_carlo(sc, "BD", 1, 5)
+    one = run_paired(sc, ["BD"], 1, 5)["BD"]
     assert one.n_trials == 1 and one.stderr == 0.0
     # n_trials = 1 reproduces a single report
     channels = draw_trial(sc, RngStream(5, 0))
     rep = sinr_bd(channels, build_all(sc, channels, "BD", tau=0.0), sc.power)
     assert one.sum_rate == pytest.approx(rep.sum_rate, rel=1e-12)
     with pytest.raises(InvalidInputError):
-        run_monte_carlo(sc, "BD", 0, 5)
+        run_paired(sc, ["BD"], 0, 5)
 
 
 def test_stderr_scaling(small_scenario):
     # doubling the trials halves stderr^2 within 20 %
     sc = small_scenario.with_power_db(10.0)
-    res = run_monte_carlo(sc, "BD", 2000, 11)
+    res = run_paired(sc, ["BD"], 2000, 11)["BD"]
     sums = res.trial_sum_rates
     var_full = sums.var(ddof=1) / 2000
     var_half = sums[:1000].var(ddof=1) / 1000
@@ -181,8 +180,8 @@ def test_stderr_scaling(small_scenario):
 
 def test_determinism_and_pairing(small_scenario):
     sc = small_scenario.with_power_db(10.0)
-    a = run_monte_carlo(sc, "BD", 50, 3)
-    b = run_monte_carlo(sc, "BD", 50, 3)
+    a = run_paired(sc, ["BD"], 50, 3)["BD"]
+    b = run_paired(sc, ["BD"], 50, 3)["BD"]
     assert np.array_equal(a.trial_sum_rates, b.trial_sum_rates)
     both = run_paired(sc, ["BD", "BDS"], 50, 3)
     assert np.array_equal(both["BD"].trial_sum_rates, a.trial_sum_rates)
@@ -192,7 +191,7 @@ def test_sum_rate_nondecreasing_in_power(small_scenario):
     means = []
     errs = []
     for snr in [0.0, 10.0, 20.0]:
-        res = run_monte_carlo(small_scenario.with_power_db(snr), "BD", 200, 13)
+        res = run_paired(small_scenario.with_power_db(snr), ["BD"], 200, 13)["BD"]
         means.append(res.sum_rate)
         errs.append(res.stderr)
     assert means[1] > means[0] - 2 * (errs[0] + errs[1])

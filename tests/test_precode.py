@@ -143,7 +143,7 @@ class TestRzf:
         K = np.linalg.inv(H @ H.conj().T + 6 * 0.3 * np.eye(6))
         xi_sq = 4 / np.trace(H.conj().T @ K.conj().T @ K @ H).real
         assert inner.xi_sq == pytest.approx(xi_sq, rel=1e-10)
-        assert np.abs(inner.K_hat - K).max() < 1e-12
+        assert np.abs(inner.P - np.sqrt(xi_sq) * K @ H).max() < 1e-12
 
     def test_degenerate_channel_rejected(self):
         with pytest.raises(DegenerateInputError):

@@ -5,13 +5,12 @@ import pytest
 
 from dualpol.corrstats import SpatialCovariance
 from dualpol.errors import InfeasibleRegionError, InvalidInputError
-from dualpol.metrics import run_monte_carlo
+from dualpol.metrics import run_paired
 from dualpol.scene3d import (
     elevation_prefilter,
     make_scenario_3d,
     path_loss,
     reduce_to_2d,
-    run_3d,
     run_3d_paired,
 )
 
@@ -120,13 +119,13 @@ class TestReduction:
 
 
 class TestRun3d:
-    def test_single_region_reduces_to_run_monte_carlo(self, fig11):
+    def test_single_region_reduces_to_run_paired(self, fig11):
         from dataclasses import replace
 
         sc3 = replace(fig11, regions=(fig11.regions[0],))
-        got = run_3d(sc3, "BD", 10, 3)
-        want = run_monte_carlo(reduce_to_2d(sc3, 0), "BD", 10, 3,
-                               stream_base=0)
+        got = run_3d_paired(sc3, ["BD"], 10, 3)["BD"]
+        want = run_paired(reduce_to_2d(sc3, 0), ["BD"], 10, 3,
+                          stream_base=0)["BD"]
         assert got.sum_rate == pytest.approx(want.sum_rate, rel=1e-12)
 
     def test_total_power_conserved(self, fig11):
@@ -157,7 +156,7 @@ class TestRun3d:
 
     def test_mismatch_degrades_sum_rate(self, fig11):
         sc3 = fig11.with_chi(0.1)
-        aligned = run_3d(sc3, "BD", 100, 11, tau_sq=0.1)
-        mismatched = run_3d(sc3, "BD", 100, 11, tau_sq=0.1,
-                            theta_max=0.22 * math.pi)
+        aligned = run_3d_paired(sc3, ["BD"], 100, 11, tau_sq=0.1)["BD"]
+        mismatched = run_3d_paired(sc3, ["BD"], 100, 11, tau_sq=0.1,
+                                   theta_max=0.22 * math.pi)["BD"]
         assert mismatched.sum_rate < aligned.sum_rate - 2 * aligned.stderr
