@@ -287,7 +287,8 @@ def _run_3d_per_realization(theta, seed):
         for t in range(TRIALS):
             gen = RngStream(seed, l * TRIALS + t).generator()
             chi = gen.uniform(0.0, 0.5)
-            tau = np.sqrt(csit_tau_sq(gen.uniform(0.0, 1.0), None, sc.r))
+            tau_sq = gen.uniform(0.0, 1.0)
+            tau = np.sqrt([csit_tau_sq(tau_sq, None, sc.r, s) for s in ("BD", "BDS")])
             channels = draw_trial(sc, gen, chi=chi, theta_max=theta)
             rate = {mode: sinr_report(sc, channels, mode, tau=tau[i],
                                       preprocessors=pre).sum_rate

@@ -10,10 +10,12 @@ Config grammar (one canonical parser):
     key = v1, v2, v3     # list
     key = uniform:0:0.5  # per-trial distribution (chi_dist, tau_sq_dist)
 
-Exit codes: 0 ok, 2 config error, 3 numerical error. The CSV always carries
-the header row; numeric columns are deterministic for a fixed seed. Monte
-Carlo cells run single-threaded, their trials batched, and all sweep points
-of a variant in one ``metrics.run_paired`` call that draws the trials once.
+``KEYS`` holds the contract of every key; a config is resolved against it
+once, before anything runs. Exit codes: 0 ok, 2 config error, 3 numerical
+error. A run that succeeds writes the header row and every row; one that
+fails writes nothing. Numeric columns are deterministic for a fixed seed.
+Monte Carlo cells run single-threaded, their trials batched, and all sweep
+points of a variant in one ``metrics.run_paired`` call.
 """
 
 from __future__ import annotations
@@ -22,40 +24,64 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import NamedTuple
 
-# rmt's functions are looked up on the module at call time, so wrappers
-# installed there (perfbench/tracer.py) see the calls.
-from . import rmt
+# rmt's and scene3d's functions are looked up on the module at call time, so
+# wrappers installed there (perfbench/tracer.py) see the calls.
+from . import rmt, scene3d
 from .errors import DualpolError, InvalidConfigurationError, NumericalError
 from .metrics import MC_MODES, SweepPoint, csit_tau_sq, run_paired
 from .scenario import make_scenario, power_from_db
 
-__all__ = ["main", "parse_config", "preset", "list_presets", "run_config"]
+__all__ = ["KEYS", "main", "parse_config", "preset", "list_presets", "run_config"]
 
 CSV_COLUMNS = ["scenario_id", "scheme", "snr_db", "chi", "tau_sq", "n_bits",
                "sum_rate", "stderr", "n_trials", "seed"]
 
 ASYM_SCHEMES = ("ASYM_BD", "ASYM_BDS")
 
-#: The type of every key a config may set: those of every config, and
-#: those of 2D or of 3D (``mode_3d``) configs only. An int is a whole number
-#: (``n_trials = 2.5`` is an error), a number an int or a float, and text
-#: takes numbers as written (``scenario_id = 7``). A key of LIST_KEYS may
-#: also hold a comma-separated list of its type. Any other key, or a value
-#: of another type, is a config error.
-KEY_TYPES = {
-    "scenario_id": "text", "schemes": "text", "n_trials": "int", "seed": "int",
-    "grid": "bool", "snr_db": "number", "chi": "number", "tau_sq": "number",
-    "n_bits": "int", "theta_max_ms_deg": "number", "chi_dist": "text",
-    "tau_sq_dist": "text", "groups": "int", "n_bar": "int",
-    "spacing": "number", "spread_deg": "number", "mode_3d": "bool",
+
+class _Key(NamedTuple):
+    kind: str
+    default: object
+    range: tuple | None = None
+    modes: tuple = ("2D", "3D")
+
+
+#: The config contract: per key its type, default, closed range and the
+#: configs that take it (3D ones set ``mode_3d = true``). An int is a whole
+#: number (``n_trials = 2.5`` is an error), a number a finite int or float,
+#: and text takes numbers as written (``scenario_id = 7``). A list default
+#: marks a key that may hold a comma-separated list of its type. A None
+#: default means "derived" (``b_bar``, ``r``) or "not set".
+KEYS = {
+    "scenario_id": _Key("text", "scenario"),
+    "schemes": _Key("text", ["BD"]),
+    "n_trials": _Key("int", 500, (1, math.inf)),
+    "seed": _Key("int", 1, (0, math.inf)),
+    "grid": _Key("bool", False),
+    "mode_3d": _Key("bool", False),
+    "snr_db": _Key("number", [10.0], (-100, 100)),
+    "chi": _Key("number", [0.0], (0, 1)),
+    "tau_sq": _Key("number", [0.0], (0, math.inf)),
+    "n_bits": _Key("int", [None], (1, math.inf)),
+    "theta_max_ms_deg": _Key("number", [0.0], (0, 90)),
+    "chi_dist": _Key("text", None),
+    "tau_sq_dist": _Key("text", None),
+    "groups": _Key("int", 4, (1, math.inf)),
+    "n_bar": _Key("int", 8, (1, math.inf)),
+    "spacing": _Key("number", 0.5, (0, 4)),
+    "spread_deg": _Key("number", 15.0),
+    "m": _Key("int", 120, (4, math.inf), ("2D",)),
+    "b_bar": _Key("int", None, (1, math.inf), ("2D",)),
+    "r": _Key("int", None, (1, math.inf), ("2D",)),
+    "arrays": _Key("text", ["dual"], None, ("2D",)),
+    "m_e": _Key("int", 10, (2, math.inf), ("3D",)),
+    "m_a": _Key("int", 50, (2, math.inf), ("3D",)),
+    "height": _Key("number", 60.0, (0, 1e4), ("3D",)),
+    "distances": _Key("number", [30.0, 60.0, 100.0], (0, 1e4), ("3D",)),
 }
-KEY_TYPES_2D = {"m": "int", "b_bar": "int", "r": "int", "arrays": "text"}
-KEY_TYPES_3D = {"m_e": "int", "m_a": "int", "height": "number",
-                "distances": "number"}
-LIST_KEYS = frozenset(
-    "schemes snr_db chi tau_sq n_bits theta_max_ms_deg arrays distances".split())
 
 _TYPE_NAMES = {"int": "an integer", "number": "a number", "bool": "true or false",
                "text": "text"}
@@ -68,22 +94,64 @@ def _has_type(value, kind) -> bool:
                               "text": (str, int, float)}[kind])
 
 
-def _check_types(config, mode):
-    """Reject unknown keys, values of the wrong type and empty lists."""
-    types = {**KEY_TYPES, **(KEY_TYPES_3D if mode == "3D" else KEY_TYPES_2D)}
-    unknown = sorted(set(config) - set(types))
+def _check_range(key, values, lo, hi):
+    for v in values:
+        if v is not None and not lo <= v <= hi:
+            raise InvalidConfigurationError(f"{key} must lie in [{lo:g}, {hi:g}], got {v!r}")
+
+
+def _resolve(config: dict) -> dict:
+    """The config with every key of its mode set: defaults filled in, list
+    keys as lists, distributions as (lo, hi) and ``arrays`` as (polarization,
+    spacing) pairs. A value that breaks ``KEYS`` raises
+    ``InvalidConfigurationError``."""
+    mode = "3D" if config.get("mode_3d") else "2D"
+    keys = {key: row for key, row in KEYS.items() if mode in row.modes}
+    unknown = sorted(set(config) - set(keys))
     if unknown:
         raise InvalidConfigurationError(
             f"unknown keys for a {mode} config: {', '.join(unknown)}")
-    for key, value in config.items():
-        many = key in LIST_KEYS and isinstance(value, (list, tuple))
-        values = list(value) if many else [value]
-        if values and all(_has_type(v, types[key]) for v in values):
+    cfg = {}
+    for key, row in keys.items():
+        many = isinstance(row.default, list)
+        value = config.get(key, row.default)
+        values = list(value) if many and isinstance(value, (list, tuple)) else [value]
+        cfg[key] = values if many else value
+        if key not in config:
             continue
-        kind = _TYPE_NAMES[types[key]]
+        if not values or not all(_has_type(v, row.kind) for v in values):
+            raise InvalidConfigurationError(
+                f"{key} must be {_TYPE_NAMES[row.kind]}"
+                f"{' or a list of them' if many else ''}, got {value!r}")
+        if row.kind == "number" and not all(math.isfinite(v) for v in values):
+            raise InvalidConfigurationError(
+                f"{key} must be a finite number, got {value!r}")
+        if row.range:
+            _check_range(key, values, *row.range)
+    for axis in ("chi", "tau_sq"):
+        dist = cfg[f"{axis}_dist"] = _parse_dist(cfg[f"{axis}_dist"])
+        _check_range(axis, dist or (), *KEYS[axis].range)
+    cfg["schemes"] = [str(s) for s in cfg["schemes"] if str(s).strip()]
+    unknown = [s for s in cfg["schemes"] if s not in MC_MODES + ASYM_SCHEMES]
+    if unknown:
+        raise InvalidConfigurationError(f"unknown schemes: {', '.join(unknown)}")
+    asym = [s for s in cfg["schemes"] if s in ASYM_SCHEMES]
+    if asym and mode == "3D":
         raise InvalidConfigurationError(
-            f"{key} must be {kind}{' or a list of them' if key in LIST_KEYS else ''}, "
-            f"got {value!r}")
+            f"3D configs run Monte Carlo schemes only, not {', '.join(asym)}")
+    if mode == "2D":
+        cfg["arrays"] = [_parse_array(token, cfg["spacing"]) for token in cfg["arrays"]]
+    return cfg
+
+
+def _parse_array(token, spacing):
+    pol, _, ds = str(token).partition("@")
+    ds = _parse_value(ds) if ds else spacing
+    if pol not in ("dual", "single") or not (_has_type(ds, "number") and math.isfinite(ds)):
+        raise InvalidConfigurationError(
+            f"arrays must be dual or single with an optional @<spacing>, got {token!r}")
+    _check_range("spacing", [ds], *KEYS["spacing"].range)
+    return pol, float(ds)
 
 
 def _parse_value(raw: str):
@@ -130,14 +198,6 @@ def _serialize(config: dict) -> str:
             rendered = str(value)
         lines.append(f"{key} = {rendered}")
     return "\n".join(lines) + "\n"
-
-
-def _as_list(value):
-    if value is None:
-        return None
-    if isinstance(value, (list, tuple)):
-        return list(value)
-    return [value]
 
 
 def _parse_dist(value):
@@ -229,173 +289,115 @@ def preset(name: str) -> dict:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class _Variant:
-    scenario_id: str
-    scenario3d: object = None
-    scenario: object = None
-
-
-def _build_variants(config):
-    G = config.get("groups", 4)
-    n_bar = config.get("n_bar", 8)
-    spread = math.radians(config.get("spread_deg", 15.0))
-    spacing = config.get("spacing", 0.5)
-    chi = config.get("chi", 0.0)
-    chi0 = chi[0] if isinstance(chi, list) else chi
-    if config.get("mode_3d"):
-        from .scene3d import make_scenario_3d
-
-        sc3 = make_scenario_3d(
-            m_e=config.get("m_e", 10), m_a=config.get("m_a", 50),
-            height=config.get("height", 60.0),
-            distances=tuple(config.get("distances", [30.0, 60.0, 100.0])),
-            G=G, n_bar=n_bar, spread=spread, spacing=spacing, chi=chi0,
-            scenario_id=config["scenario_id"])
-        return [_Variant(scenario_id=config["scenario_id"], scenario3d=sc3)]
-    arrays = config.get("arrays", ["dual@%s" % spacing])
+def _build_variants(cfg):
+    """The (scenario_id, scenario) of every array a resolved config runs on:
+    one ``Scenario3D`` in 3D, one ``GroupScenario`` per ``arrays`` entry in 2D."""
+    spread = math.radians(cfg["spread_deg"])
+    chi0 = cfg["chi"][0]
+    common = dict(G=cfg["groups"], n_bar=cfg["n_bar"], spread=spread, chi=chi0)
+    if cfg["mode_3d"]:
+        return [(cfg["scenario_id"], scene3d.make_scenario_3d(
+            m_e=cfg["m_e"], m_a=cfg["m_a"], height=cfg["height"],
+            distances=tuple(cfg["distances"]), spacing=cfg["spacing"],
+            scenario_id=cfg["scenario_id"], **common))]
     variants = []
-    for token in arrays:
-        pol, _, ds = str(token).partition("@")
-        ds = float(ds) if ds else spacing
+    for pol, ds in cfg["arrays"]:
         dual = pol == "dual"
-        ident = config["scenario_id"]
-        if len(arrays) > 1:
-            ident = f"{ident}-{pol}-ds{ds:g}"
+        suffix = f"-{pol}-ds{ds:g}" if len(cfg["arrays"]) > 1 else ""
+        ident = f"{cfg['scenario_id']}{suffix}"
         sc = make_scenario(
-            M=config.get("m", 120), G=G, n_bar=n_bar, spacing=ds,
-            spread=spread, chi=chi0, b_bar=config.get("b_bar"),
-            r=config.get("r"), dual_pol=dual, scenario_id=ident,
-            enforce_rank_constraint=dual)
+            M=cfg["m"], spacing=ds, b_bar=cfg["b_bar"], r=cfg["r"], dual_pol=dual,
+            scenario_id=ident, enforce_rank_constraint=dual, **common)
         if not dual:
             # Equal captured per-user energy against the dual-polarized array.
             gain = math.sqrt((1.0 + chi0) / 2.0)
             sc = replace(sc, gains=(gain,) * sc.G)
-        variants.append(_Variant(scenario_id=ident, scenario=sc))
+        variants.append((ident, sc))
     return variants
 
 
-def _sweep_points(config):
-    axes = {
-        "snr_db": _as_list(config.get("snr_db", [10.0])),
-        "chi": _as_list(config.get("chi", 0.0)) if config.get("chi_dist") is None else [None],
-        "tau_sq": _as_list(config.get("tau_sq", 0.0)) if config.get("tau_sq_dist") is None else [None],
-        "n_bits": _as_list(config.get("n_bits")) or [None],
-        "theta_max_ms_deg": _as_list(config.get("theta_max_ms_deg", 0.0)),
-    }
-    for key in ("snr_db", "chi", "tau_sq", "theta_max_ms_deg"):
-        for v in axes[key]:
-            if v is not None and not math.isfinite(v):
-                raise InvalidConfigurationError(f"{key} must be a finite number, got {v!r}")
+def _check_variants(variants, schemes, points):
+    """Reject the schemes a variant's array cannot run, before any cell runs."""
+    dual_only = ", ".join(s for s in schemes if s != "BD")
+    bds = ", ".join(s for s in schemes if s not in ("BD", "ASYM_BD"))  # BDS on some trials
+    for ident, sc in variants:
+        sc = getattr(sc, "azimuth_scenario", sc)
+        if dual_only and not sc.dual_pol:
+            raise InvalidConfigurationError(
+                f"{ident} is single-polarized; {dual_only} run on dual-polarized arrays only")
+        if bds and sc.r == 1 and any(p.n_bits is not None for p in points):
+            raise InvalidConfigurationError(
+                f"n_bits with {bds} needs r > 1; {ident} has r = 1")
+
+
+def _sweep(cfg):
+    """Each sweep point's axis values and ``SweepPoint`` (tau^2 clamped to 1)."""
+    axes = {"snr_db": cfg["snr_db"], "chi": [None] if cfg["chi_dist"] else cfg["chi"],
+            "tau_sq": [None] if cfg["tau_sq_dist"] else cfg["tau_sq"],
+            "n_bits": cfg["n_bits"], "theta_max_ms_deg": cfg["theta_max_ms_deg"]}
     varying = [k for k, v in axes.items() if len(v) > 1]
-    if len(varying) > 1 and not config.get("grid", False):
+    if len(varying) > 1 and not cfg["grid"]:
         raise InvalidConfigurationError(
             f"multiple sweep axes vary ({', '.join(varying)}); set grid = true")
-    points = [{}]
-    for key, values in axes.items():
-        points = [dict(p, **{key: v}) for p in points for v in values]
-    return points
+    values = [{}]
+    for key, axis in axes.items():
+        values = [dict(p, **{key: v}) for p in values for v in axis]
+    points = []
+    for p in values:
+        tau_sq = p["tau_sq"] or 0.0
+        if tau_sq > 1.0:
+            print(f"warning: {cfg['scenario_id']} {p}: tau_sq={tau_sq} clamped to 1.0 "
+                  "(CSIT model bounds tau <= 1)", file=sys.stderr)
+        points.append(SweepPoint(power=power_from_db(p["snr_db"]), chi=p["chi"],
+                                 tau_sq=min(tau_sq, 1.0), n_bits=p["n_bits"],
+                                 theta_max=math.radians(p["theta_max_ms_deg"])))
+    return values, points
 
 
-def _clamped_tau(tau_sq, scenario_id, point):
-    if tau_sq is not None and tau_sq > 1.0:
-        print(f"warning: {scenario_id} {point}: tau_sq={tau_sq} clamped to 1.0 "
-              "(CSIT model bounds tau <= 1)", file=sys.stderr)
-        return 1.0
-    return tau_sq
-
-
-def _check_range(key, values, lo, hi=math.inf):
-    for v in values:
-        if v is not None and not lo <= v <= hi:
-            raise InvalidConfigurationError(f"{key} must lie in [{lo:g}, {hi:g}], got {v!r}")
+def _fmt(x):
+    return "" if x is None else format(x, ".10g") if isinstance(x, float) else str(x)
 
 
 def run_config(config: dict, out_stream) -> None:
-    """Check the whole config, then execute all (variant, sweep point,
-    scheme) cells and write the CSV header and rows."""
-    mode = "3D" if config.get("mode_3d") else "2D"
-    _check_types(config, mode)
-    schemes = [str(s) for s in _as_list(config.get("schemes", ["BD"]))
-               if str(s).strip()]
-    unknown = [s for s in schemes if s not in MC_MODES + ASYM_SCHEMES]
-    if unknown:
-        raise InvalidConfigurationError(f"unknown schemes: {', '.join(unknown)}")
-    asym = [s for s in schemes if s in ASYM_SCHEMES]
-    if asym and mode == "3D":
-        raise InvalidConfigurationError(
-            f"3D configs run Monte Carlo schemes only, not {', '.join(asym)}")
-    n_trials, seed = config.get("n_trials", 500), config.get("seed", 1)
-    _check_range("n_trials", [n_trials], 1)
-    _check_range("seed", [seed], 0)
-    chi_dist = _parse_dist(config.get("chi_dist"))
-    tau_dist = _parse_dist(config.get("tau_sq_dist"))
-    points = _sweep_points(config)
-    _check_range("chi", _as_list(config.get("chi", 0.0)) + list(chi_dist or ()), 0.0, 1.0)
-    _check_range("tau_sq", [p["tau_sq"] for p in points] + list(tau_dist or ()), 0.0)
-    _check_range("theta_max_ms_deg", [p["theta_max_ms_deg"] for p in points], 0.0, 90.0)
-    variants = _build_variants(config)
-
+    """Resolve and check the whole config, execute all (variant, sweep
+    point, scheme) cells, then write the CSV header and rows."""
+    cfg = _resolve(config)
+    values, points = _sweep(cfg)
+    variants = _build_variants(cfg)
+    _check_variants(variants, cfg["schemes"], points)
+    rows = []
+    for ident, sc in variants:
+        for p, cells in zip(values, _run_variant(sc, cfg, points)):
+            rows += [[ident, scheme, _fmt(float(p["snr_db"])), _fmt(p["chi"]),
+                      _fmt(p["tau_sq"]), _fmt(p["n_bits"]), _fmt(sum_rate),
+                      _fmt(stderr), trials, cfg["seed"]]
+                     for scheme, sum_rate, stderr, trials in cells]
     writer = csv.writer(out_stream, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-
-    def fmt(x):
-        if x is None:
-            return ""
-        if isinstance(x, float):
-            return format(x, ".10g")
-        return str(x)
-
-    for variant in variants:
-        tau_sqs = [_clamped_tau(p["tau_sq"], variant.scenario_id, p) for p in points]
-        cells = _run_variant(variant, schemes, points, tau_sqs, chi_dist, tau_dist,
-                             n_trials, seed)
-        for point, rows in zip(points, cells):
-            for scheme, sum_rate, stderr, trials in rows:
-                writer.writerow([
-                    variant.scenario_id, scheme, fmt(float(point["snr_db"])),
-                    fmt(point["chi"]), fmt(point["tau_sq"]),
-                    fmt(point["n_bits"]), fmt(sum_rate), fmt(stderr),
-                    trials, seed,
-                ])
+    writer.writerows(rows)
 
 
-def _run_variant(variant, schemes, points, tau_sqs, chi_dist, tau_dist,
-                 n_trials, seed):
+def _run_variant(sc, cfg, points):
     """Every sweep point's rows of one variant: its Monte Carlo schemes from
     one sweep call (``run_paired``, or ``run_3d_paired`` over the regions),
     then its DE schemes."""
-    mc_modes = [s for s in schemes if s in MC_MODES]
+    mc_modes = [s for s in cfg["schemes"] if s in MC_MODES]
     cells = [[] for _ in points]
     if mc_modes:
-        sweep = [SweepPoint(power=power_from_db(p["snr_db"]), chi=p["chi"],
-                            tau_sq=tau_sq if tau_sq is not None else 0.0,
-                            n_bits=p["n_bits"],
-                            theta_max=math.radians(p["theta_max_ms_deg"] or 0.0))
-                 for p, tau_sq in zip(points, tau_sqs)]
-        kwargs = dict(points=sweep, chi_dist=chi_dist, tau_sq_dist=tau_dist)
-        if variant.scenario3d is not None:
-            from .scene3d import run_3d_paired
-
-            results = run_3d_paired(variant.scenario3d, mc_modes, n_trials, seed,
-                                    **kwargs)
-        else:
-            results = run_paired(variant.scenario, mc_modes, n_trials, seed, **kwargs)
+        run = scene3d.run_3d_paired if cfg["mode_3d"] else run_paired
+        results = run(sc, mc_modes, cfg["n_trials"], cfg["seed"], points=points,
+                      chi_dist=cfg["chi_dist"], tau_sq_dist=cfg["tau_sq_dist"])
         for rows, result in zip(cells, results):
-            rows += [(m, result[m].sum_rate, result[m].stderr, n_trials)
+            rows += [(m, result[m].sum_rate, result[m].stderr, cfg["n_trials"])
                      for m in mc_modes]
-    asym = [s for s in schemes if s in ASYM_SCHEMES]
-    if asym:
-        for rows, point, tau_sq in zip(cells, points, tau_sqs):
-            sc = variant.scenario.with_power_db(point["snr_db"])
-            if point["chi"] is not None:
-                sc = sc.with_chi(point["chi"])
-            t_bd, t_bds = csit_tau_sq(tau_sq or 0.0, point["n_bits"], sc.r)
-            for scheme in asym:
-                if scheme == "ASYM_BD":
-                    rows.append((scheme, rmt.asym_bd(sc, tau_sq=t_bd).sum_rate, 0.0, 0))
-                else:
-                    rows.append((scheme, rmt.asym_bds(sc, tau_sq=t_bds).sum_rate, 0.0, 0))
+    asym = [s for s in cfg["schemes"] if s in ASYM_SCHEMES]
+    for rows, p in zip(cells, points if asym else ()):
+        at_point = replace(sc, power=p.power, chi=sc.chi if p.chi is None else p.chi)
+        for scheme in asym:
+            mode = scheme[len("ASYM_"):]
+            solve = rmt.asym_bd if mode == "BD" else rmt.asym_bds
+            tau_sq = csit_tau_sq(p.tau_sq, p.n_bits, at_point.r, mode)
+            rows.append((scheme, solve(at_point, tau_sq=tau_sq).sum_rate, 0.0, 0))
     return cells
 
 
@@ -442,8 +444,6 @@ def main(argv=None) -> int:
             config["seed"] = args.seed
         if args.trials is not None:
             config["n_trials"] = args.trials
-        if "scenario_id" not in config:
-            config["scenario_id"] = "scenario"
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 run_config(config, fh)

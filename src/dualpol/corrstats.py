@@ -32,7 +32,7 @@ __all__ = [
 
 #: Relative eigenvalue threshold below which a mode does not count towards
 #: the effective rank.
-DEFAULT_RANK_TOL = 1e-6
+RANK_TOL = 1e-6
 
 #: Absolute per-entry tolerance of the covariance quadrature.
 QUADRATURE_TOL = 1e-10
@@ -112,8 +112,8 @@ class SpatialCovariance:
     effective_rank: int
 
     @classmethod
-    def from_matrix(cls, matrix, rank_tol: float = DEFAULT_RANK_TOL):
-        eigvecs, eigvals, rank = eigendecompose(matrix, rank_tol)
+    def from_matrix(cls, matrix):
+        eigvecs, eigvals, rank = eigendecompose(matrix)
         return cls(np.asarray(matrix), eigvecs, eigvals, rank)
 
     @property
@@ -157,11 +157,11 @@ def mismatch_effective_stats(chi: float, theta_max: float) -> MismatchStats:
     return MismatchStats(c_eff=c_eff, chi_eff=chi_eff, theta_max=theta_max)
 
 
-def eigendecompose(matrix, rank_tol: float = DEFAULT_RANK_TOL):
+def eigendecompose(matrix):
     """Eigenmodes of a Hermitian matrix, sorted by descending eigenvalue.
 
     Returns (eigvecs, eigvals, effective_rank) where the effective rank counts
-    eigenvalues above rank_tol times the largest one.
+    eigenvalues above RANK_TOL times the largest one.
     """
     R = np.asarray(matrix)
     if R.ndim != 2 or R.shape[0] != R.shape[1]:
@@ -176,7 +176,7 @@ def eigendecompose(matrix, rank_tol: float = DEFAULT_RANK_TOL):
     if eigvals[0] <= 0.0:
         effective_rank = 0
     else:
-        effective_rank = int(np.count_nonzero(eigvals > rank_tol * eigvals[0]))
+        effective_rank = int(np.count_nonzero(eigvals > RANK_TOL * eigvals[0]))
     return eigvecs, eigvals, effective_rank
 
 
@@ -238,7 +238,6 @@ def _one_ring_matrix(geometry: GroupGeometry, array: ArrayLayout) -> np.ndarray:
 def one_ring_covariance(
     geometry: GroupGeometry,
     array: ArrayLayout,
-    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> SpatialCovariance:
     """One-ring spatial covariance of a group over the given array.
 
@@ -248,7 +247,7 @@ def one_ring_covariance(
     """
     if len(array) == 0:
         raise InvalidInputError("array must be nonempty")
-    return SpatialCovariance.from_matrix(_one_ring_matrix(geometry, array), rank_tol)
+    return SpatialCovariance.from_matrix(_one_ring_matrix(geometry, array))
 
 
 def elevation_covariance(
@@ -256,7 +255,6 @@ def elevation_covariance(
     distance: float,
     scatter_radius: float,
     vertical_array: ArrayLayout,
-    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> SpatialCovariance:
     """One-ring covariance over the elevation angles subtended by a scatter ring.
 
@@ -276,4 +274,4 @@ def elevation_covariance(
         # Zero scatter radius: rank-1 steering outer product at the LoS angle.
         spread = 1e-9
     geometry = GroupGeometry(azimuth_center=center, angular_spread=spread)
-    return one_ring_covariance(geometry, vertical_array, rank_tol)
+    return one_ring_covariance(geometry, vertical_array)

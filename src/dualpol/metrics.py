@@ -178,18 +178,19 @@ def bds_tau_sq(tau_sq_bd):
     return np.minimum(tau_sq_bd * tau_sq_bd, 1.0)
 
 
-def csit_tau_sq(tau_sq, n_bits, r: int) -> tuple:
-    """CSIT qualities (tau_BD^2, tau_BDS^2) of the two schemes.
+def csit_tau_sq(tau_sq, n_bits, r: int, scheme: str):
+    """CSIT quality tau^2 of a scheme, BD or BDS.
 
-    An ``n_bits`` budget gives each scheme its exact RVQ bound; otherwise
+    An ``n_bits`` budget gives the scheme its exact RVQ bound; otherwise
     ``tau_sq`` is BD's quality, clamped to 1, and BDS gets its
     equal-feedback equivalent. ``tau_sq`` may hold one value per trial.
     """
     if n_bits is not None:
-        budget = FeedbackBudget(n_bits=n_bits, r=r)
-        return tau_from_bits(budget, "BD"), tau_from_bits(budget, "BDS")
+        return tau_from_bits(FeedbackBudget(n_bits=n_bits, r=r), scheme)
+    if np.any(np.asarray(tau_sq) < 0.0):
+        raise InvalidInputError("tau_sq must be nonnegative")
     tau_sq = np.minimum(tau_sq, 1.0)
-    return tau_sq, bds_tau_sq(tau_sq)
+    return tau_sq if scheme == "BD" else bds_tau_sq(tau_sq)
 
 
 def draw_trial(scenario: GroupScenario, rng, chi=None, theta_max=0.0):
@@ -303,15 +304,21 @@ def _point_rates(scenario, C, maps, channels, modes, point, tau_sq, chi_used, sc
     T = channels[0].X.shape[0]
     if tau_sq is None:
         tau_sq = np.full(T, float(point.tau_sq))
-    t_bd, t_bds = csit_tau_sq(tau_sq, point.n_bits, scenario.r)
-    tau = {"BD": np.sqrt(np.broadcast_to(t_bd, (T,))),
-           "BDS": np.sqrt(np.broadcast_to(t_bds, (T,)))}
+
+    def tau(scheme):
+        return np.sqrt(np.broadcast_to(
+            csit_tau_sq(tau_sq, point.n_bits, scenario.r, scheme), (T,)))
+
+    tau_bd = tau("BD")
     uses_bds = {}
     for mode in modes:
         if mode in ("BD", "BDS"):
             uses_bds[mode] = np.full(T, mode == "BDS")
+        elif np.isfinite(scale):
+            uses_bds[mode] = chi_used[mode] <= scale * tau_bd ** 2
         else:
-            uses_bds[mode] = chi_used[mode] <= scale * tau["BD"] ** 2
+            # No intra-subgroup interference: BDS wherever CSIT is imperfect.
+            uses_bds[mode] = (tau_bd > 0.0) | (chi_used[mode] <= 0.0)
     picks = np.array(list(uses_bds.values()))
     rates = {}
     for scheme, needed in (("BD", ~picks.all(axis=0)), ("BDS", picks.any(axis=0))):
@@ -320,7 +327,7 @@ def _point_rates(scenario, C, maps, channels, modes, point, tau_sq, chi_used, sc
             continue
         trials = slice(None) if needed.all() else np.flatnonzero(needed)
         report = _stacked_report(scenario, C, maps, channels, scheme,
-                                 tau[scheme], trials)
+                                 tau_bd if scheme == "BD" else tau("BDS"), trials)
         rates[scheme][trials] = report.sum_rate
     return {m: np.where(uses_bds[m], rates["BDS"], rates["BD"]) for m in modes}, uses_bds
 
@@ -389,7 +396,7 @@ def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
         raise InvalidInputError("a sweep takes tau_sq, n_bits and theta_max per point")
     points = [replace(p, power=scenario.power if p.power is None else p.power,
                       chi=scenario.chi if p.chi is None else p.chi) for p in points]
-    if scenario.dual_pol and any(p.theta_max > np.pi / 2 for p in points):
+    if any(not 0.0 <= p.theta_max <= np.pi / 2 for p in points):
         raise InvalidInputError("theta_max must lie in [0, pi/2]")
     preprocessors = build_preprocessors(scenario)
     C, D = kl_projections(scenario, preprocessors)

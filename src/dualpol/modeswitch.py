@@ -70,7 +70,10 @@ def _inner_ratio(base: AsymptoticSolution) -> float:
     """E_{g,p} of ((1+m)^2 - 1) / (xi^2 Upsilon (1+m)^2) from chi = 0 stats."""
     u = (1.0 + base.m0) ** 2
     b0 = base.xi_sq * base.upsilon_intra
-    return float(((u - 1.0) / (b0 * u)).mean())
+    # One user per subgroup (n_bar = 2) leaves no intra-subgroup
+    # interference, b0 = 0: the ratio is then infinite.
+    with np.errstate(divide="ignore"):
+        return float(((u - 1.0) / (b0 * u)).mean())
 
 
 def chi_crossover_scale(base: AsymptoticSolution) -> float:

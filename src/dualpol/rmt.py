@@ -207,6 +207,9 @@ class _Spectral:
     """
 
     def __init__(self, scenario: GroupScenario, classes, dim: int, z: float):
+        if not scenario.dual_pol:
+            raise InvalidInputError(
+                "the deterministic equivalents need a dual-polarized array")
         G, n = scenario.G, scenario.n_bar // 2
         R = [cov.matrix * gain ** 2
              for cov, gain in zip(scenario.covariances, scenario.gains)]

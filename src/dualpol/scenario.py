@@ -122,6 +122,23 @@ class GroupScenario:
         return replace(self, chi=chi)
 
 
+def _default_dims(covs, n_bar: int, pol: int, b_bar=None, r=None) -> tuple:
+    """(b_bar, r) of a scenario on covariances ``covs``, ``pol`` per position.
+
+    Unless given, r is the smallest effective rank and b_bar =
+    min(pol n_bar, pol r). r is then capped so that every group keeps
+    enough interference-free dimensions for the preprocessor.
+    """
+    min_rank = min(c.effective_rank for c in covs)
+    if r is None:
+        r = min_rank
+    if b_bar is None:
+        b_bar = min(pol * n_bar, pol * r)
+    G, n_positions = len(covs), covs[0].dim
+    r_cap = (n_positions - b_bar // pol) // (G - 1) if G > 1 else min_rank
+    return b_bar, min(r, r_cap)
+
+
 def make_scenario(
     M: int = 120,
     G: int = 4,
@@ -152,16 +169,7 @@ def make_scenario(
         one_ring_covariance(GroupGeometry(theta, spread), array)
         for theta in thetas
     )
-    min_rank = min(c.effective_rank for c in covs)
-    pol = 2 if dual_pol else 1
-    if r is None:
-        r = min_rank
-    if b_bar is None:
-        b_bar = min(pol * n_bar, pol * r)
-    # Keep enough interference-free dimensions for the preprocessor.
-    r_cap = (n_positions - b_bar // pol) // (G - 1) if G > 1 else min_rank
-    if r > r_cap:
-        r = r_cap
+    b_bar, r = _default_dims(covs, n_bar, 2 if dual_pol else 1, b_bar, r)
     return GroupScenario(
         M=M, n_bar=n_bar, b_bar=b_bar, r=r, covariances=covs, chi=chi,
         power=power, dual_pol=dual_pol, scenario_id=scenario_id,

@@ -24,7 +24,7 @@ from .corrstats import (
 from .errors import InfeasibleRegionError, InvalidInputError
 from .metrics import McSummary, run_paired
 from .precode import _null_space_basis
-from .scenario import GroupScenario, default_theta_grid, power_from_db
+from .scenario import GroupScenario, _default_dims, default_theta_grid, power_from_db
 
 __all__ = [
     "ElevationRegion",
@@ -118,9 +118,6 @@ def make_scenario_3d(
     spread: float = math.pi / 12,
     spacing: float = 0.5,
     chi: float = 0.0,
-    power: float = 1.0,
-    b_bar: int | None = None,
-    r: int | None = None,
     scenario_id: str = "scene3d",
 ) -> Scenario3D:
     """Build the planar-array scenario: one elevation ring per distance, all
@@ -139,12 +136,10 @@ def make_scenario_3d(
         one_ring_covariance(GroupGeometry(theta, spread), horizontal)
         for theta in default_theta_grid(G)
     )
+    b_bar, r = _default_dims(covs_az, n_bar, 2)
     azimuth = GroupScenario(
-        M=2 * m_a, n_bar=n_bar,
-        b_bar=b_bar if b_bar is not None else _default_b_bar(covs_az, n_bar),
-        r=r if r is not None else _default_r(covs_az, n_bar, m_a, G),
-        covariances=covs_az, chi=chi, power=power, dual_pol=True,
-        scenario_id=scenario_id,
+        M=2 * m_a, n_bar=n_bar, b_bar=b_bar, r=r, covariances=covs_az, chi=chi,
+        dual_pol=True, scenario_id=scenario_id,
     )
     regions = []
     for l, d in enumerate(distances):
@@ -153,20 +148,8 @@ def make_scenario_3d(
             cov_elev=covs_elev[l], distance=float(d), height=height,
             scatter_radius=d * math.tan(spread), q=q, lambda_tilde=lam,
             path_loss=path_loss(d)))
-    return Scenario3D(m_e=m_e, m_a=m_a, power=power, regions=tuple(regions),
+    return Scenario3D(m_e=m_e, m_a=m_a, power=1.0, regions=tuple(regions),
                       azimuth_scenario=azimuth)
-
-
-def _default_r(covs, n_bar, half, G):
-    r = min(c.effective_rank for c in covs)
-    b_bar = min(2 * n_bar, 2 * r)
-    cap = (half - b_bar // 2) // (G - 1) if G > 1 else r
-    return min(r, cap)
-
-
-def _default_b_bar(covs, n_bar):
-    r = min(c.effective_rank for c in covs)
-    return min(2 * n_bar, 2 * r)
 
 
 def reduce_to_2d(scenario3d: Scenario3D, l: int) -> GroupScenario:

@@ -1,10 +1,13 @@
 import io
 import math
+import pathlib
 
 import pytest
 
 from dualpol.cli import (
+    KEYS,
     _build_variants,
+    _resolve,
     list_presets,
     main,
     parse_config,
@@ -39,6 +42,22 @@ class TestConfigParser:
             parse_config(" = 3\n")
 
 
+def _table_row(key, row):
+    many = isinstance(row.default, list)
+    default = ", ".join("–" if v is None else str(v).lower() if isinstance(v, bool)
+                        else str(v) for v in (row.default if many else [row.default]))
+    span = "" if row.range is None else f"[{row.range[0]:g}, {row.range[1]:g}]"
+    return (f"| `{key}` | {row.kind}{' (list)' if many else ''} | {default} | {span} "
+            f"| {', '.join(row.modes)} |")
+
+
+def test_readme_table_is_keys():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    rows = [ln for ln in readme.read_text(encoding="utf-8").splitlines()
+            if ln.startswith("| `")]
+    assert rows == [_table_row(key, row) for key, row in KEYS.items()]
+
+
 class TestPresets:
     def test_list_contains_figure_presets(self):
         assert list_presets() == ["fig11", "fig3", "fig4", "fig5", "fig6",
@@ -51,8 +70,8 @@ class TestPresets:
     def test_fig4_dimensions(self):
         cfg = preset("fig4")
         assert cfg["m"] == 120 and cfg["groups"] == 4 and cfg["n_bar"] == 8
-        variants = _build_variants(cfg)
-        sc = variants[0].scenario
+        variants = _build_variants(_resolve(cfg))
+        sc = variants[0][1]
         # B_bar defaults to min(2 n_bar, 2 r)
         assert sc.b_bar == min(2 * sc.n_bar, 2 * min(
             c.effective_rank for c in sc.covariances))
@@ -61,10 +80,10 @@ class TestPresets:
     def test_fig3_has_b14_and_three_arrays(self):
         cfg = preset("fig3")
         assert cfg["b_bar"] == 14
-        variants = _build_variants(cfg)
-        assert [v.scenario_id for v in variants] == [
+        variants = _build_variants(_resolve(cfg))
+        assert [ident for ident, _ in variants] == [
             "fig3-dual-ds0.5", "fig3-single-ds0.5", "fig3-single-ds0.25"]
-        assert all(v.scenario.b_bar == 14 for v in variants)
+        assert all(sc.b_bar == 14 for _, sc in variants)
 
     def test_fig11_geometry(self):
         cfg = preset("fig11")
@@ -75,7 +94,7 @@ class TestPresets:
 
     def test_every_preset_builds_valid_scenarios(self):
         for name in list_presets():
-            variants = _build_variants(preset(name))
+            variants = _build_variants(_resolve(preset(name)))
             assert variants
 
 
@@ -201,6 +220,17 @@ class TestMain:
         ("tau_sq = -0.1", "tau_sq must lie in"),
         ("tau_sq_dist = uniform:-1:0.5", "tau_sq must lie in"),
         ("theta_max_ms_deg = 100", "theta_max_ms_deg must lie in"),
+        ("groups = 0", "groups must lie in [1, inf], got 0"),
+        ("m = 2", "m must lie in [4, inf], got 2"),
+        ("n_bar = 0", "n_bar must lie in [1, inf], got 0"),
+        ("n_bits = 0", "n_bits must lie in [1, inf], got 0"),
+        ("schemes = ASYM_BD\nsnr_db = 1000", "snr_db must lie in [-100, 100]"),
+        ("spacing = 5", "spacing must lie in [0, 4]"),
+        ("arrays = dual@8", "spacing must lie in [0, 4]"),
+        ("arrays = single@0.5\nschemes = BDS", "single-polarized; BDS run on dual"),
+        ("arrays = dual, single\nschemes = BD, ASYM_BD", "single-polarized; ASYM_BD run"),
+        ("r = 1\nb_bar = 8\nn_bits = 40\nschemes = BD, SWITCH",
+         "n_bits with SWITCH needs r > 1"),
     ])
     def test_invalid_value_exit_two_before_header(self, tmp_path, capsys, line,
                                                   message):
@@ -210,7 +240,8 @@ class TestMain:
         out = tmp_path / "o.csv"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert out.read_text() == ""
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("line, message", [
         ("groups = abc", "groups must be an integer, got 'abc'"),
@@ -223,6 +254,10 @@ class TestMain:
         ("snr_db = ,", "snr_db must be a number or a list of them, got []"),
         ("n_bits = 50, 60.5", "n_bits must be an integer or a list of them"),
         ("schemes = true", "schemes must be text or a list of them, got True"),
+        ("arrays = dual@0.25, single@x", "arrays must be dual or single with an "
+                                          "optional @<spacing>, got 'single@x'"),
+        ("arrays = dul", "arrays must be dual or single"),
+        ("arrays = dual@true", "arrays must be dual or single"),
     ])
     def test_wrong_type_exit_two_before_header(self, tmp_path, capsys, line,
                                                message):
@@ -239,6 +274,9 @@ class TestMain:
         ("schemes = BD, ASYM_BD, ASYM_BDS", "not ASYM_BD, ASYM_BDS"),
         ("schemes = BD\ndistances = 30, far", "distances must be a number"),
         ("schemes = BD\nb_bar = 16\nr = 3", "unknown keys for a 3D config: b_bar, r"),
+        ("schemes = BD\nm_e = 1", "m_e must lie in [2, inf], got 1"),
+        ("schemes = BD\nm_a = 1", "m_a must lie in [2, inf], got 1"),
+        ("schemes = BD\ndistances = 30, 20000", "distances must lie in [0, 10000]"),
     ])
     def test_3d_config_exit_two_before_header(self, tmp_path, capsys, lines,
                                               message):
@@ -248,6 +286,52 @@ class TestMain:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert out.read_text() == ""
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scheme", ["BD", "ASYM_BD"])
+    def test_budget_at_r1_runs_without_bds(self, tmp_path, scheme):
+        # The BDS RVQ bound needs r > 1; a run without BDS does not.
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("m = 24\ngroups = 2\nn_bar = 4\nn_trials = 2\n"
+                       f"r = 1\nb_bar = 8\nn_bits = 40\nschemes = {scheme}\n")
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2
+
+    def test_array_token_spacing_is_the_spacing_key(self, tmp_path):
+        base = "m = 24\ngroups = 2\nn_bar = 4\nn_trials = 2\nschemes = BD\n"
+        outs = []
+        for line in ("arrays = dual@0.25", "spacing = 0.25"):
+            cfg, out = tmp_path / "c.cfg", tmp_path / f"{len(outs)}.csv"
+            cfg.write_text(base + line + "\n")
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            outs.append(out.read_text())
+        assert outs[0] == outs[1]
+        assert outs[0].splitlines()[1].startswith("scenario,BD,")
+        cfg, out = tmp_path / "c.cfg", tmp_path / "both.csv"
+        cfg.write_text(base + "arrays = dual@0.25, single\n")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert [row.split(",")[0] for row in out.read_text().splitlines()[1:]] == [
+            "scenario-dual-ds0.25", "scenario-single-ds0.5"]
+
+    def test_one_distance_runs_one_region(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("mode_3d = true\nm_e = 4\nm_a = 12\ngroups = 2\nn_bar = 4\n"
+                       "n_trials = 2\nschemes = BD, BDS\ndistances = 30\n")
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 3
+
+    def test_numerical_error_exit_three_leaves_empty_output(self, tmp_path, capsys):
+        # The 10 dB point solves; the 100 dB one does not converge. No row
+        # of either is written.
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("m = 24\ngroups = 2\nn_bar = 4\nschemes = ASYM_BD\n"
+                       "snr_db = 10, 100\n")
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert out.read_text() == ""
+        err = capsys.readouterr().err
+        assert "numerical error" in err and "Traceback" not in err
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tmp_path / "c.cfg"

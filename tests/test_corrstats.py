@@ -148,20 +148,20 @@ class TestOneRing:
 
 class TestEigendecompose:
     def test_identity(self):
-        _, lam, rank = eigendecompose(np.eye(60), 1e-6)
+        _, lam, rank = eigendecompose(np.eye(60))
         assert np.allclose(lam, 1.0)
         assert rank == 60
 
     def test_all_ones(self):
         n = 24
-        _, lam, rank = eigendecompose(np.ones((n, n)), 1e-6)
+        _, lam, rank = eigendecompose(np.ones((n, n)))
         assert lam[0] == pytest.approx(n, rel=1e-12)
         assert rank == 1
 
     def test_rejects_non_hermitian(self):
         A = np.arange(16, dtype=float).reshape(4, 4)
         with pytest.raises(InvalidInputError):
-            eigendecompose(A, 1e-6)
+            eigendecompose(A)
 
 
 class TestMismatchStats:

@@ -1,16 +1,23 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from dualpol.channel import RngStream, complex_normal
 from dualpol.errors import InvalidInputError
 from dualpol.metrics import (
+    SweepPoint,
     bds_tau_sq,
+    csit_tau_sq,
     draw_trial,
     run_paired,
     sinr_bd,
     sinr_bds,
 )
+from dualpol.modeswitch import FeedbackBudget, tau_from_bits
 from dualpol.precode import build_all, build_preprocessors
+from dualpol.scenario import make_scenario
 
 
 def symbol_level_powers(channels, precoders, power, n_draws=10000, seed=0):
@@ -208,3 +215,56 @@ def test_switch_runs_and_reports_fraction(fig4_scenario):
     res = run_paired(sc, ["BD", "BDS", "SWITCH"], 20, 9, n_bits=60)
     assert 0.0 <= res["SWITCH"].extras["bds_fraction"] <= 1.0
     assert res["SWITCH"].sum_rate > 0.0
+
+
+def test_csit_tau_sq_per_scheme():
+    assert csit_tau_sq(0.1, None, 4, "BD") == pytest.approx(0.1)
+    assert csit_tau_sq(0.1, None, 4, "BDS") == pytest.approx(0.01)
+    assert csit_tau_sq(1.5, None, 4, "BDS") == 1.0
+    budget = FeedbackBudget(n_bits=40, r=4)
+    for scheme in ("BD", "BDS"):
+        assert csit_tau_sq(0.3, 40, 4, scheme) == tau_from_bits(budget, scheme)
+
+
+def test_negative_tau_sq_rejected_before_any_sqrt(small_scenario):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="tau_sq"):
+            csit_tau_sq(-0.5, None, 4, "BD")
+        with pytest.raises(InvalidInputError, match="tau_sq"):
+            run_paired(small_scenario, ["BD"], 2, 1, tau_sq=-0.5)
+        with pytest.raises(InvalidInputError, match="tau_sq"):
+            run_paired(small_scenario, ["BD"], 2, 1, points=[SweepPoint(tau_sq=-0.5)])
+
+
+@pytest.mark.parametrize("theta_max", [-0.3, -1e-9, math.pi / 2 + 0.01])
+def test_theta_max_outside_quarter_turn_rejected(small_scenario, theta_max):
+    with pytest.raises(InvalidInputError, match="theta_max"):
+        run_paired(small_scenario, ["BD"], 2, 1, theta_max=theta_max)
+    with pytest.raises(InvalidInputError, match="theta_max"):
+        run_paired(small_scenario, ["BD"], 2, 1,
+                   points=[SweepPoint(), SweepPoint(theta_max=theta_max)])
+
+
+def test_r1_budget_runs_bd_and_rejects_bds():
+    # At r = 1 the BDS RVQ bound 2^(-N/(r-1)) is undefined; BD's is not.
+    sc = make_scenario(M=24, G=2, n_bar=4, b_bar=8, r=1).with_power_db(10.0)
+    res = run_paired(sc, ["BD"], 3, 1, n_bits=40)
+    assert np.isfinite(res["BD"].sum_rate)
+    with pytest.raises(InvalidInputError, match="r > 1"):
+        run_paired(sc, ["BD", "BDS"], 3, 1, n_bits=40)
+
+
+def test_one_user_per_subgroup_switches_without_warnings():
+    # n_bar = 2 leaves each BDS subgroup one user and no intra-subgroup
+    # interference: the crossover scale is infinite, so switching picks BDS
+    # on every trial with a CSIT error and BD under perfect CSIT at chi > 0.
+    sc = make_scenario(M=24, G=2, n_bar=2, chi=0.2).with_power_db(10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        noisy = run_paired(sc, ["BD", "BDS", "SWITCH_RAW"], 3, 1, tau_sq=0.1)
+        perfect = run_paired(sc, ["BD", "SWITCH_RAW"], 3, 1)
+    assert noisy["SWITCH_RAW"].extras["bds_fraction"] == 1.0
+    assert np.array_equal(noisy["SWITCH_RAW"].trial_sum_rates, noisy["BDS"].trial_sum_rates)
+    assert perfect["SWITCH_RAW"].extras["bds_fraction"] == 0.0
+    assert np.array_equal(perfect["SWITCH_RAW"].trial_sum_rates, perfect["BD"].trial_sum_rates)

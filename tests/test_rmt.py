@@ -181,6 +181,13 @@ class TestBdAsymptotics:
                 assert sol.residual < 1e-10
 
 
+@pytest.mark.parametrize("solver", [asym_bd, asym_bds])
+def test_single_polarized_array_rejected(solver):
+    sc = make_scenario(M=24, G=2, n_bar=4, dual_pol=False, enforce_rank_constraint=False)
+    with pytest.raises(InvalidInputError, match="dual-polarized"):
+        solver(sc.with_power_db(10.0), tau_sq=0.1)
+
+
 class TestBdsAsymptotics:
     def test_chi_zero_equals_bd(self, fig4_scenario):
         for snr in [0.0, 10.0, 20.0, 30.0]:
