@@ -14,9 +14,10 @@ Section 11 compares four polarization-mismatch models, two choices of the
 channel draw times two choices of the CSIT. The library holds only the
 mended pair (independent inner factor per receive port; CSIT is the
 rotated channel). The earlier choices are rebuilt here and swapped in for
-the duration of a run. Those runs go through the per-realization path
-(``draw_trial``, then ``sinr_report``), which the swapped-in functions
-reach; ``run_paired`` draws and precodes its stacked trials without them:
+the duration of a run. Those runs go through the engine's per-realization
+oracle, ``reference_paired`` in ``tests/reference.py`` (``draw_trial``, then
+``sinr_report``), which the swapped-in functions reach; ``run_paired`` draws
+and precodes its stacked trials without them:
 
 * coherent draw: one inner factor per user, rotated between the two
   polarization blocks, (cos - sqrt(chi) sin, sin + sqrt(chi) cos) for
@@ -30,6 +31,7 @@ reach; ``run_paired`` draws and precodes its stacked trials without them:
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import math
 import os
 import re
@@ -42,23 +44,27 @@ import numpy as np
 
 import dualpol.channel as channel
 from dualpol.channel import RngStream
-from dualpol.corrstats import mismatch_effective_stats
-from dualpol.metrics import (
-    McSummary,
-    csit_tau_sq,
-    draw_trial,
-    run_paired,
-    sinr_report,
-)
-from dualpol.modeswitch import chi_crossover_scale
+from dualpol.metrics import McSummary, draw_trial, run_paired, sinr_report
 from dualpol.precode import build_preprocessors
 from dualpol.rmt import asym_bd, asym_bds
 from dualpol.scenario import make_scenario
 from dualpol.scene3d import make_scenario_3d, reduce_to_2d, run_3d_paired
 
 SEED = 2024
-LEDGER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "LEDGER.md")
+DOCS = os.path.dirname(os.path.abspath(__file__))
+LEDGER = os.path.join(DOCS, "LEDGER.md")
+REFERENCE = os.path.join(os.path.dirname(DOCS), "tests", "reference.py")
 BEGIN, END = "<!-- measured -->", "<!-- /measured -->"
+
+
+def _load_reference():
+    spec = importlib.util.spec_from_file_location("dualpol_reference", REFERENCE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+reference_paired = _load_reference().reference_paired
 
 
 # ----------------------------------------------------------------------
@@ -276,31 +282,14 @@ def _run_3d(theta, seed):
 
 
 def _run_3d_per_realization(theta, seed):
-    """``_run_3d`` one realization at a time, on the same streams and with
-    the same per-trial switching decisions as ``run_paired``."""
+    """``_run_3d`` through the engine's per-realization oracle, region by
+    region on the same streams."""
     sc3 = make_scenario_3d().with_power_db(25.0)
-    totals = {m: np.zeros(TRIALS) for m in MODES}
-    for l in range(sc3.n_regions):
-        sc = reduce_to_2d(sc3, l)
-        pre = build_preprocessors(sc)
-        scale = chi_crossover_scale(asym_bds(sc.with_chi(0.0), tau_sq=0.0))
-        for t in range(TRIALS):
-            gen = RngStream(seed, l * TRIALS + t).generator()
-            chi = gen.uniform(0.0, 0.5)
-            tau_sq = gen.uniform(0.0, 1.0)
-            tau = np.sqrt([csit_tau_sq(tau_sq, None, sc.r, s) for s in ("BD", "BDS")])
-            channels = draw_trial(sc, gen, chi=chi, theta_max=theta)
-            rate = {mode: sinr_report(sc, channels, mode, tau=tau[i],
-                                      preprocessors=pre).sum_rate
-                    for i, mode in enumerate(("BD", "BDS"))}
-            chi_eff = mismatch_effective_stats(chi, theta).chi_eff
-            for mode, chi_used in (("BD", None), ("BDS", None),
-                                   ("SWITCH", chi_eff), ("SWITCH_RAW", chi)):
-                chosen = mode
-                if chi_used is not None:
-                    chosen = "BDS" if chi_used <= scale * tau[0] ** 2 else "BD"
-                totals[mode][t] += rate[chosen]
-    return {m: McSummary.from_trials(m, totals[m]) for m in MODES}
+    regions = [reference_paired(reduce_to_2d(sc3, l), MODES, TRIALS, seed,
+                                theta_max=theta, chi_dist=(0.0, 0.5),
+                                tau_sq_dist=(0.0, 1.0), stream_base=l * TRIALS)[0]
+               for l in range(sc3.n_regions)]
+    return {m: McSummary.from_trials(m, sum(r[m] for r in regions)) for m in MODES}
 
 
 def _paired_se(a, b):

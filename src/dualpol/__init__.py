@@ -36,13 +36,7 @@ from .errors import (
     NumericalError,
 )
 from .metrics import McSummary, SinrReport, SweepPoint, run_paired, sinr_bd, sinr_bds
-from .modeswitch import (
-    FeedbackBudget,
-    ModeDecision,
-    select_mode,
-    switch_threshold_bits,
-    tau_from_bits,
-)
+from .modeswitch import FeedbackBudget, switch_threshold_bits, tau_from_bits
 from .precode import (
     InnerPrecoder,
     Preprocessor,

@@ -72,33 +72,15 @@ def ula(n_elements: int, spacing: float) -> ArrayLayout:
 
 @dataclass(frozen=True)
 class GroupGeometry:
-    """One-ring geometry of a user group as seen from the base station.
-
-    Either the angular spread is given directly, or it is derived from the
-    scatterer-ring radius and the group distance as atan(radius/distance).
-    """
+    """One-ring geometry of a user group as seen from the base station."""
 
     azimuth_center: float
-    angular_spread: float | None = None
-    scatter_radius: float | None = None
-    distance: float | None = None
+    angular_spread: float
 
     def __post_init__(self):
-        spread = self.angular_spread
-        if self.scatter_radius is not None and self.distance is not None:
-            derived = math.atan2(self.scatter_radius, self.distance)
-            if spread is None:
-                spread = derived
-                object.__setattr__(self, "angular_spread", derived)
-            elif abs(spread - derived) > 1e-9:
-                raise InvalidInputError(
-                    "angular_spread inconsistent with atan(scatter_radius/distance)"
-                )
-        if spread is None:
-            raise InvalidInputError("angular spread is undetermined")
-        if not (np.isfinite(self.azimuth_center) and np.isfinite(spread)):
+        if not (np.isfinite(self.azimuth_center) and np.isfinite(self.angular_spread)):
             raise InvalidInputError("geometry must be finite")
-        if not 0.0 < spread < math.pi / 2:
+        if not 0.0 < self.angular_spread < math.pi / 2:
             raise InvalidInputError("angular spread must lie in (0, pi/2)")
 
 
@@ -222,6 +204,10 @@ def _one_ring_kernel(displacements, theta, delta, tol=QUADRATURE_TOL):
 def _one_ring_matrix(geometry: GroupGeometry, array: ArrayLayout) -> np.ndarray:
     pos = array.positions
     n = len(array)
+    R = np.eye(n, dtype=complex)
+    if n == 1:
+        # No displacement: the kernel at zero displacement is 1.
+        return R
     iu, ju = np.triu_indices(n, k=1)
     diffs = pos[iu] - pos[ju]
     # Uniform arrays repeat the same displacement many times; integrate each
@@ -229,7 +215,6 @@ def _one_ring_matrix(geometry: GroupGeometry, array: ArrayLayout) -> np.ndarray:
     keys = np.round(diffs, 12)
     uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
     vals = _one_ring_kernel(uniq, geometry.azimuth_center, geometry.angular_spread)
-    R = np.eye(n, dtype=complex)
     R[iu, ju] = vals[inverse]
     R[ju, iu] = np.conj(vals[inverse])
     return R

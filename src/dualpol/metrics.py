@@ -73,10 +73,6 @@ class SinrReport:
         total = self.rates.sum(axis=-1)
         return float(total) if total.ndim == 0 else total
 
-    @property
-    def noise(self) -> float:
-        return 1.0
-
 
 @dataclass(frozen=True)
 class McSummary:
@@ -285,10 +281,10 @@ def _amplitude_maps(D, channels, pols):
     return maps
 
 
-def _stacked_report(scenario, C, maps, channels, mode, tau, trials):
-    P = stacked_precoders(scenario, C, channels, mode, tau, trials)
+def _stacked_report(scenario, C, maps, channels, mode, tau):
+    P = stacked_precoders(scenario, C, channels, mode, tau)
     per_stream = scenario.power / scenario.n_users
-    powers = [per_stream * np.abs(Y[trials] @ P) ** 2 for Y in maps]
+    powers = [per_stream * np.abs(Y @ P) ** 2 for Y in maps]
     return _decompose(powers, split_cross=mode == "BDS")
 
 
@@ -299,7 +295,7 @@ def _point_rates(scenario, C, maps, channels, modes, point, tau_sq, chi_used, sc
     ``scenario`` is at the point's power and ``tau_sq`` holds the drawn
     per-trial tau^2, or None. The switching schemes pick BDS where their
     chi (``chi_used``) is at most ``scale`` tau_BD^2. Each of BD and BDS is
-    evaluated only on the trials some mode needs it for.
+    evaluated on the whole block when some mode picks it on some trial.
     """
     T = channels[0].X.shape[0]
     if tau_sq is None:
@@ -320,15 +316,12 @@ def _point_rates(scenario, C, maps, channels, modes, point, tau_sq, chi_used, sc
             # No intra-subgroup interference: BDS wherever CSIT is imperfect.
             uses_bds[mode] = (tau_bd > 0.0) | (chi_used[mode] <= 0.0)
     picks = np.array(list(uses_bds.values()))
-    rates = {}
-    for scheme, needed in (("BD", ~picks.all(axis=0)), ("BDS", picks.any(axis=0))):
-        rates[scheme] = np.full(T, np.nan)
-        if not needed.any():
-            continue
-        trials = slice(None) if needed.all() else np.flatnonzero(needed)
-        report = _stacked_report(scenario, C, maps, channels, scheme,
-                                 tau_bd if scheme == "BD" else tau("BDS"), trials)
-        rates[scheme][trials] = report.sum_rate
+    rates = {"BD": np.nan, "BDS": np.nan}
+    if not picks.all():
+        rates["BD"] = _stacked_report(scenario, C, maps, channels, "BD", tau_bd).sum_rate
+    if picks.any():
+        rates["BDS"] = _stacked_report(scenario, C, maps, channels, "BDS",
+                                       tau("BDS")).sum_rate
     return {m: np.where(uses_bds[m], rates["BDS"], rates["BD"]) for m in modes}, uses_bds
 
 

@@ -19,11 +19,9 @@ from .rmt import AsymptoticSolution
 
 __all__ = [
     "FeedbackBudget",
-    "ModeDecision",
     "tau_from_bits",
     "switch_threshold_bits",
     "chi_crossover_scale",
-    "select_mode",
 ]
 
 
@@ -39,14 +37,6 @@ class FeedbackBudget:
             raise InvalidInputError("n_bits must be at least 1")
         if self.r < 1:
             raise InvalidInputError("r must be at least 1")
-
-
-@dataclass(frozen=True)
-class ModeDecision:
-    mode: str
-    threshold_bits: float
-    chi_used: float
-    margin: float
 
 
 def tau_from_bits(budget: FeedbackBudget, scheme: str) -> float:
@@ -93,14 +83,3 @@ def switch_threshold_bits(base: AsymptoticSolution, chi: float, r: int) -> float
     if chi == 0.0:
         return math.inf
     return (2 * r - 1) * (math.log2(1.0 + _inner_ratio(base)) - math.log2(chi))
-
-
-def select_mode(budget: FeedbackBudget, chi_or_chi_eff: float,
-                base: AsymptoticSolution) -> ModeDecision:
-    """Pick BDS iff the bit budget is below the crossover threshold."""
-    threshold = switch_threshold_bits(base, chi_or_chi_eff, budget.r)
-    mode = "BDS" if budget.n_bits <= threshold else "BD"
-    margin = threshold - budget.n_bits
-    return ModeDecision(mode=mode, threshold_bits=threshold,
-                        chi_used=chi_or_chi_eff, margin=margin)
-

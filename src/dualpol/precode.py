@@ -41,7 +41,6 @@ class Preprocessor:
     """
 
     B_s: np.ndarray
-    r_trunc: int
     dual_pol: bool = True
 
     @property
@@ -67,7 +66,6 @@ class InnerPrecoder:
 
     P: np.ndarray
     xi_sq: float
-    alpha: float
 
 
 @dataclass(frozen=True)
@@ -124,7 +122,7 @@ def bd_preprocessor(all_stats, g: int, r: int, b_bar: int,
     vals, vecs = np.linalg.eigh((R_tilde + R_tilde.conj().T) / 2.0)
     order = np.argsort(vals)[::-1]
     F1 = vecs[:, order[:n_cols]]
-    return Preprocessor(B_s=E0 @ F1, r_trunc=r, dual_pol=dual_pol)
+    return Preprocessor(B_s=E0 @ F1, dual_pol=dual_pol)
 
 
 def build_preprocessors(scenario: GroupScenario) -> tuple:
@@ -154,8 +152,7 @@ def rzf_precoder(H_eff_hat: np.ndarray, alpha: float, n_streams: int) -> InnerPr
     if np.any(norm <= 0.0):
         raise DegenerateInputError("all-zero effective channel cannot be normalized")
     xi_sq = n_streams / norm
-    return InnerPrecoder(P=np.sqrt(xi_sq)[..., None, None] * KH, xi_sq=xi_sq,
-                         alpha=alpha)
+    return InnerPrecoder(P=np.sqrt(xi_sq)[..., None, None] * KH, xi_sq=xi_sq)
 
 
 def _check_mode(scenario: GroupScenario, mode: str):
@@ -219,15 +216,15 @@ def kl_projections(scenario: GroupScenario, preprocessors) -> tuple:
     return C, D
 
 
-def stacked_precoders(scenario: GroupScenario, C, channels, mode: str, tau,
-                      trials=slice(None)) -> np.ndarray:
+def stacked_precoders(scenario: GroupScenario, C, channels, mode: str,
+                      tau) -> np.ndarray:
     """``build_all`` in the KL domain, for a stack of trials.
 
     ``channels`` are trial-stacked group channels, ``tau`` holds one CSIT
-    quality per trial, ``C`` comes from ``kl_projections`` and ``trials``
-    selects the trials to precode. Returns the inner precoders as one
-    (T, G, B_bar, n_bar) array: group g transmits blockdiag(B_s, B_s) P_g,
-    where P_g is BD's RZF or, for BDS, blockdiag(P_v, P_h).
+    quality per trial and ``C`` comes from ``kl_projections``. Returns the
+    inner precoders as one (T, G, B_bar, n_bar) array: group g transmits
+    blockdiag(B_s, B_s) P_g, where P_g is BD's RZF or, for BDS,
+    blockdiag(P_v, P_h).
     """
     _check_mode(scenario, mode)
     alpha, n_bar = scenario.alpha, scenario.n_bar
@@ -235,15 +232,15 @@ def stacked_precoders(scenario: GroupScenario, C, channels, mode: str, tau,
     inner = []
     for C_g, entry in zip(C, channels):
         if mode == "BD":
-            X_hat = entry.coefficients_hat(tau)[trials]
+            X_hat = entry.coefficients_hat(tau)
             blocks = X_hat.reshape(X_hat.shape[0], pols, -1, n_bar)
             H_eff = (C_g @ blocks).reshape(X_hat.shape[0], -1, n_bar)
             inner.append(rzf_precoder(H_eff, alpha, n_bar).P)
             continue
         n2, b2 = n_bar // 2, C_g.shape[0]
         Xvv_hat, Xhh_hat = entry.copolar_hat(tau)
-        pv = rzf_precoder(C_g @ Xvv_hat[trials], 2.0 * alpha, n2)
-        ph = rzf_precoder(C_g @ Xhh_hat[trials], 2.0 * alpha, n2)
+        pv = rzf_precoder(C_g @ Xvv_hat, 2.0 * alpha, n2)
+        ph = rzf_precoder(C_g @ Xhh_hat, 2.0 * alpha, n2)
         P = np.zeros((pv.P.shape[0], 2 * b2, n_bar), dtype=complex)
         P[:, :b2, :n2] = pv.P
         P[:, b2:, n2:] = ph.P

@@ -11,13 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .corrstats import (
-    ArrayLayout,
-    GroupGeometry,
-    SpatialCovariance,
-    one_ring_covariance,
-    ula,
-)
+from .corrstats import GroupGeometry, one_ring_covariance, ula
 from .errors import InvalidConfigurationError
 
 __all__ = ["GroupScenario", "make_scenario", "default_theta_grid", "power_from_db"]
@@ -129,6 +123,8 @@ def _default_dims(covs, n_bar: int, pol: int, b_bar=None, r=None) -> tuple:
     min(pol n_bar, pol r). r is then capped so that every group keeps
     enough interference-free dimensions for the preprocessor.
     """
+    if not covs:
+        raise InvalidConfigurationError("a scenario needs at least one group")
     min_rank = min(c.effective_rank for c in covs)
     if r is None:
         r = min_rank

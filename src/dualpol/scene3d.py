@@ -37,9 +37,9 @@ __all__ = [
 ]
 
 
-def path_loss(distance: float, reference: float = 60.0) -> float:
+def path_loss(distance: float) -> float:
     """Distance-based power loss 1 / (1 + (d / 60)^3)."""
-    return 1.0 / (1.0 + (distance / reference) ** 3)
+    return 1.0 / (1.0 + (distance / 60.0) ** 3)
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,6 @@ class ElevationRegion:
     """One elevation ring: its vertical statistics, prefilter, and path loss."""
 
     cov_elev: SpatialCovariance
-    distance: float
-    height: float
-    scatter_radius: float
     q: np.ndarray = field(repr=False)
     lambda_tilde: float
     path_loss: float
@@ -144,10 +141,8 @@ def make_scenario_3d(
     regions = []
     for l, d in enumerate(distances):
         q, lam = elevation_prefilter(covs_elev, l)
-        regions.append(ElevationRegion(
-            cov_elev=covs_elev[l], distance=float(d), height=height,
-            scatter_radius=d * math.tan(spread), q=q, lambda_tilde=lam,
-            path_loss=path_loss(d)))
+        regions.append(ElevationRegion(cov_elev=covs_elev[l], q=q, lambda_tilde=lam,
+                                       path_loss=path_loss(d)))
     return Scenario3D(m_e=m_e, m_a=m_a, power=1.0, regions=tuple(regions),
                       azimuth_scenario=azimuth)
 
@@ -177,8 +172,12 @@ def run_3d_paired(scenario3d: Scenario3D, modes, n_trials: int, seed: int,
 
     One ``run_paired`` call per region; with ``points`` (``SweepPoint``s
     whose power is the whole cell's) it returns one dict per point, like
-    ``run_paired``.
+    ``run_paired``. Each region has its own gain, so the switching schemes
+    solve each region's own crossover: ``base`` is not taken.
     """
+    if "base" in kwargs:
+        raise InvalidInputError("each region solves its own SWITCH crossover; "
+                                "run_3d_paired takes no base")
     modes = list(modes)
     n_regions = scenario3d.n_regions
     sweep = None if points is None else [

@@ -137,13 +137,12 @@ class TestOneRing:
         with pytest.raises(InvalidInputError):
             GroupGeometry(0.0, 0.0)
         with pytest.raises(InvalidInputError):
-            GroupGeometry(0.0, angular_spread=0.3, scatter_radius=1.0, distance=100.0)
-        with pytest.raises(InvalidInputError):
             one_ring_covariance(GroupGeometry(0.0, 0.1), ArrayLayout(np.zeros((0, 2))))
 
-    def test_geometry_from_ring(self):
-        g = GroupGeometry(0.1, scatter_radius=30.0, distance=100.0)
-        assert g.angular_spread == pytest.approx(math.atan(0.3), abs=1e-12)
+    def test_one_element_array_is_unit_covariance(self):
+        cov = one_ring_covariance(GroupGeometry(0.1, 0.2), ula(1, 0.5))
+        assert np.array_equal(cov.matrix, np.ones((1, 1), dtype=complex))
+        assert cov.effective_rank == 1
 
 
 class TestEigendecompose:

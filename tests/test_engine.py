@@ -1,10 +1,5 @@
-"""The trial-batched Monte Carlo engine against the per-realization path.
-
-``run_paired`` stacks trials and works in the KL domain; the reference
-below draws every trial with ``draw_trial`` from the same stream, precodes
-it with ``build_all`` and decomposes it with ``sinr_bd``/``sinr_bds``
-(through ``sinr_report``), over the M-row channel.
-"""
+"""The trial-batched Monte Carlo engine against its per-realization
+oracle, ``reference.reference_paired``."""
 
 import math
 from dataclasses import replace
@@ -13,56 +8,13 @@ import numpy as np
 import pytest
 
 import dualpol.metrics as metrics
-from dualpol.channel import RngStream
-from dualpol.corrstats import mismatch_effective_stats
 from dualpol.errors import DegenerateInputError, InvalidInputError
-from dualpol.metrics import SweepPoint, draw_trial, run_paired, sinr_report
-from dualpol.modeswitch import FeedbackBudget, chi_crossover_scale, tau_from_bits
-from dualpol.precode import build_preprocessors
-from dualpol.rmt import asym_bds
+from dualpol.metrics import SweepPoint, run_paired
 from dualpol.scenario import make_scenario
 from dualpol.scene3d import make_scenario_3d, reduce_to_2d, run_3d_paired
+from reference import reference_paired
 
 RTOL = 1e-12
-
-
-def reference_paired(scenario, modes, n_trials, seed, *, tau_sq=0.0,
-                     n_bits=None, theta_max=0.0, chi_dist=None,
-                     tau_sq_dist=None, stream_base=0):
-    """Per-trial sum rates of every mode, and the BDS picks of the switches."""
-    pre = build_preprocessors(scenario)
-    scale = None
-    if any(m.startswith("SWITCH") for m in modes):
-        scale = chi_crossover_scale(asym_bds(scenario.with_chi(0.0), tau_sq=0.0))
-    sums = {m: [] for m in modes}
-    picks = {m: [] for m in modes}
-    for t in range(n_trials):
-        gen = RngStream(seed, stream_base + t).generator()
-        chi = gen.uniform(*chi_dist) if chi_dist else scenario.chi
-        tau_t = gen.uniform(*tau_sq_dist) if tau_sq_dist else tau_sq
-        if n_bits is not None:
-            budget = FeedbackBudget(n_bits=n_bits, r=scenario.r)
-            t_bd, t_bds = tau_from_bits(budget, "BD"), tau_from_bits(budget, "BDS")
-        else:
-            t_bd = min(tau_t, 1.0)
-            t_bds = min(t_bd * t_bd, 1.0)
-        tau = {"BD": math.sqrt(t_bd), "BDS": math.sqrt(t_bds)}
-        channels = draw_trial(scenario, gen, chi=chi, theta_max=theta_max)
-        rates = {}
-        for mode in modes:
-            chosen = mode
-            if mode.startswith("SWITCH"):
-                chi_used = chi
-                if mode == "SWITCH" and theta_max > 0.0:
-                    chi_used = mismatch_effective_stats(chi, theta_max).chi_eff
-                chosen = "BDS" if chi_used <= scale * tau["BD"] ** 2 else "BD"
-                picks[mode].append(chosen == "BDS")
-            if chosen not in rates:
-                rates[chosen] = sinr_report(scenario, channels, chosen,
-                                            tau=tau[chosen],
-                                            preprocessors=pre).sum_rate
-            sums[mode].append(rates[chosen])
-    return {m: np.array(s) for m, s in sums.items()}, picks
 
 
 def assert_engine_matches(scenario, modes, n_trials, seed, **kwargs):
@@ -99,7 +51,7 @@ def test_bd_bds_match_reference(fig4, kwargs):
 ], ids=["switch", "switch_raw", "all"])
 def test_switching_matches_reference(fig4, modes):
     # Mismatch separates SWITCH from SWITCH_RAW; the per-trial tau^2 mixes
-    # the picks, so each scheme runs on a strict subset of the trials.
+    # the picks, while each of BD and BDS still runs on the whole block.
     _, picks = assert_engine_matches(
         fig4, modes, 12, 5, theta_max=0.3 * math.pi,
         chi_dist=(0.0, 0.5), tau_sq_dist=(0.0, 1.0))

@@ -7,7 +7,6 @@ from dualpol.errors import InvalidInputError
 from dualpol.modeswitch import (
     FeedbackBudget,
     chi_crossover_scale,
-    select_mode,
     switch_threshold_bits,
     tau_from_bits,
 )
@@ -60,17 +59,7 @@ class TestThreshold:
 
 
 class TestSelectMode:
-    def test_decision_flips_with_budget(self, base):
-        lo = select_mode(FeedbackBudget(2, 11), 0.3, base)
-        hi = select_mode(FeedbackBudget(500, 11), 0.3, base)
-        assert lo.mode == "BDS" and hi.mode == "BD"
-        assert lo.margin > 0 > hi.margin
-
-    def test_mode_matches_threshold_invariant(self, base):
-        for n_bits in [10, 40, 70, 100]:
-            for chi in [0.05, 0.2, 0.5]:
-                d = select_mode(FeedbackBudget(n_bits, 11), chi, base)
-                assert (d.mode == "BDS") == (n_bits <= d.threshold_bits)
+    """The pick rule: BDS iff n_bits <= switch_threshold_bits(base, chi, r)."""
 
     def test_bit_form_agrees_with_chi_form(self, base):
         # identical algebra: BDS iff chi <= scale * tau_BD^2
@@ -79,19 +68,18 @@ class TestSelectMode:
             budget = FeedbackBudget(n_bits, 11)
             tau_sq = tau_from_bits(budget, "BD")
             for chi in [0.02, 0.1, 0.3]:
-                d = select_mode(budget, chi, base)
-                assert (d.mode == "BDS") == (chi <= scale * tau_sq)
+                bds = n_bits <= switch_threshold_bits(base, chi, budget.r)
+                assert bds == (chi <= scale * tau_sq)
 
     def test_single_transition_in_each_axis(self, base):
-        budget = FeedbackBudget(55, 11)
-        modes = [select_mode(budget, chi, base).mode
-                 for chi in np.linspace(0.01, 0.8, 40)]
-        flips = sum(a != b for a, b in zip(modes, modes[1:]))
-        assert modes[0] == "BDS" and flips == 1
-        modes_b = [select_mode(FeedbackBudget(nb, 11), 0.15, base).mode
-                   for nb in range(5, 150, 5)]
-        flips_b = sum(a != b for a, b in zip(modes_b, modes_b[1:]))
-        assert modes_b[0] == "BDS" and flips_b == 1
+        bds = [55 <= switch_threshold_bits(base, chi, 11)
+               for chi in np.linspace(0.01, 0.8, 40)]
+        flips = sum(a != b for a, b in zip(bds, bds[1:]))
+        assert bds[0] and flips == 1
+        bds_b = [nb <= switch_threshold_bits(base, 0.15, 11)
+                 for nb in range(5, 150, 5)]
+        flips_b = sum(a != b for a, b in zip(bds_b, bds_b[1:]))
+        assert bds_b[0] and flips_b == 1
 
     def test_high_b0_crossing_near_tau_sq(self, base):
         # strong intra-interference regime: the chi crossover sits close to

@@ -98,6 +98,11 @@ def test_constraint_violations_name_the_inequality():
         bd_preprocessor(covs, 0, r=too_deep, b_bar=4)
 
 
+def test_no_groups_is_a_config_error():
+    with pytest.raises(InvalidConfigurationError, match="at least one group"):
+        make_scenario(G=0)
+
+
 class TestRzf:
     def test_matched_filter_for_single_scalar(self):
         h = np.array([[0.3 - 0.4j]])

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from dualpol.corrstats import SpatialCovariance
-from dualpol.errors import InfeasibleRegionError, InvalidInputError
+from dualpol.errors import (
+    InfeasibleRegionError,
+    InvalidConfigurationError,
+    InvalidInputError,
+)
 from dualpol.metrics import run_paired
+from dualpol.rmt import asym_bds
 from dualpol.scene3d import (
     elevation_prefilter,
     make_scenario_3d,
@@ -74,6 +79,11 @@ class TestPrefilter:
         cov = SpatialCovariance.from_matrix(np.eye(4))
         with pytest.raises(InfeasibleRegionError):
             elevation_prefilter([cov, cov], 0, r_trunc=4)
+
+
+def test_no_groups_is_a_config_error():
+    with pytest.raises(InvalidConfigurationError, match="at least one group"):
+        make_scenario_3d(G=0)
 
 
 class TestReduction:
@@ -153,6 +163,12 @@ class TestRun3d:
         assert res["BDS"].sum_rate >= res["BD"].sum_rate - slack
         assert res["SWITCH"].sum_rate >= max(res["BD"].sum_rate,
                                              res["BDS"].sum_rate) - slack
+
+    def test_rejects_one_base_for_every_region(self, fig11):
+        # Each region's gain gives it its own SWITCH crossover.
+        base = asym_bds(reduce_to_2d(fig11, 0).with_chi(0.0), tau_sq=0.0)
+        with pytest.raises(InvalidInputError, match="crossover"):
+            run_3d_paired(fig11, ["SWITCH"], 2, 1, base=base)
 
     def test_mismatch_degrades_sum_rate(self, fig11):
         sc3 = fig11.with_chi(0.1)
