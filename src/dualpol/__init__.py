@@ -47,10 +47,12 @@ from .precode import (
 )
 from .rmt import (
     AsymptoticSolution,
+    DePoint,
     FixedPointProblem,
     approx_bds_chi,
     asym_bd,
     asym_bds,
+    asym_sweep,
     bds_c0,
     solve_fixed_point,
 )

@@ -380,7 +380,7 @@ def run_config(config: dict, out_stream) -> None:
 def _run_variant(sc, cfg, points):
     """Every sweep point's rows of one variant: its Monte Carlo schemes from
     one sweep call (``run_paired``, or ``run_3d_paired`` over the regions),
-    then its DE schemes."""
+    then its DE schemes from one ``rmt.asym_sweep`` call."""
     mc_modes = [s for s in cfg["schemes"] if s in MC_MODES]
     cells = [[] for _ in points]
     if mc_modes:
@@ -390,14 +390,14 @@ def _run_variant(sc, cfg, points):
         for rows, result in zip(cells, results):
             rows += [(m, result[m].sum_rate, result[m].stderr, cfg["n_trials"])
                      for m in mc_modes]
-    asym = [s for s in cfg["schemes"] if s in ASYM_SCHEMES]
-    for rows, p in zip(cells, points if asym else ()):
-        at_point = replace(sc, power=p.power, chi=sc.chi if p.chi is None else p.chi)
-        for scheme in asym:
-            mode = scheme[len("ASYM_"):]
-            solve = rmt.asym_bd if mode == "BD" else rmt.asym_bds
-            tau_sq = csit_tau_sq(p.tau_sq, p.n_bits, at_point.r, mode)
-            rows.append((scheme, solve(at_point, tau_sq=tau_sq).sum_rate, 0.0, 0))
+    de_modes = [s[len("ASYM_"):] for s in cfg["schemes"] if s in ASYM_SCHEMES]
+    if de_modes:
+        solutions = iter(rmt.asym_sweep(sc, [
+            rmt.DePoint(mode, p.power, sc.chi if p.chi is None else p.chi,
+                        csit_tau_sq(p.tau_sq, p.n_bits, sc.r, mode))
+            for p in points for mode in de_modes]))
+        for rows in cells:
+            rows += [(f"ASYM_{mode}", next(solutions).sum_rate, 0.0, 0) for mode in de_modes]
     return cells
 
 

@@ -373,8 +373,8 @@ def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
 
     The switching schemes pick BD or BDS per trial, from chi: SWITCH from
     the effective chi of a mismatched draw, SWITCH_RAW from the raw one.
-    Their crossover comes from ``rmt.asym_bds`` at chi = 0 and each point's
-    power, or from ``base``.
+    Their crossover comes from BDS's deterministic equivalent at chi = 0 and
+    each point's power (one ``rmt.asym_sweep`` call), or from ``base``.
     """
     if n_trials < 1:
         raise InvalidInputError("n_trials must be at least 1")
@@ -398,9 +398,9 @@ def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
     if any(m.startswith("SWITCH") for m in modes):
         if base is not None and len(scenarios) > 1:
             raise InvalidInputError("base serves one power; the points have several")
-        for power, sc in scenarios.items():
-            scales[power] = chi_crossover_scale(
-                base if base is not None else rmt.asym_bds(sc.with_chi(0.0), tau_sq=0.0))
+        bases = [base] if base is not None else rmt.asym_sweep(
+            scenario, [rmt.DePoint("BDS", power, 0.0) for power in scenarios])
+        scales = {power: chi_crossover_scale(b) for power, b in zip(scenarios, bases)}
 
     sums = [{m: [] for m in modes} for _ in points]
     bds_picks = [dict.fromkeys(modes, 0) for _ in points]

@@ -6,11 +6,22 @@ every SINR ingredient (signal strength m, power normalization Psi, intra and
 inter interference Upsilon) follows from the fixed point and closed linear
 systems for the resolvent derivatives. No numerical differentiation is used
 anywhere.
+
+``asym_sweep`` evaluates a whole sweep on one geometry in one call, the
+counterpart of ``metrics.run_paired(points=)``. The points share the BD
+preprocessors, each group's eigenbasis and the inter-group couplings
+(``_Basis``). BD's fixed point and derivative systems depend on (power,
+chi) and are solved once per distinct pair; BDS's classes do not depend on
+chi, so they are solved once per power and chi only scales the cross and
+inter-group terms. The CSIT quality tau^2 enters only the final SINR
+assembly (``AsymptoticSolution.at_tau``). ``asym_bd`` and ``asym_bds`` are
+one-point sweeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +33,9 @@ __all__ = [
     "FixedPointProblem",
     "FixedPointResult",
     "AsymptoticSolution",
+    "DePoint",
     "solve_fixed_point",
+    "asym_sweep",
     "asym_bd",
     "asym_bds",
     "approx_bds_chi",
@@ -195,29 +208,46 @@ def _eigh(C):
     return lam.astype(float), V
 
 
+class _Basis:
+    """What a whole sweep shares on one geometry: each group's projected
+    covariance C_g = B_g^H R_g B_g = V_g diag(lam_g) V_g^H and the
+    inter-group couplings. ``coupling[g][l]`` is the diagonal of
+    D_gl = B_l^H R_g B_l in group l's eigenbasis. Covariances are
+    gain-scaled; B_g is the per-polarization block of the BD preprocessor.
+    """
+
+    def __init__(self, scenario: GroupScenario):
+        if not scenario.dual_pol:
+            raise InvalidInputError(
+                "the deterministic equivalents need a dual-polarized array")
+        self.scenario = scenario
+        R = [cov.matrix * gain ** 2
+             for cov, gain in zip(scenario.covariances, scenario.gains)]
+        B = [pre.B_s for pre in build_preprocessors(scenario)]
+        eig = [_eigh(B[g].conj().T @ R[g] @ B[g]) for g in range(scenario.G)]
+        self.lam = [lam for lam, _ in eig]
+        self.coupling = [
+            [None if l == g else
+             np.sum(V.conj() * ((B[l].conj().T @ R[g] @ B[l]) @ V), axis=0).real
+             for l, (_, V) in enumerate(eig)]
+            for g in range(scenario.G)]
+
+
 class _Spectral:
-    """Fixed points and derivative systems of all groups, in the eigenbasis
-    of each group's projected covariance C_g = V_g diag(lam_g) V_g^H.
+    """Fixed points and derivative systems of all groups for one set of user
+    classes and one argument z, in the eigenbasis of a ``_Basis``.
 
     Every user class of group g commutes with C_g, so ``classes(lam_g)``
     gives them as diagonals d (k, dim) and the resolvent T_g as a vector t.
     Each trace tr(R_q T X T) then is ``w[g][q] @ x`` with w = d t^2 and
-    x = diag(V_g^H X V_g). ``coupling[g][l]`` is that diagonal for
-    D_gl = B_l^s^H R_g B_l^s in group l's basis. Covariances are gain-scaled.
+    x = diag(V_g^H X V_g).
     """
 
-    def __init__(self, scenario: GroupScenario, classes, dim: int, z: float):
-        if not scenario.dual_pol:
-            raise InvalidInputError(
-                "the deterministic equivalents need a dual-polarized array")
-        G, n = scenario.G, scenario.n_bar // 2
-        R = [cov.matrix * gain ** 2
-             for cov, gain in zip(scenario.covariances, scenario.gains)]
-        B = [pre.B_s for pre in build_preprocessors(scenario)]
-        eig = [_eigh(B[g].conj().T @ R[g] @ B[g]) for g in range(G)]
+    def __init__(self, basis: _Basis, classes, dim: int, z: float):
+        n = basis.scenario.n_bar // 2
         self.dim = dim
-        self.classes = [classes(lam) for lam, _ in eig]
-        self.m0 = np.zeros((G, len(self.classes[0])))
+        self.classes = [classes(lam) for lam in basis.lam]
+        self.m0 = np.zeros((len(self.classes), len(self.classes[0])))
         self.w, self.jac = [], []
         self.iterations = 0
         self.residual = 0.0
@@ -233,11 +263,6 @@ class _Spectral:
             J = (n / dim) * (w @ d.T) / (dim * (1.0 + res.e) ** 2)
             self.w.append(w)
             self.jac.append(np.eye(len(d)) - J)
-        self.coupling = [
-            [None if l == g else
-             np.sum(V.conj() * ((B[l].conj().T @ R[g] @ B[l]) @ V), axis=0).real
-             for l, (_, V) in enumerate(eig)]
-            for g in range(G)]
 
     def derivative(self, g: int, x) -> np.ndarray:
         """Derivative traces m'_q of group g against the diagonal
@@ -249,20 +274,75 @@ class _Spectral:
             raise NumericalError("singular (I - J) derivative system") from exc
 
 
+class DePoint(NamedTuple):
+    """One cell of a deterministic-equivalent sweep: ``scheme`` ("BD" or
+    "BDS") at a transmit power, chi and CSIT quality tau^2."""
+
+    scheme: str
+    power: float
+    chi: float
+    tau_sq: float = 0.0
+
+
+def asym_sweep(scenario: GroupScenario, points) -> list:
+    """Deterministic equivalents of a whole sweep on one geometry.
+
+    ``points`` is a sequence of ``DePoint``; the scenario's own power and
+    chi are not read. Returns one ``AsymptoticSolution`` per point, equal
+    bit for bit to that of its one-point call (``asym_bd``/``asym_bds`` on
+    the scenario at the point's power and chi). The points share one
+    ``_Basis``; BD's fixed point and derivative systems are solved once per
+    distinct (power, chi), BDS's once per distinct power, and tau^2 enters
+    only the SINR assembly (``AsymptoticSolution.at_tau``).
+    """
+    points = list(points)
+    unknown = sorted({p.scheme for p in points} - {"BD", "BDS"})
+    if unknown:
+        raise InvalidInputError(f"unknown schemes: {', '.join(unknown)}")
+    basis = _Basis(scenario)
+    solved = {}
+    out = []
+    for p in points:
+        if p.scheme == "BD":
+            key = ("BD", p.power, p.chi)
+            if key not in solved:
+                solved[key] = _bd(basis, p.power, p.chi)
+            sol = solved[key]
+        else:
+            key = ("BDS", p.power)
+            if key not in solved:
+                solved[key] = _bds(basis, p.power)
+            units = solved[key].extras
+            sol = replace(solved[key], upsilon_cross=p.chi * units["cross_unit"],
+                          upsilon_inter=(1.0 + p.chi) * units["inter_unit"])
+        out.append(sol.at_tau(p.tau_sq))
+    return out
+
+
 def asym_bd(scenario: GroupScenario, tau_sq: float = 0.0) -> AsymptoticSolution:
-    """Full deterministic equivalent of the BD scheme (both polarizations).
+    """Full deterministic equivalent of the BD scheme (both polarizations)."""
+    return asym_sweep(scenario, [DePoint("BD", scenario.power, scenario.chi, tau_sq)])[0]
+
+
+def asym_bds(scenario: GroupScenario, tau_sq: float = 0.0) -> AsymptoticSolution:
+    """Full deterministic equivalent of the BDS scheme."""
+    return asym_sweep(scenario, [DePoint("BDS", scenario.power, scenario.chi, tau_sq)])[0]
+
+
+def _bd(basis: _Basis, P: float, chi: float) -> AsymptoticSolution:
+    """BD at power P and chi, perfect CSIT.
 
     In the eigenbasis of C_g the class of polarization v, blockdiag(C_g,
     chi C_g), is diag(lam, chi lam), and that of h its mirror.
     """
-    G, n_bar, b_bar = scenario.G, scenario.n_bar, scenario.b_bar
-    P, N, alpha = scenario.power, scenario.n_users, scenario.alpha
-    chi = scenario.chi
+    sc = basis.scenario
+    G, n_bar, b_bar, N = sc.G, sc.n_bar, sc.b_bar, sc.n_users
+    alpha = n_bar / (b_bar * P)
 
     def pol(x):
         return np.stack([np.concatenate([x, chi * x]), np.concatenate([chi * x, x])])
 
-    sp = _Spectral(scenario, pol, b_bar, -alpha)
+    sp = _Spectral(basis, pol, b_bar, -alpha)
     m0 = sp.m0
     u = (1.0 + m0) ** 2
     m_prime = np.array([sp.derivative(g, np.ones(b_bar)) for g in range(G)])
@@ -279,14 +359,13 @@ def asym_bd(scenario: GroupScenario, tau_sq: float = 0.0) -> AsymptoticSolution:
                                           + (n_bar / 2.0) * mp[[0, 1], [1, 0]])
         for l in range(G):
             if l != g:
-                mp_gl = sp.derivative(l, pol(sp.coupling[g][l])) / u[l]
+                mp_gl = sp.derivative(l, pol(basis.coupling[g][l])) / u[l]
                 ups_inter[g] += xi_sq_g[l] * (P / (2.0 * N)) * (n_bar / b_bar) * mp_gl.sum(axis=1)
 
     xi_sq = np.repeat(xi_sq_g[:, None], 2, axis=1)
-    gamma = _assemble_gamma(P, N, tau_sq, m0, xi_sq, ups_intra,
-                            np.zeros((G, 2)), ups_inter)
+    gamma = _assemble_gamma(P, N, 0.0, m0, xi_sq, ups_intra, np.zeros((G, 2)), ups_inter)
     return AsymptoticSolution(
-        scheme="BD", tau_sq=tau_sq, power=P, n_streams=N, n_bar=n_bar,
+        scheme="BD", tau_sq=0.0, power=P, n_streams=N, n_bar=n_bar,
         m0=m0, m_prime=m_prime, xi_sq=xi_sq,
         psi=np.repeat(psi[:, None], 2, axis=1),
         upsilon_intra=ups_intra, upsilon_cross=np.zeros((G, 2)),
@@ -295,8 +374,8 @@ def asym_bd(scenario: GroupScenario, tau_sq: float = 0.0) -> AsymptoticSolution:
         residual=sp.residual)
 
 
-def asym_bds(scenario: GroupScenario, tau_sq: float = 0.0) -> AsymptoticSolution:
-    """Full deterministic equivalent of the BDS scheme.
+def _bds(basis: _Basis, P: float) -> AsymptoticSolution:
+    """BDS at power P, chi = 0 and perfect CSIT.
 
     Each co-polarized subgroup has a scalar fixed point on its (B_bar/2)-dim
     effective system; cross-polarized and inter-group interference enter
@@ -305,12 +384,12 @@ def asym_bds(scenario: GroupScenario, tau_sq: float = 0.0) -> AsymptoticSolution
     dimension), which makes the chi = 0 solution coincide with BD's exactly.
     Both polarizations share every quantity; arrays are (G, 2) throughout.
     """
-    G, n_bar, b_bar = scenario.G, scenario.n_bar, scenario.b_bar
-    P, N, alpha = scenario.power, scenario.n_users, scenario.alpha
+    sc = basis.scenario
+    G, n_bar, b_bar, N = sc.G, sc.n_bar, sc.b_bar, sc.n_users
+    alpha = n_bar / (b_bar * P)
     beta = b_bar // 2
-    chi = scenario.chi
 
-    sp = _Spectral(scenario, lambda lam: lam[None, :], beta, -2.0 * alpha)
+    sp = _Spectral(basis, lambda lam: lam[None, :], beta, -2.0 * alpha)
     m0 = np.repeat(sp.m0, 2, axis=1)
     u = (1.0 + m0) ** 2
     m_prime = np.repeat([sp.derivative(g, np.ones(beta)) for g in range(G)], 2, axis=1)
@@ -324,25 +403,26 @@ def asym_bds(scenario: GroupScenario, tau_sq: float = 0.0) -> AsymptoticSolution
 
     # Interference of subgroup (l, q) onto users of (g, p): the projected
     # covariance is B_lq^H R_gp B_lq = C or D scaled by chi when q != p, so
-    # the weighted interference sum is affine in chi with slope chi_slope.
+    # the cross term is chi cross_unit and the inter-group one
+    # (1 + chi) inter_unit (formed in ``asym_sweep``): slope chi_slope in chi.
     cross_unit = xi_sq * (P / N) * (n_bar / b_bar) * mp_gg / u
     inter_unit = np.zeros((G, 2))
     for g in range(G):
         for l in range(G):
             if l != g:
-                mp_gl = sp.derivative(l, sp.coupling[g][l])
+                mp_gl = sp.derivative(l, basis.coupling[g][l])
                 inter_unit[g] += xi_sq[l] * (P / N) * (n_bar / b_bar) * mp_gl / u[l]
-    ups_cross = chi * cross_unit
-    ups_inter = (1.0 + chi) * inter_unit
 
-    gamma = _assemble_gamma(P, N, tau_sq, m0, xi_sq, ups_intra, ups_cross, ups_inter)
+    gamma = _assemble_gamma(P, N, 0.0, m0, xi_sq, ups_intra, np.zeros((G, 2)), inter_unit)
     return AsymptoticSolution(
-        scheme="BDS", tau_sq=tau_sq, power=P, n_streams=N, n_bar=n_bar,
+        scheme="BDS", tau_sq=0.0, power=P, n_streams=N, n_bar=n_bar,
         m0=m0, m_prime=m_prime, xi_sq=xi_sq, psi=psi,
-        upsilon_intra=ups_intra, upsilon_cross=ups_cross,
-        upsilon_inter=ups_inter, gamma=gamma,
+        upsilon_intra=ups_intra, upsilon_cross=np.zeros((G, 2)),
+        upsilon_inter=inter_unit, gamma=gamma,
         sum_rate=_sum_rate(gamma, n_bar), iterations=sp.iterations,
-        residual=sp.residual, extras={"chi_slope": cross_unit + inter_unit})
+        residual=sp.residual,
+        extras={"chi_slope": cross_unit + inter_unit,
+                "cross_unit": cross_unit, "inter_unit": inter_unit})
 
 
 def bds_c0(solution_at_zero: AsymptoticSolution) -> float:

@@ -73,6 +73,8 @@ class GroupScenario:
         return self.n_bar / (self.b_bar * self.power)
 
     def validate(self):
+        if not self.covariances:
+            raise InvalidConfigurationError("a scenario needs at least one group")
         half = self.M // 2 if self.dual_pol else self.M
         for cov in self.covariances:
             if cov.dim != half:

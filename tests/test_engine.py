@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import dualpol.metrics as metrics
+import dualpol.rmt as rmt
 from dualpol.errors import DegenerateInputError, InvalidInputError
 from dualpol.metrics import SweepPoint, run_paired
+from dualpol.precode import build_preprocessors
 from dualpol.scenario import make_scenario
 from dualpol.scene3d import make_scenario_3d, reduce_to_2d, run_3d_paired
 from reference import reference_paired
@@ -198,3 +200,19 @@ def test_sweep_rejects_per_call_point_arguments(small_scenario):
     with pytest.raises(InvalidInputError):
         run_paired(small_scenario, ["SWITCH"], 2, 1, base=object(),
                    points=[SweepPoint(power=1.0), SweepPoint(power=2.0)])
+
+
+def test_switch_bases_share_one_de_sweep(small_scenario, monkeypatch):
+    # One geometry build for the trials and one for the chi = 0 BDS bases
+    # of every power, however many powers the points hold.
+    calls = []
+
+    def counted(scenario):
+        calls.append(scenario)
+        return build_preprocessors(scenario)
+
+    monkeypatch.setattr(metrics, "build_preprocessors", counted)
+    monkeypatch.setattr(rmt, "build_preprocessors", counted)
+    points = [SweepPoint(power=p, chi=c) for p in (3.0, 10.0, 100.0) for c in (0.1, 0.4)]
+    run_paired(small_scenario, ["SWITCH", "SWITCH_RAW"], 2, 1, points=points)
+    assert len(calls) == 2

@@ -18,7 +18,7 @@ from dualpol.precode import (
     build_preprocessors,
     rzf_precoder,
 )
-from dualpol.scenario import make_scenario
+from dualpol.scenario import GroupScenario, make_scenario
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +101,8 @@ def test_constraint_violations_name_the_inequality():
 def test_no_groups_is_a_config_error():
     with pytest.raises(InvalidConfigurationError, match="at least one group"):
         make_scenario(G=0)
+    with pytest.raises(InvalidConfigurationError, match="at least one group"):
+        GroupScenario(M=24, n_bar=4, b_bar=8, r=2, covariances=())
 
 
 class TestRzf:

@@ -5,18 +5,23 @@ import os
 import numpy as np
 import pytest
 
+import dualpol.rmt as rmt
 from dualpol.channel import complex_normal
 from dualpol.corrstats import SpatialCovariance
 from dualpol.errors import InvalidInputError, NonConvergenceError
+from dualpol.metrics import csit_tau_sq
+from dualpol.precode import build_preprocessors
 from dualpol.rmt import (
+    DePoint,
     FixedPointProblem,
     approx_bds_chi,
     asym_bd,
     asym_bds,
+    asym_sweep,
     bds_c0,
     solve_fixed_point,
 )
-from dualpol.scenario import GroupScenario, make_scenario
+from dualpol.scenario import GroupScenario, make_scenario, power_from_db
 
 
 def isotropic_root(c, alpha):
@@ -135,6 +140,72 @@ def test_de_matches_pinned_reference(fig4_scenario):
                 want = float(row[name])
                 assert arr[int(row["g"]), int(row["p"])] == pytest.approx(
                     want, rel=1e-12, abs=0.0), (where, name)
+
+
+# ----------------------------------------------------------------------
+# asym_sweep: one geometry, many points. Each point's solution must be that
+# of its own one-point call on a fresh scenario, bit for bit; the one-point
+# values are pinned above.
+# ----------------------------------------------------------------------
+
+SWEEP_FIELDS = ("sum_rate", "gamma", "m0", "m_prime", "xi_sq", "psi", "upsilon_intra",
+                "upsilon_cross", "upsilon_inter", "iterations", "residual", "tau_sq")
+
+
+def fig4_sweep_cells(scenario):
+    """(scheme, snr_db, chi, tau_sq) of the pinned fig4 grid, then an n_bits
+    point per scheme at its RVQ tau^2."""
+    cells = [(scheme, snr, chi, tau_sq) for snr in (0.0, 15.0, 30.0)
+             for chi in (0.0, 0.3, 1.0) for tau_sq in (0.0, 0.1)
+             for scheme in ("BD", "BDS")]
+    return cells + [(scheme, 25.0, 0.2, csit_tau_sq(0.0, 60, scenario.r, scheme))
+                    for scheme in ("BD", "BDS")]
+
+
+def test_sweep_equals_one_point_calls(fig4_scenario):
+    cells = fig4_sweep_cells(fig4_scenario)
+    # The scenario's own power and chi are not read.
+    sweep = asym_sweep(fig4_scenario.with_chi(0.55).with_power(7.0),
+                       [DePoint(s, power_from_db(snr), chi, t) for s, snr, chi, t in cells])
+    assert len(sweep) == len(cells)
+    for (scheme, snr, chi, tau_sq), got in zip(cells, sweep):
+        solver = asym_bd if scheme == "BD" else asym_bds
+        want = solver(fig4_scenario.with_chi(chi).with_power_db(snr), tau_sq=tau_sq)
+        where = (scheme, snr, chi, tau_sq)
+        assert got.scheme == scheme
+        for name in SWEEP_FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (where, name)
+        assert got.extras.keys() == want.extras.keys()
+        for name, value in want.extras.items():
+            assert np.array_equal(got.extras[name], value), (where, name)
+
+
+def test_sweep_builds_the_geometry_once(fig4_scenario, monkeypatch):
+    builds, solves = [], []
+
+    def counted_build(scenario):
+        builds.append(scenario)
+        return build_preprocessors(scenario)
+
+    def counted_solve(problem):
+        solves.append(problem)
+        return solve_fixed_point(problem)
+
+    monkeypatch.setattr(rmt, "build_preprocessors", counted_build)
+    monkeypatch.setattr(rmt, "solve_fixed_point", counted_solve)
+    cells = fig4_sweep_cells(fig4_scenario)
+    asym_sweep(fig4_scenario, [DePoint(s, power_from_db(snr), chi, t)
+                               for s, snr, chi, t in cells])
+    assert len(builds) == 1
+    # One fixed point per group: BD per distinct (power, chi), BDS per power.
+    bd = {(snr, chi) for s, snr, chi, _ in cells if s == "BD"}
+    bds = {snr for s, snr, _, _ in cells if s == "BDS"}
+    assert len(solves) == fig4_scenario.G * (len(bd) + len(bds))
+
+
+def test_sweep_rejects_unknown_schemes(fig4_scenario):
+    with pytest.raises(InvalidInputError, match="unknown schemes: SWITCH"):
+        asym_sweep(fig4_scenario, [DePoint("BD", 1.0, 0.0), DePoint("SWITCH", 1.0, 0.0)])
 
 
 @pytest.fixture(scope="module")
