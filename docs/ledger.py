@@ -233,7 +233,7 @@ def _variant_draw(draw, csit):
     the CSIT noise, the angles and, for the independent draw, the
     orthogonal port's normals.
     """
-    def _draw(stats, pol, n_users, rng, theta_max=None, gain=1.0):
+    def _draw(stats, chi, n_users, rng, theta_max=None, gain=1.0):
         gen = rng.generator() if isinstance(rng, RngStream) else rng
         shape = (2 * stats.effective_rank, n_users)
         normals = gen.standard_normal((4, *shape))
@@ -241,17 +241,17 @@ def _variant_draw(draw, csit):
         G = channel._complex(normals[0], normals[1])
         W = channel._complex(normals[2], normals[3])
         if draw == "coherent":
-            X, X_std = _coherent_coefficients(pol.chi, G, angles)
+            X, X_std = _coherent_coefficients(chi, G, angles)
             entry = channel.GroupChannel(X=X, Z=channel._blockwise(W, X_std),
                                          stats=stats, gain=gain,
                                          mismatch_angles=angles)
         else:
             normals = np.concatenate([normals, gen.standard_normal((2, *shape))])
-            entry = channel.channel_from_normals(stats, pol.chi, normals,
+            entry = channel.channel_from_normals(stats, chi, normals,
                                                  angles, gain)
         if csit == "aligned":
             state = {f.name: getattr(entry, f.name) for f in fields(entry)}
-            entry = _AlignedCsit(**state, G=G, chi=pol.chi, W=W)
+            entry = _AlignedCsit(**state, G=G, chi=chi, W=W)
         return entry
     return _draw
 

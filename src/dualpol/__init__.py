@@ -8,7 +8,6 @@ extension.
 """
 
 from .corrstats import (
-    ArrayLayout,
     GroupGeometry,
     MismatchStats,
     SpatialCovariance,
@@ -16,11 +15,9 @@ from .corrstats import (
     eigendecompose,
     mismatch_effective_stats,
     one_ring_covariance,
-    ula,
 )
 from .channel import (
     GroupChannel,
-    PolarizationModel,
     RngStream,
     draw_channel,
     draw_mismatched_channel,

@@ -28,7 +28,6 @@ from .corrstats import SpatialCovariance
 from .errors import InvalidInputError
 
 __all__ = [
-    "PolarizationModel",
     "RngStream",
     "GroupChannel",
     "draw_channel",
@@ -37,25 +36,6 @@ __all__ = [
     "channel_from_normals",
     "mix_csit",
 ]
-
-
-@dataclass(frozen=True)
-class PolarizationModel:
-    """Inverse XPD chi in [0, 1]; cross-polar correlation is fixed at zero.
-
-    Each receive polarization port of a user sees the array through its own
-    white inner factor, scaled by 1 on its co-polarized transmit block and
-    by sqrt(chi) on the cross-polarized one. The two blocks of a port, and
-    the two ports of a user, are independent, so a user's antenna turned by
-    theta carries power cos^2 + chi sin^2 on its co-polarized block and
-    chi cos^2 + sin^2 on the other (``mismatch_effective_stats``).
-    """
-
-    chi: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.chi <= 1.0:
-            raise InvalidInputError("chi must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -177,35 +157,46 @@ def _kl_coefficients(chi, G, angles=None, G_cross=None):
             np.hypot(w_own, w_cross))
 
 
-def _draw(stats, pol, n_users, rng, theta_max=None, gain=1.0):
+def _read_group(gen, normals, theta_max=None):
+    """Read one group's draws from ``gen`` in stream order: the normals of
+    the inner factor G and the CSIT noise Z into ``normals[:4]`` and, when
+    mismatched (``theta_max`` given), the users' angles and the orthogonal
+    port's normals into ``normals[4:]``. ``normals`` is the (k, rows, n)
+    array ``channel_from_normals`` takes; returns the angles, or None."""
+    gen.standard_normal(out=normals[:4])
+    if theta_max is None:
+        return None
+    angles = gen.uniform(-theta_max, theta_max, size=normals.shape[-1])
+    gen.standard_normal(out=normals[4:])
+    return angles
+
+
+def _draw(stats, chi, n_users, rng, theta_max=None, gain=1.0):
     if n_users % 2 != 0:
         raise InvalidInputError("n_users must be even")
     if stats.effective_rank < 1:
         raise InvalidInputError("covariance has no significant eigenmode")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    shape = (2 * stats.effective_rank, n_users)
-    normals = gen.standard_normal((4, *shape))
-    angles = None
-    if theta_max is not None:
-        angles = gen.uniform(-theta_max, theta_max, size=n_users)
-        normals = np.concatenate([normals, gen.standard_normal((2, *shape))])
-    return channel_from_normals(stats, pol.chi, normals, angles, gain)
+    normals = np.empty((4 if theta_max is None else 6, 2 * stats.effective_rank, n_users))
+    angles = _read_group(gen, normals, theta_max)
+    return channel_from_normals(stats, chi, normals, angles, gain)
 
 
 def channel_from_normals(stats: SpatialCovariance, chi, normals: np.ndarray,
-                         angles=None, gain: float = 1.0,
-                         dual: bool = True) -> GroupChannel:
+                         angles=None, gain: float = 1.0) -> GroupChannel:
     """One group's channel from the standard normals of its draw.
 
     ``normals`` (..., k, rows, n) holds, in draw order, the real and
     imaginary parts of the inner factor G, of the CSIT noise and, for a
     mismatched draw (``angles`` given, k = 6), of the orthogonal port's
     inner factor. Leading axes stack trials, and ``chi`` and ``angles``
-    then carry one entry per trial. A single-polarized channel has X = G.
+    then carry one entry per trial. Twice the effective rank of rows make
+    a dual-polarized channel; one rank's worth, a single-polarized one,
+    which has X = G and ignores ``chi``.
     """
     G = _complex(normals[..., 0, :, :], normals[..., 1, :, :])
     Z = _complex(normals[..., 2, :, :], normals[..., 3, :, :])
-    if not dual:
+    if normals.shape[-2] != 2 * stats.effective_rank:
         return GroupChannel(X=G, Z=Z, stats=stats, gain=gain)
     if not np.all((0.0 <= chi) & (chi <= 1.0)):
         raise InvalidInputError("chi must lie in [0, 1]")
@@ -217,17 +208,20 @@ def channel_from_normals(stats: SpatialCovariance, chi, normals: np.ndarray,
                         mismatch_angles=angles)
 
 
-def draw_channel(stats: SpatialCovariance, pol: PolarizationModel,
-                 n_users: int, rng, gain: float = 1.0) -> GroupChannel:
-    """Draw one group's dual-polarized channel.
+def draw_channel(stats: SpatialCovariance, chi: float, n_users: int, rng,
+                 gain: float = 1.0) -> GroupChannel:
+    """Draw one group's dual-polarized channel at inverse XPD ``chi``.
 
     H = [[A Gvv, sqrt(chi) A Ghv], [sqrt(chi) A Gvh, A Ghh]] with
-    A = U Lambda^(1/2) and i.i.d. CN(0,1) inner blocks.
+    A = U Lambda^(1/2) and i.i.d. CN(0,1) inner blocks: each receive port
+    of a user sees the array through its own inner factor, scaled by 1 on
+    its co-polarized transmit block and by sqrt(chi) on the other, with no
+    cross-polar correlation. ``chi`` must lie in [0, 1].
     """
-    return _draw(stats, pol, n_users, rng, gain=gain)
+    return _draw(stats, chi, n_users, rng, gain=gain)
 
 
-def draw_mismatched_channel(stats: SpatialCovariance, pol: PolarizationModel,
+def draw_mismatched_channel(stats: SpatialCovariance, chi: float,
                             theta_max: float, n_users: int, rng,
                             gain: float = 1.0) -> GroupChannel:
     """Like draw_channel but each user's antenna is turned by an angle
@@ -235,12 +229,14 @@ def draw_mismatched_channel(stats: SpatialCovariance, pol: PolarizationModel,
 
     A turned antenna mixes the user's own receive port (weight cos theta)
     with the orthogonal port (weight sin theta), which gets an independent
-    inner factor drawn after the angles. The CSIT
+    inner factor drawn after the angles, so the turned antenna carries power
+    cos^2 + chi sin^2 on its co-polarized block and chi cos^2 + sin^2 on
+    the other (``mismatch_effective_stats``). The CSIT
     (``GroupChannel.coefficients_hat``) estimates this rotated channel.
     """
     if not 0.0 <= theta_max <= np.pi / 2:
         raise InvalidInputError("theta_max must lie in [0, pi/2]")
-    return _draw(stats, pol, n_users, rng, theta_max=theta_max, gain=gain)
+    return _draw(stats, chi, n_users, rng, theta_max=theta_max, gain=gain)
 
 
 def draw_single_pol_channel(stats: SpatialCovariance, n_users: int, rng,
@@ -249,8 +245,9 @@ def draw_single_pol_channel(stats: SpatialCovariance, n_users: int, rng,
     if n_users < 1:
         raise InvalidInputError("n_users must be positive")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    normals = gen.standard_normal((4, stats.effective_rank, n_users))
-    return channel_from_normals(stats, 0.0, normals, gain=gain, dual=False)
+    normals = np.empty((4, stats.effective_rank, n_users))
+    _read_group(gen, normals)
+    return channel_from_normals(stats, 0.0, normals, gain=gain)
 
 
 def mix_csit(G: np.ndarray, Z: np.ndarray, tau) -> np.ndarray:

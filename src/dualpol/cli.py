@@ -331,7 +331,8 @@ def _check_variants(variants, schemes, points):
 
 
 def _sweep(cfg):
-    """Each sweep point's axis values and ``SweepPoint`` (tau^2 clamped to 1)."""
+    """Each sweep point's axis values and ``SweepPoint``. A tau^2 above 1 is
+    flagged here and clamped to 1 where it is used (``csit_tau_sq``)."""
     axes = {"snr_db": cfg["snr_db"], "chi": [None] if cfg["chi_dist"] else cfg["chi"],
             "tau_sq": [None] if cfg["tau_sq_dist"] else cfg["tau_sq"],
             "n_bits": cfg["n_bits"], "theta_max_ms_deg": cfg["theta_max_ms_deg"]}
@@ -349,7 +350,7 @@ def _sweep(cfg):
             print(f"warning: {cfg['scenario_id']} {p}: tau_sq={tau_sq} clamped to 1.0 "
                   "(CSIT model bounds tau <= 1)", file=sys.stderr)
         points.append(SweepPoint(power=power_from_db(p["snr_db"]), chi=p["chi"],
-                                 tau_sq=min(tau_sq, 1.0), n_bits=p["n_bits"],
+                                 tau_sq=tau_sq, n_bits=p["n_bits"],
                                  theta_max=math.radians(p["theta_max_ms_deg"])))
     return values, points
 

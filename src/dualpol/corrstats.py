@@ -5,8 +5,9 @@ eigendecomposition with effective-rank selection, and the effective
 polarization statistics seen under random transmitter/receiver polarization
 mismatch.
 
-All positions are stored in units of the carrier wavelength, so the
-covariance kernel never needs the wavelength itself.
+Every array is a uniform linear array, its element spacing given in units
+of the carrier wavelength, so the covariance kernel never needs the
+wavelength itself and every covariance is Toeplitz.
 """
 
 from __future__ import annotations
@@ -19,11 +20,9 @@ import numpy as np
 from .errors import InvalidInputError, NumericalError
 
 __all__ = [
-    "ArrayLayout",
     "GroupGeometry",
     "SpatialCovariance",
     "MismatchStats",
-    "ula",
     "one_ring_covariance",
     "elevation_covariance",
     "eigendecompose",
@@ -38,36 +37,6 @@ RANK_TOL = 1e-6
 QUADRATURE_TOL = 1e-10
 
 _MAX_PANELS = 1 << 20
-
-
-@dataclass(frozen=True)
-class ArrayLayout:
-    """Antenna element positions in units of the carrier wavelength.
-
-    For a dual-polarized array the two polarizations are co-located, so one
-    position list describes M/2 element pairs.
-    """
-
-    positions: np.ndarray
-
-    def __post_init__(self):
-        pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
-        if pos.ndim != 2 or pos.shape[1] != 2:
-            raise InvalidInputError("positions must be an (n, 2) array")
-        if not np.all(np.isfinite(pos)):
-            raise InvalidInputError("positions must be finite")
-        object.__setattr__(self, "positions", pos)
-
-    def __len__(self):
-        return self.positions.shape[0]
-
-
-def ula(n_elements: int, spacing: float) -> ArrayLayout:
-    """Uniform linear array along the y-axis with `spacing` in wavelengths."""
-    if n_elements < 1:
-        raise InvalidInputError("n_elements must be positive")
-    y = spacing * np.arange(n_elements)
-    return ArrayLayout(np.column_stack([np.zeros(n_elements), y]))
 
 
 @dataclass(frozen=True)
@@ -163,18 +132,18 @@ def eigendecompose(matrix):
 
 
 def _one_ring_kernel(displacements, theta, delta, tol=QUADRATURE_TOL):
-    """Average of exp(-j pi Omega(a+theta).d) over a ~ U[-delta, delta].
+    """Average of exp(-j pi sin(a+theta) d) over a ~ U[-delta, delta].
 
-    Vectorized adaptive composite Simpson over all displacement rows at once;
-    panel count doubles until the worst entry moves by less than `tol`.
-    Each level keeps the integrand values of the one before, which sit on
-    its even nodes exactly, and evaluates only its new odd nodes.
+    ``displacements`` holds the distances d along the array axis, in
+    wavelengths. Vectorized adaptive composite Simpson over all of them at
+    once; panel count doubles until the worst entry moves by less than
+    `tol`. Each level keeps the integrand values of the one before, which
+    sit on its even nodes exactly, and evaluates only its new odd nodes.
     """
-    d = np.atleast_2d(displacements)
+    d = np.asarray(displacements)[:, None]
 
     def integrand(alpha):
-        phase = np.cos(alpha + theta)[None, :] * d[:, :1] + np.sin(alpha + theta)[None, :] * d[:, 1:2]
-        return np.exp(-1j * np.pi * phase)
+        return np.exp(-1j * np.pi * (np.sin(alpha + theta)[None, :] * d))
 
     def simpson(f, n_panels):
         w = np.ones(f.shape[1])
@@ -201,51 +170,47 @@ def _one_ring_kernel(displacements, theta, delta, tol=QUADRATURE_TOL):
     raise NumericalError("one-ring quadrature did not converge", residual=float(err))
 
 
-def _one_ring_matrix(geometry: GroupGeometry, array: ArrayLayout) -> np.ndarray:
-    pos = array.positions
-    n = len(array)
-    R = np.eye(n, dtype=complex)
-    if n == 1:
-        # No displacement: the kernel at zero displacement is 1.
-        return R
-    iu, ju = np.triu_indices(n, k=1)
-    diffs = pos[iu] - pos[ju]
-    # Uniform arrays repeat the same displacement many times; integrate each
-    # distinct one once.
-    keys = np.round(diffs, 12)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    vals = _one_ring_kernel(uniq, geometry.azimuth_center, geometry.angular_spread)
-    R[iu, ju] = vals[inverse]
-    R[ju, iu] = np.conj(vals[inverse])
-    return R
-
-
 def one_ring_covariance(
     geometry: GroupGeometry,
-    array: ArrayLayout,
+    n_elements: int,
+    spacing: float,
 ) -> SpatialCovariance:
-    """One-ring spatial covariance of a group over the given array.
+    """One-ring spatial covariance of a group over a uniform linear array.
 
-    Entries are [R]_{mn} = (1/2D) \\int_{-D}^{D} exp(-j pi Omega(a+theta).(r_m-r_n)) da
-    with positions already expressed in wavelengths. The upper triangle is
-    integrated and mirror-conjugated, so Hermitian symmetry is exact.
+    Entries are [R]_{mn} = (1/2D) \\int_{-D}^{D} exp(-j pi sin(a+theta) (m-n) s) da
+    with the element spacing s in wavelengths. R is Toeplitz: the n-1 lags
+    of its upper triangle are integrated once and mirror-conjugated into
+    the lower one, so Hermitian symmetry is exact.
     """
-    if len(array) == 0:
-        raise InvalidInputError("array must be nonempty")
-    return SpatialCovariance.from_matrix(_one_ring_matrix(geometry, array))
+    if n_elements < 1:
+        raise InvalidInputError("n_elements must be positive")
+    if not math.isfinite(spacing):
+        raise InvalidInputError("spacing must be finite")
+    n = n_elements
+    # by_lag[n - 1 + k] is R's entry at m - n = k.
+    by_lag = np.ones(2 * n - 1, dtype=complex)
+    if n > 1:
+        upper = _one_ring_kernel(spacing * np.arange(1 - n, 0),
+                                 geometry.azimuth_center, geometry.angular_spread)
+        by_lag[:n - 1] = upper
+        by_lag[n:] = np.conj(upper[::-1])
+    lags = np.subtract.outer(np.arange(n), np.arange(n)) + n - 1
+    return SpatialCovariance.from_matrix(by_lag[lags])
 
 
 def elevation_covariance(
     height: float,
     distance: float,
     scatter_radius: float,
-    vertical_array: ArrayLayout,
+    n_elements: int,
+    spacing: float,
 ) -> SpatialCovariance:
     """One-ring covariance over the elevation angles subtended by a scatter ring.
 
     The ring at `distance` with radius `scatter_radius` seen from a BS at
     `height` spans elevation angles [atan(h/d), atan(h/(d-s))]; the same
-    quadrature kernel is applied over that interval along the vertical array.
+    quadrature kernel is applied over that interval along a vertical
+    uniform linear array of `n_elements` at `spacing` wavelengths.
     """
     if height <= 0.0:
         raise InvalidInputError("height must be positive")
@@ -259,4 +224,4 @@ def elevation_covariance(
         # Zero scatter radius: rank-1 steering outer product at the LoS angle.
         spread = 1e-9
     geometry = GroupGeometry(azimuth_center=center, angular_spread=spread)
-    return one_ring_covariance(geometry, vertical_array)
+    return one_ring_covariance(geometry, n_elements, spacing)

@@ -27,8 +27,8 @@ import numpy as np
 # installed there (perfbench/tracer.py) see the calls.
 from . import rmt
 from .channel import (
-    PolarizationModel,
     RngStream,
+    _read_group,
     channel_from_normals,
     draw_channel,
     draw_mismatched_channel,
@@ -200,10 +200,9 @@ def draw_trial(scenario: GroupScenario, rng, chi=None, theta_max=0.0):
             entries.append(draw_single_pol_channel(cov, scenario.n_bar, gen, gain))
         elif theta_max > 0.0:
             entries.append(draw_mismatched_channel(
-                cov, PolarizationModel(chi), theta_max, scenario.n_bar, gen, gain))
+                cov, chi, theta_max, scenario.n_bar, gen, gain))
         else:
-            entries.append(draw_channel(cov, PolarizationModel(chi),
-                                        scenario.n_bar, gen, gain))
+            entries.append(draw_channel(cov, chi, scenario.n_bar, gen, gain))
     return tuple(entries)
 
 
@@ -229,21 +228,16 @@ def _draw_block(scenario, seed, streams, chi_dist, tau_sq_dist, theta_max):
 
     Trial t reads RngStream(seed, t) in the order of ``draw_trial``: the
     chi_dist and tau_sq_dist uniforms (chi and tau^2 are None without
-    them), then per group the normals of G and Z and, when mismatched
-    (``theta_max`` > 0), the angles and the orthogonal port's normals.
-    Normals that follow each other in a stream come from one call. The
-    normals come per group, shaped (T, k, rows, n) for
-    ``channel_from_normals``.
+    them), then each group's draws (``channel._read_group``), mismatched
+    when ``theta_max`` > 0. The normals and angles come per group, the
+    normals shaped (T, k, rows, n) for ``channel_from_normals``.
     """
     T, n = len(streams), scenario.n_bar
-    mismatched = theta_max > 0.0
-    k = 6 if mismatched else 4
+    theta = theta_max if theta_max > 0.0 else None  # None: aligned draws
     pols = 2 if scenario.dual_pol else 1
     rows = [pols * cov.effective_rank for cov in scenario.covariances]
-    ends = np.cumsum([k * rows_g * n for rows_g in rows])
-    starts = np.concatenate([[0], ends[:-1]])
-    normals = np.empty((T, ends[-1]))
-    angles = np.empty((scenario.G, T, n)) if mismatched else [None] * scenario.G
+    normals = [np.empty((T, 4 if theta is None else 6, rows_g, n)) for rows_g in rows]
+    angles = [None] * scenario.G if theta is None else np.empty((scenario.G, T, n))
     chi = np.empty(T) if chi_dist else None
     tau_sq = np.empty(T) if tau_sq_dist else None
     for t, stream in enumerate(streams):
@@ -252,17 +246,11 @@ def _draw_block(scenario, seed, streams, chi_dist, tau_sq_dist, theta_max):
             chi[t] = gen.uniform(*chi_dist)
         if tau_sq_dist:
             tau_sq[t] = gen.uniform(*tau_sq_dist)
-        if not mismatched:
-            gen.standard_normal(out=normals[t])
-            continue
-        for g, (start, end) in enumerate(zip(starts, ends)):
-            split = start + 4 * rows[g] * n
-            gen.standard_normal(out=normals[t, start:split])
-            angles[g, t] = gen.uniform(-theta_max, theta_max, size=n)
-            gen.standard_normal(out=normals[t, split:end])
-    per_group = [normals[:, start:end].reshape(T, k, rows_g, n)
-                 for rows_g, start, end in zip(rows, starts, ends)]
-    return chi, tau_sq, per_group, angles
+        for g, normals_g in enumerate(normals):
+            angles_g = _read_group(gen, normals_g[t], theta)
+            if theta is not None:
+                angles[g, t] = angles_g
+    return chi, tau_sq, normals, angles
 
 
 def _amplitude_maps(D, channels, pols):
@@ -310,11 +298,11 @@ def _point_rates(scenario, C, maps, channels, modes, point, tau_sq, chi_used, sc
     for mode in modes:
         if mode in ("BD", "BDS"):
             uses_bds[mode] = np.full(T, mode == "BDS")
-        elif np.isfinite(scale):
-            uses_bds[mode] = chi_used[mode] <= scale * tau_bd ** 2
         else:
-            # No intra-subgroup interference: BDS wherever CSIT is imperfect.
-            uses_bds[mode] = (tau_bd > 0.0) | (chi_used[mode] <= 0.0)
+            # scale tau_BD^2 is 0 at tau_BD = 0 even where the scale is
+            # infinite (one user per subgroup): the finite rule's limit.
+            uses_bds[mode] = chi_used[mode] <= np.multiply(
+                scale, tau_bd ** 2, out=np.zeros(T), where=tau_bd > 0.0)
     picks = np.array(list(uses_bds.values()))
     rates = {"BD": np.nan, "BDS": np.nan}
     if not picks.all():
@@ -330,7 +318,7 @@ def _chi_rates(scenario, C, D, modes, chi, draws, theta_max, points, scenarios,
     """``_point_rates`` of the points that share one chi's channels, built
     from a trial block's ``draws`` (tau^2, normals, angles)."""
     tau_sq, normals, angles = draws
-    channels = [channel_from_normals(cov, chi, normals_g, angles_g, gain, scenario.dual_pol)
+    channels = [channel_from_normals(cov, chi, normals_g, angles_g, gain)
                 for cov, normals_g, angles_g, gain in zip(
                     scenario.covariances, normals, angles, scenario.gains)]
     maps = _amplitude_maps(D, channels, 2 if scenario.dual_pol else 1)

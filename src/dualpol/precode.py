@@ -22,6 +22,7 @@ __all__ = [
     "PrecoderSet",
     "bd_preprocessor",
     "build_preprocessors",
+    "null_space_modes",
     "rzf_precoder",
     "build_all",
     "kl_projections",
@@ -86,28 +87,38 @@ class PrecoderSet:
         return np.hstack([pre.bds_v @ pv.P, pre.bds_h @ ph.P])
 
 
-def _null_space_basis(U_minus: np.ndarray, dim: int) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of span(U_minus)."""
-    if U_minus.shape[1] == 0:
-        return np.eye(dim, dtype=complex)
-    u, s, _ = np.linalg.svd(U_minus, full_matrices=True)
-    rank = int(np.count_nonzero(s >= _NULLSPACE_TOL * s[0]))
-    return u[:, rank:]
+def null_space_modes(R: np.ndarray, others, n_cols: int) -> np.ndarray:
+    """Top ``n_cols`` eigenmodes of R compressed into the null space of
+    ``others``, a list of column blocks, in array coordinates.
+
+    Takes an orthonormal basis E0 of the orthogonal complement of the
+    blocks' span and returns E0 F, F the top eigenvectors of E0^H R E0. It
+    has fewer columns when the complement is smaller, none when it is
+    empty.
+    """
+    U_minus = np.hstack([np.zeros((R.shape[0], 0)), *others])
+    E0 = np.eye(R.shape[0], dtype=complex)
+    if U_minus.shape[1] > 0:
+        u, s, _ = np.linalg.svd(U_minus, full_matrices=True)
+        E0 = u[:, np.count_nonzero(s >= _NULLSPACE_TOL * s[0]):]
+    R_tilde = E0.conj().T @ R @ E0
+    vals, vecs = np.linalg.eigh((R_tilde + R_tilde.conj().T) / 2.0)
+    order = np.argsort(vals)[::-1]
+    return E0 @ vecs[:, order[:n_cols]]
 
 
 def bd_preprocessor(all_stats, g: int, r: int, b_bar: int,
                     dual_pol: bool = True) -> Preprocessor:
     """Block-diagonalization preprocessor of group ``g``.
 
-    Stacks the other groups' top-r eigenvectors, takes the orthogonal
-    complement E0, and picks the top B_bar/2 eigenmodes of the compressed
-    covariance E0^H R_g E0 (B_bar for single polarization).
+    The top B_bar/2 eigenmodes (B_bar for single polarization) of R_g
+    compressed into the null space of the other groups' top-r
+    eigenvectors (``null_space_modes``).
     """
     n_cols = b_bar // 2 if dual_pol else b_bar
     G = len(all_stats)
     stats = all_stats[g]
-    dim = stats.dim
-    room = dim - (G - 1) * r
+    room = stats.dim - (G - 1) * r
     if n_cols > room:
         raise InvalidConfigurationError(
             f"violated b_bar <= {'2' if dual_pol else '1'}*(array - (G-1) r): "
@@ -115,14 +126,9 @@ def bd_preprocessor(all_stats, g: int, r: int, b_bar: int,
         )
     if r > min(s.effective_rank for s in all_stats):
         raise InvalidConfigurationError("violated r <= min effective rank")
-    U_minus = np.hstack([all_stats[l].dominant_eigvecs(r)
-                         for l in range(G) if l != g]) if G > 1 else np.zeros((dim, 0))
-    E0 = _null_space_basis(U_minus, dim)
-    R_tilde = E0.conj().T @ stats.matrix @ E0
-    vals, vecs = np.linalg.eigh((R_tilde + R_tilde.conj().T) / 2.0)
-    order = np.argsort(vals)[::-1]
-    F1 = vecs[:, order[:n_cols]]
-    return Preprocessor(B_s=E0 @ F1, dual_pol=dual_pol)
+    others = [all_stats[l].dominant_eigvecs(r) for l in range(G) if l != g]
+    return Preprocessor(B_s=null_space_modes(stats.matrix, others, n_cols),
+                        dual_pol=dual_pol)
 
 
 def build_preprocessors(scenario: GroupScenario) -> tuple:

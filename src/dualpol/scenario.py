@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .corrstats import GroupGeometry, one_ring_covariance, ula
+from .corrstats import GroupGeometry, one_ring_covariance
 from .errors import InvalidConfigurationError
 
 __all__ = ["GroupScenario", "make_scenario", "default_theta_grid", "power_from_db"]
@@ -162,9 +162,8 @@ def make_scenario(
     if thetas is None:
         thetas = default_theta_grid(G)
     n_positions = M // 2 if dual_pol else M
-    array = ula(n_positions, spacing)
     covs = tuple(
-        one_ring_covariance(GroupGeometry(theta, spread), array)
+        one_ring_covariance(GroupGeometry(theta, spread), n_positions, spacing)
         for theta in thetas
     )
     b_bar, r = _default_dims(covs, n_bar, 2 if dual_pol else 1, b_bar, r)

@@ -19,11 +19,10 @@ from .corrstats import (
     SpatialCovariance,
     elevation_covariance,
     one_ring_covariance,
-    ula,
 )
 from .errors import InfeasibleRegionError, InvalidInputError
 from .metrics import McSummary, run_paired
-from .precode import _null_space_basis
+from .precode import null_space_modes
 from .scenario import GroupScenario, _default_dims, default_theta_grid, power_from_db
 
 __all__ = [
@@ -56,13 +55,9 @@ class ElevationRegion:
 class Scenario3D:
     """Planar-array cell: elevation regions, each carrying a 2D group scenario.
 
-    The array has m_e vertical times m_a horizontal dual-polarized positions
-    (2 m_e m_a antenna elements); every region gets an equal share of the
-    total power.
+    Every region gets an equal share of the total power.
     """
 
-    m_e: int
-    m_a: int
     power: float
     regions: tuple
     azimuth_scenario: GroupScenario = field(repr=False)
@@ -92,15 +87,11 @@ def elevation_prefilter(region_covs, l: int, r_trunc: int = 1):
     own = region_covs[l]
     others = [c.dominant_eigvecs(min(r_trunc, c.effective_rank))
               for i, c in enumerate(region_covs) if i != l]
-    U_minus = np.hstack(others) if others else np.zeros((own.dim, 0))
-    nullspace = _null_space_basis(U_minus, own.dim)
-    if nullspace.shape[1] == 0:
+    top = null_space_modes(own.matrix, others, 1)
+    if top.shape[1] == 0:
         raise InfeasibleRegionError(
             f"region {l}: other regions' eigenspaces fill the vertical array")
-    compressed = nullspace.conj().T @ own.matrix @ nullspace
-    vals, vecs = np.linalg.eigh((compressed + compressed.conj().T) / 2.0)
-    q = nullspace @ vecs[:, -1]
-    q = q / np.linalg.norm(q)
+    q = top[:, 0] / np.linalg.norm(top[:, 0])
     lam = float((q.conj() @ own.matrix @ q).real)
     return q, lam
 
@@ -120,17 +111,15 @@ def make_scenario_3d(
     """Build the planar-array scenario: one elevation ring per distance, all
     regions sharing the azimuth group layout.
 
-    The scatter-ring radius follows the azimuth spread (s = d tan(spread)),
-    so nearer regions subtend wider elevation intervals.
+    The array has m_e vertical times m_a horizontal dual-polarized
+    positions (2 m_e m_a antenna elements), both axes uniform at
+    ``spacing``. The scatter-ring radius follows the azimuth spread
+    (s = d tan(spread)), so nearer regions subtend wider elevation intervals.
     """
-    vertical = ula(m_e, spacing)
-    covs_elev = []
-    for d in distances:
-        s = d * math.tan(spread)
-        covs_elev.append(elevation_covariance(height, d, s, vertical))
-    horizontal = ula(m_a, spacing)
+    covs_elev = [elevation_covariance(height, d, d * math.tan(spread), m_e, spacing)
+                 for d in distances]
     covs_az = tuple(
-        one_ring_covariance(GroupGeometry(theta, spread), horizontal)
+        one_ring_covariance(GroupGeometry(theta, spread), m_a, spacing)
         for theta in default_theta_grid(G)
     )
     b_bar, r = _default_dims(covs_az, n_bar, 2)
@@ -143,7 +132,7 @@ def make_scenario_3d(
         q, lam = elevation_prefilter(covs_elev, l)
         regions.append(ElevationRegion(cov_elev=covs_elev[l], q=q, lambda_tilde=lam,
                                        path_loss=path_loss(d)))
-    return Scenario3D(m_e=m_e, m_a=m_a, power=1.0, regions=tuple(regions),
+    return Scenario3D(power=1.0, regions=tuple(regions),
                       azimuth_scenario=azimuth)
 
 
@@ -173,7 +162,9 @@ def run_3d_paired(scenario3d: Scenario3D, modes, n_trials: int, seed: int,
     One ``run_paired`` call per region; with ``points`` (``SweepPoint``s
     whose power is the whole cell's) it returns one dict per point, like
     ``run_paired``. Each region has its own gain, so the switching schemes
-    solve each region's own crossover: ``base`` is not taken.
+    solve each region's own crossover: ``base`` is not taken. A summary's
+    extras (the switching schemes' ``bds_fraction``) are the mean over the
+    regions.
     """
     if "base" in kwargs:
         raise InvalidInputError("each region solves its own SWITCH crossover; "
@@ -188,6 +179,9 @@ def run_3d_paired(scenario3d: Scenario3D, modes, n_trials: int, seed: int,
                for l in range(n_regions)]
     if points is None:
         regions = [[results] for results in regions]
-    out = [{m: McSummary.from_trials(m, sum(r[i][m].trial_sum_rates for r in regions))
+    out = [{m: McSummary.from_trials(
+                m, sum(r[i][m].trial_sum_rates for r in regions),
+                {key: sum(r[i][m].extras[key] for r in regions) / n_regions
+                 for key in regions[0][i][m].extras})
             for m in modes} for i in range(len(regions[0]))]
     return out[0] if points is None else out

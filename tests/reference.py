@@ -50,7 +50,10 @@ def reference_paired(scenario, modes, n_trials, seed, *, tau_sq=0.0,
                 chi_used = chi
                 if mode == "SWITCH" and theta_max > 0.0:
                     chi_used = mismatch_effective_stats(chi, theta_max).chi_eff
-                chosen = "BDS" if chi_used <= scale * tau["BD"] ** 2 else "BD"
+                # At tau = 0 the threshold is 0, also for an infinite scale
+                # (n_bar = 2), where inf * 0 would give nan.
+                threshold = scale * tau["BD"] ** 2 if tau["BD"] > 0.0 else 0.0
+                chosen = "BDS" if chi_used <= threshold else "BD"
                 picks[mode].append(chosen == "BDS")
             if chosen not in rates:
                 rates[chosen] = sinr_report(scenario, channels, chosen,

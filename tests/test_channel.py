@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualpol.channel import (
-    PolarizationModel,
     RngStream,
     channel_from_normals,
     complex_normal,
@@ -15,17 +14,17 @@ from dualpol.channel import (
     draw_single_pol_channel,
     mix_csit,
 )
-from dualpol.corrstats import GroupGeometry, one_ring_covariance, ula
+from dualpol.corrstats import GroupGeometry, one_ring_covariance
 from dualpol.errors import InvalidInputError
 
 
 @pytest.fixture(scope="module")
 def stats():
-    return one_ring_covariance(GroupGeometry(0.2, math.pi / 8), ula(8, 0.5))
+    return one_ring_covariance(GroupGeometry(0.2, math.pi / 8), 8, 0.5)
 
 
 def test_chi_zero_vertical_user_has_empty_horizontal_block(stats):
-    entry = draw_channel(stats, PolarizationModel(0.0), 6, RngStream(1, 0))
+    entry = draw_channel(stats, 0.0, 6, RngStream(1, 0))
     half = stats.dim
     assert np.all(entry.H[half:, :3] == 0.0)   # vertical users, lower block
     assert np.all(entry.H[:half, 3:] == 0.0)   # horizontal users, upper block
@@ -34,7 +33,7 @@ def test_chi_zero_vertical_user_has_empty_horizontal_block(stats):
 def test_reconstruction_invariant(stats):
     # H = [[A Gvv, sqrt(chi) A Ghv], [sqrt(chi) A Gvh, A Ghh]] with G the
     # first normals of the same stream.
-    entry = draw_channel(stats, PolarizationModel(0.37), 6, RngStream(5, 2))
+    entry = draw_channel(stats, 0.37, 6, RngStream(5, 2))
     r = stats.effective_rank
     normals = RngStream(5, 2).generator().standard_normal((2, 2 * r, 6))
     G = (normals[0] + 1j * normals[1]) / math.sqrt(2.0)
@@ -45,16 +44,16 @@ def test_reconstruction_invariant(stats):
 
 
 def test_determinism(stats):
-    a = draw_channel(stats, PolarizationModel(0.5), 4, RngStream(11, 3))
-    b = draw_channel(stats, PolarizationModel(0.5), 4, RngStream(11, 3))
+    a = draw_channel(stats, 0.5, 4, RngStream(11, 3))
+    b = draw_channel(stats, 0.5, 4, RngStream(11, 3))
     assert np.array_equal(a.H, b.H) and np.array_equal(a.Z, b.Z)
-    c = draw_channel(stats, PolarizationModel(0.5), 4, RngStream(11, 4))
+    c = draw_channel(stats, 0.5, 4, RngStream(11, 4))
     assert not np.array_equal(a.H, c.H)
 
 
 def test_odd_user_count_rejected(stats):
     with pytest.raises(InvalidInputError):
-        draw_channel(stats, PolarizationModel(0.0), 5, RngStream(1, 0))
+        draw_channel(stats, 0.0, 5, RngStream(1, 0))
 
 
 def _column_sample_cov(stats, chi, n_draws, cols, theta_max=None, seed=3):
@@ -62,12 +61,11 @@ def _column_sample_cov(stats, chi, n_draws, cols, theta_max=None, seed=3):
     dim = 2 * stats.dim
     acc = np.zeros((dim, dim), dtype=complex)
     count = 0
-    pol = PolarizationModel(chi)
     for _ in range(n_draws):
         if theta_max is None:
-            entry = draw_channel(stats, pol, 8, gen)
+            entry = draw_channel(stats, chi, 8, gen)
         else:
-            entry = draw_mismatched_channel(stats, pol, theta_max, 8, gen)
+            entry = draw_mismatched_channel(stats, chi, theta_max, 8, gen)
         H = entry.H[:, cols]
         acc += H @ H.conj().T
         count += len(cols)
@@ -110,9 +108,8 @@ def test_mismatched_subgroup_covariance(stats):
 
 
 def test_mismatch_zero_angle_matches_plain_draw(stats):
-    pol = PolarizationModel(0.4)
-    plain = draw_channel(stats, pol, 6, RngStream(9, 1))
-    matched = draw_mismatched_channel(stats, pol, 0.0, 6, RngStream(9, 1))
+    plain = draw_channel(stats, 0.4, 6, RngStream(9, 1))
+    matched = draw_mismatched_channel(stats, 0.4, 0.0, 6, RngStream(9, 1))
     assert np.abs(matched.H - plain.H).max() < 1e-15
 
 
@@ -131,8 +128,7 @@ def test_rotation_sign_does_not_change_copolar_power(stats):
     # Vertical users' upper-block power is (cos^2 + chi sin^2) tr R for
     # either sign of the angle; 1000 users per sign, 5 %.
     chi, theta_max = 0.5, 0.4 * math.pi
-    entry = draw_mismatched_channel(stats, PolarizationModel(chi), theta_max,
-                                    4000, RngStream(21, 0))
+    entry = draw_mismatched_channel(stats, chi, theta_max, 4000, RngStream(21, 0))
     vertical = entry.mismatch_angles[:2000]
     power = np.sum(np.abs(entry.H[:stats.dim, :2000]) ** 2, axis=0)
     expected = ((np.cos(vertical) ** 2 + chi * np.sin(vertical) ** 2)
@@ -142,8 +138,7 @@ def test_rotation_sign_does_not_change_copolar_power(stats):
 
 
 def test_mismatched_csit_is_the_rotated_channel(stats):
-    entry = draw_mismatched_channel(stats, PolarizationModel(0.3), 0.4 * math.pi,
-                                    6, RngStream(4, 0))
+    entry = draw_mismatched_channel(stats, 0.3, 0.4 * math.pi, 6, RngStream(4, 0))
     assert np.array_equal(entry.h_hat(0.0), entry.H)
 
 
@@ -151,8 +146,7 @@ def test_mismatched_csit_keeps_tau_meaning(stats):
     # corr(H_hat, H) = sqrt(1 - tau^2) and equal power, per block, over
     # 2 x 4000 columns; 2 %.
     tau = 0.6
-    entry = draw_mismatched_channel(stats, PolarizationModel(0.2), 0.3 * math.pi,
-                                    4000, RngStream(6, 0))
+    entry = draw_mismatched_channel(stats, 0.2, 0.3 * math.pi, 4000, RngStream(6, 0))
     H, H_hat = entry.H, entry.h_hat(tau)
     for rows in (slice(None, stats.dim), slice(stats.dim, None)):
         a, b = H[rows], H_hat[rows]

@@ -2,6 +2,7 @@
 oracle, ``reference.reference_paired``."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -75,6 +76,19 @@ def test_single_group_matches_reference():
     assert_engine_matches(sc, ["BD", "BDS"], 4, 2, tau_sq=0.3)
 
 
+@pytest.mark.parametrize("chi, bds", [(0.0, True), (0.2, False)])
+def test_single_user_subgroups_switch_matches_reference(chi, bds):
+    # n_bar = 2 leaves no intra-subgroup interference, so the crossover
+    # scale is infinite; under perfect CSIT the rule chi <= scale tau^2
+    # takes its limit chi <= 0, with no inf * 0 warning.
+    sc = make_scenario(M=16, G=1, n_bar=2, thetas=[0.1], spread=0.35,
+                       chi=chi).with_power_db(5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, picks = assert_engine_matches(sc, ["SWITCH"], 4, 2)
+    assert picks["SWITCH"] == [bds] * 4
+
+
 def test_one_trial_matches_reference(fig4):
     got, _ = assert_engine_matches(fig4, ["BD", "BDS"], 1, 8, tau_sq=0.1)
     assert got["BD"].n_trials == 1 and got["BD"].stderr == 0.0
@@ -103,11 +117,16 @@ def test_3d_regions_use_offset_streams():
     n = 3
     got = run_3d_paired(sc3, modes, n, 6, **kwargs)
     for mode in modes:
-        want = sum(reference_paired(reduce_to_2d(sc3, l), [mode], n, 6,
-                                    stream_base=l * n, **kwargs)[0][mode]
-                   for l in range(sc3.n_regions))
-        np.testing.assert_allclose(got[mode].trial_sum_rates, want,
+        regions = [reference_paired(reduce_to_2d(sc3, l), [mode], n, 6,
+                                    stream_base=l * n, **kwargs)
+                   for l in range(sc3.n_regions)]
+        np.testing.assert_allclose(got[mode].trial_sum_rates,
+                                   sum(sums[mode] for sums, _ in regions),
                                    rtol=RTOL, atol=0.0)
+        # The pick rate of a switching scheme is the mean over the regions.
+        extras = {} if mode in ("BD", "BDS") else {"bds_fraction": pytest.approx(
+            np.mean([np.mean(picks[mode]) for _, picks in regions]))}
+        assert got[mode].extras == extras
 
 
 @pytest.mark.parametrize("mode", ["BD", "BDS"])

@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dualpol.channel import PolarizationModel, RngStream, draw_channel
-from dualpol.corrstats import GroupGeometry, SpatialCovariance, one_ring_covariance, ula
+from dualpol.channel import RngStream
+from dualpol.corrstats import GroupGeometry, SpatialCovariance, one_ring_covariance
 from dualpol.errors import (
     DegenerateInputError,
     InvalidConfigurationError,
@@ -44,7 +44,7 @@ def test_truncated_subspace_nulling_is_exact(fig4_scenario, fig4_pre):
 
 
 def test_single_group_takes_dominant_eigvecs():
-    cov = one_ring_covariance(GroupGeometry(0.0, math.pi / 8), ula(16, 0.5))
+    cov = one_ring_covariance(GroupGeometry(0.0, math.pi / 8), 16, 0.5)
     pre = bd_preprocessor([cov], 0, r=6, b_bar=8)
     # span(B_s) equals span of the top-4 eigenvectors
     U4 = cov.dominant_eigvecs(4)
@@ -89,7 +89,7 @@ def test_chi_zero_cross_polarized_channels_are_nulled(fig4_scenario, fig4_pre):
 
 
 def test_constraint_violations_name_the_inequality():
-    covs = [one_ring_covariance(GroupGeometry(t, math.pi / 10), ula(16, 0.5))
+    covs = [one_ring_covariance(GroupGeometry(t, math.pi / 10), 16, 0.5)
             for t in (-0.5, 0.5)]
     with pytest.raises(InvalidConfigurationError, match="b_bar"):
         bd_preprocessor(covs, 0, r=8, b_bar=40)
