@@ -10,12 +10,18 @@ anywhere.
 ``asym_sweep`` evaluates a whole sweep on one geometry in one call, the
 counterpart of ``metrics.run_paired(points=)``. The points share the BD
 preprocessors, each group's eigenbasis and the inter-group couplings
-(``_Basis``). BD's fixed point and derivative systems depend on (power,
-chi) and are solved once per distinct pair; BDS's classes do not depend on
-chi, so they are solved once per power and chi only scales the cross and
-inter-group terms. The CSIT quality tau^2 enters only the final SINR
-assembly (``AsymptoticSolution.at_tau``). ``asym_bd`` and ``asym_bds`` are
-one-point sweeps.
+(``_Basis``). Each (scheme, power) is one solve: one fixed-point loop over
+a batch of members, then one stacked solve of all their derivative
+systems. BD's members are every group at every distinct chi of that power;
+BDS's classes do not depend on chi, so its members are the groups and chi
+only scales the cross and inter-group terms. A member's result does not
+depend on the batch it is in. The CSIT quality tau^2 enters only the final
+SINR assembly (``AsymptoticSolution.at_tau``). ``asym_bd`` and
+``asym_bds`` are one-point sweeps.
+
+The fixed point stops at max(1e-12, 16 eps max|e|): its iterate grows with
+the power, so at high SNR an absolute tolerance would ask for more than
+the float resolution of e.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ __all__ = [
 
 FIXED_POINT_TOL = 1e-12
 FIXED_POINT_MAX_ITER = 2000
+_FLOAT_FLOOR = 16 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -86,11 +93,8 @@ def solve_fixed_point(problem: FixedPointProblem, tol: float = FIXED_POINT_TOL,
                       max_iter: int = FIXED_POINT_MAX_ITER) -> FixedPointResult:
     """Solve e_i = (1/M) tr(R_i T(e)) with T(e) = ((1/M) sum_j n_j R_j/(1+e_j) + S - zI)^-1.
 
-    For 1-D (diagonal) classes T is the vector of its eigenvalues and every
-    trace a dot product.
-
-    Fixed-point iteration from e = 1/alpha with step damping when the
-    residual stops decreasing.
+    For 1-D (diagonal) classes T is the vector of its eigenvalues. The
+    iteration is ``_fixed_points`` on a batch of one.
     """
     k = len(problem.covariances)
     if problem.covariances:
@@ -99,43 +103,83 @@ def solve_fixed_point(problem: FixedPointProblem, tol: float = FIXED_POINT_TOL,
         dim = problem.S.shape[0]
     else:
         dim = problem.M
-    diagonal = np.ndim(problem.covariances[0] if k else problem.S) == 1
-    if diagonal:
+    if np.ndim(problem.covariances[0] if k else problem.S) == 1:
         base = (problem.S if problem.S is not None else np.zeros(dim)) - problem.z
-        invert, trace = np.reciprocal, np.dot
     else:
         S = problem.S if problem.S is not None else np.zeros((dim, dim))
-        base = S - problem.z * np.eye(dim)
-        invert = np.linalg.inv
-
-        def trace(R, T):
-            return np.trace(R @ T).real
+        base = (S - problem.z * np.eye(dim)).astype(complex)
     if k == 0:
-        return FixedPointResult(e=np.zeros(0), T=invert(base), iterations=0, residual=0.0)
-    alpha = -problem.z
-    e = np.full(k, 1.0 / alpha)
-    damp = 1.0
-    prev_res = np.inf
+        T = np.reciprocal(base) if base.ndim == 1 else np.linalg.inv(base)
+        return FixedPointResult(e=np.zeros(0), T=T, iterations=0, residual=0.0)
+    e, T, iterations, residual = _fixed_points(
+        np.stack(problem.covariances)[None], problem.multiplicities, base,
+        problem.z, problem.M, tol, max_iter)
+    return FixedPointResult(e=e[0], T=T[0], iterations=int(iterations[0]),
+                            residual=float(residual[0]))
 
-    def resolvent(ev):
-        acc = base.astype(float if diagonal else complex)
-        for R, n, ej in zip(problem.covariances, problem.multiplicities, ev):
-            acc += (n / (problem.M * (1.0 + ej))) * R
-        return invert(acc)
 
+def _fixed_points(classes, multiplicities, base, z, M, tol=FIXED_POINT_TOL,
+                  max_iter=FIXED_POINT_MAX_ITER):
+    """The fixed points of a batch of members that share the multiplicities,
+    the shift ``base`` = S - zI and the trace normalizer M.
+
+    ``classes`` is (members, k, dim) class diagonals or (members, k, dim,
+    dim) class matrices. Each member iterates from e = 1/alpha with its own
+    step damping, halved for good once its residual rises, and stops when
+    the residual max|e_new - e| falls below max(tol, 16 eps max|e_new|):
+    the float floor takes over where eps |e| exceeds tol, at high SNR. A
+    stopped member is frozen at (e_new, T(e_new)). Every trace is a row-wise
+    sum, so a member's result does not depend on the batch it is in.
+
+    Returns e (members, k), T (members, dim) or (members, dim, dim), and
+    the iteration counts and final residuals (members,).
+    """
+    members, k = classes.shape[:2]
+    diagonal = classes.ndim == 3
+    expand = (slice(None),) + (None,) * (classes.ndim - 2)
+    n = np.asarray(multiplicities, dtype=float)
+
+    def resolvent(d, ev):
+        acc = np.broadcast_to(base, (len(d),) + base.shape).copy()
+        scale = n / (M * (1.0 + ev))
+        for j in range(k):
+            acc += scale[:, j][expand] * d[:, j]
+        return np.reciprocal(acc) if diagonal else np.linalg.inv(acc)
+
+    def traces(d, T):
+        if diagonal:
+            return (d * T[:, None]).sum(axis=-1)
+        return (d * np.swapaxes(T, -1, -2)[:, None]).sum(axis=(-2, -1)).real
+
+    e_out = np.empty((members, k))
+    T_out = np.empty((members,) + base.shape, base.dtype)
+    iterations = np.zeros(members, dtype=int)
+    residual = np.zeros(members)
+    live = np.arange(members)
+    e = np.full((members, k), 1.0 / -z)
+    damp = np.ones((members, 1))
+    prev_res = np.full(members, np.inf)
     for it in range(1, max_iter + 1):
-        T = resolvent(e)
-        e_new = np.array([trace(R, T) / problem.M for R in problem.covariances])
-        res = float(np.max(np.abs(e_new - e)))
-        if res < tol:
-            return FixedPointResult(e=e_new, T=resolvent(e_new),
-                                    iterations=it, residual=res)
-        if res > prev_res:
-            damp = 0.5
+        e_new = traces(classes, resolvent(classes, e)) / M
+        res = np.abs(e_new - e).max(axis=1)
+        done = res < np.maximum(tol, _FLOAT_FLOOR * np.abs(e_new).max(axis=1))
+        if done.any():
+            at = live[done]
+            e_out[at] = e_new[done]
+            T_out[at] = resolvent(classes[done], e_new[done])
+            iterations[at] = it
+            residual[at] = res[done]
+            keep = ~done
+            if not keep.any():
+                return e_out, T_out, iterations, residual
+            live, classes, e, e_new, res, prev_res, damp = (
+                x[keep] for x in (live, classes, e, e_new, res, prev_res, damp))
+        damp[res > prev_res] = 0.5
         e = damp * e_new + (1.0 - damp) * e
         prev_res = res
     raise NonConvergenceError(
-        f"fixed point not converged after {max_iter} iterations", residual=res)
+        f"fixed point not converged after {max_iter} iterations",
+        residual=float(res.max()))
 
 
 @dataclass(frozen=True)
@@ -210,9 +254,10 @@ def _eigh(C):
 
 class _Basis:
     """What a whole sweep shares on one geometry: each group's projected
-    covariance C_g = B_g^H R_g B_g = V_g diag(lam_g) V_g^H and the
-    inter-group couplings. ``coupling[g][l]`` is the diagonal of
-    D_gl = B_l^H R_g B_l in group l's eigenbasis. Covariances are
+    covariance C_g = B_g^H R_g B_g = V_g diag(lam_g) V_g^H, with ``lam``
+    (G, B_bar/2), and the inter-group couplings. ``coupling[l]`` (G - 1,
+    B_bar/2) holds, for each other group g in ascending order, the diagonal
+    of D_gl = B_l^H R_g B_l in group l's eigenbasis. Covariances are
     gain-scaled; B_g is the per-polarization block of the BD preprocessor.
     """
 
@@ -221,55 +266,54 @@ class _Basis:
             raise InvalidInputError(
                 "the deterministic equivalents need a dual-polarized array")
         self.scenario = scenario
+        G = scenario.G
         R = [cov.matrix * gain ** 2
              for cov, gain in zip(scenario.covariances, scenario.gains)]
         B = [pre.B_s for pre in build_preprocessors(scenario)]
-        eig = [_eigh(B[g].conj().T @ R[g] @ B[g]) for g in range(scenario.G)]
-        self.lam = [lam for lam, _ in eig]
-        self.coupling = [
-            [None if l == g else
-             np.sum(V.conj() * ((B[l].conj().T @ R[g] @ B[l]) @ V), axis=0).real
-             for l, (_, V) in enumerate(eig)]
-            for g in range(scenario.G)]
+        eig = [_eigh(B[g].conj().T @ R[g] @ B[g]) for g in range(G)]
+        self.lam = np.stack([lam for lam, _ in eig])
+        self.coupling = np.array([
+            [np.sum(V.conj() * ((B[l].conj().T @ R[g] @ B[l]) @ V), axis=0).real
+             for g in range(G) if g != l]
+            for l, (_, V) in enumerate(eig)]).reshape(G, G - 1, self.lam.shape[1])
+
+
+def _traces(a, b):
+    """Row-wise sums over the last axis: out[i, p, q] = sum(a[i, p] * b[i, q]).
+
+    Each member's sums see only its own rows, so its bits do not depend on
+    the batch it is in, which a BLAS product does not promise."""
+    return (a[:, :, None, :] * b[:, None, :, :]).sum(axis=-1)
 
 
 class _Spectral:
-    """Fixed points and derivative systems of all groups for one set of user
-    classes and one argument z, in the eigenbasis of a ``_Basis``.
+    """Fixed points and derivative systems of a batch of members that share
+    one multiplicity, dimension and argument z: in ``asym_sweep``, every
+    group of one scheme at one power (and, for BD, at every chi).
 
-    Every user class of group g commutes with C_g, so ``classes(lam_g)``
-    gives them as diagonals d (k, dim) and the resolvent T_g as a vector t.
-    Each trace tr(R_q T X T) then is ``w[g][q] @ x`` with w = d t^2 and
+    A member's user classes commute with its group's C_g, so they are
+    diagonals d (k, dim) in that eigenbasis and its resolvent T a vector t.
+    Each trace tr(R_q T X T) then is sum(w[q] * x) with w = d t^2 and
     x = diag(V_g^H X V_g).
     """
 
-    def __init__(self, basis: _Basis, classes, dim: int, z: float):
-        n = basis.scenario.n_bar // 2
+    def __init__(self, d, n: int, dim: int, z: float):
+        k = d.shape[1]
         self.dim = dim
-        self.classes = [classes(lam) for lam in basis.lam]
-        self.m0 = np.zeros((len(self.classes), len(self.classes[0])))
-        self.w, self.jac = [], []
-        self.iterations = 0
-        self.residual = 0.0
-        for g, d in enumerate(self.classes):
-            res = solve_fixed_point(FixedPointProblem(
-                covariances=tuple(d), multiplicities=(n,) * len(d),
-                S=None, z=z, M=dim))
-            self.m0[g] = res.e
-            self.iterations = max(self.iterations, res.iterations)
-            self.residual = max(self.residual, res.residual)
-            w = d * res.T ** 2
-            # J[p, q] = (n/dim) tr(R_p T R_q T) / (dim (1 + e_q)^2)
-            J = (n / dim) * (w @ d.T) / (dim * (1.0 + res.e) ** 2)
-            self.w.append(w)
-            self.jac.append(np.eye(len(d)) - J)
+        self.m0, T, self.iterations, self.residual = _fixed_points(
+            d, (n,) * k, np.zeros(dim) - z, z, dim)
+        self.w = d * T[:, None] ** 2
+        # J[p, q] = (n/dim) tr(R_p T R_q T) / (dim (1 + e_q)^2)
+        J = (n / dim) * _traces(self.w, d) / (dim * (1.0 + self.m0[:, None]) ** 2)
+        self.jac = np.eye(k) - J
 
-    def derivative(self, g: int, x) -> np.ndarray:
-        """Derivative traces m'_q of group g against the diagonal
-        perturbation(s) x (..., dim): (I - J) m' = [tr(R_q T X T) / dim]_q."""
-        rhs = np.asarray(x) @ self.w[g].T / self.dim
+    def derivatives(self, x) -> np.ndarray:
+        """Derivative traces m' (members, r, k) of every member against its
+        r diagonal perturbations x (members, r, dim), from one stacked
+        solve of (I - J) m' = [tr(R_q T X T) / dim]_q."""
+        rhs = _traces(self.w, x) / self.dim
         try:
-            return np.linalg.solve(self.jac[g], rhs.T).T
+            return np.swapaxes(np.linalg.solve(self.jac, rhs), 1, 2)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("singular (I - J) derivative system") from exc
 
@@ -291,29 +335,34 @@ def asym_sweep(scenario: GroupScenario, points) -> list:
     chi are not read. Returns one ``AsymptoticSolution`` per point, equal
     bit for bit to that of its one-point call (``asym_bd``/``asym_bds`` on
     the scenario at the point's power and chi). The points share one
-    ``_Basis``; BD's fixed point and derivative systems are solved once per
-    distinct (power, chi), BDS's once per distinct power, and tau^2 enters
-    only the SINR assembly (``AsymptoticSolution.at_tau``).
+    ``_Basis``. At each power, every group at every distinct chi of BD is
+    one batched fixed point with one stacked derivative solve, and so are
+    BDS's groups; tau^2 enters only the SINR assembly
+    (``AsymptoticSolution.at_tau``).
     """
     points = list(points)
     unknown = sorted({p.scheme for p in points} - {"BD", "BDS"})
     if unknown:
         raise InvalidInputError(f"unknown schemes: {', '.join(unknown)}")
     basis = _Basis(scenario)
+    bd_chis = {}
+    for p in points:
+        if p.scheme == "BD":
+            bd_chis.setdefault(p.power, {})[p.chi] = None
     solved = {}
+    for power, chis in bd_chis.items():
+        for chi, sol in zip(chis, _bd(basis, power, list(chis))):
+            solved["BD", power, chi] = sol
+    for power in dict.fromkeys(p.power for p in points if p.scheme == "BDS"):
+        solved["BDS", power] = _bds(basis, power)
     out = []
     for p in points:
         if p.scheme == "BD":
-            key = ("BD", p.power, p.chi)
-            if key not in solved:
-                solved[key] = _bd(basis, p.power, p.chi)
-            sol = solved[key]
+            sol = solved["BD", p.power, p.chi]
         else:
-            key = ("BDS", p.power)
-            if key not in solved:
-                solved[key] = _bds(basis, p.power)
-            units = solved[key].extras
-            sol = replace(solved[key], upsilon_cross=p.chi * units["cross_unit"],
+            sol = solved["BDS", p.power]
+            units = sol.extras
+            sol = replace(sol, upsilon_cross=p.chi * units["cross_unit"],
                           upsilon_inter=(1.0 + p.chi) * units["inter_unit"])
         out.append(sol.at_tau(p.tau_sq))
     return out
@@ -329,49 +378,65 @@ def asym_bds(scenario: GroupScenario, tau_sq: float = 0.0) -> AsymptoticSolution
     return asym_sweep(scenario, [DePoint("BDS", scenario.power, scenario.chi, tau_sq)])[0]
 
 
-def _bd(basis: _Basis, P: float, chi: float) -> AsymptoticSolution:
-    """BD at power P and chi, perfect CSIT.
+def _pol(x, chi):
+    """The classes of polarizations v and h, diag(x, chi x) and its mirror
+    diag(chi x, x), at every chi: x (..., h) gives (len(chi), ..., 2, 2h)."""
+    cx = np.multiply.outer(chi, x)
+    x = np.broadcast_to(x, cx.shape)
+    return np.stack([np.concatenate([x, cx], axis=-1),
+                     np.concatenate([cx, x], axis=-1)], axis=-2)
+
+
+def _bd(basis: _Basis, P: float, chis) -> list:
+    """BD at power P and perfect CSIT, one solution per chi of ``chis``.
 
     In the eigenbasis of C_g the class of polarization v, blockdiag(C_g,
-    chi C_g), is diag(lam, chi lam), and that of h its mirror.
+    chi C_g), is diag(lam, chi lam), and that of h its mirror. Every group
+    at every chi is one member (chi, group) of one ``_Spectral`` batch.
     """
     sc = basis.scenario
     G, n_bar, b_bar, N = sc.G, sc.n_bar, sc.b_bar, sc.n_users
     alpha = n_bar / (b_bar * P)
-
-    def pol(x):
-        return np.stack([np.concatenate([x, chi * x]), np.concatenate([chi * x, x])])
-
-    sp = _Spectral(basis, pol, b_bar, -alpha)
-    m0 = sp.m0
+    chis = np.asarray(chis, dtype=float)
+    C = len(chis)
+    classes = _pol(basis.lam, chis)
+    # Member (c, l) is perturbed by the identity, by its own two classes
+    # and by each other group's coupling onto l, two classes each.
+    x = np.concatenate([np.ones((C, G, 1, b_bar)), classes,
+                        _pol(basis.coupling, chis).reshape(C, G, 2 * (G - 1), b_bar)],
+                       axis=2)
+    sp = _Spectral(classes.reshape(C * G, 2, b_bar), n_bar // 2, b_bar, -alpha)
+    mp = sp.derivatives(x.reshape(C * G, 2 * G + 1, b_bar)).reshape(C, G, 2 * G + 1, 2)
+    m0 = sp.m0.reshape(C, G, 2)
     u = (1.0 + m0) ** 2
-    m_prime = np.array([sp.derivative(g, np.ones(b_bar)) for g in range(G)])
-    psi = (P / (2.0 * b_bar * G)) * np.sum(m_prime / u, axis=1)
+    m_prime = mp[:, :, 0]
+    psi = (P / (2.0 * b_bar * G)) * np.sum(m_prime / u, axis=-1)
     xi_sq_g = P / (G * psi)
 
-    ups_intra = np.zeros((G, 2))
-    ups_inter = np.zeros((G, 2))
-    for g in range(G):
-        # mp[p, q]: class q's derivative against class p; n_bar/2 - 1
-        # same-polarization users and n_bar/2 cross-polarized ones.
-        mp = sp.derivative(g, sp.classes[g]) / u[g]
-        ups_intra[g] = (P / N) / b_bar * ((n_bar / 2.0 - 1.0) * np.diag(mp)
-                                          + (n_bar / 2.0) * mp[[0, 1], [1, 0]])
-        for l in range(G):
-            if l != g:
-                mp_gl = sp.derivative(l, pol(basis.coupling[g][l])) / u[l]
-                ups_inter[g] += xi_sq_g[l] * (P / (2.0 * N)) * (n_bar / b_bar) * mp_gl.sum(axis=1)
+    # own[c, g, p, q]: class q's derivative against class p; n_bar/2 - 1
+    # same-polarization users and n_bar/2 cross-polarized ones.
+    own = mp[:, :, 1:3] / u[:, :, None]
+    ups_intra = (P / N) / b_bar * ((n_bar / 2.0 - 1.0) * np.diagonal(own, axis1=2, axis2=3)
+                                   + (n_bar / 2.0) * own[:, :, [0, 1], [1, 0]])
+    ups_inter = np.zeros((C, G, 2))
+    for l in range(G):
+        others = [g for g in range(G) if g != l]
+        mp_gl = mp[:, l, 3:].reshape(C, G - 1, 2, 2) / u[:, l, None, None]
+        ups_inter[:, others] += (xi_sq_g[:, l, None, None] * (P / (2.0 * N))
+                                 * (n_bar / b_bar) * mp_gl.sum(axis=-1))
 
-    xi_sq = np.repeat(xi_sq_g[:, None], 2, axis=1)
-    gamma = _assemble_gamma(P, N, 0.0, m0, xi_sq, ups_intra, np.zeros((G, 2)), ups_inter)
-    return AsymptoticSolution(
+    xi_sq = np.repeat(xi_sq_g[..., None], 2, axis=-1)
+    psi = np.repeat(psi[..., None], 2, axis=-1)
+    gamma = _assemble_gamma(P, N, 0.0, m0, xi_sq, ups_intra, 0.0, ups_inter)
+    iterations = sp.iterations.reshape(C, G).max(axis=1)
+    residual = sp.residual.reshape(C, G).max(axis=1)
+    return [AsymptoticSolution(
         scheme="BD", tau_sq=0.0, power=P, n_streams=N, n_bar=n_bar,
-        m0=m0, m_prime=m_prime, xi_sq=xi_sq,
-        psi=np.repeat(psi[:, None], 2, axis=1),
-        upsilon_intra=ups_intra, upsilon_cross=np.zeros((G, 2)),
-        upsilon_inter=ups_inter, gamma=gamma,
-        sum_rate=_sum_rate(gamma, n_bar), iterations=sp.iterations,
-        residual=sp.residual)
+        m0=m0[c], m_prime=m_prime[c], xi_sq=xi_sq[c], psi=psi[c],
+        upsilon_intra=ups_intra[c], upsilon_cross=np.zeros((G, 2)),
+        upsilon_inter=ups_inter[c], gamma=gamma[c],
+        sum_rate=_sum_rate(gamma[c], n_bar), iterations=int(iterations[c]),
+        residual=float(residual[c])) for c in range(C)]
 
 
 def _bds(basis: _Basis, P: float) -> AsymptoticSolution:
@@ -383,22 +448,28 @@ def _bds(basis: _Basis, P: float) -> AsymptoticSolution:
     matches the precoder (n_bar / P absolute, i.e. twice alpha per
     dimension), which makes the chi = 0 solution coincide with BD's exactly.
     Both polarizations share every quantity; arrays are (G, 2) throughout.
+    Every group is one member of one ``_Spectral`` batch.
     """
     sc = basis.scenario
     G, n_bar, b_bar, N = sc.G, sc.n_bar, sc.b_bar, sc.n_users
     alpha = n_bar / (b_bar * P)
     beta = b_bar // 2
 
-    sp = _Spectral(basis, lambda lam: lam[None, :], beta, -2.0 * alpha)
+    # Member l is perturbed by the identity, by its class and by each other
+    # group's coupling onto l.
+    classes = basis.lam[:, None]
+    sp = _Spectral(classes, n_bar // 2, beta, -2.0 * alpha)
+    mp = sp.derivatives(np.concatenate(
+        [np.ones((G, 1, beta)), classes, basis.coupling], axis=1))[:, :, 0]
     m0 = np.repeat(sp.m0, 2, axis=1)
     u = (1.0 + m0) ** 2
-    m_prime = np.repeat([sp.derivative(g, np.ones(beta)) for g in range(G)], 2, axis=1)
+    m_prime = np.repeat(mp[:, :1], 2, axis=1)
     psi = (P / (G * b_bar)) * m_prime / u
     # Deterministic equivalent of the per-subgroup normalization
     # xi^2 = (n_bar/2) / tr(H^H K^H K H), i.e. P / (2 G Psi).
     xi_sq = P / (2.0 * G * psi)
 
-    mp_gg = np.array([sp.derivative(g, sp.classes[g][0]) for g in range(G)])
+    mp_gg = mp[:, 1:2]
     ups_intra = ((n_bar / 2.0 - 1.0) / beta) * (P / N) * mp_gg / u
 
     # Interference of subgroup (l, q) onto users of (g, p): the projected
@@ -407,20 +478,18 @@ def _bds(basis: _Basis, P: float) -> AsymptoticSolution:
     # (1 + chi) inter_unit (formed in ``asym_sweep``): slope chi_slope in chi.
     cross_unit = xi_sq * (P / N) * (n_bar / b_bar) * mp_gg / u
     inter_unit = np.zeros((G, 2))
-    for g in range(G):
-        for l in range(G):
-            if l != g:
-                mp_gl = sp.derivative(l, basis.coupling[g][l])
-                inter_unit[g] += xi_sq[l] * (P / N) * (n_bar / b_bar) * mp_gl / u[l]
+    for l in range(G):
+        others = [g for g in range(G) if g != l]
+        inter_unit[others] += xi_sq[l] * (P / N) * (n_bar / b_bar) * mp[l, 2:, None] / u[l]
 
-    gamma = _assemble_gamma(P, N, 0.0, m0, xi_sq, ups_intra, np.zeros((G, 2)), inter_unit)
+    gamma = _assemble_gamma(P, N, 0.0, m0, xi_sq, ups_intra, 0.0, inter_unit)
     return AsymptoticSolution(
         scheme="BDS", tau_sq=0.0, power=P, n_streams=N, n_bar=n_bar,
         m0=m0, m_prime=m_prime, xi_sq=xi_sq, psi=psi,
         upsilon_intra=ups_intra, upsilon_cross=np.zeros((G, 2)),
         upsilon_inter=inter_unit, gamma=gamma,
-        sum_rate=_sum_rate(gamma, n_bar), iterations=sp.iterations,
-        residual=sp.residual,
+        sum_rate=_sum_rate(gamma, n_bar), iterations=int(sp.iterations.max()),
+        residual=float(sp.residual.max()),
         extras={"chi_slope": cross_unit + inter_unit,
                 "cross_unit": cross_unit, "inter_unit": inter_unit})
 

@@ -322,10 +322,11 @@ class TestMain:
         assert len(out.read_text().splitlines()) == 3
 
     def test_numerical_error_exit_three_leaves_empty_output(self, tmp_path, capsys):
-        # The 10 dB point solves; the 100 dB one does not converge. No row
-        # of either is written.
+        # The 10 dB point solves; at 100 dB the fixed point of the fully
+        # loaded groups (b_bar = n_bar) does not converge. No row of either
+        # is written.
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("m = 24\ngroups = 2\nn_bar = 4\nschemes = ASYM_BD\n"
+        cfg.write_text("m = 24\ngroups = 2\nn_bar = 4\nb_bar = 4\nschemes = ASYM_BD\n"
                        "snr_db = 10, 100\n")
         out = tmp_path / "o.csv"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3

@@ -187,20 +187,45 @@ def test_sweep_builds_the_geometry_once(fig4_scenario, monkeypatch):
         builds.append(scenario)
         return build_preprocessors(scenario)
 
-    def counted_solve(problem):
-        solves.append(problem)
-        return solve_fixed_point(problem)
+    def counted_solve(classes, *args):
+        solves.append(classes.shape[:2])
+        return fixed_points(classes, *args)
 
+    fixed_points = rmt._fixed_points
     monkeypatch.setattr(rmt, "build_preprocessors", counted_build)
-    monkeypatch.setattr(rmt, "solve_fixed_point", counted_solve)
+    monkeypatch.setattr(rmt, "_fixed_points", counted_solve)
     cells = fig4_sweep_cells(fig4_scenario)
     asym_sweep(fig4_scenario, [DePoint(s, power_from_db(snr), chi, t)
                                for s, snr, chi, t in cells])
     assert len(builds) == 1
-    # One fixed point per group: BD per distinct (power, chi), BDS per power.
-    bd = {(snr, chi) for s, snr, chi, _ in cells if s == "BD"}
+    # One batched fixed point per BD power, with every group at every
+    # distinct chi of that power as a member, and one per BDS power, with
+    # every group; BD's members have two classes, BDS's one.
+    G = fig4_scenario.G
+    bd = {}
+    for s, snr, chi, _ in cells:
+        if s == "BD":
+            bd.setdefault(snr, set()).add(chi)
     bds = {snr for s, snr, _, _ in cells if s == "BDS"}
-    assert len(solves) == fig4_scenario.G * (len(bd) + len(bds))
+    assert sorted(solves) == sorted([(G * len(chis), 2) for chis in bd.values()]
+                                    + [(G, 1)] * len(bds))
+
+
+def test_sweep_members_do_not_depend_on_their_batch(fig4_scenario):
+    """A point's solution is the same bits whether its chi shares the
+    batched fixed point with the sweep's other chi, in either order, or is
+    solved alone."""
+    points = [DePoint(s, power_from_db(snr), chi, t)
+              for snr in (0.0, 25.0) for chi in (0.0, 0.1, 0.3, 0.7, 1.0)
+              for t in (0.0, 0.2) for s in ("BD", "BDS")]
+    forward = asym_sweep(fig4_scenario, points)
+    backward = asym_sweep(fig4_scenario, points[::-1])[::-1]
+    alone = [asym_sweep(fig4_scenario, [p])[0] for p in points]
+    for p, a, b, c in zip(points, forward, backward, alone):
+        for name in SWEEP_FIELDS:
+            want = getattr(c, name)
+            assert np.array_equal(getattr(a, name), want), (p, name)
+            assert np.array_equal(getattr(b, name), want), (p, name)
 
 
 def test_sweep_rejects_unknown_schemes(fig4_scenario):
@@ -250,6 +275,20 @@ class TestBdAsymptotics:
                 assert np.all(sol.gamma > 0.0)
                 assert np.all(np.isfinite(sol.gamma))
                 assert sol.residual < 1e-10
+
+
+@pytest.mark.parametrize("cell", ["fig4_scenario", "small_scenario"])
+@pytest.mark.parametrize("solver", [asym_bd, asym_bds])
+def test_converges_over_the_cli_snr_range(cell, solver, request):
+    """The CLI takes snr_db in [-100, 100]. The fixed point's iterate grows
+    with the power, so above about 50 dB only a stop at the float floor
+    (16 eps max|e|) rather than at the absolute tolerance converges."""
+    scenario = request.getfixturevalue(cell)
+    for snr in range(-100, 101, 10):
+        sol = solver(scenario.with_power_db(float(snr)), tau_sq=0.1)
+        floor = 16.0 * np.finfo(float).eps * np.abs(sol.m0).max()
+        assert sol.residual < max(rmt.FIXED_POINT_TOL, floor), snr
+        assert np.all(np.isfinite(sol.gamma)) and np.all(sol.gamma > 0.0), snr
 
 
 @pytest.mark.parametrize("solver", [asym_bd, asym_bds])
