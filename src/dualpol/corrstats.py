@@ -8,6 +8,13 @@ mismatch.
 Every array is a uniform linear array, its element spacing given in units
 of the carrier wavelength, so the covariance kernel never needs the
 wavelength itself and every covariance is Toeplitz.
+
+The kernel integrates all lags at once with an adaptive Simpson rule whose
+levels double the panel count. Each level evaluates the integrand only at
+its new odd nodes, written in place into the level's array in cache-sized
+column blocks, next to the previous level's values on its even nodes. The
+result is bit for bit that of evaluating every level afresh, and the
+working memory is the last two levels.
 """
 
 from __future__ import annotations
@@ -37,6 +44,10 @@ RANK_TOL = 1e-6
 QUADRATURE_TOL = 1e-10
 
 _MAX_PANELS = 1 << 20
+
+#: Bytes of integrand values a quadrature level evaluates at a time: a
+#: block small enough to stay in cache between its product, exp and store.
+_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -137,13 +148,17 @@ def _one_ring_kernel(displacements, theta, delta, tol=QUADRATURE_TOL):
     ``displacements`` holds the distances d along the array axis, in
     wavelengths. Vectorized adaptive composite Simpson over all of them at
     once; panel count doubles until the worst entry moves by less than
-    `tol`. Each level keeps the integrand values of the one before, which
-    sit on its even nodes exactly, and evaluates only its new odd nodes.
+    `tol`. Each level evaluates exp((-j pi) (sin(a + theta) d)) at its new
+    odd nodes only: the level's array takes the previous level's values on
+    its even nodes, where they sit exactly, and its odd columns are written
+    in place, in blocks of about ``_BLOCK_BYTES``. The operations and their
+    order are those of evaluating every level afresh, so the result is bit
+    for bit the same, and the working memory is the last two levels.
     """
     d = np.asarray(displacements)[:, None]
-
-    def integrand(alpha):
-        return np.exp(-1j * np.pi * (np.sin(alpha + theta)[None, :] * d))
+    phase = -1j * np.pi
+    # Odd nodes per block: the block's complex integrand fills _BLOCK_BYTES.
+    width = max(1, _BLOCK_BYTES // (16 * d.shape[0]))
 
     def simpson(f, n_panels):
         w = np.ones(f.shape[1])
@@ -153,15 +168,18 @@ def _one_ring_kernel(displacements, theta, delta, tol=QUADRATURE_TOL):
         return (h / 3.0) * (f @ w) / (2.0 * delta)
 
     n = 8
-    f = integrand(np.linspace(-delta, delta, 2 * n + 1))
+    alpha = np.linspace(-delta, delta, 2 * n + 1)
+    f = np.exp(phase * (np.sin(alpha + theta)[None, :] * d))
     prev = simpson(f, n)
     while n <= _MAX_PANELS:
         n *= 2
-        odd = integrand(np.linspace(-delta, delta, 2 * n + 1)[1::2])
-        finer = np.empty((f.shape[0], 2 * n + 1), dtype=complex)
+        sin_odd = np.sin(np.linspace(-delta, delta, 2 * n + 1)[1::2] + theta)
+        finer = np.empty((d.shape[0], 2 * n + 1), dtype=complex)
         finer[:, ::2] = f
-        finer[:, 1::2] = odd
         f = finer
+        for lo in range(0, n, width):
+            hi = min(lo + width, n)
+            np.exp(phase * (sin_odd[None, lo:hi] * d), out=f[:, 2 * lo + 1:2 * hi:2])
         cur = simpson(f, n)
         err = np.abs(cur - prev).max()
         if err < tol:

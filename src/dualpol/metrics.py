@@ -341,7 +341,7 @@ def _grouped(indices, key):
 def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
                *, tau_sq=0.0, n_bits=None, theta_max=0.0,
                chi_dist=None, tau_sq_dist=None,
-               base=None, stream_base: int = 0, points=None):
+               base=None, stream_base: int = 0, points=None, preprocessors=None):
     """Run all requested schemes on shared channel draws.
 
     ``modes`` may contain BD, BDS, SWITCH, and SWITCH_RAW. CSIT quality comes
@@ -363,6 +363,10 @@ def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
     the effective chi of a mismatched draw, SWITCH_RAW from the raw one.
     Their crossover comes from BDS's deterministic equivalent at chi = 0 and
     each point's power (one ``rmt.asym_sweep`` call), or from ``base``.
+
+    ``preprocessors``, the scenario's ``build_preprocessors``, serves a
+    caller that runs several scenarios on one geometry; the trials and the
+    crossover share them, so the call builds them at most once.
     """
     if n_trials < 1:
         raise InvalidInputError("n_trials must be at least 1")
@@ -379,7 +383,8 @@ def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
                       chi=scenario.chi if p.chi is None else p.chi) for p in points]
     if any(not 0.0 <= p.theta_max <= np.pi / 2 for p in points):
         raise InvalidInputError("theta_max must lie in [0, pi/2]")
-    preprocessors = build_preprocessors(scenario)
+    if preprocessors is None:
+        preprocessors = build_preprocessors(scenario)
     C, D = kl_projections(scenario, preprocessors)
     scenarios = {p.power: scenario.with_power(p.power) for p in points}
     scales = {}
@@ -387,7 +392,8 @@ def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
         if base is not None and len(scenarios) > 1:
             raise InvalidInputError("base serves one power; the points have several")
         bases = [base] if base is not None else rmt.asym_sweep(
-            scenario, [rmt.DePoint("BDS", power, 0.0) for power in scenarios])
+            scenario, [rmt.DePoint("BDS", power, 0.0) for power in scenarios],
+            preprocessors)
         scales = {power: chi_crossover_scale(b) for power, b in zip(scenarios, bases)}
 
     sums = [{m: [] for m in modes} for _ in points]

@@ -258,10 +258,11 @@ class _Basis:
     (G, B_bar/2), and the inter-group couplings. ``coupling[l]`` (G - 1,
     B_bar/2) holds, for each other group g in ascending order, the diagonal
     of D_gl = B_l^H R_g B_l in group l's eigenbasis. Covariances are
-    gain-scaled; B_g is the per-polarization block of the BD preprocessor.
+    gain-scaled; B_g is the per-polarization block of the scenario's BD
+    ``preprocessors``.
     """
 
-    def __init__(self, scenario: GroupScenario):
+    def __init__(self, scenario: GroupScenario, preprocessors):
         if not scenario.dual_pol:
             raise InvalidInputError(
                 "the deterministic equivalents need a dual-polarized array")
@@ -269,7 +270,7 @@ class _Basis:
         G = scenario.G
         R = [cov.matrix * gain ** 2
              for cov, gain in zip(scenario.covariances, scenario.gains)]
-        B = [pre.B_s for pre in build_preprocessors(scenario)]
+        B = [pre.B_s for pre in preprocessors]
         eig = [_eigh(B[g].conj().T @ R[g] @ B[g]) for g in range(G)]
         self.lam = np.stack([lam for lam, _ in eig])
         self.coupling = np.array([
@@ -328,7 +329,7 @@ class DePoint(NamedTuple):
     tau_sq: float = 0.0
 
 
-def asym_sweep(scenario: GroupScenario, points) -> list:
+def asym_sweep(scenario: GroupScenario, points, preprocessors=None) -> list:
     """Deterministic equivalents of a whole sweep on one geometry.
 
     ``points`` is a sequence of ``DePoint``; the scenario's own power and
@@ -338,13 +339,16 @@ def asym_sweep(scenario: GroupScenario, points) -> list:
     ``_Basis``. At each power, every group at every distinct chi of BD is
     one batched fixed point with one stacked derivative solve, and so are
     BDS's groups; tau^2 enters only the SINR assembly
-    (``AsymptoticSolution.at_tau``).
+    (``AsymptoticSolution.at_tau``). ``preprocessors``, the scenario's
+    ``build_preprocessors``, saves a caller that holds them the rebuild.
     """
     points = list(points)
     unknown = sorted({p.scheme for p in points} - {"BD", "BDS"})
     if unknown:
         raise InvalidInputError(f"unknown schemes: {', '.join(unknown)}")
-    basis = _Basis(scenario)
+    if preprocessors is None:
+        preprocessors = build_preprocessors(scenario)
+    basis = _Basis(scenario, preprocessors)
     bd_chis = {}
     for p in points:
         if p.scheme == "BD":

@@ -14,6 +14,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+# precode.build_preprocessors is looked up on the module at call time, so
+# wrappers installed there (perfbench/tracer.py) see the call.
+from . import precode
 from .corrstats import (
     GroupGeometry,
     SpatialCovariance,
@@ -162,9 +165,11 @@ def run_3d_paired(scenario3d: Scenario3D, modes, n_trials: int, seed: int,
     One ``run_paired`` call per region; with ``points`` (``SweepPoint``s
     whose power is the whole cell's) it returns one dict per point, like
     ``run_paired``. Each region has its own gain, so the switching schemes
-    solve each region's own crossover: ``base`` is not taken. A summary's
-    extras (the switching schemes' ``bds_fraction``) are the mean over the
-    regions.
+    solve each region's own crossover: ``base`` is not taken. The regions
+    share the azimuth geometry (``reduce_to_2d`` changes only gains and
+    power), so one build of its BD preprocessors serves every region's
+    trials and crossover. A summary's extras (the switching schemes'
+    ``bds_fraction``) are the mean over the regions.
     """
     if "base" in kwargs:
         raise InvalidInputError("each region solves its own SWITCH crossover; "
@@ -174,8 +179,10 @@ def run_3d_paired(scenario3d: Scenario3D, modes, n_trials: int, seed: int,
     sweep = None if points is None else [
         p if p.power is None else replace(p, power=p.power / n_regions)
         for p in points]
+    preprocessors = precode.build_preprocessors(scenario3d.azimuth_scenario)
     regions = [run_paired(reduce_to_2d(scenario3d, l), modes, n_trials, seed,
-                          stream_base=l * n_trials, points=sweep, **kwargs)
+                          stream_base=l * n_trials, points=sweep,
+                          preprocessors=preprocessors, **kwargs)
                for l in range(n_regions)]
     if points is None:
         regions = [[results] for results in regions]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,12 +85,30 @@ class TestOneRing:
     def test_kernel_reuse_is_bit_exact(self):
         # Reusing the coarse level's integrand values must not move a bit:
         # the small eigenmodes of the covariance amplify any rounding change.
-        for spacing, size, theta, delta in itertools.product(
-                [0.25, 0.5, 1.0], [10, 60], [-0.8, 0.0, 0.7],
-                [1e-9, 0.14, 0.26, 1.0]):
+        for spacing, size, theta, delta in itertools.chain(
+                itertools.product([0.25, 0.5, 1.0], [10, 60], [-0.8, 0.0, 0.7],
+                                  [1e-9, 0.14, 0.26, 1.0]),
+                # The fig5 single-polarized array: 119 lags, whose deep
+                # levels span many blocks and end in a ragged one.
+                itertools.product([0.5], [120], [-0.8, 0.0, 0.7], [0.26]),
+                # One lag: every level is a single block.
+                itertools.product([0.25, 0.5, 1.0], [2], [-0.8, 0.0, 0.7],
+                                  [1e-9, 0.14, 0.26, 1.0])):
             d = spacing * np.arange(1 - size, 0)
             assert np.array_equal(_one_ring_kernel(d, theta, delta),
                                   adaptive_simpson_oracle(d, theta, delta))
+
+    def test_quadrature_memory_is_two_levels(self):
+        # The 59 lags end on 2,048 panels: the peak holds that level and the
+        # one before it, plus 1 MiB for the blocks and the eigensolver.
+        bound = 59 * (4097 + 2049) * 16 + (1 << 20)
+        tracemalloc.start()
+        try:
+            one_ring_covariance(GroupGeometry(THETA, DELTA), 60, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
     def test_effective_rank_matches_reference_eigensolver(self, cov):
         # Reference eigensolver on the oracle-integrated matrix counts 11

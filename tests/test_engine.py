@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import dualpol.metrics as metrics
+import dualpol.precode as precode
 import dualpol.rmt as rmt
 from dualpol.errors import DegenerateInputError, InvalidInputError
 from dualpol.metrics import SweepPoint, run_paired
@@ -221,9 +222,7 @@ def test_sweep_rejects_per_call_point_arguments(small_scenario):
                    points=[SweepPoint(power=1.0), SweepPoint(power=2.0)])
 
 
-def test_switch_bases_share_one_de_sweep(small_scenario, monkeypatch):
-    # One geometry build for the trials and one for the chi = 0 BDS bases
-    # of every power, however many powers the points hold.
+def count_preprocessor_builds(monkeypatch):
     calls = []
 
     def counted(scenario):
@@ -232,6 +231,23 @@ def test_switch_bases_share_one_de_sweep(small_scenario, monkeypatch):
 
     monkeypatch.setattr(metrics, "build_preprocessors", counted)
     monkeypatch.setattr(rmt, "build_preprocessors", counted)
+    monkeypatch.setattr(precode, "build_preprocessors", counted)
+    return calls
+
+
+def test_switch_bases_share_one_de_sweep(small_scenario, monkeypatch):
+    # One geometry build serves the trials and the chi = 0 BDS bases of
+    # every power, however many powers the points hold.
+    calls = count_preprocessor_builds(monkeypatch)
     points = [SweepPoint(power=p, chi=c) for p in (3.0, 10.0, 100.0) for c in (0.1, 0.4)]
     run_paired(small_scenario, ["SWITCH", "SWITCH_RAW"], 2, 1, points=points)
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def test_3d_regions_share_one_preprocessor_build(monkeypatch):
+    # The fig11 cell's three regions share the azimuth geometry: one build
+    # serves every region's trials and SWITCH crossover.
+    sc3 = make_scenario_3d().with_power_db(25.0)
+    calls = count_preprocessor_builds(monkeypatch)
+    run_3d_paired(sc3, ALL_MODES, 2, 1, theta_max=0.69)
+    assert len(calls) == 1
