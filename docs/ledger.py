@@ -4,11 +4,14 @@ Usage, from the repository root:
 
     PYTHONPATH=src python docs/ledger.py [--write] [3] [6] [11]
 
-Without section numbers every section runs (under a minute on two
-cores). The output is the ledger's measurement block in Markdown; with
-``--write`` it also replaces the block between the ledger's
-``<!-- measured -->`` markers. All numbers come from the library at the
-acceptance suite's seed, 2024, unless a line names another seed.
+Without section numbers every section runs (about 30 s on two cores:
+section 6 about 9 s, section 11 about 20 s). The output is the ledger's
+measurement block in Markdown; with ``--write`` it also replaces the block
+between the ledger's ``<!-- measured -->`` markers. All numbers come from
+the library at the acceptance suite's seed, 2024, unless a line names
+another seed. Section 6 reads the SINR terms of both sides from the
+library: ``McSummary.terms`` of ``run_paired`` and
+``AsymptoticSolution.terms()``.
 
 Section 11 compares four polarization-mismatch models, two choices of the
 channel draw times two choices of the CSIT. The library holds only the
@@ -44,7 +47,7 @@ import numpy as np
 
 import dualpol.channel as channel
 from dualpol.channel import RngStream
-from dualpol.metrics import McSummary, draw_trial, run_paired, sinr_report
+from dualpol.metrics import McSummary, run_paired
 from dualpol.precode import build_preprocessors
 from dualpol.rmt import asym_bd, asym_bds
 from dualpol.scenario import make_scenario
@@ -108,45 +111,32 @@ def _scenario(dims):
     return make_scenario(G=4, chi=0.0, **dims)
 
 
-def _mc_terms(sc, mode, trials):
-    """Mean per-user signal, intra and other (cross + inter) powers over
-    perfect-CSIT trials; noise power 1."""
-    pre = build_preprocessors(sc)
-    acc = np.zeros(3)
-    for t in range(trials):
-        channels = draw_trial(sc, RngStream(SEED, t))
-        rep = sinr_report(sc, channels, mode, preprocessors=pre)
-        acc += (rep.signal.mean(), rep.intra.mean(),
-                (rep.cross + rep.inter).mean())
-    return acc / trials
+def _key(dims):
+    return "(" + ", ".join(str(dims[k]) for k in ("M", "n_bar", "b_bar", "r")) + ")"
 
 
-def _de_terms(sol):
-    """The DE's signal, intra and other powers at perfect CSIT, noise 1
-    (the SINR assembly divided through by (1 + m0)^2)."""
-    u = (1.0 + sol.m0) ** 2
-    signal = (sol.power / sol.n_streams) * sol.xi_sq * sol.m0 ** 2 / u
-    intra = sol.xi_sq * sol.upsilon_intra / u
-    other = sol.upsilon_cross + sol.upsilon_inter
-    return np.array([signal.mean(), intra.mean(), other.mean()])
+def _term_row(key, mode, snr, trials, mc, de):
+    """A row of mean per-user signal, intra and other (cross + inter) powers,
+    MC (``McSummary.terms``) against DE (``AsymptoticSolution.terms``)."""
+    def split(signal, intra, cross, inter):
+        return np.mean(signal), np.mean(intra), np.mean(cross + inter)
+    ratio = [f"{m:.3g} / {d:.3g} ({m / d - 1.0:+.1%})"
+             for m, d in zip(split(*mc.terms), split(*de.terms()))]
+    return f"| {key} | {mode} | {snr:g} dB | {trials} | " + " | ".join(ratio) + " |"
 
 
-def _de_gap(sc, mode, snr, trials):
+def _de_gap(mc, de):
     # The acceptance suite's gap: MC per-user effective SINR (rate domain)
-    # against the DE mean SINR, BD at tau^2 = 0.1, BDS at 0.01.
-    scp = sc.with_power_db(snr)
-    de = (asym_bd(scp, tau_sq=0.1) if mode == "BD"
-          else asym_bds(scp, tau_sq=0.01))
-    res = run_paired(scp, [mode], trials, SEED, tau_sq=0.1)[mode]
-    eff = 2.0 ** (res.sum_rate / scp.n_users) - 1.0
+    # against the DE mean SINR.
+    eff = 2.0 ** (mc.sum_rate / de.n_streams) - 1.0
     gamma = de.mean_gamma()
     # Both sides in the rate domain: the DE's own effective SINR.
-    eff_de = 2.0 ** (de.sum_rate / scp.n_users) - 1.0
+    eff_de = 2.0 ** (de.sum_rate / de.n_streams) - 1.0
     return abs(eff - gamma) / gamma, abs(eff - eff_de) / eff_de
 
 
 def section_6(out):
-    small = _scenario(SMALL)
+    small, large = _scenario(SMALL), _scenario(LARGE)
     pre = build_preprocessors(small)
     out.append("### Criterion 6: spectrum of the projected covariances at "
                "(M, n_bar, B_bar, r) = (120, 8, 16, 11)\n")
@@ -166,18 +156,13 @@ def section_6(out):
     out.append("| (M, n_bar, B_bar, r) | scheme | SNR | trials | signal | "
                "intra | cross + inter |")
     out.append("|---|---|---|---|---|---|---|")
-    for dims, trials in ((SMALL, 400), (LARGE, 200)):
-        sc = _scenario(dims)
-        key = "(" + ", ".join(str(dims[k]) for k in ("M", "n_bar", "b_bar", "r")) + ")"
+    for dims, sc, trials in ((SMALL, small, 400), (LARGE, large, 200)):
         for mode in ("BD", "BDS"):
             for snr in (5.0, 25.0):
                 scp = sc.with_power_db(snr)
-                de = _de_terms(asym_bd(scp) if mode == "BD" else asym_bds(scp))
-                mc = _mc_terms(scp, mode, trials)
-                ratio = [f"{m:.3g} / {d:.3g} ({m / d - 1.0:+.1%})"
-                         for m, d in zip(mc, de)]
-                out.append(f"| {key} | {mode} | {snr:g} dB | {trials} | "
-                           + " | ".join(ratio) + " |")
+                de = asym_bd(scp) if mode == "BD" else asym_bds(scp)
+                mc = run_paired(scp, [mode], trials, SEED)[mode]
+                out.append(_term_row(_key(dims), mode, snr, trials, mc, de))
     out.append("")
 
     out.append("### Criterion 6: the suite's gap at each size (tau^2 = 0.1; "
@@ -185,14 +170,25 @@ def section_6(out):
     out.append("| (M, n_bar, B_bar, r) | trials | scheme | SNR | "
                "gap (the criterion's) | gap, both sides in the rate domain |")
     out.append("|---|---|---|---|---|---|")
-    for dims, trials in ((SMALL, 400), (LARGE, 400)):
-        sc = _scenario(dims)
-        key = "(" + ", ".join(str(dims[k]) for k in ("M", "n_bar", "b_bar", "r")) + ")"
+    term_rows = []
+    for dims, sc, trials in ((SMALL, small, 400), (LARGE, large, 400)):
         for mode in ("BD", "BDS"):
             for snr in (5.0, 25.0):
-                gap, rate_gap = _de_gap(sc, mode, snr, trials)
-                out.append(f"| {key} | {trials} | {mode} | {snr:g} dB | "
+                scp = sc.with_power_db(snr)
+                de = asym_bd(scp, tau_sq=0.1) if mode == "BD" else asym_bds(scp, tau_sq=0.01)
+                mc = run_paired(scp, [mode], trials, SEED, tau_sq=0.1)[mode]
+                gap, rate_gap = _de_gap(mc, de)
+                out.append(f"| {_key(dims)} | {trials} | {mode} | {snr:g} dB | "
                            f"{gap:.1%} | {rate_gap:.1%} |")
+                term_rows.append(_term_row(_key(dims), mode, snr, trials, mc, de))
+    out.append("")
+
+    out.append("### Criterion 6: mean per-user powers at tau^2 = 0.1 (BDS DE "
+               "at 0.01), MC / DE (MC over DE - 1), noise power 1\n")
+    out.append("| (M, n_bar, B_bar, r) | scheme | SNR | trials | signal | "
+               "intra | cross + inter |")
+    out.append("|---|---|---|---|---|---|---|")
+    out += term_rows
     out.append("")
 
 

@@ -73,6 +73,12 @@ class SinrReport:
         total = self.rates.sum(axis=-1)
         return float(total) if total.ndim == 0 else total
 
+    @property
+    def terms(self) -> np.ndarray:
+        """Per-user mean signal, intra, cross and inter powers: (..., 4)."""
+        return np.stack([x.mean(axis=-1) for x in
+                         (self.signal, self.intra, self.cross, self.inter)], axis=-1)
+
 
 @dataclass(frozen=True)
 class McSummary:
@@ -83,17 +89,24 @@ class McSummary:
     sum_rate: float
     stderr: float
     trial_sum_rates: np.ndarray = field(repr=False)
+    trial_terms: np.ndarray | None = field(default=None, repr=False)
     extras: dict = field(default_factory=dict, repr=False)
 
+    @property
+    def terms(self) -> np.ndarray:
+        """The mean over the trials of ``trial_terms`` (n_trials, 4), each
+        trial's ``SinrReport.terms``."""
+        return self.trial_terms.mean(axis=0)
+
     @staticmethod
-    def from_trials(scheme, sums, extras=None):
+    def from_trials(scheme, sums, extras=None, terms=None):
         sums = np.asarray(sums, dtype=float)
         n = sums.size
         std = sums.std(ddof=1) if n > 1 else 0.0
         return McSummary(
             scheme=scheme, n_trials=n, sum_rate=float(sums.mean()),
             stderr=float(std / np.sqrt(n)), trial_sum_rates=sums,
-            extras=extras or {},
+            trial_terms=terms, extras=extras or {},
         )
 
 
@@ -276,9 +289,9 @@ def _stacked_report(scenario, C, maps, channels, mode, tau):
     return _decompose(powers, split_cross=mode == "BDS")
 
 
-def _point_rates(scenario, C, maps, channels, modes, point, tau_sq, chi_used, scale):
-    """Per-trial sum rates of every mode at one sweep point, and the trials
-    each mode evaluates with BDS.
+def _point_rows(scenario, C, maps, channels, modes, point, tau_sq, chi_used, scale):
+    """Per-trial rows of every mode at one sweep point, (T, 6): the sum
+    rate, the four ``SinrReport.terms`` and 1 where BDS evaluates the trial.
 
     ``scenario`` is at the point's power and ``tau_sq`` holds the drawn
     per-trial tau^2, or None. The switching schemes pick BDS where their
@@ -304,18 +317,25 @@ def _point_rates(scenario, C, maps, channels, modes, point, tau_sq, chi_used, sc
             uses_bds[mode] = chi_used[mode] <= np.multiply(
                 scale, tau_bd ** 2, out=np.zeros(T), where=tau_bd > 0.0)
     picks = np.array(list(uses_bds.values()))
-    rates = {"BD": np.nan, "BDS": np.nan}
-    if not picks.all():
-        rates["BD"] = _stacked_report(scenario, C, maps, channels, "BD", tau_bd).sum_rate
-    if picks.any():
-        rates["BDS"] = _stacked_report(scenario, C, maps, channels, "BDS",
-                                       tau("BDS")).sum_rate
-    return {m: np.where(uses_bds[m], rates["BDS"], rates["BD"]) for m in modes}, uses_bds
+    rows = {"BD": np.nan, "BDS": np.nan}
+    for scheme, needed in (("BD", not picks.all()), ("BDS", picks.any())):
+        if needed:
+            rep = _stacked_report(scenario, C, maps, channels, scheme,
+                                  tau_bd if scheme == "BD" else tau("BDS"))
+            rows[scheme] = np.column_stack([rep.sum_rate, rep.terms])
+    return {m: np.column_stack([np.where(uses_bds[m][:, None], rows["BDS"], rows["BD"]),
+                                uses_bds[m]]) for m in modes}
 
 
-def _chi_rates(scenario, C, D, modes, chi, draws, theta_max, points, scenarios,
-               scales):
-    """``_point_rates`` of the points that share one chi's channels, built
+def _summary(mode, rows):
+    """The ``McSummary`` of a mode's (n_trials, 6) ``_point_rows``."""
+    extras = {"bds_fraction": float(rows[:, 5].mean())} if mode.startswith("SWITCH") else {}
+    return McSummary.from_trials(mode, np.ascontiguousarray(rows[:, 0]), extras, rows[:, 1:5])
+
+
+def _chi_rows(scenario, C, D, modes, chi, draws, theta_max, points, scenarios,
+              scales):
+    """``_point_rows`` of the points that share one chi's channels, built
     from a trial block's ``draws`` (tau^2, normals, angles)."""
     tau_sq, normals, angles = draws
     channels = [channel_from_normals(cov, chi, normals_g, angles_g, gain)
@@ -326,8 +346,8 @@ def _chi_rates(scenario, C, D, modes, chi, draws, theta_max, points, scenarios,
     if theta_max > 0.0 and "SWITCH" in modes:
         chi_used["SWITCH"] = np.array([mismatch_effective_stats(c, theta_max).chi_eff
                                        for c in chi])
-    return [_point_rates(scenarios[p.power], C, maps, channels, modes, p, tau_sq,
-                         chi_used, scales.get(p.power)) for p in points]
+    return [_point_rows(scenarios[p.power], C, maps, channels, modes, p, tau_sq,
+                        chi_used, scales.get(p.power)) for p in points]
 
 
 def _grouped(indices, key):
@@ -396,8 +416,7 @@ def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
             preprocessors)
         scales = {power: chi_crossover_scale(b) for power, b in zip(scenarios, bases)}
 
-    sums = [{m: [] for m in modes} for _ in points]
-    bds_picks = [dict.fromkeys(modes, 0) for _ in points]
+    rows = [{m: [] for m in modes} for _ in points]
     # Aligned draws serve every theta_max = 0 point; single-polarized
     # arrays are never mismatched.
     by_draw = _grouped(range(len(points)), lambda i: (
@@ -411,20 +430,11 @@ def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
             for chi, at_chi in _grouped(
                     at_theta, lambda i: None if chi_dist else points[i].chi):
                 chi = chi_drawn if chi_dist else np.full(len(streams), float(chi))
-                at_chi_rates = _chi_rates(
+                at_chi_rows = _chi_rows(
                     scenario, C, D, modes, chi, draws, theta_max,
                     [points[i] for i in at_chi], scenarios, scales)
-                for i, (rates, uses_bds) in zip(at_chi, at_chi_rates):
+                for i, point_rows in zip(at_chi, at_chi_rows):
                     for mode in modes:
-                        sums[i][mode].append(rates[mode])
-                        bds_picks[i][mode] += int(np.count_nonzero(uses_bds[mode]))
-    out = []
-    for sums_p, picks_p in zip(sums, bds_picks):
-        results = {}
-        for mode in modes:
-            extras = {}
-            if mode.startswith("SWITCH"):
-                extras["bds_fraction"] = picks_p[mode] / n_trials
-            results[mode] = McSummary.from_trials(mode, np.concatenate(sums_p[mode]), extras)
-        out.append(results)
+                        rows[i][mode].append(point_rows[mode])
+    out = [{m: _summary(m, np.concatenate(rows_p[m])) for m in modes} for rows_p in rows]
     return out[0] if one_point else out

@@ -210,26 +210,27 @@ class AsymptoticSolution:
     residual: float
     extras: dict = field(default_factory=dict, repr=False)
 
+    def terms(self) -> tuple:
+        """The SINR's signal, intra-(sub)group, cross-polarized and
+        inter-group powers at ``tau_sq``, each (G, 2), with noise power 1 as
+        in ``metrics.SinrReport``: gamma = signal / (intra + cross + inter + 1).
+        The assembly divides through by (1 + m0)^2."""
+        u = (1.0 + self.m0) ** 2
+        signal = ((self.power / self.n_streams) * self.xi_sq * (1.0 - self.tau_sq)
+                  * self.m0 ** 2 / u)
+        intra = self.xi_sq * self.upsilon_intra * (1.0 - self.tau_sq * (1.0 - u)) / u
+        return signal, intra, self.upsilon_cross, self.upsilon_inter
+
     def at_tau(self, tau_sq: float) -> "AsymptoticSolution":
-        """Re-assemble the SINR at another CSIT quality; the fixed point,
-        derivatives and xi are tau-independent."""
-        gamma = _assemble_gamma(
-            self.power, self.n_streams, tau_sq, self.m0, self.xi_sq,
-            self.upsilon_intra, self.upsilon_cross, self.upsilon_inter)
-        return replace(self, tau_sq=tau_sq, gamma=gamma,
-                       sum_rate=_sum_rate(gamma, self.n_bar))
+        """Assemble the SINR at a CSIT quality; the fixed point, derivatives
+        and xi are tau-independent."""
+        sol = replace(self, tau_sq=tau_sq)
+        signal, intra, cross, inter = sol.terms()
+        gamma = signal / (intra + cross + inter + 1.0)
+        return replace(sol, gamma=gamma, sum_rate=_sum_rate(gamma, self.n_bar))
 
     def mean_gamma(self) -> float:
         return float(self.gamma.mean())
-
-
-def _assemble_gamma(power, n_streams, tau_sq, m0, xi_sq, ups_intra,
-                    ups_cross, ups_inter):
-    u = (1.0 + m0) ** 2
-    signal = (power / n_streams) * xi_sq * (1.0 - tau_sq) * m0 ** 2
-    intra = xi_sq * ups_intra * (1.0 - tau_sq * (1.0 - u))
-    other = (1.0 + ups_cross + ups_inter) * u
-    return signal / (intra + other)
 
 
 def _sum_rate(gamma, n_bar):
@@ -392,7 +393,7 @@ def _pol(x, chi):
 
 
 def _bd(basis: _Basis, P: float, chis) -> list:
-    """BD at power P and perfect CSIT, one solution per chi of ``chis``.
+    """BD at power P, one solution per chi of ``chis``, SINR left to ``at_tau``.
 
     In the eigenbasis of C_g the class of polarization v, blockdiag(C_g,
     chi C_g), is diag(lam, chi lam), and that of h its mirror. Every group
@@ -431,20 +432,18 @@ def _bd(basis: _Basis, P: float, chis) -> list:
 
     xi_sq = np.repeat(xi_sq_g[..., None], 2, axis=-1)
     psi = np.repeat(psi[..., None], 2, axis=-1)
-    gamma = _assemble_gamma(P, N, 0.0, m0, xi_sq, ups_intra, 0.0, ups_inter)
     iterations = sp.iterations.reshape(C, G).max(axis=1)
     residual = sp.residual.reshape(C, G).max(axis=1)
     return [AsymptoticSolution(
         scheme="BD", tau_sq=0.0, power=P, n_streams=N, n_bar=n_bar,
         m0=m0[c], m_prime=m_prime[c], xi_sq=xi_sq[c], psi=psi[c],
         upsilon_intra=ups_intra[c], upsilon_cross=np.zeros((G, 2)),
-        upsilon_inter=ups_inter[c], gamma=gamma[c],
-        sum_rate=_sum_rate(gamma[c], n_bar), iterations=int(iterations[c]),
-        residual=float(residual[c])) for c in range(C)]
+        upsilon_inter=ups_inter[c], gamma=None, sum_rate=None,
+        iterations=int(iterations[c]), residual=float(residual[c])) for c in range(C)]
 
 
 def _bds(basis: _Basis, P: float) -> AsymptoticSolution:
-    """BDS at power P, chi = 0 and perfect CSIT.
+    """BDS at power P and chi = 0, its SINR left to ``at_tau``.
 
     Each co-polarized subgroup has a scalar fixed point on its (B_bar/2)-dim
     effective system; cross-polarized and inter-group interference enter
@@ -486,14 +485,12 @@ def _bds(basis: _Basis, P: float) -> AsymptoticSolution:
         others = [g for g in range(G) if g != l]
         inter_unit[others] += xi_sq[l] * (P / N) * (n_bar / b_bar) * mp[l, 2:, None] / u[l]
 
-    gamma = _assemble_gamma(P, N, 0.0, m0, xi_sq, ups_intra, 0.0, inter_unit)
     return AsymptoticSolution(
         scheme="BDS", tau_sq=0.0, power=P, n_streams=N, n_bar=n_bar,
         m0=m0, m_prime=m_prime, xi_sq=xi_sq, psi=psi,
         upsilon_intra=ups_intra, upsilon_cross=np.zeros((G, 2)),
-        upsilon_inter=inter_unit, gamma=gamma,
-        sum_rate=_sum_rate(gamma, n_bar), iterations=int(sp.iterations.max()),
-        residual=float(sp.residual.max()),
+        upsilon_inter=inter_unit, gamma=None, sum_rate=None,
+        iterations=int(sp.iterations.max()), residual=float(sp.residual.max()),
         extras={"chi_slope": cross_unit + inter_unit,
                 "cross_unit": cross_unit, "inter_unit": inter_unit})
 
@@ -501,20 +498,16 @@ def _bds(basis: _Basis, P: float) -> AsymptoticSolution:
 def bds_c0(solution_at_zero: AsymptoticSolution) -> float:
     """Interference growth coefficient of the BDS SINR in chi.
 
-    The weighted interference sum is affine in chi, so per subgroup the SINR
-    obeys gamma(chi) = gamma(0) / (1 + c chi) exactly with
-    c = slope * (1+m)^2 / denominator(0); c0 averages c over (g, p). (The
-    compact closed-form coefficient replaces the cross-polarized multiplicity
-    n_bar/2 by n_bar/2 - 1 and drops inter-group leakage, which overshoots
-    the decay for small groups; the slope form is exact.)
+    The interference terms are affine in chi, so per subgroup the SINR obeys
+    gamma(chi) = gamma(0) / (1 + c chi) exactly with c = slope / (1 + intra
+    + cross + inter) at chi = 0, in the normalization of ``terms``; c0
+    averages c over (g, p). (The compact closed-form coefficient replaces the
+    cross-polarized multiplicity n_bar/2 by n_bar/2 - 1 and drops inter-group
+    leakage, which overshoots the decay for small groups; the slope form is
+    exact.)
     """
-    tau_sq = solution_at_zero.tau_sq
-    m0 = solution_at_zero.m0
-    slope = solution_at_zero.extras["chi_slope"]
-    b0 = solution_at_zero.xi_sq * solution_at_zero.upsilon_intra
-    u = (1.0 + m0) ** 2
-    denom0 = b0 * (tau_sq * (u - 1.0) + 1.0) / u + 1.0 + solution_at_zero.upsilon_inter
-    c0 = slope / denom0
+    _, intra, cross, inter = solution_at_zero.terms()
+    c0 = solution_at_zero.extras["chi_slope"] / (1.0 + intra + cross + inter)
     return float(c0.mean())
 
 

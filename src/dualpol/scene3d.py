@@ -169,7 +169,7 @@ def run_3d_paired(scenario3d: Scenario3D, modes, n_trials: int, seed: int,
     share the azimuth geometry (``reduce_to_2d`` changes only gains and
     power), so one build of its BD preprocessors serves every region's
     trials and crossover. A summary's extras (the switching schemes'
-    ``bds_fraction``) are the mean over the regions.
+    ``bds_fraction``) and its ``trial_terms`` are the mean over the regions.
     """
     if "base" in kwargs:
         raise InvalidInputError("each region solves its own SWITCH crossover; "
@@ -189,6 +189,7 @@ def run_3d_paired(scenario3d: Scenario3D, modes, n_trials: int, seed: int,
     out = [{m: McSummary.from_trials(
                 m, sum(r[i][m].trial_sum_rates for r in regions),
                 {key: sum(r[i][m].extras[key] for r in regions) / n_regions
-                 for key in regions[0][i][m].extras})
+                 for key in regions[0][i][m].extras},
+                sum(r[i][m].trial_terms for r in regions) / n_regions)
             for m in modes} for i in range(len(regions[0]))]
     return out[0] if points is None else out

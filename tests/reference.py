@@ -3,10 +3,11 @@
 ``run_paired`` stacks trials and works in the KL domain; ``reference_paired``
 draws every trial with ``draw_trial`` from the same stream, precodes it with
 ``build_all`` and decomposes it with ``sinr_bd``/``sinr_bds`` (through
-``sinr_report``), over the M-row channel. It forms H and never reads the
-engine's KL projections. ``test_engine.py`` imports it, and
-``docs/ledger.py`` loads this file by path for criterion 11; the name has
-no ``test_`` prefix, so pytest does not collect it.
+``sinr_report``) into signal, intra, cross and inter powers, over the M-row
+channel. It forms H and never reads the engine's KL projections.
+``test_engine.py`` imports it, and ``docs/ledger.py`` loads this file by
+path for criterion 11; the name has no ``test_`` prefix, so pytest does not
+collect it.
 """
 
 import math
@@ -24,13 +25,16 @@ from dualpol.rmt import asym_bds
 def reference_paired(scenario, modes, n_trials, seed, *, tau_sq=0.0,
                      n_bits=None, theta_max=0.0, chi_dist=None,
                      tau_sq_dist=None, stream_base=0):
-    """Per-trial sum rates of every mode, and the BDS picks of the switches."""
+    """Per-trial sum rates of every mode, the BDS picks of the switches and
+    per-trial terms: each mode's (n_trials, 4) per-user mean signal, intra,
+    cross and inter powers."""
     pre = build_preprocessors(scenario)
     scale = None
     if any(m.startswith("SWITCH") for m in modes):
         scale = chi_crossover_scale(asym_bds(scenario.with_chi(0.0), tau_sq=0.0))
     sums = {m: [] for m in modes}
     picks = {m: [] for m in modes}
+    terms = {m: [] for m in modes}
     for t in range(n_trials):
         gen = RngStream(seed, stream_base + t).generator()
         chi = gen.uniform(*chi_dist) if chi_dist else scenario.chi
@@ -43,7 +47,7 @@ def reference_paired(scenario, modes, n_trials, seed, *, tau_sq=0.0,
             t_bds = min(t_bd * t_bd, 1.0)
         tau = {"BD": math.sqrt(t_bd), "BDS": math.sqrt(t_bds)}
         channels = draw_trial(scenario, gen, chi=chi, theta_max=theta_max)
-        rates = {}
+        reports = {}
         for mode in modes:
             chosen = mode
             if mode.startswith("SWITCH"):
@@ -55,9 +59,12 @@ def reference_paired(scenario, modes, n_trials, seed, *, tau_sq=0.0,
                 threshold = scale * tau["BD"] ** 2 if tau["BD"] > 0.0 else 0.0
                 chosen = "BDS" if chi_used <= threshold else "BD"
                 picks[mode].append(chosen == "BDS")
-            if chosen not in rates:
-                rates[chosen] = sinr_report(scenario, channels, chosen,
-                                            tau=tau[chosen],
-                                            preprocessors=pre).sum_rate
-            sums[mode].append(rates[chosen])
-    return {m: np.array(s) for m, s in sums.items()}, picks
+            if chosen not in reports:
+                reports[chosen] = sinr_report(scenario, channels, chosen,
+                                              tau=tau[chosen], preprocessors=pre)
+            rep = reports[chosen]
+            sums[mode].append(rep.sum_rate)
+            terms[mode].append([rep.signal.mean(), rep.intra.mean(),
+                                rep.cross.mean(), rep.inter.mean()])
+    return ({m: np.array(s) for m, s in sums.items()}, picks,
+            {m: np.array(t) for m, t in terms.items()})

@@ -21,12 +21,20 @@ from reference import reference_paired
 RTOL = 1e-12
 
 
+def assert_terms_match(got, want):
+    """Signal, intra and cross to RTOL; inter to RTOL of the signal, since
+    at M = 120 it is leakage of about 1e-10 formed by cancellation."""
+    np.testing.assert_allclose(got[:, :3], want[:, :3], rtol=RTOL, atol=0.0)
+    assert np.all(np.abs(got[:, 3] - want[:, 3]) <= RTOL * want[:, 0])
+
+
 def assert_engine_matches(scenario, modes, n_trials, seed, **kwargs):
     got = run_paired(scenario, modes, n_trials, seed, **kwargs)
-    want, picks = reference_paired(scenario, modes, n_trials, seed, **kwargs)
+    want, picks, terms = reference_paired(scenario, modes, n_trials, seed, **kwargs)
     for mode in modes:
         np.testing.assert_allclose(got[mode].trial_sum_rates, want[mode],
                                    rtol=RTOL, atol=0.0)
+        assert_terms_match(got[mode].trial_terms, terms[mode])
         if mode.startswith("SWITCH"):
             assert got[mode].extras["bds_fraction"] == np.mean(picks[mode])
     return got, picks
@@ -106,6 +114,7 @@ def test_trial_blocks_do_not_change_results(small_scenario, monkeypatch):
     for mode in modes:
         assert np.array_equal(whole[mode].trial_sum_rates,
                               blocked[mode].trial_sum_rates)
+        assert np.array_equal(whole[mode].trial_terms, blocked[mode].trial_terms)
     assert whole["SWITCH"].extras == blocked["SWITCH"].extras
     assert_engine_matches(sc, modes, 10, 4, **kwargs)
 
@@ -122,11 +131,14 @@ def test_3d_regions_use_offset_streams():
                                     stream_base=l * n, **kwargs)
                    for l in range(sc3.n_regions)]
         np.testing.assert_allclose(got[mode].trial_sum_rates,
-                                   sum(sums[mode] for sums, _ in regions),
+                                   sum(sums[mode] for sums, _, _ in regions),
                                    rtol=RTOL, atol=0.0)
-        # The pick rate of a switching scheme is the mean over the regions.
+        # The terms and the pick rate of a switching scheme are the mean over
+        # the regions.
+        assert_terms_match(got[mode].trial_terms,
+                           np.mean([terms[mode] for _, _, terms in regions], axis=0))
         extras = {} if mode in ("BD", "BDS") else {"bds_fraction": pytest.approx(
-            np.mean([np.mean(picks[mode]) for _, picks in regions]))}
+            np.mean([np.mean(picks[mode]) for _, picks, _ in regions]))}
         assert got[mode].extras == extras
 
 
@@ -159,6 +171,7 @@ def assert_sweep_equals_cells(scenario, modes, n_trials, seed, points, **kwargs)
         for mode in modes:
             assert np.array_equal(got[mode].trial_sum_rates,
                                   want[mode].trial_sum_rates), (point, mode)
+            assert np.array_equal(got[mode].trial_terms, want[mode].trial_terms)
             assert got[mode].stderr == want[mode].stderr
             assert got[mode].extras == want[mode].extras
 

@@ -1,4 +1,5 @@
-"""``docs/ledger.py`` measures criterion 11 through the engine's oracle.
+"""``docs/ledger.py`` measures criterion 11 through the engine's oracle,
+and criterion 6 through the terms of the engine and of the DE.
 
 The ledger loads ``tests/reference.py`` by path; these checks load the
 ledger the same way and catch a break in that import, or a ledger that
@@ -45,3 +46,29 @@ def test_criterion_11_oracle_is_reference_paired(monkeypatch):
     for mode in ledger.MODES:
         np.testing.assert_allclose(got[mode].trial_sum_rates,
                                    want[mode].trial_sum_rates, rtol=1e-12, atol=0.0)
+
+
+def test_criterion_6_terms_come_from_run_paired(monkeypatch):
+    """Section 6's MC terms are ``McSummary.terms`` of ``run_paired`` calls,
+    not a per-trial loop or a SINR split of the ledger's own."""
+    ledger = _load_ledger(monkeypatch)
+    for name in ("_mc_terms", "_de_terms", "draw_trial", "sinr_report"):
+        assert not hasattr(ledger, name), name
+
+    run_paired, summaries = ledger.run_paired, []
+
+    def spy(scenario, modes, n_trials, seed, **kwargs):
+        result = run_paired(scenario, modes, 2, seed, **kwargs)
+        summaries.append(result[modes[0]])
+        return result
+
+    monkeypatch.setattr(ledger, "run_paired", spy)
+    out = []
+    ledger.section_6(out)
+    # Two sizes x two schemes x two SNRs, at perfect CSIT and at tau^2 = 0.1.
+    assert len(summaries) == 16
+    text = "\n".join(out)
+    for mc in summaries:
+        signal, intra, cross, inter = mc.terms
+        for value in (signal, intra, cross + inter):
+            assert f"| {value:.3g} / " in text

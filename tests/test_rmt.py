@@ -277,6 +277,27 @@ class TestBdAsymptotics:
                 assert sol.residual < 1e-10
 
 
+@pytest.mark.parametrize("solver", [asym_bd, asym_bds])
+def test_terms_reassemble_gamma(fig6, solver):
+    """``terms()`` is the SINR in the noise-1 normalization of the Monte
+    Carlo's ``SinrReport``: signal / (intra + cross + inter + 1) is gamma,
+    and so is the assembly that does not divide through by (1 + m0)^2."""
+    for chi in (0.0, 0.3):
+        for tau_sq in (0.0, 0.1, 0.5):
+            sol = solver(fig6.with_chi(chi), tau_sq=tau_sq)
+            terms = sol.terms()
+            assert [t.shape for t in terms] == [(fig6.G, 2)] * 4
+            signal, intra, cross, inter = terms
+            np.testing.assert_allclose(signal / (intra + cross + inter + 1.0),
+                                       sol.gamma, rtol=1e-13, atol=0.0)
+            u = (1.0 + sol.m0) ** 2
+            undivided = ((fig6.power / fig6.n_users) * sol.xi_sq * (1.0 - tau_sq)
+                         * sol.m0 ** 2) / (
+                sol.xi_sq * sol.upsilon_intra * (1.0 - tau_sq * (1.0 - u))
+                + (1.0 + sol.upsilon_cross + sol.upsilon_inter) * u)
+            np.testing.assert_allclose(undivided, sol.gamma, rtol=1e-13, atol=0.0)
+
+
 @pytest.mark.parametrize("cell", ["fig4_scenario", "small_scenario"])
 @pytest.mark.parametrize("solver", [asym_bd, asym_bds])
 def test_converges_over_the_cli_snr_range(cell, solver, request):
@@ -333,6 +354,16 @@ class TestChiApproximations:
             full = asym_bds(fig6.with_chi(chi), tau_sq=tau_sq).mean_gamma()
             appr = approx_bds_chi(base, chi).mean_gamma()
             assert abs(appr - full) / full < 0.10
+
+    @pytest.mark.parametrize("tau_sq", [0.0, 0.1])
+    def test_bds_c0_is_the_slope_over_the_chi_zero_denominator(self, fig6, tau_sq):
+        # The denominator written out, not through terms().
+        sol = asym_bds(fig6, tau_sq=tau_sq)
+        u = (1.0 + sol.m0) ** 2
+        b0 = sol.xi_sq * sol.upsilon_intra
+        denom0 = b0 * (tau_sq * (u - 1.0) + 1.0) / u + 1.0 + sol.upsilon_inter
+        want = float((sol.extras["chi_slope"] / denom0).mean())
+        assert bds_c0(sol) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_monotone_decreasing(self, fig6):
         base = asym_bds(fig6)
