@@ -210,24 +210,24 @@ class AsymptoticSolution:
     residual: float
     extras: dict = field(default_factory=dict, repr=False)
 
-    def terms(self) -> tuple:
+    def terms(self, tau_sq: float | None = None) -> tuple:
         """The SINR's signal, intra-(sub)group, cross-polarized and
-        inter-group powers at ``tau_sq``, each (G, 2), with noise power 1 as
-        in ``metrics.SinrReport``: gamma = signal / (intra + cross + inter + 1).
-        The assembly divides through by (1 + m0)^2."""
+        inter-group powers at ``tau_sq`` (by default the solution's own), each
+        (G, 2), with noise power 1 as in ``metrics.SinrReport``: gamma =
+        signal / (intra + cross + inter + 1). The assembly divides through by
+        (1 + m0)^2."""
+        tau_sq = self.tau_sq if tau_sq is None else tau_sq
         u = (1.0 + self.m0) ** 2
-        signal = ((self.power / self.n_streams) * self.xi_sq * (1.0 - self.tau_sq)
-                  * self.m0 ** 2 / u)
-        intra = self.xi_sq * self.upsilon_intra * (1.0 - self.tau_sq * (1.0 - u)) / u
+        signal = (self.power / self.n_streams) * self.xi_sq * (1.0 - tau_sq) * self.m0 ** 2 / u
+        intra = self.xi_sq * self.upsilon_intra * (1.0 - tau_sq * (1.0 - u)) / u
         return signal, intra, self.upsilon_cross, self.upsilon_inter
 
     def at_tau(self, tau_sq: float) -> "AsymptoticSolution":
         """Assemble the SINR at a CSIT quality; the fixed point, derivatives
         and xi are tau-independent."""
-        sol = replace(self, tau_sq=tau_sq)
-        signal, intra, cross, inter = sol.terms()
+        signal, intra, cross, inter = self.terms(tau_sq)
         gamma = signal / (intra + cross + inter + 1.0)
-        return replace(sol, gamma=gamma, sum_rate=_sum_rate(gamma, self.n_bar))
+        return replace(self, tau_sq=tau_sq, gamma=gamma, sum_rate=_sum_rate(gamma, self.n_bar))
 
     def mean_gamma(self) -> float:
         return float(self.gamma.mean())
