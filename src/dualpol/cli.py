@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -359,9 +361,30 @@ def _fmt(x):
     return "" if x is None else format(x, ".10g") if isinstance(x, float) else str(x)
 
 
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Fix glibc's malloc thresholds for this process: mmap above 32 MiB
+    (the most it accepts), trim above 64 MiB; a no-op without ``mallopt``.
+
+    glibc's defaults adapt to the frees seen so far, so whether a run's
+    multi-megabyte arrays (the quadrature's levels, the batched trials)
+    fault in fresh pages on every call depended on what the process had
+    allocated before: the same run took a quarter longer in one process
+    than in the next.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, 1 << 25)  # M_MMAP_THRESHOLD
+    mallopt(-1, 1 << 26)  # M_TRIM_THRESHOLD
+
+
 def run_config(config: dict, out_stream) -> None:
     """Resolve and check the whole config, execute all (variant, sweep
-    point, scheme) cells, then write the CSV header and rows."""
+    point, scheme) cells, then write the CSV header and rows. The process's
+    allocator keeps freed memory from then on (``_keep_freed_memory``)."""
+    _keep_freed_memory()
     cfg = _resolve(config)
     values, points = _sweep(cfg)
     variants = _build_variants(cfg)

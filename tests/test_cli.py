@@ -1,6 +1,10 @@
 import io
 import math
+import os
 import pathlib
+import platform
+import subprocess
+import sys
 
 import pytest
 
@@ -343,3 +347,35 @@ class TestMain:
         assert main(["run", "--config", str(cfg), "--out", str(a)]) == 0
         assert main(["run", "--config", str(cfg), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+# Three 3 MiB arrays freed after a 4 MiB one: under glibc's adaptive
+# defaults the first free sets the mmap threshold to 4 MiB and the trim
+# threshold to 8 MiB, so the three come from the heap and, freed together,
+# go back to the OS, and every round faults them in afresh.
+_FREE_AND_REALLOCATE = """
+import io, resource
+import numpy as np
+from dualpol.cli import run_config
+run_config({"scenario_id": "t", "snr_db": 10.0, "schemes": ""}, io.StringIO())
+np.ones(1 << 19)
+faults = []
+for _ in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    arrays = [np.ones(3 << 17) for _ in range(3)]
+    del arrays
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(max(faults[1:]))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator only")
+def test_run_config_process_reuses_freed_memory():
+    # After run_config, rounds of multi-megabyte arrays reuse the memory the
+    # first round faulted in (each round would fault about 2,300 pages).
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", _FREE_AND_REALLOCATE], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert int(done.stdout) < 100
