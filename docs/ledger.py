@@ -4,14 +4,14 @@ Usage, from the repository root:
 
     PYTHONPATH=src python docs/ledger.py [--write] [3] [6] [11]
 
-Without section numbers every section runs (about 30 s on two cores:
-section 6 about 9 s, section 11 about 20 s). The output is the ledger's
+Without section numbers every section runs (about 27 s on two cores:
+section 6 about 7.5 s, section 11 about 20 s). The output is the ledger's
 measurement block in Markdown; with ``--write`` it also replaces the block
 between the ledger's ``<!-- measured -->`` markers. All numbers come from
 the library at the acceptance suite's seed, 2024, unless a line names
 another seed. Section 6 reads the SINR terms of both sides from the
 library: ``McSummary.terms`` of ``run_paired`` and
-``AsymptoticSolution.terms()``.
+``AsymptoticSolution.terms()``, with one preprocessor build per size.
 
 Section 11 compares four polarization-mismatch models, two choices of the
 channel draw times two choices of the CSIT. The library holds only the
@@ -19,8 +19,8 @@ mended pair (independent inner factor per receive port; CSIT is the
 rotated channel). The earlier choices are rebuilt here and swapped in for
 the duration of a run. Those runs go through the engine's per-realization
 oracle, ``reference_paired`` in ``tests/reference.py`` (``draw_trial``, then
-``sinr_report``), which the swapped-in functions reach; ``run_paired`` draws
-and precodes its stacked trials without them:
+``build_all`` and the M-row channel), which the swapped-in functions reach;
+``run_paired`` draws and precodes its stacked trials without them:
 
 * coherent draw: one inner factor per user, rotated between the two
   polarization blocks, (cos - sqrt(chi) sin, sin + sqrt(chi) cos) for
@@ -49,7 +49,7 @@ import dualpol.channel as channel
 from dualpol.channel import RngStream
 from dualpol.metrics import McSummary, run_paired
 from dualpol.precode import build_preprocessors
-from dualpol.rmt import asym_bd, asym_bds
+from dualpol.rmt import DePoint, asym_bd, asym_sweep
 from dualpol.scenario import make_scenario
 from dualpol.scene3d import make_scenario_3d, reduce_to_2d, run_3d_paired
 
@@ -125,6 +125,12 @@ def _term_row(key, mode, snr, trials, mc, de):
     return f"| {key} | {mode} | {snr:g} dB | {trials} | " + " | ".join(ratio) + " |"
 
 
+def _de(scenario, mode, pre, tau_sq=0.0):
+    """``asym_bd``/``asym_bds`` on the scenario, with its preprocessors."""
+    return asym_sweep(scenario, [DePoint(mode, scenario.power, scenario.chi, tau_sq)],
+                      pre)[0]
+
+
 def _de_gap(mc, de):
     # The acceptance suite's gap: MC per-user effective SINR (rate domain)
     # against the DE mean SINR.
@@ -136,8 +142,12 @@ def _de_gap(mc, de):
 
 
 def section_6(out):
-    small, large = _scenario(SMALL), _scenario(LARGE)
-    pre = build_preprocessors(small)
+    # One preprocessor build per size serves its spectrum, MC and DE.
+    sizes = []
+    for dims in (SMALL, LARGE):
+        sc = _scenario(dims)
+        sizes.append((dims, sc, build_preprocessors(sc)))
+    _, small, pre = sizes[0]
     out.append("### Criterion 6: spectrum of the projected covariances at "
                "(M, n_bar, B_bar, r) = (120, 8, 16, 11)\n")
     out.append("| group | eigenvalues of C_g above 1% of the largest | "
@@ -156,12 +166,12 @@ def section_6(out):
     out.append("| (M, n_bar, B_bar, r) | scheme | SNR | trials | signal | "
                "intra | cross + inter |")
     out.append("|---|---|---|---|---|---|---|")
-    for dims, sc, trials in ((SMALL, small, 400), (LARGE, large, 200)):
+    for (dims, sc, pre), trials in zip(sizes, (400, 200)):
         for mode in ("BD", "BDS"):
             for snr in (5.0, 25.0):
                 scp = sc.with_power_db(snr)
-                de = asym_bd(scp) if mode == "BD" else asym_bds(scp)
-                mc = run_paired(scp, [mode], trials, SEED)[mode]
+                de = _de(scp, mode, pre)
+                mc = run_paired(scp, [mode], trials, SEED, preprocessors=pre)[mode]
                 out.append(_term_row(_key(dims), mode, snr, trials, mc, de))
     out.append("")
 
@@ -171,12 +181,13 @@ def section_6(out):
                "gap (the criterion's) | gap, both sides in the rate domain |")
     out.append("|---|---|---|---|---|---|")
     term_rows = []
-    for dims, sc, trials in ((SMALL, small, 400), (LARGE, large, 400)):
+    for (dims, sc, pre), trials in zip(sizes, (400, 400)):
         for mode in ("BD", "BDS"):
             for snr in (5.0, 25.0):
                 scp = sc.with_power_db(snr)
-                de = asym_bd(scp, tau_sq=0.1) if mode == "BD" else asym_bds(scp, tau_sq=0.01)
-                mc = run_paired(scp, [mode], trials, SEED, tau_sq=0.1)[mode]
+                de = _de(scp, mode, pre, tau_sq=0.1 if mode == "BD" else 0.01)
+                mc = run_paired(scp, [mode], trials, SEED, tau_sq=0.1,
+                                preprocessors=pre)[mode]
                 gap, rate_gap = _de_gap(mc, de)
                 out.append(f"| {_key(dims)} | {trials} | {mode} | {snr:g} dB | "
                            f"{gap:.1%} | {rate_gap:.1%} |")

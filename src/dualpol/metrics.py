@@ -12,7 +12,10 @@ its own stream. One call runs a whole sweep on one geometry: the sweep
 points (``SweepPoint``) share the preprocessors and every trial's draws,
 since the preprocessors depend only on the long-term statistics and the
 normals only on the seed; power, chi and tau^2 change only the RZF
-regularizer, the cross-block scale and the CSIT mix. ``draw_trial``,
+regularizer, the cross-block scale and the CSIT mix. A point's precoders
+are one batched RZF over every trial and group, and the points at one chi
+and CSIT quality share its ``precode.CsitView``, so between them only the
+regularizer changes. ``draw_trial``,
 ``precode.build_all`` and ``sinr_bd``/``sinr_bds`` compute the same for one
 realization over the M-row channel.
 """
@@ -37,7 +40,13 @@ from .channel import (
 from .corrstats import mismatch_effective_stats
 from .errors import InvalidInputError
 from .modeswitch import FeedbackBudget, chi_crossover_scale, tau_from_bits
-from .precode import build_all, build_preprocessors, kl_projections, stacked_precoders
+from .precode import (
+    build_all,
+    build_preprocessors,
+    csit_view,
+    kl_projections,
+    stacked_precoders,
+)
 from .scenario import GroupScenario
 
 __all__ = ["SinrReport", "McSummary", "SweepPoint", "sinr_bd", "sinr_bds",
@@ -133,47 +142,42 @@ def sinr_report(scenario: GroupScenario, channels: tuple, mode: str,
 
 
 def _sinr_common(channels, precoders, power, split_cross):
-    """Decompose |h_gk^H (B_l P_l)_j|^2 of every group g, stacked over l."""
+    """Decompose |h_gk^H (B_l P_l)_j|^2 of every pair of groups (l, g)."""
     per_stream = power / sum(entry.n_users for entry in channels)
     tx = np.stack([precoders.transmit_matrix(g) for g in range(len(channels))])
-    return _decompose([per_stream * np.abs(entry.H.conj().T @ tx) ** 2
-                       for entry in channels], split_cross)
+    return _decompose(np.stack([per_stream * np.abs(entry.H.conj().T @ tx) ** 2
+                                for entry in channels], axis=-3), split_cross)
 
 
 def _decompose(powers, split_cross):
     """SINR decomposition from received powers.
 
-    ``powers[g][..., l, k, j]`` is the power user k of group g receives from
-    stream j of group l; leading axes stack trials.
+    ``powers[..., l, g, k, j]`` is the power user k of group g receives from
+    stream j of group l; leading axes stack trials. A user's inter-group
+    term adds the other groups' powers in ascending order of l.
     """
-    G = len(powers)
-    signal, intra, cross, inter = [], [], [], []
-    for g, pw in enumerate(powers):
-        own = pw[..., g, :, :]
-        n = own.shape[-1]
-        diag = np.diagonal(own, axis1=-2, axis2=-1)
-        if split_cross:
-            n2 = n // 2
-            same_block = np.concatenate([own[..., :n2, :n2].sum(axis=-1),
-                                         own[..., n2:, n2:].sum(axis=-1)], axis=-1)
-            cross_g = np.concatenate([own[..., :n2, n2:].sum(axis=-1),
-                                      own[..., n2:, :n2].sum(axis=-1)], axis=-1)
-            intra_g = same_block - diag
-        else:
-            intra_g = own.sum(axis=-1) - diag
-            cross_g = np.zeros_like(diag)
-        if G == 1:
-            inter_g = np.zeros_like(diag)
-        else:
-            inter_g = sum(pw[..., l, :, :].sum(axis=-1) for l in range(G) if l != g)
-        signal.append(diag)
-        intra.append(intra_g)
-        cross.append(cross_g)
-        inter.append(inter_g)
-    signal = np.concatenate(signal, axis=-1)
-    intra = np.concatenate(intra, axis=-1)
-    cross = np.concatenate(cross, axis=-1)
-    inter = np.concatenate(inter, axis=-1)
+    G, n = powers.shape[-4], powers.shape[-1]
+    groups = np.arange(G)
+    lead = powers.shape[:-4]
+    own = powers[..., groups, groups, :, :]
+    diag = np.diagonal(own, axis1=-2, axis2=-1)
+    received = powers.sum(axis=-1)
+    if split_cross:
+        n2 = n // 2
+        same_block = np.concatenate([own[..., :n2, :n2].sum(axis=-1),
+                                     own[..., n2:, n2:].sum(axis=-1)], axis=-1)
+        cross = np.concatenate([own[..., :n2, n2:].sum(axis=-1),
+                                own[..., n2:, :n2].sum(axis=-1)], axis=-1)
+        intra = same_block - diag
+    else:
+        intra = received[..., groups, groups, :] - diag
+        cross = np.zeros_like(diag)
+    # Adding the zeroed own group's power is exact, so this is the sum over
+    # the other groups in ascending order.
+    received[..., groups, groups, :] = 0.0
+    inter = sum(received[..., l, :, :] for l in range(G))
+    signal, intra, cross, inter = (x.reshape(*lead, G * n)
+                                   for x in (diag, intra, cross, inter))
     sinr = signal / (intra + cross + inter + 1.0)
     return SinrReport(sinr=sinr, signal=signal, intra=intra, cross=cross, inter=inter)
 
@@ -267,38 +271,42 @@ def _draw_block(scenario, seed, streams, chi_dist, tau_sq_dist, theta_max):
 
 
 def _amplitude_maps(D, channels, pols):
-    """Per group g, X_g^H blockdiag(D_gl, D_gl) for every l: (T, G, n, B_bar).
+    """X_g^H blockdiag(D_gl, D_gl) of every pair of groups (l, g), stacked
+    as (T, G_l, G_g n, B_bar): row block g holds group g's users.
 
-    Right-multiplied by group l's inner precoder it gives the amplitudes of
-    l's streams at g's users.
+    Right-multiplied by the inner precoders (``stacked_precoders``) it gives
+    the amplitudes of every group's streams at every user.
     """
-    maps = []
-    for D_g, entry in zip(D, channels):
+    G = len(D)
+    T, _, n = channels[0].X.shape
+    maps = np.empty((T, G, G, n, pols, D[0].shape[1] // G), dtype=complex)
+    for g, (D_g, entry) in enumerate(zip(D, channels)):
         X = entry.X
-        T, rows, n = X.shape
-        XpH = X.reshape(T, pols, rows // pols, n).conj().swapaxes(-1, -2)
-        Y = (XpH @ D_g).reshape(T, pols, n, len(D), -1)
-        maps.append(Y.transpose(0, 3, 2, 1, 4).reshape(T, len(D), n, -1))
-    return maps
+        XpH = X.reshape(T, pols, -1, n).conj().swapaxes(-1, -2)
+        maps[:, :, g] = (XpH @ D_g).reshape(T, pols, n, G, -1).transpose(0, 3, 2, 1, 4)
+    return maps.reshape(T, G, G * n, -1)
 
 
-def _stacked_report(scenario, C, maps, channels, mode, tau):
-    P = stacked_precoders(scenario, C, channels, mode, tau)
+def _stacked_report(scenario, maps, view):
+    """The ``SinrReport`` of a ``precode.CsitView`` at the scenario's power."""
+    P = stacked_precoders(scenario, view)
+    T, G, _, n = P.shape
     per_stream = scenario.power / scenario.n_users
-    powers = [per_stream * np.abs(Y @ P) ** 2 for Y in maps]
-    return _decompose(powers, split_cross=mode == "BDS")
+    powers = per_stream * np.abs(maps @ P) ** 2
+    return _decompose(powers.reshape(T, G, G, -1, n), split_cross=view.mode == "BDS")
 
 
-def _point_rows(scenario, C, maps, channels, modes, point, tau_sq, chi_used, scale):
+def _point_rows(scenario, maps, view, modes, point, tau_sq, chi_used, scale):
     """Per-trial rows of every mode at one sweep point, (T, 6): the sum
     rate, the four ``SinrReport.terms`` and 1 where BDS evaluates the trial.
 
     ``scenario`` is at the point's power and ``tau_sq`` holds the drawn
     per-trial tau^2, or None. The switching schemes pick BDS where their
     chi (``chi_used``) is at most ``scale`` tau_BD^2. Each of BD and BDS is
-    evaluated on the whole block when some mode picks it on some trial.
+    evaluated on the whole block when some mode picks it on some trial,
+    on the ``precode.CsitView`` that ``view(scheme, tau)`` returns.
     """
-    T = channels[0].X.shape[0]
+    T = maps.shape[0]
     if tau_sq is None:
         tau_sq = np.full(T, float(point.tau_sq))
 
@@ -320,8 +328,8 @@ def _point_rows(scenario, C, maps, channels, modes, point, tau_sq, chi_used, sca
     rows = {"BD": np.nan, "BDS": np.nan}
     for scheme, needed in (("BD", not picks.all()), ("BDS", picks.any())):
         if needed:
-            rep = _stacked_report(scenario, C, maps, channels, scheme,
-                                  tau_bd if scheme == "BD" else tau("BDS"))
+            rep = _stacked_report(scenario, maps, view(
+                scheme, tau_bd if scheme == "BD" else tau("BDS")))
             rows[scheme] = np.column_stack([rep.sum_rate, rep.terms])
     return {m: np.column_stack([np.where(uses_bds[m][:, None], rows["BDS"], rows["BD"]),
                                 uses_bds[m]]) for m in modes}
@@ -346,7 +354,16 @@ def _chi_rows(scenario, C, D, modes, chi, draws, theta_max, points, scenarios,
     if theta_max > 0.0 and "SWITCH" in modes:
         chi_used["SWITCH"] = np.array([mismatch_effective_stats(c, theta_max).chi_eff
                                        for c in chi])
-    return [_point_rows(scenarios[p.power], C, maps, channels, modes, p, tau_sq,
+    views = {}
+
+    def view(scheme, tau):
+        # The points share a scheme's view while their CSIT quality does.
+        cached = views.get(scheme)
+        if cached is None or not np.array_equal(cached.tau, tau):
+            cached = views[scheme] = csit_view(scenario, C, channels, scheme, tau)
+        return cached
+
+    return [_point_rows(scenarios[p.power], maps, view, modes, p, tau_sq,
                         chi_used, scales.get(p.power)) for p in points]
 
 

@@ -9,7 +9,7 @@ subgroups that only consume co-polarized CSIT.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +26,8 @@ __all__ = [
     "rzf_precoder",
     "build_all",
     "kl_projections",
+    "CsitView",
+    "csit_view",
     "stacked_precoders",
 ]
 
@@ -139,7 +141,13 @@ def build_preprocessors(scenario: GroupScenario) -> tuple:
     )
 
 
-def rzf_precoder(H_eff_hat: np.ndarray, alpha: float, n_streams: int) -> InnerPrecoder:
+def _gram(H: np.ndarray) -> np.ndarray:
+    """The users-side Gram matrix H^H H, over the last two axes."""
+    return H.conj().swapaxes(-1, -2) @ H
+
+
+def rzf_precoder(H_eff_hat: np.ndarray, alpha: float, n_streams: int,
+                 gram: np.ndarray | None = None) -> InnerPrecoder:
     """Regularized ZF on the effective channel estimate.
 
     P = xi K H with K = (H H^H + dim alpha I)^-1, dim the row count and
@@ -147,12 +155,15 @@ def rzf_precoder(H_eff_hat: np.ndarray, alpha: float, n_streams: int) -> InnerPr
     K H is formed by push-through as H (H^H H + dim alpha I)^-1, which
     inverts the users-side Gram matrix: H has no more columns than rows
     (``GroupScenario.validate`` keeps n_bar <= b_bar). Leading axes of H
-    stack independent trials; P and xi^2 keep them.
+    stack independent trials (and groups); P and xi^2 keep them.
+    ``gram``, H^H H when the caller already holds it, saves forming it
+    again at another regularizer.
     """
     if alpha <= 0.0:
         raise InvalidInputError("alpha must be positive")
     dim, n = H_eff_hat.shape[-2:]
-    gram = H_eff_hat.conj().swapaxes(-1, -2) @ H_eff_hat
+    if gram is None:
+        gram = _gram(H_eff_hat)
     KH = H_eff_hat @ np.linalg.inv(gram + dim * alpha * np.eye(n))
     norm = np.sum(np.abs(KH) ** 2, axis=(-2, -1))
     if np.any(norm <= 0.0):
@@ -222,33 +233,60 @@ def kl_projections(scenario: GroupScenario, preprocessors) -> tuple:
     return C, D
 
 
-def stacked_precoders(scenario: GroupScenario, C, channels, mode: str,
-                      tau) -> np.ndarray:
-    """``build_all`` in the KL domain, for a stack of trials.
+@dataclass(frozen=True)
+class CsitView:
+    """Every group's effective channel estimate for a stack of trials, at
+    one CSIT quality ``tau`` per trial, with its Gram matrix.
 
-    ``channels`` are trial-stacked group channels, ``tau`` holds one CSIT
-    quality per trial and ``C`` comes from ``kl_projections``. Returns the
-    inner precoders as one (T, G, B_bar, n_bar) array: group g transmits
-    blockdiag(B_s, B_s) P_g, where P_g is BD's RZF or, for BDS,
-    blockdiag(P_v, P_h).
+    ``H`` is (T, G, B_bar, n_bar) for BD and (T, G, 2, B_bar/2, n_bar/2)
+    for BDS, whose co-polarized subgroups sit on the third axis. Neither
+    ``H`` nor ``gram`` (H^H H) depends on the power, so one view serves
+    every power of a sweep.
+    """
+
+    mode: str
+    tau: np.ndarray
+    H: np.ndarray = field(repr=False)
+    gram: np.ndarray = field(repr=False)
+
+
+def csit_view(scenario: GroupScenario, C, channels, mode: str, tau) -> CsitView:
+    """The ``CsitView`` of trial-stacked group channels in the KL domain.
+
+    ``tau`` holds one CSIT quality per trial and ``C`` comes from
+    ``kl_projections``. BD's effective channel of group g is
+    blockdiag(C_g, C_g) X_hat_g; each BDS subgroup sees C_g X_hat_g^{pp},
+    only the co-polarized CSIT.
     """
     _check_mode(scenario, mode)
-    alpha, n_bar = scenario.alpha, scenario.n_bar
+    n_bar = scenario.n_bar
     pols = 2 if scenario.dual_pol else 1
-    inner = []
+    H = []
     for C_g, entry in zip(C, channels):
         if mode == "BD":
             X_hat = entry.coefficients_hat(tau)
             blocks = X_hat.reshape(X_hat.shape[0], pols, -1, n_bar)
-            H_eff = (C_g @ blocks).reshape(X_hat.shape[0], -1, n_bar)
-            inner.append(rzf_precoder(H_eff, alpha, n_bar).P)
-            continue
-        n2, b2 = n_bar // 2, C_g.shape[0]
-        Xvv_hat, Xhh_hat = entry.copolar_hat(tau)
-        pv = rzf_precoder(C_g @ Xvv_hat, 2.0 * alpha, n2)
-        ph = rzf_precoder(C_g @ Xhh_hat, 2.0 * alpha, n2)
-        P = np.zeros((pv.P.shape[0], 2 * b2, n_bar), dtype=complex)
-        P[:, :b2, :n2] = pv.P
-        P[:, b2:, n2:] = ph.P
-        inner.append(P)
-    return np.stack(inner, axis=1)
+            H.append((C_g @ blocks).reshape(X_hat.shape[0], -1, n_bar))
+        else:
+            H.append(np.stack([C_g @ X_hat for X_hat in entry.copolar_hat(tau)], axis=1))
+    H = np.stack(H, axis=1)
+    return CsitView(mode=mode, tau=tau, H=H, gram=_gram(H))
+
+
+def stacked_precoders(scenario: GroupScenario, view: CsitView) -> np.ndarray:
+    """``build_all`` in the KL domain: the inner precoders of every group
+    of a ``CsitView``, from one batched RZF at the scenario's power.
+
+    Returns one (T, G, B_bar, n_bar) array: group g transmits
+    blockdiag(B_s, B_s) P_g, where P_g is BD's RZF or, for BDS,
+    blockdiag(P_v, P_h).
+    """
+    alpha, n_bar = scenario.alpha, scenario.n_bar
+    if view.mode == "BD":
+        return rzf_precoder(view.H, alpha, n_bar, view.gram).P
+    inner = rzf_precoder(view.H, 2.0 * alpha, n_bar // 2, view.gram).P
+    T, G, _, b2, n2 = inner.shape
+    P = np.zeros((T, G, 2 * b2, n_bar), dtype=complex)
+    P[..., :b2, :n2] = inner[:, :, 0]
+    P[..., b2:, n2:] = inner[:, :, 1]
+    return P

@@ -512,8 +512,14 @@ def bds_c0(solution_at_zero: AsymptoticSolution) -> float:
 
 
 def approx_bds_chi(solution_at_zero: AsymptoticSolution, chi: float) -> AsymptoticSolution:
-    """Hyperbolic chi-decay law: gamma(chi) = gamma(0) / (1 + c0 chi)."""
+    """Hyperbolic chi-decay law: gamma(chi) = gamma(0) / (1 + c0 chi).
+
+    The law's extra interference, (1 + intra + cross + inter) c0 chi at
+    chi = 0, goes into ``upsilon_cross``, so ``terms()`` reassembles gamma.
+    """
     c0 = bds_c0(solution_at_zero)
     gamma = solution_at_zero.gamma / (1.0 + c0 * chi)
+    _, intra, cross, inter = solution_at_zero.terms()
     return replace(solution_at_zero, gamma=gamma,
+                   upsilon_cross=cross + (1.0 + intra + cross + inter) * c0 * chi,
                    sum_rate=_sum_rate(gamma, solution_at_zero.n_bar))

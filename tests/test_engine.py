@@ -11,12 +11,13 @@ import pytest
 import dualpol.metrics as metrics
 import dualpol.precode as precode
 import dualpol.rmt as rmt
+from dualpol.channel import RngStream
 from dualpol.errors import DegenerateInputError, InvalidInputError
-from dualpol.metrics import SweepPoint, run_paired
+from dualpol.metrics import SweepPoint, draw_trial, run_paired, sinr_report
 from dualpol.precode import build_preprocessors
 from dualpol.scenario import make_scenario
 from dualpol.scene3d import make_scenario_3d, reduce_to_2d, run_3d_paired
-from reference import reference_paired
+from reference import decompose_per_group, reference_paired, reference_report
 
 RTOL = 1e-12
 
@@ -264,3 +265,59 @@ def test_3d_regions_share_one_preprocessor_build(monkeypatch):
     calls = count_preprocessor_builds(monkeypatch)
     run_3d_paired(sc3, ALL_MODES, 2, 1, theta_max=0.69)
     assert len(calls) == 1
+
+
+def count_calls(monkeypatch, module, name):
+    """The argument tuples of every call of ``module.name`` from now on."""
+    calls = []
+    original = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("points, n_views", [
+    ([SweepPoint(power=p, chi=c) for c in (0.0, 0.1) for p in (1.0, 31.6, 1000.0)], 2),
+    ([SweepPoint(power=p, tau_sq=t) for p, t in ((1.0, 0.0), (1.0, 0.1), (31.6, 0.2))], 3),
+], ids=["chi_power", "tau_sq"])
+def test_points_share_a_csit_view_across_powers(fig4_scenario, monkeypatch, points,
+                                                 n_views):
+    # Under one CSIT quality only the regularizer changes with the power:
+    # each (chi, scheme) builds its effective channels and Gram once, while
+    # a tau^2 sweep rebuilds them at every point. Each point makes one
+    # batched RZF per scheme (72 per-group calls on the first sweep before
+    # the batching).
+    rzf = count_calls(monkeypatch, precode, "rzf_precoder")
+    views = count_calls(monkeypatch, metrics, "csit_view")
+    run_paired(fig4_scenario, ["BD", "BDS"], 3, 1, points=points)
+    assert len(rzf) == 2 * len(points)
+    assert [args[3] for args in views] == ["BD", "BDS"] * n_views
+
+
+@pytest.mark.parametrize("G", [1, 2, 4])
+@pytest.mark.parametrize("split_cross", [False, True])
+def test_stacked_decomposition_equals_per_group_loop(G, split_cross):
+    # powers[t, l, g, k, j]: the stacked layout against the per-group loop,
+    # which receives each group's powers as its own array.
+    rng = np.random.default_rng(G)
+    powers = rng.exponential(size=(7, G, G, 8, 8)) * 10.0 ** rng.uniform(-12, 2, (7, G, G, 8, 8))
+    got = metrics._decompose(powers, split_cross)
+    want = decompose_per_group([np.ascontiguousarray(powers[:, :, g]) for g in range(G)],
+                               split_cross)
+    for name in ("sinr", "signal", "intra", "cross", "inter"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("mode", ["BD", "BDS"])
+def test_sinr_report_equals_per_group_loop(fig4, mode):
+    # The per-realization path shares the engine's stacked decomposition.
+    pre = build_preprocessors(fig4)
+    channels = draw_trial(fig4, RngStream(3, 0), theta_max=0.3)
+    got = sinr_report(fig4, channels, mode, tau=0.3, preprocessors=pre)
+    want = reference_report(fig4, channels, mode, 0.3, pre)
+    for name in ("sinr", "signal", "intra", "cross", "inter"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name

@@ -12,6 +12,9 @@ import sys
 
 import numpy as np
 
+import dualpol.metrics as metrics
+import dualpol.rmt as rmt
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 LEDGER = ROOT / "docs" / "ledger.py"
 REFERENCE = ROOT / "tests" / "reference.py"
@@ -50,10 +53,23 @@ def test_criterion_11_oracle_is_reference_paired(monkeypatch):
 
 def test_criterion_6_terms_come_from_run_paired(monkeypatch):
     """Section 6's MC terms are ``McSummary.terms`` of ``run_paired`` calls,
-    not a per-trial loop or a SINR split of the ledger's own."""
+    not a per-trial loop or a SINR split of the ledger's own. One
+    preprocessor build per size serves every MC and DE call."""
     ledger = _load_ledger(monkeypatch)
     for name in ("_mc_terms", "_de_terms", "draw_trial", "sinr_report"):
         assert not hasattr(ledger, name), name
+
+    builds = []
+
+    def counted(build):
+        def spy(scenario):
+            builds.append(scenario.M)
+            return build(scenario)
+        return spy
+
+    for module in (ledger, metrics, rmt):
+        monkeypatch.setattr(module, "build_preprocessors",
+                            counted(module.build_preprocessors))
 
     run_paired, summaries = ledger.run_paired, []
 
@@ -67,6 +83,7 @@ def test_criterion_6_terms_come_from_run_paired(monkeypatch):
     ledger.section_6(out)
     # Two sizes x two schemes x two SNRs, at perfect CSIT and at tau^2 = 0.1.
     assert len(summaries) == 16
+    assert builds == [120, 480]
     text = "\n".join(out)
     for mc in summaries:
         signal, intra, cross, inter = mc.terms

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dualpol.channel import RngStream
+from dualpol.channel import RngStream, channel_from_normals
 from dualpol.corrstats import GroupGeometry, SpatialCovariance, one_ring_covariance
 from dualpol.errors import (
     DegenerateInputError,
@@ -16,7 +16,10 @@ from dualpol.precode import (
     bd_preprocessor,
     build_all,
     build_preprocessors,
+    csit_view,
+    kl_projections,
     rzf_precoder,
+    stacked_precoders,
 )
 from dualpol.scenario import GroupScenario, make_scenario
 
@@ -226,3 +229,45 @@ def test_single_pol_preprocessor():
     B = pre[0].bd
     assert B.shape == (40, sc.b_bar)
     assert np.abs(B.conj().T @ B - np.eye(sc.b_bar)).max() < 1e-10
+
+
+@pytest.mark.parametrize("mode", ["BD", "BDS"])
+def test_batched_rzf_equals_per_group_rzf(fig4_scenario, fig4_pre, mode):
+    # The groups' effective ranks differ, so their KL blocks differ in
+    # size; the one RZF over the stacked groups must still give every
+    # group's own RZF bit for bit, at every power the view serves.
+    sc = fig4_scenario.with_chi(0.2)
+    assert [cov.effective_rank for cov in sc.covariances] == [11, 13, 13, 11]
+    T, n, n2 = 5, sc.n_bar, sc.n_bar // 2
+    rng = np.random.default_rng(4)
+    channels = [channel_from_normals(cov, np.full(T, sc.chi), rng.standard_normal(
+        (T, 4, 2 * cov.effective_rank, n))) for cov in sc.covariances]
+    tau = np.linspace(0.0, 0.6, T)
+    C, _ = kl_projections(sc, fig4_pre)
+    view = csit_view(sc, C, channels, mode, tau)
+    for power in (1.0, 31.6, 1000.0):
+        scp = sc.with_power(power)
+        P = stacked_precoders(scp, view)
+        for g, (C_g, entry) in enumerate(zip(C, channels)):
+            if mode == "BD":
+                X_hat = entry.coefficients_hat(tau)
+                H = (C_g @ X_hat.reshape(T, 2, -1, n)).reshape(T, -1, n)
+                assert np.array_equal(P[:, g], rzf_precoder(H, scp.alpha, n).P)
+                continue
+            b2 = C_g.shape[0]
+            X_v, X_h = entry.copolar_hat(tau)
+            for rows, cols, X in ((slice(None, b2), slice(None, n2), X_v),
+                                  (slice(b2, None), slice(n2, None), X_h)):
+                want = rzf_precoder(C_g @ X, 2.0 * scp.alpha, n2).P
+                assert np.array_equal(P[:, g, rows, cols], want)
+            assert not P[:, g, :b2, n2:].any() and not P[:, g, b2:, :n2].any()
+
+
+def test_rzf_with_its_gram_is_bit_exact():
+    rng = np.random.default_rng(5)
+    H = rng.standard_normal((3, 2, 16, 8)) + 1j * rng.standard_normal((3, 2, 16, 8))
+    gram = H.conj().swapaxes(-1, -2) @ H
+    for alpha in (1e-3, 0.5):
+        want = rzf_precoder(H, alpha, 8)
+        got = rzf_precoder(H, alpha, 8, gram)
+        assert np.array_equal(got.P, want.P) and np.array_equal(got.xi_sq, want.xi_sq)

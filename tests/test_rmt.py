@@ -356,6 +356,15 @@ class TestChiApproximations:
             assert abs(appr - full) / full < 0.10
 
     @pytest.mark.parametrize("tau_sq", [0.0, 0.1])
+    def test_bds_law_terms_reassemble_gamma(self, fig6, tau_sq):
+        base = asym_bds(fig6, tau_sq=tau_sq)
+        for chi in [0.1, 0.3, 0.5]:
+            out = approx_bds_chi(base, chi)
+            signal, intra, cross, inter = out.terms()
+            np.testing.assert_allclose(signal / (intra + cross + inter + 1.0),
+                                       out.gamma, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("tau_sq", [0.0, 0.1])
     def test_bds_c0_is_the_slope_over_the_chi_zero_denominator(self, fig6, tau_sq):
         # The denominator written out, not through terms().
         sol = asym_bds(fig6, tau_sq=tau_sq)
