@@ -11,7 +11,7 @@ between the ledger's ``<!-- measured -->`` markers. All numbers come from
 the library at the acceptance suite's seed, 2024, unless a line names
 another seed. Section 6 reads the SINR terms of both sides from the
 library: ``McSummary.terms`` of ``run_paired`` and
-``AsymptoticSolution.terms()``, with one preprocessor build per size.
+``AsymptoticSolution.terms``, with one preprocessor build per size.
 
 Section 11 compares four polarization-mismatch models, two choices of the
 channel draw times two choices of the CSIT. The library holds only the
@@ -121,7 +121,7 @@ def _term_row(key, mode, snr, trials, mc, de):
     def split(signal, intra, cross, inter):
         return np.mean(signal), np.mean(intra), np.mean(cross + inter)
     ratio = [f"{m:.3g} / {d:.3g} ({m / d - 1.0:+.1%})"
-             for m, d in zip(split(*mc.terms), split(*de.terms()))]
+             for m, d in zip(split(*mc.terms), split(*de.terms))]
     return f"| {key} | {mode} | {snr:g} dB | {trials} | " + " | ".join(ratio) + " |"
 
 
@@ -296,7 +296,7 @@ def _run_3d_per_realization(theta, seed):
                                 theta_max=theta, chi_dist=(0.0, 0.5),
                                 tau_sq_dist=(0.0, 1.0), stream_base=l * TRIALS)[0]
                for l in range(sc3.n_regions)]
-    return {m: McSummary.from_trials(m, sum(r[m] for r in regions)) for m in MODES}
+    return {m: McSummary(m, sum(r[m] for r in regions)) for m in MODES}
 
 
 def _paired_se(a, b):

@@ -141,8 +141,18 @@ def _resolve(config: dict) -> dict:
     if asym and mode == "3D":
         raise InvalidConfigurationError(
             f"3D configs run Monte Carlo schemes only, not {', '.join(asym)}")
+    drawn = [key for key in ("chi_dist", "tau_sq_dist") if cfg[key]]
+    drawn += ["theta_max_ms_deg > 0"] if any(cfg["theta_max_ms_deg"]) else []
+    if asym and drawn:
+        raise InvalidConfigurationError(
+            f"{', '.join(asym)}: the deterministic equivalents take one chi, one "
+            f"tau_sq and aligned antennas; remove {', '.join(drawn)}")
     if mode == "2D":
         cfg["arrays"] = [_parse_array(token, cfg["spacing"]) for token in cfg["arrays"]]
+        chis = "chi_dist" if cfg["chi_dist"] else "chi" if len(cfg["chi"]) > 1 else None
+        if chis and any(pol == "single" for pol, _ in cfg["arrays"]):
+            raise InvalidConfigurationError(
+                f"single-polarized arrays take their energy gain from one chi; remove {chis}")
     return cfg
 
 
@@ -417,8 +427,7 @@ def _run_variant(sc, cfg, points):
     de_modes = [s[len("ASYM_"):] for s in cfg["schemes"] if s in ASYM_SCHEMES]
     if de_modes:
         solutions = iter(rmt.asym_sweep(sc, [
-            rmt.DePoint(mode, p.power, sc.chi if p.chi is None else p.chi,
-                        csit_tau_sq(p.tau_sq, p.n_bits, sc.r, mode))
+            rmt.DePoint(mode, p.power, p.chi, csit_tau_sq(p.tau_sq, p.n_bits, sc.r, mode))
             for p in points for mode in de_modes]))
         for rows in cells:
             rows += [(f"ASYM_{mode}", next(solutions).sum_rate, 0.0, 0) for mode in de_modes]

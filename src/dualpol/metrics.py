@@ -61,17 +61,20 @@ TRIAL_BLOCK = 256
 
 @dataclass(frozen=True)
 class SinrReport:
-    """Per-user SINRs (linear), rates, and the interference decomposition.
+    """Per-user interference terms, and the SINRs (linear) and rates they give.
 
     Arrays end in the user axis; a trial-stacked report leads with a trial
     axis, and its ``sum_rate`` holds one value per trial.
     """
 
-    sinr: np.ndarray
     signal: np.ndarray = field(repr=False)
     intra: np.ndarray = field(repr=False)
     cross: np.ndarray = field(repr=False)
     inter: np.ndarray = field(repr=False)
+
+    @property
+    def sinr(self) -> np.ndarray:
+        return self.signal / (self.intra + self.cross + self.inter + 1.0)
 
     @property
     def rates(self) -> np.ndarray:
@@ -91,32 +94,36 @@ class SinrReport:
 
 @dataclass(frozen=True)
 class McSummary:
-    """Mean sum rate with its standard error over independent trials."""
+    """A scheme's per-trial sum rates, terms (``SinrReport.terms``) and BDS
+    picks (switching schemes), with the mean sum rate and its stderr."""
 
     scheme: str
-    n_trials: int
-    sum_rate: float
-    stderr: float
     trial_sum_rates: np.ndarray = field(repr=False)
     trial_terms: np.ndarray | None = field(default=None, repr=False)
-    extras: dict = field(default_factory=dict, repr=False)
+    trial_picks: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def n_trials(self) -> int:
+        return self.trial_sum_rates.size
+
+    @property
+    def sum_rate(self) -> float:
+        return float(self.trial_sum_rates.mean())
+
+    @property
+    def stderr(self) -> float:
+        n = self.n_trials
+        return float(self.trial_sum_rates.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
 
     @property
     def terms(self) -> np.ndarray:
-        """The mean over the trials of ``trial_terms`` (n_trials, 4), each
-        trial's ``SinrReport.terms``."""
         return self.trial_terms.mean(axis=0)
 
-    @staticmethod
-    def from_trials(scheme, sums, extras=None, terms=None):
-        sums = np.asarray(sums, dtype=float)
-        n = sums.size
-        std = sums.std(ddof=1) if n > 1 else 0.0
-        return McSummary(
-            scheme=scheme, n_trials=n, sum_rate=float(sums.mean()),
-            stderr=float(std / np.sqrt(n)), trial_sum_rates=sums,
-            trial_terms=terms, extras=extras or {},
-        )
+    @property
+    def extras(self) -> dict:
+        """A switching scheme's ``bds_fraction``, the mean of its picks."""
+        picks = self.trial_picks
+        return {} if picks is None else {"bds_fraction": float(picks.mean())}
 
 
 def sinr_bd(channels: tuple, precoders, power: float) -> SinrReport:
@@ -176,10 +183,7 @@ def _decompose(powers, split_cross):
     # the other groups in ascending order.
     received[..., groups, groups, :] = 0.0
     inter = sum(received[..., l, :, :] for l in range(G))
-    signal, intra, cross, inter = (x.reshape(*lead, G * n)
-                                   for x in (diag, intra, cross, inter))
-    sinr = signal / (intra + cross + inter + 1.0)
-    return SinrReport(sinr=sinr, signal=signal, intra=intra, cross=cross, inter=inter)
+    return SinrReport(*(x.reshape(*lead, G * n) for x in (diag, intra, cross, inter)))
 
 
 def bds_tau_sq(tau_sq_bd):
@@ -337,8 +341,8 @@ def _point_rows(scenario, maps, view, modes, point, tau_sq, chi_used, scale):
 
 def _summary(mode, rows):
     """The ``McSummary`` of a mode's (n_trials, 6) ``_point_rows``."""
-    extras = {"bds_fraction": float(rows[:, 5].mean())} if mode.startswith("SWITCH") else {}
-    return McSummary.from_trials(mode, np.ascontiguousarray(rows[:, 0]), extras, rows[:, 1:5])
+    picks = rows[:, 5] if mode.startswith("SWITCH") else None
+    return McSummary(mode, np.ascontiguousarray(rows[:, 0]), rows[:, 1:5], picks)
 
 
 def _chi_rows(scenario, C, D, modes, chi, draws, theta_max, points, scenarios,

@@ -16,8 +16,8 @@ systems. BD's members are every group at every distinct chi of that power;
 BDS's classes do not depend on chi, so its members are the groups and chi
 only scales the cross and inter-group terms. A member's result does not
 depend on the batch it is in. The CSIT quality tau^2 enters only the final
-SINR assembly (``AsymptoticSolution.at_tau``). ``asym_bd`` and
-``asym_bds`` are one-point sweeps.
+SINR assembly (``AsymptoticSolution.terms``). ``asym_bd`` and ``asym_bds``
+are one-point sweeps.
 
 The fixed point stops at max(1e-12, 16 eps max|e|): its iterate grows with
 the power, so at high SNR an absolute tolerance would ask for more than
@@ -184,12 +184,14 @@ def _fixed_points(classes, multiplicities, base, z, M, tol=FIXED_POINT_TOL,
 
 @dataclass(frozen=True)
 class AsymptoticSolution:
-    """Converged deterministic-equivalent quantities of one scheme.
+    """Converged deterministic-equivalent quantities of one scheme at CSIT
+    quality ``tau_sq``; its SINR terms, gamma and sum rate follow from them.
 
     Arrays are indexed (group, polarization) with polarization order (v, h).
     ``upsilon_intra`` is the raw intra-(sub)group term (to be weighted by the
     own xi^2); ``upsilon_cross`` and ``upsilon_inter`` are already weighted by
-    the interfering precoders' xi^2.
+    the interfering precoders' xi^2. Nothing else depends on tau^2, so
+    ``replace(sol, tau_sq=t)`` is the solution at t.
     """
 
     scheme: str
@@ -204,37 +206,32 @@ class AsymptoticSolution:
     upsilon_intra: np.ndarray
     upsilon_cross: np.ndarray
     upsilon_inter: np.ndarray
-    gamma: np.ndarray
-    sum_rate: float
     iterations: int
     residual: float
     extras: dict = field(default_factory=dict, repr=False)
 
-    def terms(self, tau_sq: float | None = None) -> tuple:
+    @property
+    def terms(self) -> tuple:
         """The SINR's signal, intra-(sub)group, cross-polarized and
-        inter-group powers at ``tau_sq`` (by default the solution's own), each
-        (G, 2), with noise power 1 as in ``metrics.SinrReport``: gamma =
-        signal / (intra + cross + inter + 1). The assembly divides through by
-        (1 + m0)^2."""
-        tau_sq = self.tau_sq if tau_sq is None else tau_sq
+        inter-group powers at ``tau_sq``, each (G, 2), with noise power 1 as
+        in ``metrics.SinrReport``; divided through by (1 + m0)^2."""
+        tau_sq = self.tau_sq
         u = (1.0 + self.m0) ** 2
         signal = (self.power / self.n_streams) * self.xi_sq * (1.0 - tau_sq) * self.m0 ** 2 / u
         intra = self.xi_sq * self.upsilon_intra * (1.0 - tau_sq * (1.0 - u)) / u
         return signal, intra, self.upsilon_cross, self.upsilon_inter
 
-    def at_tau(self, tau_sq: float) -> "AsymptoticSolution":
-        """Assemble the SINR at a CSIT quality; the fixed point, derivatives
-        and xi are tau-independent."""
-        signal, intra, cross, inter = self.terms(tau_sq)
-        gamma = signal / (intra + cross + inter + 1.0)
-        return replace(self, tau_sq=tau_sq, gamma=gamma, sum_rate=_sum_rate(gamma, self.n_bar))
+    @property
+    def gamma(self) -> np.ndarray:
+        signal, intra, cross, inter = self.terms
+        return signal / (intra + cross + inter + 1.0)
+
+    @property
+    def sum_rate(self) -> float:
+        return float((self.n_bar / 2.0) * np.log2(1.0 + self.gamma).sum())
 
     def mean_gamma(self) -> float:
         return float(self.gamma.mean())
-
-
-def _sum_rate(gamma, n_bar):
-    return float((n_bar / 2.0) * np.log2(1.0 + gamma).sum())
 
 
 def _eigh(C):
@@ -340,7 +337,7 @@ def asym_sweep(scenario: GroupScenario, points, preprocessors=None) -> list:
     ``_Basis``. At each power, every group at every distinct chi of BD is
     one batched fixed point with one stacked derivative solve, and so are
     BDS's groups; tau^2 enters only the SINR assembly
-    (``AsymptoticSolution.at_tau``). ``preprocessors``, the scenario's
+    (``AsymptoticSolution.terms``). ``preprocessors``, the scenario's
     ``build_preprocessors``, saves a caller that holds them the rebuild.
     """
     points = list(points)
@@ -363,13 +360,13 @@ def asym_sweep(scenario: GroupScenario, points, preprocessors=None) -> list:
     out = []
     for p in points:
         if p.scheme == "BD":
-            sol = solved["BD", p.power, p.chi]
+            out.append(replace(solved["BD", p.power, p.chi], tau_sq=p.tau_sq))
         else:
             sol = solved["BDS", p.power]
             units = sol.extras
-            sol = replace(sol, upsilon_cross=p.chi * units["cross_unit"],
-                          upsilon_inter=(1.0 + p.chi) * units["inter_unit"])
-        out.append(sol.at_tau(p.tau_sq))
+            out.append(replace(sol, tau_sq=p.tau_sq,
+                               upsilon_cross=p.chi * units["cross_unit"],
+                               upsilon_inter=(1.0 + p.chi) * units["inter_unit"]))
     return out
 
 
@@ -393,7 +390,7 @@ def _pol(x, chi):
 
 
 def _bd(basis: _Basis, P: float, chis) -> list:
-    """BD at power P, one solution per chi of ``chis``, SINR left to ``at_tau``.
+    """BD at power P and tau^2 = 0, one solution per chi of ``chis``.
 
     In the eigenbasis of C_g the class of polarization v, blockdiag(C_g,
     chi C_g), is diag(lam, chi lam), and that of h its mirror. Every group
@@ -438,12 +435,12 @@ def _bd(basis: _Basis, P: float, chis) -> list:
         scheme="BD", tau_sq=0.0, power=P, n_streams=N, n_bar=n_bar,
         m0=m0[c], m_prime=m_prime[c], xi_sq=xi_sq[c], psi=psi[c],
         upsilon_intra=ups_intra[c], upsilon_cross=np.zeros((G, 2)),
-        upsilon_inter=ups_inter[c], gamma=None, sum_rate=None,
-        iterations=int(iterations[c]), residual=float(residual[c])) for c in range(C)]
+        upsilon_inter=ups_inter[c], iterations=int(iterations[c]),
+        residual=float(residual[c])) for c in range(C)]
 
 
 def _bds(basis: _Basis, P: float) -> AsymptoticSolution:
-    """BDS at power P and chi = 0, its SINR left to ``at_tau``.
+    """BDS at power P, chi = 0 and tau^2 = 0.
 
     Each co-polarized subgroup has a scalar fixed point on its (B_bar/2)-dim
     effective system; cross-polarized and inter-group interference enter
@@ -478,7 +475,7 @@ def _bds(basis: _Basis, P: float) -> AsymptoticSolution:
     # Interference of subgroup (l, q) onto users of (g, p): the projected
     # covariance is B_lq^H R_gp B_lq = C or D scaled by chi when q != p, so
     # the cross term is chi cross_unit and the inter-group one
-    # (1 + chi) inter_unit (formed in ``asym_sweep``): slope chi_slope in chi.
+    # (1 + chi) inter_unit (formed in ``asym_sweep``): slope their sum in chi.
     cross_unit = xi_sq * (P / N) * (n_bar / b_bar) * mp_gg / u
     inter_unit = np.zeros((G, 2))
     for l in range(G):
@@ -489,25 +486,25 @@ def _bds(basis: _Basis, P: float) -> AsymptoticSolution:
         scheme="BDS", tau_sq=0.0, power=P, n_streams=N, n_bar=n_bar,
         m0=m0, m_prime=m_prime, xi_sq=xi_sq, psi=psi,
         upsilon_intra=ups_intra, upsilon_cross=np.zeros((G, 2)),
-        upsilon_inter=inter_unit, gamma=None, sum_rate=None,
+        upsilon_inter=inter_unit,
         iterations=int(sp.iterations.max()), residual=float(sp.residual.max()),
-        extras={"chi_slope": cross_unit + inter_unit,
-                "cross_unit": cross_unit, "inter_unit": inter_unit})
+        extras={"cross_unit": cross_unit, "inter_unit": inter_unit})
 
 
 def bds_c0(solution_at_zero: AsymptoticSolution) -> float:
     """Interference growth coefficient of the BDS SINR in chi.
 
     The interference terms are affine in chi, so per subgroup the SINR obeys
-    gamma(chi) = gamma(0) / (1 + c chi) exactly with c = slope / (1 + intra
-    + cross + inter) at chi = 0, in the normalization of ``terms``; c0
-    averages c over (g, p). (The compact closed-form coefficient replaces the
-    cross-polarized multiplicity n_bar/2 by n_bar/2 - 1 and drops inter-group
-    leakage, which overshoots the decay for small groups; the slope form is
-    exact.)
+    gamma(chi) = gamma(0) / (1 + c chi) exactly with c = (cross_unit +
+    inter_unit) / (1 + intra + cross + inter) at chi = 0, in the
+    normalization of ``terms``; c0 averages c over (g, p). (The compact
+    closed-form coefficient replaces the cross-polarized multiplicity n_bar/2
+    by n_bar/2 - 1 and drops inter-group leakage, which overshoots the decay
+    for small groups; the slope form is exact.)
     """
-    _, intra, cross, inter = solution_at_zero.terms()
-    c0 = solution_at_zero.extras["chi_slope"] / (1.0 + intra + cross + inter)
+    _, intra, cross, inter = solution_at_zero.terms
+    units = solution_at_zero.extras
+    c0 = (units["cross_unit"] + units["inter_unit"]) / (1.0 + intra + cross + inter)
     return float(c0.mean())
 
 
@@ -515,11 +512,8 @@ def approx_bds_chi(solution_at_zero: AsymptoticSolution, chi: float) -> Asymptot
     """Hyperbolic chi-decay law: gamma(chi) = gamma(0) / (1 + c0 chi).
 
     The law's extra interference, (1 + intra + cross + inter) c0 chi at
-    chi = 0, goes into ``upsilon_cross``, so ``terms()`` reassembles gamma.
+    chi = 0, goes into ``upsilon_cross``; gamma and the sum rate follow.
     """
-    c0 = bds_c0(solution_at_zero)
-    gamma = solution_at_zero.gamma / (1.0 + c0 * chi)
-    _, intra, cross, inter = solution_at_zero.terms()
-    return replace(solution_at_zero, gamma=gamma,
-                   upsilon_cross=cross + (1.0 + intra + cross + inter) * c0 * chi,
-                   sum_rate=_sum_rate(gamma, solution_at_zero.n_bar))
+    _, intra, cross, inter = solution_at_zero.terms
+    extra = (1.0 + intra + cross + inter) * bds_c0(solution_at_zero) * chi
+    return replace(solution_at_zero, upsilon_cross=cross + extra)

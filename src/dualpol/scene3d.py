@@ -168,8 +168,8 @@ def run_3d_paired(scenario3d: Scenario3D, modes, n_trials: int, seed: int,
     solve each region's own crossover: ``base`` is not taken. The regions
     share the azimuth geometry (``reduce_to_2d`` changes only gains and
     power), so one build of its BD preprocessors serves every region's
-    trials and crossover. A summary's extras (the switching schemes'
-    ``bds_fraction``) and its ``trial_terms`` are the mean over the regions.
+    trials and crossover. A summary sums the regions' trial sum rates and
+    averages their ``trial_terms`` and ``trial_picks``.
     """
     if "base" in kwargs:
         raise InvalidInputError("each region solves its own SWITCH crossover; "
@@ -186,10 +186,11 @@ def run_3d_paired(scenario3d: Scenario3D, modes, n_trials: int, seed: int,
                for l in range(n_regions)]
     if points is None:
         regions = [[results] for results in regions]
-    out = [{m: McSummary.from_trials(
-                m, sum(r[i][m].trial_sum_rates for r in regions),
-                {key: sum(r[i][m].extras[key] for r in regions) / n_regions
-                 for key in regions[0][i][m].extras},
-                sum(r[i][m].trial_terms for r in regions) / n_regions)
+
+    def mean(i, m, name):
+        per_region = [getattr(r[i][m], name) for r in regions]
+        return None if per_region[0] is None else sum(per_region) / n_regions
+    out = [{m: McSummary(m, sum(r[i][m].trial_sum_rates for r in regions),
+                         mean(i, m, "trial_terms"), mean(i, m, "trial_picks"))
             for m in modes} for i in range(len(regions[0]))]
     return out[0] if points is None else out

@@ -58,8 +58,7 @@ def decompose_per_group(powers, split_cross):
     intra = np.concatenate(intra, axis=-1)
     cross = np.concatenate(cross, axis=-1)
     inter = np.concatenate(inter, axis=-1)
-    sinr = signal / (intra + cross + inter + 1.0)
-    return SinrReport(sinr=sinr, signal=signal, intra=intra, cross=cross, inter=inter)
+    return SinrReport(signal=signal, intra=intra, cross=cross, inter=inter)
 
 
 def reference_report(scenario, channels, mode, tau, preprocessors):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dualpol.channel import (
     RngStream,
+    _read_group,
     channel_from_normals,
     complex_normal,
     draw_channel,
@@ -57,19 +58,26 @@ def test_odd_user_count_rejected(stats):
 
 
 def _column_sample_cov(stats, chi, n_draws, cols, theta_max=None, seed=3):
+    """Sample covariance of the columns ``cols`` of ``n_draws`` 8-user draws
+    read from one stream in the order of ``draw_channel`` (a block of draws
+    is one block of normals) or ``draw_mismatched_channel`` (read per draw,
+    like ``metrics._draw_block``), stacked along a leading trial axis."""
     gen = RngStream(seed, 0).generator()
-    dim = 2 * stats.dim
-    acc = np.zeros((dim, dim), dtype=complex)
-    count = 0
-    for _ in range(n_draws):
+    rows = 2 * stats.effective_rank
+    block = 5000  # draws per stacked read, which bounds the memory
+    acc = 0.0
+    for first in range(0, n_draws, block):
+        T = min(block, n_draws - first)
         if theta_max is None:
-            entry = draw_channel(stats, chi, 8, gen)
+            normals, angles = gen.standard_normal((T, 4, rows, 8)), None
         else:
-            entry = draw_mismatched_channel(stats, chi, theta_max, 8, gen)
-        H = entry.H[:, cols]
-        acc += H @ H.conj().T
-        count += len(cols)
-    return acc / count
+            normals, angles = np.empty((T, 6, rows, 8)), np.empty((T, 8))
+            for t in range(T):
+                angles[t] = _read_group(gen, normals[t], theta_max)
+        H = channel_from_normals(stats, chi, normals, angles).H[..., cols]
+        Y = H.transpose(1, 0, 2).reshape(H.shape[1], -1)
+        acc = acc + Y @ Y.conj().T
+    return acc / (n_draws * len(cols))
 
 
 def test_chi_one_column_covariance(stats):

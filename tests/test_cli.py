@@ -291,6 +291,24 @@ class TestMain:
         assert out.read_text() == ""
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lines, key", [
+        # The DE rows would silently run at chi = 0, tau^2 = 0, aligned.
+        ("schemes = ASYM_BD\nchi_dist = uniform:0.5:0.5", "chi_dist"),
+        ("schemes = BD, ASYM_BDS\ntau_sq_dist = uniform:0.9:0.9", "tau_sq_dist"),
+        ("schemes = ASYM_BD\ntheta_max_ms_deg = 0, 40", "theta_max_ms_deg"),
+        # The single array's equal-energy gain would follow the first chi.
+        ("arrays = dual, single\nchi = 0, 1", "chi"),
+        ("arrays = single\nchi_dist = uniform:0:0.5", "chi_dist"),
+    ])
+    def test_ignored_draws_exit_two_before_header(self, tmp_path, capsys, lines, key):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"m = 24\ngroups = 2\nn_bar = 4\nn_trials = 2\n{lines}\n")
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert out.read_text() == ""
+        err = capsys.readouterr().err
+        assert f"remove {key}" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("scheme", ["BD", "ASYM_BD"])
     def test_budget_at_r1_runs_without_bds(self, tmp_path, scheme):
         # The BDS RVQ bound needs r > 1; a run without BDS does not.

@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -127,7 +128,9 @@ def test_de_matches_pinned_reference(fig4_scenario):
         solver = asym_bd if scheme == "BD" else asym_bds
         sol = solver(fig4_scenario.with_chi(chi).with_power_db(snr), tau_sq=tau_sq)
         got = {f: getattr(sol, f) for f in DE_FIELDS}
-        got["chi_slope"] = sol.extras.get("chi_slope")
+        # BDS's chi slope, pinned as one column, is the sum of its units.
+        got["chi_slope"] = (sol.extras["cross_unit"] + sol.extras["inter_unit"]
+                            if scheme == "BDS" else None)
         assert len(ref) == sol.gamma.size
         for row in ref:
             where = (scheme, snr, chi, tau_sq, row["g"], row["p"])
@@ -244,12 +247,12 @@ class TestBdAsymptotics:
         assert np.abs(sol.gamma[:, 0] - sol.gamma[:, 1]).max() < 1e-10
 
     def test_perfect_csit_reduction(self, fig6):
-        # tau = 0 wipes the tau-weighted terms; at_tau re-assembly agrees
-        # with a fresh solve
+        # tau = 0 wipes the tau-weighted terms; re-assembly at another tau
+        # agrees with a fresh solve
         full = asym_bd(fig6, tau_sq=0.1)
-        re = asym_bd(fig6, tau_sq=0.0).at_tau(0.1)
+        re = replace(asym_bd(fig6, tau_sq=0.0), tau_sq=0.1)
         assert np.abs(full.gamma - re.gamma).max() < 1e-12
-        perfect = full.at_tau(0.0)
+        perfect = replace(full, tau_sq=0.0)
         u = (1.0 + full.m0) ** 2
         manual = (fig6.power / fig6.n_users) * full.xi_sq * full.m0 ** 2 / (
             full.xi_sq * full.upsilon_intra + (1.0 + full.upsilon_inter) * u)
@@ -279,13 +282,13 @@ class TestBdAsymptotics:
 
 @pytest.mark.parametrize("solver", [asym_bd, asym_bds])
 def test_terms_reassemble_gamma(fig6, solver):
-    """``terms()`` is the SINR in the noise-1 normalization of the Monte
+    """``terms`` is the SINR in the noise-1 normalization of the Monte
     Carlo's ``SinrReport``: signal / (intra + cross + inter + 1) is gamma,
     and so is the assembly that does not divide through by (1 + m0)^2."""
     for chi in (0.0, 0.3):
         for tau_sq in (0.0, 0.1, 0.5):
             sol = solver(fig6.with_chi(chi), tau_sq=tau_sq)
-            terms = sol.terms()
+            terms = sol.terms
             assert [t.shape for t in terms] == [(fig6.G, 2)] * 4
             signal, intra, cross, inter = terms
             np.testing.assert_allclose(signal / (intra + cross + inter + 1.0),
@@ -357,21 +360,23 @@ class TestChiApproximations:
 
     @pytest.mark.parametrize("tau_sq", [0.0, 0.1])
     def test_bds_law_terms_reassemble_gamma(self, fig6, tau_sq):
+        # The law is stated once, as extra cross interference; the gamma its
+        # terms give is gamma(0) / (1 + c0 chi).
         base = asym_bds(fig6, tau_sq=tau_sq)
-        for chi in [0.1, 0.3, 0.5]:
-            out = approx_bds_chi(base, chi)
-            signal, intra, cross, inter = out.terms()
-            np.testing.assert_allclose(signal / (intra + cross + inter + 1.0),
-                                       out.gamma, rtol=1e-13, atol=0.0)
+        c0 = bds_c0(base)
+        for chi in [0.1, 0.3, 0.5, 1.0]:
+            np.testing.assert_allclose(approx_bds_chi(base, chi).gamma,
+                                       base.gamma / (1.0 + c0 * chi), rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("tau_sq", [0.0, 0.1])
     def test_bds_c0_is_the_slope_over_the_chi_zero_denominator(self, fig6, tau_sq):
-        # The denominator written out, not through terms().
+        # The slope and denominator written out, not through terms.
         sol = asym_bds(fig6, tau_sq=tau_sq)
         u = (1.0 + sol.m0) ** 2
         b0 = sol.xi_sq * sol.upsilon_intra
         denom0 = b0 * (tau_sq * (u - 1.0) + 1.0) / u + 1.0 + sol.upsilon_inter
-        want = float((sol.extras["chi_slope"] / denom0).mean())
+        slope = sol.extras["cross_unit"] + sol.extras["inter_unit"]
+        want = float((slope / denom0).mean())
         assert bds_c0(sol) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_monotone_decreasing(self, fig6):
