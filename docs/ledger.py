@@ -19,8 +19,9 @@ mended pair (independent inner factor per receive port; CSIT is the
 rotated channel). The earlier choices are rebuilt here and swapped in for
 the duration of a run. Those runs go through the engine's per-realization
 oracle, ``reference_paired`` in ``tests/reference.py`` (``draw_trial``, then
-``build_all`` and the M-row channel), which the swapped-in functions reach;
-``run_paired`` draws and precodes its stacked trials without them:
+its own M-row precoders, ``reference_transmit``, and the M-row channel),
+which the swapped-in functions reach; ``run_paired`` draws and precodes its
+stacked trials without them:
 
 * coherent draw: one inner factor per user, rotated between the two
   polarization blocks, (cos - sqrt(chi) sin, sin + sqrt(chi) cos) for

@@ -147,12 +147,21 @@ def _resolve(config: dict) -> dict:
         raise InvalidConfigurationError(
             f"{', '.join(asym)}: the deterministic equivalents take one chi, one "
             f"tau_sq and aligned antennas; remove {', '.join(drawn)}")
+    taus = [key for key in ("tau_sq", "tau_sq_dist") if key in config]
+    if "n_bits" in config and taus:
+        raise InvalidConfigurationError(
+            f"n_bits sets each scheme's CSIT quality from its RVQ bound; "
+            f"remove {', '.join(taus)}")
     if mode == "2D":
         cfg["arrays"] = [_parse_array(token, cfg["spacing"]) for token in cfg["arrays"]]
+        single = any(pol == "single" for pol, _ in cfg["arrays"])
         chis = "chi_dist" if cfg["chi_dist"] else "chi" if len(cfg["chi"]) > 1 else None
-        if chis and any(pol == "single" for pol, _ in cfg["arrays"]):
+        if chis and single:
             raise InvalidConfigurationError(
                 f"single-polarized arrays take their energy gain from one chi; remove {chis}")
+        if single and any(cfg["theta_max_ms_deg"]):
+            raise InvalidConfigurationError(
+                "single-polarized arrays are never mismatched; remove theta_max_ms_deg > 0")
     return cfg
 
 

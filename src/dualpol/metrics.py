@@ -15,9 +15,8 @@ normals only on the seed; power, chi and tau^2 change only the RZF
 regularizer, the cross-block scale and the CSIT mix. A point's precoders
 are one batched RZF over every trial and group, and the points at one chi
 and CSIT quality share its ``precode.CsitView``, so between them only the
-regularizer changes. ``draw_trial``,
-``precode.build_all`` and ``sinr_bd``/``sinr_bds`` compute the same for one
-realization over the M-row channel.
+regularizer changes. The per-realization API (``draw_trial``,
+``precode.build_all``, ``sinr_bd``/``sinr_bds``) is this engine at one trial.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from .corrstats import mismatch_effective_stats
 from .errors import InvalidInputError
 from .modeswitch import FeedbackBudget, chi_crossover_scale, tau_from_bits
 from .precode import (
+    _one_trial,
     build_all,
     build_preprocessors,
     csit_view,
@@ -128,32 +128,29 @@ class McSummary:
 
 def sinr_bd(channels: tuple, precoders, power: float) -> SinrReport:
     """SINR decomposition of the BD scheme for one realization."""
-    if precoders.mode != "BD":
-        raise InvalidInputError("sinr_bd needs BD-mode precoders")
-    return _sinr_common(channels, precoders, power, split_cross=False)
+    return _realization_report(channels, precoders, power, "BD")
 
 
 def sinr_bds(channels: tuple, precoders, power: float) -> SinrReport:
     """SINR decomposition of the BDS scheme for one realization."""
-    if precoders.mode != "BDS":
-        raise InvalidInputError("sinr_bds needs BDS-mode precoders")
-    return _sinr_common(channels, precoders, power, split_cross=True)
+    return _realization_report(channels, precoders, power, "BDS")
 
 
 def sinr_report(scenario: GroupScenario, channels: tuple, mode: str,
                 tau: float = 0.0, preprocessors=None) -> SinrReport:
     """Precode one realization with ``build_all`` and decompose its SINRs."""
     pre = build_all(scenario, channels, mode, tau=tau, preprocessors=preprocessors)
-    sinr = sinr_bd if mode == "BD" else sinr_bds
-    return sinr(channels, pre, scenario.power)
+    return _realization_report(channels, pre, scenario.power, mode)
 
 
-def _sinr_common(channels, precoders, power, split_cross):
-    """Decompose |h_gk^H (B_l P_l)_j|^2 of every pair of groups (l, g)."""
-    per_stream = power / sum(entry.n_users for entry in channels)
-    tx = np.stack([precoders.transmit_matrix(g) for g in range(len(channels))])
-    return _decompose(np.stack([per_stream * np.abs(entry.H.conj().T @ tx) ** 2
-                                for entry in channels], axis=-3), split_cross)
+def _realization_report(channels, precoders, power, mode):
+    """``_report`` at one trial, in the KL bases of the channels as given."""
+    if precoders.mode != mode:
+        raise InvalidInputError(f"sinr_{mode.lower()} needs {mode}-mode precoders")
+    _, D = kl_projections(precoders.preprocessors, [entry.stats for entry in channels],
+                          [entry.gain for entry in channels])
+    maps = _amplitude_maps(D, _one_trial(channels), 2 if channels[0].dual_pol else 1)
+    return _report(maps[0], precoders.inner, power, mode == "BDS")
 
 
 def _decompose(powers, split_cross):
@@ -293,11 +290,16 @@ def _amplitude_maps(D, channels, pols):
 
 def _stacked_report(scenario, maps, view):
     """The ``SinrReport`` of a ``precode.CsitView`` at the scenario's power."""
-    P = stacked_precoders(scenario, view)
-    T, G, _, n = P.shape
-    per_stream = scenario.power / scenario.n_users
-    powers = per_stream * np.abs(maps @ P) ** 2
-    return _decompose(powers.reshape(T, G, G, -1, n), split_cross=view.mode == "BDS")
+    return _report(maps, stacked_precoders(scenario, view), scenario.power,
+                   split_cross=view.mode == "BDS")
+
+
+def _report(maps, P, power, split_cross):
+    """The ``SinrReport`` of inner precoders P (..., G, B_bar, n_bar) seen
+    through ``_amplitude_maps``, each stream at an equal share of ``power``."""
+    *lead, G, _, n = P.shape
+    powers = power / (G * n) * np.abs(maps @ P) ** 2
+    return _decompose(powers.reshape(*lead, G, G, -1, n), split_cross)
 
 
 def _point_rows(scenario, maps, view, modes, point, tau_sq, chi_used, scale):
@@ -426,7 +428,7 @@ def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
         raise InvalidInputError("theta_max must lie in [0, pi/2]")
     if preprocessors is None:
         preprocessors = build_preprocessors(scenario)
-    C, D = kl_projections(scenario, preprocessors)
+    C, D = kl_projections(preprocessors, scenario.covariances, scenario.gains)
     scenarios = {p.power: scenario.with_power(p.power) for p in points}
     scales = {}
     if any(m.startswith("SWITCH") for m in modes):

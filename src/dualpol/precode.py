@@ -9,7 +9,7 @@ subgroups that only consume co-polarized CSIT.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -73,20 +73,16 @@ class InnerPrecoder:
 
 @dataclass(frozen=True)
 class PrecoderSet:
-    """All inner precoders of one realization, keyed per group (BD) or
-    per (group, polarization) (BDS)."""
+    """The precoders of one realization. ``inner`` is one trial of
+    ``stacked_precoders``, (G, B_bar, n_bar): blockdiag(P_v, P_h) for BDS."""
 
     mode: str
     preprocessors: tuple
-    inner: tuple  # BD: one InnerPrecoder per group; BDS: tuple (v, h) per group
+    inner: np.ndarray = field(repr=False)
 
     def transmit_matrix(self, g: int) -> np.ndarray:
         """B_g P_g with columns ordered like the group's users."""
-        pre = self.preprocessors[g]
-        if self.mode == "BD":
-            return pre.bd @ self.inner[g].P
-        pv, ph = self.inner[g]
-        return np.hstack([pre.bds_v @ pv.P, pre.bds_h @ ph.P])
+        return self.preprocessors[g].bd @ self.inner[g]
 
 
 def null_space_modes(R: np.ndarray, others, n_cols: int) -> np.ndarray:
@@ -172,16 +168,10 @@ def rzf_precoder(H_eff_hat: np.ndarray, alpha: float, n_streams: int,
     return InnerPrecoder(P=np.sqrt(xi_sq)[..., None, None] * KH, xi_sq=xi_sq)
 
 
-def _check_mode(scenario: GroupScenario, mode: str):
-    if mode not in ("BD", "BDS"):
-        raise InvalidInputError(f"unknown precoding mode {mode!r}")
-    if mode == "BDS" and not scenario.dual_pol:
-        raise InvalidInputError("BDS requires a dual-polarized scenario")
-
-
 def build_all(scenario: GroupScenario, channels, mode: str,
               tau: float = 0.0, preprocessors=None) -> PrecoderSet:
-    """Assemble the outer/inner precoders of every group for one realization.
+    """Assemble the outer/inner precoders of every group for one realization:
+    ``stacked_precoders`` at one trial, in the channels' KL bases.
 
     BD computes one RZF per group on B_g^H H_hat_g with regularizer
     B_bar alpha = n_bar / P; BDS computes one RZF per co-polarized subgroup
@@ -190,30 +180,20 @@ def build_all(scenario: GroupScenario, channels, mode: str,
     half the streams at half the power), which is what makes BDS coincide
     with BD when the polarizations do not leak into each other.
     """
-    _check_mode(scenario, mode)
     if preprocessors is None:
         preprocessors = build_preprocessors(scenario)
-    alpha = scenario.alpha
-    n_bar = scenario.n_bar
-    inner = []
-    for g, entry in enumerate(channels):
-        pre = preprocessors[g]
-        if mode == "BD":
-            H_hat = entry.h_hat(tau)
-            inner.append(rzf_precoder(pre.bd.conj().T @ H_hat, alpha, n_bar))
-        else:
-            # Only the co-polarized CSIT blocks are read: the vertical
-            # subgroup uses the upper blocks of its users' estimates, the
-            # horizontal one the lower blocks.
-            A = entry.gain * entry.stats.factor()
-            inner.append(tuple(
-                rzf_precoder(pre.B_s.conj().T @ (A @ X_hat), 2.0 * alpha, n_bar // 2)
-                for X_hat in entry.copolar_hat(tau)))
-    return PrecoderSet(mode=mode, preprocessors=tuple(preprocessors),
-                       inner=tuple(inner))
+    C, _ = kl_projections(preprocessors, [entry.stats for entry in channels],
+                          [entry.gain for entry in channels])
+    view = csit_view(scenario, C, _one_trial(channels), mode, np.full(1, float(tau)))
+    return PrecoderSet(mode, tuple(preprocessors), stacked_precoders(scenario, view)[0])
 
 
-def kl_projections(scenario: GroupScenario, preprocessors) -> tuple:
+def _one_trial(channels) -> list:
+    """The group channels of one realization as a one-trial stack."""
+    return [replace(entry, X=entry.X[None], Z=entry.Z[None]) for entry in channels]
+
+
+def kl_projections(preprocessors, covariances, gains) -> tuple:
     """The outer precoders seen from every group's KL basis.
 
     With A_g = gain_g U_g Lambda_g^(1/2) the basis group g's channel is
@@ -226,7 +206,7 @@ def kl_projections(scenario: GroupScenario, preprocessors) -> tuple:
     Single-polarized scenarios drop the block diagonal.
     """
     C, D = [], []
-    for pre, cov, gain in zip(preprocessors, scenario.covariances, scenario.gains):
+    for pre, cov, gain in zip(preprocessors, covariances, gains):
         A = gain * cov.factor()
         C.append(pre.B_s.conj().T @ A)
         D.append(np.hstack([A.conj().T @ other.B_s for other in preprocessors]))
@@ -258,7 +238,10 @@ def csit_view(scenario: GroupScenario, C, channels, mode: str, tau) -> CsitView:
     blockdiag(C_g, C_g) X_hat_g; each BDS subgroup sees C_g X_hat_g^{pp},
     only the co-polarized CSIT.
     """
-    _check_mode(scenario, mode)
+    if mode not in ("BD", "BDS"):
+        raise InvalidInputError(f"unknown precoding mode {mode!r}")
+    if mode == "BDS" and not scenario.dual_pol:
+        raise InvalidInputError("BDS requires a dual-polarized scenario")
     n_bar = scenario.n_bar
     pols = 2 if scenario.dual_pol else 1
     H = []
@@ -274,8 +257,8 @@ def csit_view(scenario: GroupScenario, C, channels, mode: str, tau) -> CsitView:
 
 
 def stacked_precoders(scenario: GroupScenario, view: CsitView) -> np.ndarray:
-    """``build_all`` in the KL domain: the inner precoders of every group
-    of a ``CsitView``, from one batched RZF at the scenario's power.
+    """The inner precoders of every group of a ``CsitView``, from one
+    batched RZF at the scenario's power.
 
     Returns one (T, G, B_bar, n_bar) array: group g transmits
     blockdiag(B_s, B_s) P_g, where P_g is BD's RZF or, for BDS,

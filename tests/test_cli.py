@@ -299,6 +299,13 @@ class TestMain:
         # The single array's equal-energy gain would follow the first chi.
         ("arrays = dual, single\nchi = 0, 1", "chi"),
         ("arrays = single\nchi_dist = uniform:0:0.5", "chi_dist"),
+        # A single array is never mismatched: each theta gave the same row.
+        ("arrays = single\ntheta_max_ms_deg = 0, 40", "theta_max_ms_deg"),
+        ("arrays = dual, single\ntheta_max_ms_deg = 40", "theta_max_ms_deg"),
+        # An n_bits budget sets the CSIT quality; tau^2 was ignored.
+        ("n_bits = 20\ntau_sq = 0.7", "tau_sq"),
+        ("schemes = ASYM_BD\nn_bits = 20\ntau_sq = 0.9, 0.1", "tau_sq"),
+        ("n_bits = 20\ntau_sq_dist = uniform:0:1", "tau_sq_dist"),
     ])
     def test_ignored_draws_exit_two_before_header(self, tmp_path, capsys, lines, key):
         cfg = tmp_path / "c.cfg"

@@ -13,7 +13,7 @@ import dualpol.precode as precode
 import dualpol.rmt as rmt
 from dualpol.channel import RngStream
 from dualpol.errors import DegenerateInputError, InvalidInputError
-from dualpol.metrics import SweepPoint, draw_trial, run_paired, sinr_report
+from dualpol.metrics import SweepPoint, csit_tau_sq, draw_trial, run_paired, sinr_report
 from dualpol.precode import build_preprocessors
 from dualpol.scenario import make_scenario
 from dualpol.scene3d import make_scenario_3d, reduce_to_2d, run_3d_paired
@@ -314,10 +314,20 @@ def test_stacked_decomposition_equals_per_group_loop(G, split_cross):
 
 @pytest.mark.parametrize("mode", ["BD", "BDS"])
 def test_sinr_report_equals_per_group_loop(fig4, mode):
-    # The per-realization path shares the engine's stacked decomposition.
+    # The per-realization path is the engine at one trial: run_paired's
+    # one-trial row on the same stream, bit for bit. The oracle builds its
+    # own M-row precoders and agrees to RTOL.
     pre = build_preprocessors(fig4)
-    channels = draw_trial(fig4, RngStream(3, 0), theta_max=0.3)
-    got = sinr_report(fig4, channels, mode, tau=0.3, preprocessors=pre)
-    want = reference_report(fig4, channels, mode, 0.3, pre)
-    for name in ("sinr", "signal", "intra", "cross", "inter"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    tau_sq, theta_max = 0.09, 0.3
+    tau = math.sqrt(csit_tau_sq(tau_sq, None, fig4.r, mode))
+    channels = draw_trial(fig4, RngStream(3, 0), theta_max=theta_max)
+    got = sinr_report(fig4, channels, mode, tau=tau, preprocessors=pre)
+    run = run_paired(fig4, [mode], 1, 3, tau_sq=tau_sq, theta_max=theta_max,
+                     preprocessors=pre)[mode]
+    assert got.sum_rate == run.trial_sum_rates[0]
+    assert np.array_equal(got.terms, run.trial_terms[0])
+    want = reference_report(fig4, channels, mode, tau, pre)
+    per_user = [np.column_stack([rep.signal, rep.intra, rep.cross, rep.inter])
+                for rep in (got, want)]
+    assert_terms_match(*per_user)
+    np.testing.assert_allclose(got.sum_rate, want.sum_rate, rtol=RTOL, atol=0.0)

@@ -190,10 +190,9 @@ def test_bds_reads_only_copolarized_csit(fig4_scenario, fig4_pre):
         poisoned.append(replace(entry, Z=Z))
     poisoned = tuple(poisoned)
     bds = build_all(sc, poisoned, "BDS", tau=0.4, preprocessors=fig4_pre)
-    for pv, ph in bds.inner:
-        assert np.all(np.isfinite(pv.P)) and np.all(np.isfinite(ph.P))
+    assert np.all(np.isfinite(bds.inner))
     bd = build_all(sc, poisoned, "BD", tau=0.4, preprocessors=fig4_pre)
-    assert not np.all(np.isfinite(bd.inner[0].P))
+    assert not np.all(np.isfinite(bd.inner[0]))
 
 
 def test_bds_copolar_csit_are_blocks_of_h_hat(fig4_scenario, fig4_pre):
@@ -201,15 +200,17 @@ def test_bds_copolar_csit_are_blocks_of_h_hat(fig4_scenario, fig4_pre):
     # blocks of the rotated channel's estimate: of H itself at tau = 0.
     sc = fig4_scenario.with_chi(0.2).with_power_db(10.0)
     channels = draw_trial(sc, RngStream(10, 0), theta_max=0.3 * math.pi)
-    half = sc.M // 2
+    half, b2 = sc.M // 2, sc.b_bar // 2
     for tau in (0.0, 0.4):
         bds = build_all(sc, channels, "BDS", tau=tau, preprocessors=fig4_pre)
-        for entry, pre, (pv, ph) in zip(channels, fig4_pre, bds.inner):
+        for entry, pre, P in zip(channels, fig4_pre, bds.inner):
             H_hat = entry.H if tau == 0.0 else entry.h_hat(tau)
             n2 = entry.n_users // 2
+            pv, ph = P[:b2, :n2], P[b2:, n2:]
+            assert not P[:b2, n2:].any() and not P[b2:, :n2].any()
             for inner, block in ((pv, H_hat[:half, :n2]), (ph, H_hat[half:, n2:])):
                 ref = rzf_precoder(pre.B_s.conj().T @ block, 2.0 * sc.alpha, n2)
-                np.testing.assert_allclose(inner.P, ref.P, rtol=1e-9, atol=1e-12)
+                np.testing.assert_allclose(inner, ref.P, rtol=1e-9, atol=1e-12)
 
 
 def test_chi_zero_effective_channel_is_block_diagonal(fig4_scenario, fig4_pre):
@@ -243,7 +244,7 @@ def test_batched_rzf_equals_per_group_rzf(fig4_scenario, fig4_pre, mode):
     channels = [channel_from_normals(cov, np.full(T, sc.chi), rng.standard_normal(
         (T, 4, 2 * cov.effective_rank, n))) for cov in sc.covariances]
     tau = np.linspace(0.0, 0.6, T)
-    C, _ = kl_projections(sc, fig4_pre)
+    C, _ = kl_projections(fig4_pre, sc.covariances, sc.gains)
     view = csit_view(sc, C, channels, mode, tau)
     for power in (1.0, 31.6, 1000.0):
         scp = sc.with_power(power)
