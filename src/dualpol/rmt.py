@@ -19,9 +19,12 @@ depend on the batch it is in. The CSIT quality tau^2 enters only the final
 SINR assembly (``AsymptoticSolution.terms``). ``asym_bd`` and ``asym_bds``
 are one-point sweeps.
 
-The fixed point stops at max(1e-12, 16 eps max|e|): its iterate grows with
-the power, so at high SNR an absolute tolerance would ask for more than
-the float resolution of e.
+The fixed point takes Newton steps with the map's analytic Jacobian J
+(``_jacobian``), the same J whose (I - J) the derivative systems solve, so
+near the fixed point it converges quadratically. It stops at
+max(1e-12, 16 eps max|e|): its iterate grows with the power, so at high
+SNR an absolute tolerance would ask for more than the float resolution
+of e.
 """
 
 from __future__ import annotations
@@ -118,18 +121,48 @@ def solve_fixed_point(problem: FixedPointProblem, tol: float = FIXED_POINT_TOL,
                             residual=float(residual[0]))
 
 
+def _traces(a, b):
+    """Row-wise sums over the last axis: out[i, p, q] = sum(a[i, p] * b[i, q]).
+
+    Each member's sums see only its own rows, so its bits do not depend on
+    the batch it is in, which a BLAS product does not promise."""
+    return (a[:, :, None, :] * b[:, None, :, :]).sum(axis=-1)
+
+
+def _jacobian(classes, T, e, n, M):
+    """Jacobian of the fixed-point map f(e)_p = (1/M) tr(R_p T(e)) of each
+    member: J[p, q] = (n_q / M^2) tr(R_p T R_q T) / (1 + e_q)^2.
+
+    ``classes`` are (members, k, dim) diagonals with T (members, dim), or
+    (members, k, dim, dim) matrices with T (members, dim, dim); n holds the
+    multiplicities n_q. Every trace is a ``_traces`` row-wise sum.
+    """
+    if classes.ndim == 3:
+        tr = _traces(classes * T[:, None] ** 2, classes)
+    else:
+        RT = classes @ T[:, None]
+        flat = RT.shape[:2] + (-1,)
+        tr = _traces(RT.reshape(flat), np.swapaxes(RT, -1, -2).reshape(flat)).real
+    return (n / M) * tr / (M * (1.0 + e[:, None]) ** 2)
+
+
 def _fixed_points(classes, multiplicities, base, z, M, tol=FIXED_POINT_TOL,
                   max_iter=FIXED_POINT_MAX_ITER):
     """The fixed points of a batch of members that share the multiplicities,
     the shift ``base`` = S - zI and the trace normalizer M.
 
     ``classes`` is (members, k, dim) class diagonals or (members, k, dim,
-    dim) class matrices. Each member iterates from e = 1/alpha with its own
-    step damping, halved for good once its residual rises, and stops when
-    the residual max|e_new - e| falls below max(tol, 16 eps max|e_new|):
-    the float floor takes over where eps |e| exceeds tol, at high SNR. A
-    stopped member is frozen at (e_new, T(e_new)). Every trace is a row-wise
-    sum, so a member's result does not depend on the batch it is in.
+    dim) class matrices. Each member starts from e = 1/alpha and takes
+    Newton steps e_new = e + (I - J)^-1 (f(e) - e) on the map f(e) = (1/M)
+    tr(R_i T(e)), with J its ``_jacobian`` at e; where the Newton iterate
+    would leave the positive orthant (or I - J is singular) it takes the
+    plain step e_new = f(e). A member stops when its residual max|f(e) - e|
+    falls below max(tol, 16 eps max|f(e)|): the float floor takes over
+    where eps |e| exceeds tol, at high SNR. A stopped member is frozen at
+    (e_new, T(e_new)), so the Newton step taken where the residual met the
+    tolerance leaves an error far below it. Every trace is a row-wise sum
+    and every solve is per member, so a member's result does not depend on
+    the batch it is in.
 
     Returns e (members, k), T (members, dim) or (members, dim, dim), and
     the iteration counts and final residuals (members,).
@@ -157,12 +190,17 @@ def _fixed_points(classes, multiplicities, base, z, M, tol=FIXED_POINT_TOL,
     residual = np.zeros(members)
     live = np.arange(members)
     e = np.full((members, k), 1.0 / -z)
-    damp = np.ones((members, 1))
-    prev_res = np.full(members, np.inf)
     for it in range(1, max_iter + 1):
-        e_new = traces(classes, resolvent(classes, e)) / M
-        res = np.abs(e_new - e).max(axis=1)
-        done = res < np.maximum(tol, _FLOAT_FLOOR * np.abs(e_new).max(axis=1))
+        T = resolvent(classes, e)
+        fe = traces(classes, T) / M
+        res = np.abs(fe - e).max(axis=1)
+        try:
+            newton = e + np.linalg.solve(np.eye(k) - _jacobian(classes, T, e, n, M),
+                                         (fe - e)[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            newton = np.full_like(e, np.nan)
+        e_new = np.where(np.all(newton > 0.0, axis=1)[:, None], newton, fe)
+        done = res < np.maximum(tol, _FLOAT_FLOOR * np.abs(fe).max(axis=1))
         if done.any():
             at = live[done]
             e_out[at] = e_new[done]
@@ -172,11 +210,8 @@ def _fixed_points(classes, multiplicities, base, z, M, tol=FIXED_POINT_TOL,
             keep = ~done
             if not keep.any():
                 return e_out, T_out, iterations, residual
-            live, classes, e, e_new, res, prev_res, damp = (
-                x[keep] for x in (live, classes, e, e_new, res, prev_res, damp))
-        damp[res > prev_res] = 0.5
-        e = damp * e_new + (1.0 - damp) * e
-        prev_res = res
+            live, classes, e_new, res = (x[keep] for x in (live, classes, e_new, res))
+        e = e_new
     raise NonConvergenceError(
         f"fixed point not converged after {max_iter} iterations",
         residual=float(res.max()))
@@ -277,14 +312,6 @@ class _Basis:
             for l, (_, V) in enumerate(eig)]).reshape(G, G - 1, self.lam.shape[1])
 
 
-def _traces(a, b):
-    """Row-wise sums over the last axis: out[i, p, q] = sum(a[i, p] * b[i, q]).
-
-    Each member's sums see only its own rows, so its bits do not depend on
-    the batch it is in, which a BLAS product does not promise."""
-    return (a[:, :, None, :] * b[:, None, :, :]).sum(axis=-1)
-
-
 class _Spectral:
     """Fixed points and derivative systems of a batch of members that share
     one multiplicity, dimension and argument z: in ``asym_sweep``, every
@@ -302,9 +329,7 @@ class _Spectral:
         self.m0, T, self.iterations, self.residual = _fixed_points(
             d, (n,) * k, np.zeros(dim) - z, z, dim)
         self.w = d * T[:, None] ** 2
-        # J[p, q] = (n/dim) tr(R_p T R_q T) / (dim (1 + e_q)^2)
-        J = (n / dim) * _traces(self.w, d) / (dim * (1.0 + self.m0[:, None]) ** 2)
-        self.jac = np.eye(k) - J
+        self.jac = np.eye(k) - _jacobian(d, T, self.m0, n, dim)
 
     def derivatives(self, x) -> np.ndarray:
         """Derivative traces m' (members, r, k) of every member against its

@@ -12,9 +12,19 @@ stacked decomposition, ``metrics._decompose``.
 ``test_engine.py`` imports it, and ``docs/ledger.py`` loads this file by
 path for criterion 11; the name has no ``test_`` prefix, so pytest does not
 collect it.
+
+The deterministic equivalents have an oracle too: ``damped_fixed_points``
+solves the resolvent fixed point by the damped plain iteration, run to the
+float floor, in place of ``rmt._fixed_points``'s Newton steps. Run as a
+script, this file writes the pinned DE reference, ``asym_bd``/``asym_bds``
+on the fig4 cell at every cell of ``DE_REFERENCE_CELLS``:
+
+    PYTHONPATH=src python tests/reference.py > tests/data/de_reference.csv
 """
 
+import csv
 import math
+import sys
 
 import numpy as np
 
@@ -23,7 +33,8 @@ from dualpol.corrstats import mismatch_effective_stats
 from dualpol.metrics import SinrReport, draw_trial
 from dualpol.modeswitch import FeedbackBudget, chi_crossover_scale, tau_from_bits
 from dualpol.precode import build_preprocessors, rzf_precoder
-from dualpol.rmt import asym_bds
+from dualpol.rmt import asym_bd, asym_bds
+from dualpol.scenario import make_scenario
 
 
 def decompose_per_group(powers, split_cross):
@@ -144,3 +155,68 @@ def reference_paired(scenario, modes, n_trials, seed, *, tau_sq=0.0,
                                 rep.cross.mean(), rep.inter.mean()])
     return ({m: np.array(s) for m, s in sums.items()}, picks,
             {m: np.array(t) for m, t in terms.items()})
+
+
+def damped_fixed_points(classes, multiplicities, base, z, M):
+    """The fixed points of a batch of diagonal members, with the arguments
+    ``_Spectral`` passes to ``rmt._fixed_points`` and its returns, by the
+    damped plain iteration.
+
+    Each member starts from e = 1/alpha and steps e <- w f(e) + (1 - w) e
+    with w = 1, halved for good once its residual max|f(e) - e| rises. It
+    runs to the float floor: it stops only once that residual falls below
+    16 eps max|f(e)|, and returns (f(e), T(f(e))).
+    """
+    n = np.asarray(multiplicities, dtype=float)
+    floor = 16.0 * np.finfo(float).eps
+    out = []
+    for d in classes:
+        def f(e):
+            t = 1.0 / (base + (n / (M * (1.0 + e))) @ d)
+            return (d * t).sum(axis=1) / M, t
+
+        e, w, prev = np.full(len(d), 1.0 / -z), 1.0, math.inf
+        for it in range(1, 100_001):
+            e_new = f(e)[0]
+            res = np.abs(e_new - e).max()
+            if res < floor * np.abs(e_new).max():
+                break
+            if res > prev:
+                w = 0.5
+            e, prev = w * e_new + (1.0 - w) * e, res
+        else:
+            raise RuntimeError("damped fixed point did not reach the float floor")
+        out.append((e_new, f(e_new)[1], it, res))
+    return tuple(np.array(x) for x in zip(*out))
+
+
+#: The pinned DE reference grid on the fig4 cell: (scheme, snr_db, chi, tau_sq).
+DE_REFERENCE_CELLS = [(scheme, snr, chi, tau_sq) for scheme in ("BD", "BDS")
+                      for snr in (0.0, 15.0, 30.0) for chi in (0.0, 0.3, 1.0)
+                      for tau_sq in (0.0, 0.1)]
+DE_REFERENCE_FIELDS = ("gamma", "m0", "m_prime", "xi_sq", "psi", "upsilon_intra",
+                       "upsilon_cross", "upsilon_inter")
+
+
+def write_de_reference(stream):
+    """Write the DE reference CSV: one row per cell, group and polarization,
+    every value at 17 significant digits; BDS's chi slope is the sum of its
+    ``cross_unit`` and ``inter_unit``, empty for BD."""
+    scenario = make_scenario(M=120, G=4, n_bar=8, chi=0.0)
+    out = csv.writer(stream, lineterminator="\n")
+    out.writerow(("scheme", "snr_db", "chi", "tau_sq", "g", "p", "sum_rate", "iterations")
+                 + DE_REFERENCE_FIELDS + ("chi_slope",))
+    for scheme, snr, chi, tau_sq in DE_REFERENCE_CELLS:
+        solver = asym_bd if scheme == "BD" else asym_bds
+        sol = solver(scenario.with_chi(chi).with_power_db(snr), tau_sq=tau_sq)
+        slope = (sol.extras["cross_unit"] + sol.extras["inter_unit"]
+                 if scheme == "BDS" else None)
+        for g, p in np.ndindex(sol.gamma.shape):
+            out.writerow([scheme, f"{snr:g}", chi, tau_sq, g, p, f"{sol.sum_rate:.17g}",
+                          sol.iterations]
+                         + [f"{getattr(sol, name)[g, p]:.17g}" for name in DE_REFERENCE_FIELDS]
+                         + ["" if slope is None else f"{slope[g, p]:.17g}"])
+
+
+if __name__ == "__main__":
+    write_de_reference(sys.stdout)

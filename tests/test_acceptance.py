@@ -80,8 +80,7 @@ def test_criterion_01_exact_invariants(fig4):
           and power_err < 1e-8 and build_seconds < 1.0)
     assert report(1, ok,
                   f"ortho={ortho:.1e} nulling={nulling:.1e} "
-                  f"zero_pattern={zero_pattern} power_err={power_err:.1e} "
-                  f"build={build_seconds:.2f}s")
+                  f"zero_pattern={zero_pattern} power_err={power_err:.1e}")
 
 
 # ----------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import os
@@ -8,6 +9,7 @@ import sys
 
 import pytest
 
+import dualpol.rmt as rmt
 from dualpol.cli import (
     KEYS,
     _build_variants,
@@ -18,7 +20,7 @@ from dualpol.cli import (
     preset,
     run_config,
 )
-from dualpol.errors import InvalidConfigurationError
+from dualpol.errors import InvalidConfigurationError, NonConvergenceError
 
 
 class TestConfigParser:
@@ -350,10 +352,19 @@ class TestMain:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 3
 
-    def test_numerical_error_exit_three_leaves_empty_output(self, tmp_path, capsys):
-        # The 10 dB point solves; at 100 dB the fixed point of the fully
-        # loaded groups (b_bar = n_bar) does not converge. No row of either
-        # is written.
+    def test_numerical_error_exit_three_leaves_empty_output(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # The 10 dB point solves; the 100 dB point's fixed point fails as a
+        # solve that hits its iteration cap does. No row of either is written.
+        solve = rmt._fixed_points
+
+        def capped(classes, multiplicities, base, z, M, *args):
+            if -z < 1e-6:
+                raise NonConvergenceError("fixed point not converged after 2000 iterations",
+                                          residual=1.0)
+            return solve(classes, multiplicities, base, z, M, *args)
+
+        monkeypatch.setattr(rmt, "_fixed_points", capped)
         cfg = tmp_path / "c.cfg"
         cfg.write_text("m = 24\ngroups = 2\nn_bar = 4\nb_bar = 4\nschemes = ASYM_BD\n"
                        "snr_db = 10, 100\n")
@@ -362,6 +373,21 @@ class TestMain:
         assert out.read_text() == ""
         err = capsys.readouterr().err
         assert "numerical error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("m, n_bar", [(24, 4), (48, 8), (120, 8)])
+    def test_fully_loaded_groups_converge_over_the_snr_range(self, tmp_path, m, n_bar):
+        # Fully loaded groups (b_bar = n_bar): both DE schemes give a finite
+        # row at every 10 dB step of snr_db's range.
+        snrs = range(-100, 101, 10)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"m = {m}\ngroups = 2\nn_bar = {n_bar}\nb_bar = {n_bar}\n"
+                       f"schemes = ASYM_BD, ASYM_BDS\nsnr_db = {', '.join(map(str, snrs))}\n")
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        with out.open(encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 * len(snrs)
+        assert all(math.isfinite(float(row["sum_rate"])) for row in rows)
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tmp_path / "c.cfg"

@@ -23,6 +23,7 @@ from dualpol.rmt import (
     solve_fixed_point,
 )
 from dualpol.scenario import GroupScenario, make_scenario, power_from_db
+from reference import DE_REFERENCE_CELLS, DE_REFERENCE_FIELDS, damped_fixed_points
 
 
 def isotropic_root(c, alpha):
@@ -96,6 +97,58 @@ class TestFixedPoint:
             FixedPointProblem(covariances=(np.ones(3),), multiplicities=(1,),
                               S=np.eye(3), z=-0.5, M=3)
 
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_jacobian_matches_central_differences(self, dense):
+        """``rmt._jacobian`` against central differences of the fixed-point
+        map f(e)_p = (1/M) tr(R_p T(e)): two classes with unequal
+        multiplicities, a shift S != 0 and M != dim."""
+        rng = np.random.default_rng(11)
+        dim, M, z, n = 12, 10, -0.2, np.array([5.0, 7.0])
+        if dense:
+            A, B = (rng.standard_normal((2, 2, dim, dim))
+                    + 1j * rng.standard_normal((2, 2, dim, dim)))
+            R = A @ np.swapaxes(A, -1, -2).conj() / dim
+            base = 0.3 * B[0] @ B[0].conj().T / dim - z * np.eye(dim)
+
+            def f(e):
+                T = np.linalg.inv(base + np.tensordot(n / (M * (1.0 + e)), R, axes=1))
+                return np.einsum("pij,ji->p", R, T).real / M, T
+        else:
+            R = rng.uniform(0.01, 2.0, (2, dim))
+            base = rng.uniform(0.1, 0.5, dim) - z
+
+            def f(e):
+                T = 1.0 / (base + np.tensordot(n / (M * (1.0 + e)), R, axes=1))
+                return (R * T).sum(axis=1) / M, T
+
+        e, h = np.array([0.8, 1.7]), 1e-6
+        fd = np.column_stack([(f(e + h * step)[0] - f(e - h * step)[0]) / (2.0 * h)
+                              for step in np.eye(2)])
+        J = rmt._jacobian(R[None], f(e)[1][None], e[None], n, M)[0]
+        np.testing.assert_allclose(J, fd, rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("j_first", [0.99, 1.0])
+    def test_newton_iterate_off_the_positive_orthant_takes_the_plain_step(self, monkeypatch,
+                                                                          j_first):
+        # Isotropic, n/M = 1/2, alpha = 0.4: from e0 = 1/alpha = 2.5 the map
+        # gives f(e0) = 1/(0.5/3.5 + 0.4). A first Jacobian of 0.99 sends the
+        # Newton iterate to e0 - 100 (e0 - f(e0)) < 0, one of 1 makes I - J
+        # singular; either way the member steps to f(e0) and goes on.
+        prob = FixedPointProblem(covariances=(np.eye(64),), multiplicities=(32,),
+                                 S=None, z=-0.4, M=64)
+        want = solve_fixed_point(prob)
+        jacobian, seen = rmt._jacobian, []
+
+        def steep_first(classes, T, e, n, M):
+            seen.append(e.copy())
+            J = jacobian(classes, T, e, n, M)
+            return np.full_like(J, j_first) if len(seen) == 1 else J
+
+        monkeypatch.setattr(rmt, "_jacobian", steep_first)
+        got = solve_fixed_point(prob)
+        assert seen[1][0, 0] == pytest.approx(1.0 / (0.5 / 3.5 + 0.4), rel=1e-14, abs=0.0)
+        assert got.e[0] == pytest.approx(want.e[0], rel=1e-13, abs=0.0)
+
     def test_nonconvergence_carries_residual(self):
         prob = FixedPointProblem(covariances=(np.eye(32),), multiplicities=(16,),
                                  S=None, z=-0.1, M=32)
@@ -106,17 +159,20 @@ class TestFixedPoint:
 
 DE_REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                             "data", "de_reference.csv")
-DE_FIELDS = ("gamma", "m0", "m_prime", "xi_sq", "psi", "upsilon_intra",
-             "upsilon_cross", "upsilon_inter")
 
 
 def test_de_matches_pinned_reference(fig4_scenario):
     """``tests/data/de_reference.csv`` pins asym_bd and asym_bds on the fig4
     cell (SNR {0, 15, 30} dB x chi {0, 0.3, 1} x tau^2 {0, 0.1}) at 17
     significant digits, one row per (group, polarization), as computed by
-    dense-matrix solvers that inverted a B_bar x B_bar resolvent in every
-    fixed-point step. Every value holds to 1e-12 relative and every
-    iteration count exactly."""
+    the spectral solver with Newton steps on the fixed point. Every value
+    holds to 1e-12 relative and every iteration count exactly. The pins are
+    checked independently against the damped iteration run to the float
+    floor (``test_newton_matches_damped_iteration_at_the_float_floor``);
+    they are regenerated with
+
+        PYTHONPATH=src python tests/reference.py > tests/data/de_reference.csv
+    """
     with open(DE_REFERENCE, encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     cells = {}
@@ -127,7 +183,7 @@ def test_de_matches_pinned_reference(fig4_scenario):
     for (scheme, snr, chi, tau_sq), ref in cells.items():
         solver = asym_bd if scheme == "BD" else asym_bds
         sol = solver(fig4_scenario.with_chi(chi).with_power_db(snr), tau_sq=tau_sq)
-        got = {f: getattr(sol, f) for f in DE_FIELDS}
+        got = {f: getattr(sol, f) for f in DE_REFERENCE_FIELDS}
         # BDS's chi slope, pinned as one column, is the sum of its units.
         got["chi_slope"] = (sol.extras["cross_unit"] + sol.extras["inter_unit"]
                             if scheme == "BDS" else None)
@@ -143,6 +199,21 @@ def test_de_matches_pinned_reference(fig4_scenario):
                 want = float(row[name])
                 assert arr[int(row["g"]), int(row["p"])] == pytest.approx(
                     want, rel=1e-12, abs=0.0), (where, name)
+
+
+def test_newton_matches_damped_iteration_at_the_float_floor(fig4_scenario, monkeypatch):
+    """Every pinned cell's solution is within 5e-13 relative, field by
+    field, of the same solution with its fixed points solved by the damped
+    plain iteration run to the float floor (``damped_fixed_points``)."""
+    points = [DePoint(s, power_from_db(snr), chi, t) for s, snr, chi, t in DE_REFERENCE_CELLS]
+    newton = asym_sweep(fig4_scenario, points)
+    monkeypatch.setattr(rmt, "_fixed_points", damped_fixed_points)
+    damped = asym_sweep(fig4_scenario, points)
+    for p, got, want in zip(points, newton, damped):
+        assert got.sum_rate == pytest.approx(want.sum_rate, rel=5e-13, abs=0.0), p
+        for name in DE_REFERENCE_FIELDS:
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                       rtol=5e-13, atol=0.0, err_msg=f"{p} {name}")
 
 
 # ----------------------------------------------------------------------
@@ -313,6 +384,18 @@ def test_converges_over_the_cli_snr_range(cell, solver, request):
         floor = 16.0 * np.finfo(float).eps * np.abs(sol.m0).max()
         assert sol.residual < max(rmt.FIXED_POINT_TOL, floor), snr
         assert np.all(np.isfinite(sol.gamma)) and np.all(sol.gamma > 0.0), snr
+
+
+@pytest.mark.parametrize("cell", ["fig4", "two_groups"])
+def test_newton_iterations_over_the_cli_snr_range(cell, fig4_scenario):
+    """Every solve of a sweep over the CLI's snr_db range, in 10 dB steps,
+    takes at most 30 Newton iterations, on the fig4 cell and on the
+    24-element two-group cell."""
+    scenario = fig4_scenario if cell == "fig4" else make_scenario(M=24, G=2, n_bar=4)
+    points = [DePoint(s, power_from_db(float(snr)), chi) for snr in range(-100, 101, 10)
+              for chi in (0.0, 0.3, 1.0) for s in ("BD", "BDS")]
+    for p, sol in zip(points, asym_sweep(scenario, points)):
+        assert sol.iterations <= 30, p
 
 
 @pytest.mark.parametrize("solver", [asym_bd, asym_bds])
