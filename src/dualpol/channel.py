@@ -50,8 +50,18 @@ class RngStream:
         return np.random.default_rng(ss)
 
 
+#: numpy divides a complex number by a real one (Smith's algorithm with a
+#: zero imaginary part) as each part times this reciprocal.
+_SQRT_HALF = 1.0 / np.sqrt(2.0)
+
+
 def _complex(x, y):
-    return (x + 1j * y) / np.sqrt(2.0)
+    """(x + jy)/sqrt(2), bit for bit on nonzero parts, written part by part
+    into one array with no complex temporaries."""
+    z = np.empty(x.shape, dtype=complex)
+    np.multiply(x, _SQRT_HALF, out=z.real)
+    np.multiply(y, _SQRT_HALF, out=z.imag)
+    return z
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:

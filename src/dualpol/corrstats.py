@@ -93,10 +93,11 @@ class SpatialCovariance:
 
 @dataclass(frozen=True)
 class MismatchStats:
-    """Effective long-term statistics under random polarization rotation."""
+    """Effective long-term statistics under random polarization rotation;
+    ``c_eff`` and ``chi_eff`` are arrays when chi is."""
 
-    c_eff: float
-    chi_eff: float
+    c_eff: float | np.ndarray
+    chi_eff: float | np.ndarray
     theta_max: float
 
 
@@ -107,9 +108,12 @@ def _half_spread_weight(theta_max: float) -> float:
     return math.sin(2.0 * theta_max) / (4.0 * theta_max)
 
 
-def mismatch_effective_stats(chi: float, theta_max: float) -> MismatchStats:
-    """Effective (c_eff, chi_eff) for rotation angles uniform on [-theta_max, theta_max]."""
-    if not 0.0 <= chi <= 1.0:
+def mismatch_effective_stats(chi, theta_max: float) -> MismatchStats:
+    """Effective (c_eff, chi_eff) for rotation angles uniform on [-theta_max, theta_max].
+
+    ``chi`` is one value or an array of them, each mapped as on its own.
+    """
+    if not np.all((0.0 <= chi) & (chi <= 1.0)):
         raise InvalidInputError("chi must lie in [0, 1]")
     if not 0.0 <= theta_max <= math.pi / 2:
         raise InvalidInputError("theta_max must lie in [0, pi/2]")

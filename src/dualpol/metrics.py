@@ -9,7 +9,8 @@ scheme comparisons are paired.
 ``run_paired`` evaluates a block of trials as one stacked computation in
 the KL domain (``precode.kl_projections``); every trial still draws from
 its own stream. One call runs a whole sweep on one geometry: the sweep
-points (``SweepPoint``) share the preprocessors and every trial's draws,
+points (``SweepPoint``) share the preprocessors and every trial's draws
+(one set per theta_max, each read from the trial stream's one generator),
 since the preprocessors depend only on the long-term statistics and the
 normals only on the seed; power, chi and tau^2 change only the RZF
 regularizer, the cross-block scale and the CSIT mix. A point's precoders
@@ -241,34 +242,39 @@ class SweepPoint:
     theta_max: float = 0.0
 
 
-def _draw_block(scenario, seed, streams, chi_dist, tau_sq_dist, theta_max):
-    """A trial block's draws: (chi, tau^2, normals, angles).
+def _draw_block(scenario, seed, streams, chi_dist, tau_sq_dist, thetas):
+    """A trial block's draws, one (chi, tau^2, normals, angles) per
+    theta_max in ``thetas``, yielded in turn so that one theta_max's
+    normals are held at a time.
 
     Trial t reads RngStream(seed, t) in the order of ``draw_trial``: the
     chi_dist and tau_sq_dist uniforms (chi and tau^2 are None without
     them), then each group's draws (``channel._read_group``), mismatched
-    when ``theta_max`` > 0. The normals and angles come per group, the
-    normals shaped (T, k, rows, n) for ``channel_from_normals``.
+    when theta_max > 0. Each trial's generator is built once: every
+    theta_max after the first reads the group draws again from the state
+    saved after the uniforms, as a fresh stream would. The normals and
+    angles come per group, the normals shaped (T, k, rows, n) for
+    ``channel_from_normals``.
     """
     T, n = len(streams), scenario.n_bar
-    theta = theta_max if theta_max > 0.0 else None  # None: aligned draws
     pols = 2 if scenario.dual_pol else 1
     rows = [pols * cov.effective_rank for cov in scenario.covariances]
-    normals = [np.empty((T, 4 if theta is None else 6, rows_g, n)) for rows_g in rows]
-    angles = [None] * scenario.G if theta is None else np.empty((scenario.G, T, n))
-    chi = np.empty(T) if chi_dist else None
-    tau_sq = np.empty(T) if tau_sq_dist else None
-    for t, stream in enumerate(streams):
-        gen = RngStream(seed, stream).generator()
-        if chi_dist:
-            chi[t] = gen.uniform(*chi_dist)
-        if tau_sq_dist:
-            tau_sq[t] = gen.uniform(*tau_sq_dist)
-        for g, normals_g in enumerate(normals):
-            angles_g = _read_group(gen, normals_g[t], theta)
-            if theta is not None:
-                angles[g, t] = angles_g
-    return chi, tau_sq, normals, angles
+    gens = [RngStream(seed, stream).generator() for stream in streams]
+    chi = np.array([gen.uniform(*chi_dist) for gen in gens]) if chi_dist else None
+    tau_sq = np.array([gen.uniform(*tau_sq_dist) for gen in gens]) if tau_sq_dist else None
+    starts = [gen.bit_generator.state for gen in gens] if len(thetas) > 1 else None
+    for k, theta_max in enumerate(thetas):
+        theta = theta_max if theta_max > 0.0 else None  # None: aligned draws
+        normals = [np.empty((T, 4 if theta is None else 6, rows_g, n)) for rows_g in rows]
+        angles = [None] * scenario.G if theta is None else np.empty((scenario.G, T, n))
+        for t, gen in enumerate(gens):
+            if k:
+                gen.bit_generator.state = starts[t]
+            for g, normals_g in enumerate(normals):
+                angles_g = _read_group(gen, normals_g[t], theta)
+                if theta is not None:
+                    angles[g, t] = angles_g
+        yield chi, tau_sq, normals, angles
 
 
 def _amplitude_maps(D, channels, pols):
@@ -358,8 +364,7 @@ def _chi_rows(scenario, C, D, modes, chi, draws, theta_max, points, scenarios,
     maps = _amplitude_maps(D, channels, 2 if scenario.dual_pol else 1)
     chi_used = {"SWITCH": chi, "SWITCH_RAW": chi}
     if theta_max > 0.0 and "SWITCH" in modes:
-        chi_used["SWITCH"] = np.array([mismatch_effective_stats(c, theta_max).chi_eff
-                                       for c in chi])
+        chi_used["SWITCH"] = mismatch_effective_stats(chi, theta_max).chi_eff
     views = {}
 
     def view(scheme, tau):
@@ -398,9 +403,11 @@ def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
     ``points``, a sequence of ``SweepPoint``, runs a whole sweep on one
     geometry instead and returns one such dict per point; ``tau_sq``,
     ``n_bits`` and ``theta_max`` then come from the points. The points share
-    the preprocessors, the trial draws (one per theta_max) and the
-    channels built from them (one per chi). Each point's results are those
-    of the one-point call on ``scenario`` at its power and chi.
+    the preprocessors, the trial draws and the channels built from them
+    (one per chi). Each trial stream is seeded once per block of trials and
+    read again from its saved start for each theta_max, which draws its own
+    normals. Each point's results are those of the one-point call on
+    ``scenario`` at its power and chi.
 
     The switching schemes pick BD or BDS per trial, from chi: SWITCH from
     the effective chi of a mismatched draw, SWITCH_RAW from the raw one.
@@ -442,14 +449,13 @@ def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
     rows = [{m: [] for m in modes} for _ in points]
     # Aligned draws serve every theta_max = 0 point; single-polarized
     # arrays are never mismatched.
-    by_draw = _grouped(range(len(points)), lambda i: (
-        points[i].theta_max if scenario.dual_pol and points[i].theta_max > 0.0 else 0.0))
+    by_draw = dict(_grouped(range(len(points)), lambda i: (
+        points[i].theta_max if scenario.dual_pol and points[i].theta_max > 0.0 else 0.0)))
     for first in range(0, n_trials, TRIAL_BLOCK):
         streams = range(stream_base + first,
                         stream_base + min(first + TRIAL_BLOCK, n_trials))
-        for theta_max, at_theta in by_draw:
-            chi_drawn, *draws = _draw_block(
-                scenario, seed, streams, chi_dist, tau_sq_dist, theta_max)
+        blocks = _draw_block(scenario, seed, streams, chi_dist, tau_sq_dist, list(by_draw))
+        for (theta_max, at_theta), (chi_drawn, *draws) in zip(by_draw.items(), blocks):
             for chi, at_chi in _grouped(
                     at_theta, lambda i: None if chi_dist else points[i].chi):
                 chi = chi_drawn if chi_dist else np.full(len(streams), float(chi))

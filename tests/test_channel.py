@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dualpol.channel import (
     RngStream,
+    _complex,
     _read_group,
     channel_from_normals,
     complex_normal,
@@ -55,6 +56,20 @@ def test_determinism(stats):
 def test_odd_user_count_rejected(stats):
     with pytest.raises(InvalidInputError):
         draw_channel(stats, 0.0, 5, RngStream(1, 0))
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_complex_assembly_matches_the_division_bit_for_bit(k):
+    # channel_from_normals reads the parts as strided views of trial-stacked
+    # normals (T, k, rows, n); the part-wise assembly must give the bits of
+    # the complex division it replaces.
+    normals = RngStream(11, 0).generator().standard_normal((64, k, 22, 8))
+    for j in range(0, k, 2):
+        x, y = normals[..., j, :, :], normals[..., j + 1, :, :]
+        got = _complex(x, y)
+        want = (x + 1j * y) / np.sqrt(2.0)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_array_equal(got.view(float), want.view(float))
 
 
 def _column_sample_cov(stats, chi, n_draws, cols, theta_max=None, seed=3):

@@ -217,6 +217,23 @@ class TestMismatchStats:
         with pytest.raises(InvalidInputError):
             mismatch_effective_stats(1.5, 0.1)
 
+    @pytest.mark.parametrize("theta_max", [0.0, 0.69, math.pi / 2])
+    def test_array_chi_equals_scalar_calls(self, theta_max):
+        # One formula serves a per-trial chi array: bit for bit the
+        # element-wise scalar calls.
+        chi = np.random.default_rng(5).uniform(0.0, 1.0, 64)
+        chi[:2] = 0.0, 1.0
+        got = mismatch_effective_stats(chi, theta_max)
+        for name in ("c_eff", "chi_eff"):
+            want = [getattr(mismatch_effective_stats(float(c), theta_max), name)
+                    for c in chi]
+            np.testing.assert_array_equal(getattr(got, name), want)
+
+    @pytest.mark.parametrize("bad", [-1e-12, 1.5, np.nan])
+    def test_array_chi_rejects_an_out_of_range_entry(self, bad):
+        with pytest.raises(InvalidInputError):
+            mismatch_effective_stats(np.array([0.1, bad, 0.4]), 0.3)
+
 
 class TestElevation:
     def test_zero_scatter_is_rank_one(self):

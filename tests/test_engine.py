@@ -280,6 +280,16 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def test_sweep_builds_each_trial_generator_once(small_scenario, monkeypatch):
+    # Aligned and mismatched points read the same trial streams: each
+    # trial's generator is built once and re-read from its saved start.
+    n_trials = 5
+    calls = count_calls(monkeypatch, RngStream, "generator")
+    points = [SweepPoint(theta_max=t) for t in (0.0, 0.3, 0.6)]
+    run_paired(small_scenario, ["BD"], n_trials, 1, chi_dist=(0.0, 0.5), points=points)
+    assert len(calls) == n_trials
+
+
 @pytest.mark.parametrize("points, n_views", [
     ([SweepPoint(power=p, chi=c) for c in (0.0, 0.1) for p in (1.0, 31.6, 1000.0)], 2),
     ([SweepPoint(power=p, tau_sq=t) for p, t in ((1.0, 0.0), (1.0, 0.1), (31.6, 0.2))], 3),
