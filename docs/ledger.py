@@ -4,8 +4,8 @@ Usage, from the repository root:
 
     PYTHONPATH=src python docs/ledger.py [--write] [3] [6] [11]
 
-Without section numbers every section runs (about 27 s on two cores:
-section 6 about 7.5 s, section 11 about 20 s). The output is the ledger's
+Without section numbers every section runs (about 30 s on two cores:
+section 6 about 5 s, section 11 about 24 s). The output is the ledger's
 measurement block in Markdown; with ``--write`` it also replaces the block
 between the ledger's ``<!-- measured -->`` markers. All numbers come from
 the library at the acceptance suite's seed, 2024, unless a line names
@@ -48,10 +48,10 @@ import numpy as np
 
 import dualpol.channel as channel
 from dualpol.channel import RngStream
-from dualpol.metrics import McSummary, run_paired
+from dualpol.metrics import McSummary, SweepPoint, run_paired
 from dualpol.precode import build_preprocessors
 from dualpol.rmt import DePoint, asym_bd, asym_sweep
-from dualpol.scenario import make_scenario
+from dualpol.scenario import make_scenario, power_from_db
 from dualpol.scene3d import make_scenario_3d, reduce_to_2d, run_3d_paired
 
 SEED = 2024
@@ -142,13 +142,26 @@ def _de_gap(mc, de):
     return abs(eff - gamma) / gamma, abs(eff - eff_de) / eff_de
 
 
+def _first(mc, n_trials):
+    """The summary of a run's first ``n_trials`` trials: those of a run of
+    ``n_trials``, since each trial draws from its own stream."""
+    return McSummary(mc.scheme, mc.trial_sum_rates[:n_trials], mc.trial_terms[:n_trials])
+
+
 def section_6(out):
-    # One preprocessor build per size serves its spectrum, MC and DE.
+    # One preprocessor build per size serves its spectrum, MC and DE, and
+    # one sweep per size its MC: both schemes at both SNRs, at perfect CSIT
+    # and at tau^2 = 0.1, on the trials of the larger table.
     sizes = []
-    for dims in (SMALL, LARGE):
+    for dims, trials in ((SMALL, (400, 400)), (LARGE, (200, 400))):
         sc = _scenario(dims)
-        sizes.append((dims, sc, build_preprocessors(sc)))
-    _, small, pre = sizes[0]
+        pre = build_preprocessors(sc)
+        cells = [(tau_sq, snr) for tau_sq in (0.0, 0.1) for snr in (5.0, 25.0)]
+        runs = run_paired(sc, ["BD", "BDS"], max(trials), SEED,
+                          [SweepPoint(power=power_from_db(snr), tau_sq=tau_sq)
+                           for tau_sq, snr in cells], preprocessors=pre)
+        sizes.append((dims, sc, pre, trials, dict(zip(cells, runs))))
+    _, small, pre, _, _ = sizes[0]
     out.append("### Criterion 6: spectrum of the projected covariances at "
                "(M, n_bar, B_bar, r) = (120, 8, 16, 11)\n")
     out.append("| group | eigenvalues of C_g above 1% of the largest | "
@@ -167,13 +180,12 @@ def section_6(out):
     out.append("| (M, n_bar, B_bar, r) | scheme | SNR | trials | signal | "
                "intra | cross + inter |")
     out.append("|---|---|---|---|---|---|---|")
-    for (dims, sc, pre), trials in zip(sizes, (400, 200)):
+    for dims, sc, pre, (trials, _), runs in sizes:
         for mode in ("BD", "BDS"):
             for snr in (5.0, 25.0):
-                scp = sc.with_power_db(snr)
-                de = _de(scp, mode, pre)
-                mc = run_paired(scp, [mode], trials, SEED, preprocessors=pre)[mode]
-                out.append(_term_row(_key(dims), mode, snr, trials, mc, de))
+                de = _de(sc.with_power_db(snr), mode, pre)
+                out.append(_term_row(_key(dims), mode, snr, trials,
+                                     _first(runs[0.0, snr][mode], trials), de))
     out.append("")
 
     out.append("### Criterion 6: the suite's gap at each size (tau^2 = 0.1; "
@@ -182,13 +194,12 @@ def section_6(out):
                "gap (the criterion's) | gap, both sides in the rate domain |")
     out.append("|---|---|---|---|---|---|")
     term_rows = []
-    for (dims, sc, pre), trials in zip(sizes, (400, 400)):
+    for dims, sc, pre, (_, trials), runs in sizes:
         for mode in ("BD", "BDS"):
             for snr in (5.0, 25.0):
-                scp = sc.with_power_db(snr)
-                de = _de(scp, mode, pre, tau_sq=0.1 if mode == "BD" else 0.01)
-                mc = run_paired(scp, [mode], trials, SEED, tau_sq=0.1,
-                                preprocessors=pre)[mode]
+                de = _de(sc.with_power_db(snr), mode, pre,
+                         tau_sq=0.1 if mode == "BD" else 0.01)
+                mc = _first(runs[0.1, snr][mode], trials)
                 gap, rate_gap = _de_gap(mc, de)
                 out.append(f"| {_key(dims)} | {trials} | {mode} | {snr:g} dB | "
                            f"{gap:.1%} | {rate_gap:.1%} |")
@@ -283,10 +294,12 @@ MODES = ["BD", "BDS", "SWITCH", "SWITCH_RAW"]
 TRIALS = 500
 
 
-def _run_3d(theta, seed):
+def _run_3d(seed, *thetas):
+    """The cell's runs at each theta_max, one sweep on shared draws."""
     sc3 = make_scenario_3d().with_power_db(25.0)
-    return run_3d_paired(sc3, MODES, TRIALS, seed, tau_sq_dist=(0.0, 1.0),
-                         chi_dist=(0.0, 0.5), theta_max=theta)
+    return run_3d_paired(sc3, MODES, TRIALS, seed,
+                         [SweepPoint(theta_max=theta) for theta in thetas],
+                         tau_sq_dist=(0.0, 1.0), chi_dist=(0.0, 0.5))
 
 
 def _run_3d_per_realization(theta, seed):
@@ -333,7 +346,7 @@ def section_11(out):
     out.append("|---|---|---|---|---|---|---|---|---|")
     # theta_max = 0 draws no angles, so the aligned runs are common to all
     # four models.
-    aligned = _run_3d(0.0, SEED)
+    [aligned] = _run_3d(SEED, 0.0)
     for (draw, csit), note in VARIANTS.items():
         with _patched(draw, csit):
             tilted = _run_3d_per_realization(THETA, SEED)
@@ -341,7 +354,7 @@ def section_11(out):
         out.append(_row(label, SEED, _verdicts(aligned, tilted)))
     for seed in (7, 11, 99):
         out.append(_row("independent, measured", seed,
-                        _verdicts(_run_3d(0.0, seed), _run_3d(THETA, seed))))
+                        _verdicts(*_run_3d(seed, 0.0, THETA))))
     out.append("")
 
 

@@ -328,7 +328,7 @@ def _build_variants(cfg):
         ident = f"{cfg['scenario_id']}{suffix}"
         sc = make_scenario(
             M=cfg["m"], spacing=ds, b_bar=cfg["b_bar"], r=cfg["r"], dual_pol=dual,
-            scenario_id=ident, enforce_rank_constraint=dual, **common)
+            scenario_id=ident, **common)
         if not dual:
             # Equal captured per-user energy against the dual-polarized array.
             gain = math.sqrt((1.0 + chi0) / 2.0)
@@ -352,8 +352,13 @@ def _check_variants(variants, schemes, points):
 
 
 def _sweep(cfg):
-    """Each sweep point's axis values and ``SweepPoint``. A tau^2 above 1 is
-    flagged here and clamped to 1 where it is used (``csit_tau_sq``)."""
+    """Each sweep point's axis values and ``SweepPoint``. A tau^2 above 1,
+    fixed or in the range of ``tau_sq_dist``, is flagged here and clamped
+    to 1 where it is used (``csit_tau_sq``)."""
+    if cfg["tau_sq_dist"] and cfg["tau_sq_dist"][1] > 1.0:
+        lo, hi = cfg["tau_sq_dist"]
+        print(f"warning: {cfg['scenario_id']}: tau_sq_dist=uniform:{lo:g}:{hi:g} draws "
+              "tau_sq above 1, clamped to 1.0 (CSIT model bounds tau <= 1)", file=sys.stderr)
     axes = {"snr_db": cfg["snr_db"], "chi": [None] if cfg["chi_dist"] else cfg["chi"],
             "tau_sq": [None] if cfg["tau_sq_dist"] else cfg["tau_sq"],
             "n_bits": cfg["n_bits"], "theta_max_ms_deg": cfg["theta_max_ms_deg"]}

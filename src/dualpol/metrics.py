@@ -387,32 +387,27 @@ def _grouped(indices, key):
 
 
 def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
-               *, tau_sq=0.0, n_bits=None, theta_max=0.0,
-               chi_dist=None, tau_sq_dist=None,
-               base=None, stream_base: int = 0, points=None, preprocessors=None):
-    """Run all requested schemes on shared channel draws.
+               points, *, chi_dist=None, tau_sq_dist=None,
+               stream_base: int = 0, preprocessors=None):
+    """Run all requested schemes over a sweep on one geometry, on shared
+    channel draws; one dict of ``McSummary`` per mode for each point.
 
-    ``modes`` may contain BD, BDS, SWITCH, and SWITCH_RAW. CSIT quality comes
-    either from ``n_bits`` (exact RVQ bounds for each scheme) or from
-    ``tau_sq`` interpreted as BD's quality, with BDS at its equal-feedback
-    equivalent. ``chi_dist``/``tau_sq_dist`` draw those parameters per
-    trial. ``stream_base`` offsets the per-trial RNG streams so independent
-    sub-experiments (e.g. elevation regions) stay decorrelated. Returns a
-    dict of ``McSummary`` per mode.
+    ``modes`` may contain BD, BDS, SWITCH, and SWITCH_RAW. ``points`` is a
+    sequence of ``SweepPoint``, which set the power, chi and CSIT quality.
+    ``chi_dist``/``tau_sq_dist`` draw chi and tau^2 per trial instead.
+    ``stream_base`` offsets the per-trial RNG streams so independent
+    sub-experiments (e.g. elevation regions) stay decorrelated.
 
-    ``points``, a sequence of ``SweepPoint``, runs a whole sweep on one
-    geometry instead and returns one such dict per point; ``tau_sq``,
-    ``n_bits`` and ``theta_max`` then come from the points. The points share
-    the preprocessors, the trial draws and the channels built from them
-    (one per chi). Each trial stream is seeded once per block of trials and
-    read again from its saved start for each theta_max, which draws its own
-    normals. Each point's results are those of the one-point call on
-    ``scenario`` at its power and chi.
+    The points share the preprocessors, the trial draws and the channels
+    built from them (one per chi). Each trial stream is seeded once per
+    block of trials and read again from its saved start for each
+    theta_max, which draws its own normals. A point's results do not depend
+    on the other points: they are those of a sweep of that point alone.
 
     The switching schemes pick BD or BDS per trial, from chi: SWITCH from
     the effective chi of a mismatched draw, SWITCH_RAW from the raw one.
     Their crossover comes from BDS's deterministic equivalent at chi = 0 and
-    each point's power (one ``rmt.asym_sweep`` call), or from ``base``.
+    each point's power (one ``rmt.asym_sweep`` call).
 
     ``preprocessors``, the scenario's ``build_preprocessors``, serves a
     caller that runs several scenarios on one geometry; the trials and the
@@ -424,11 +419,6 @@ def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
     unknown = [m for m in modes if m not in MC_MODES]
     if unknown:
         raise InvalidInputError(f"unknown schemes: {', '.join(unknown)}")
-    one_point = points is None
-    if one_point:
-        points = [SweepPoint(tau_sq=tau_sq, n_bits=n_bits, theta_max=theta_max)]
-    elif (tau_sq, n_bits, theta_max) != (0.0, None, 0.0):
-        raise InvalidInputError("a sweep takes tau_sq, n_bits and theta_max per point")
     points = [replace(p, power=scenario.power if p.power is None else p.power,
                       chi=scenario.chi if p.chi is None else p.chi) for p in points]
     if any(not 0.0 <= p.theta_max <= np.pi / 2 for p in points):
@@ -439,9 +429,7 @@ def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
     scenarios = {p.power: scenario.with_power(p.power) for p in points}
     scales = {}
     if any(m.startswith("SWITCH") for m in modes):
-        if base is not None and len(scenarios) > 1:
-            raise InvalidInputError("base serves one power; the points have several")
-        bases = [base] if base is not None else rmt.asym_sweep(
+        bases = rmt.asym_sweep(
             scenario, [rmt.DePoint("BDS", power, 0.0) for power in scenarios],
             preprocessors)
         scales = {power: chi_crossover_scale(b) for power, b in zip(scenarios, bases)}
@@ -465,5 +453,4 @@ def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
                 for i, point_rows in zip(at_chi, at_chi_rows):
                     for mode in modes:
                         rows[i][mode].append(point_rows[mode])
-    out = [{m: _summary(m, np.concatenate(rows_p[m])) for m in modes} for rows_p in rows]
-    return out[0] if one_point else out
+    return [{m: _summary(m, np.concatenate(rows_p[m])) for m in modes} for rows_p in rows]

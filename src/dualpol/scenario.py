@@ -47,9 +47,6 @@ class GroupScenario:
     dual_pol: bool = True
     gains: tuple | None = None
     scenario_id: str = "scenario"
-    # The equal-aperture quarter-wavelength baseline intentionally runs with
-    # b_bar above the covariance rank; it alone may waive that check.
-    enforce_rank_constraint: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "covariances", tuple(self.covariances))
@@ -102,10 +99,11 @@ class GroupScenario:
             raise InvalidConfigurationError(
                 f"violated b_bar <= {pol_factor}*(M/{pol_factor} - (G-1) r) = {room}"
             )
-        rank_cap = pol_factor * min_rank
-        if self.enforce_rank_constraint and not self.b_bar <= rank_cap:
+        # Single-polarized baselines (the equal-aperture quarter-wavelength
+        # array) intentionally run with b_bar above the covariance rank.
+        if self.dual_pol and not self.b_bar <= 2 * min_rank:
             raise InvalidConfigurationError(
-                f"violated b_bar <= {pol_factor}*r_g: {self.b_bar} > {rank_cap}"
+                f"violated b_bar <= 2*r_g: {self.b_bar} > {2 * min_rank}"
             )
 
     def with_power(self, power: float) -> "GroupScenario":
@@ -150,7 +148,6 @@ def make_scenario(
     r: int | None = None,
     dual_pol: bool = True,
     scenario_id: str = "scenario",
-    enforce_rank_constraint: bool = True,
 ) -> GroupScenario:
     """Build a uniform-linear-array scenario from one-ring geometry.
 
@@ -170,5 +167,4 @@ def make_scenario(
     return GroupScenario(
         M=M, n_bar=n_bar, b_bar=b_bar, r=r, covariances=covs, chi=chi,
         power=power, dual_pol=dual_pol, scenario_id=scenario_id,
-        enforce_rank_constraint=enforce_rank_constraint,
     )

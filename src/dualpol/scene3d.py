@@ -159,38 +159,31 @@ def reduce_to_2d(scenario3d: Scenario3D, l: int) -> GroupScenario:
 
 
 def run_3d_paired(scenario3d: Scenario3D, modes, n_trials: int, seed: int,
-                  *, points=None, **kwargs):
+                  points, **kwargs):
     """All schemes over all regions on shared draws; per-trial region sums.
 
-    One ``run_paired`` call per region; with ``points`` (``SweepPoint``s
-    whose power is the whole cell's) it returns one dict per point, like
-    ``run_paired``. Each region has its own gain, so the switching schemes
-    solve each region's own crossover: ``base`` is not taken. The regions
-    share the azimuth geometry (``reduce_to_2d`` changes only gains and
-    power), so one build of its BD preprocessors serves every region's
-    trials and crossover. A summary sums the regions' trial sum rates and
-    averages their ``trial_terms`` and ``trial_picks``.
+    One ``run_paired`` call per region, on the same ``SweepPoint``s (whose
+    power is the whole cell's); one dict per point, like ``run_paired``.
+    Each region has its own gain, so the switching schemes solve each
+    region's own crossover. The regions share the azimuth geometry
+    (``reduce_to_2d`` changes only gains and power), so one build of its BD
+    preprocessors serves every region's trials and crossover. A summary
+    sums the regions' trial sum rates and averages their ``trial_terms``
+    and ``trial_picks``.
     """
-    if "base" in kwargs:
-        raise InvalidInputError("each region solves its own SWITCH crossover; "
-                                "run_3d_paired takes no base")
     modes = list(modes)
     n_regions = scenario3d.n_regions
-    sweep = None if points is None else [
-        p if p.power is None else replace(p, power=p.power / n_regions)
-        for p in points]
+    sweep = [p if p.power is None else replace(p, power=p.power / n_regions)
+             for p in points]
     preprocessors = precode.build_preprocessors(scenario3d.azimuth_scenario)
-    regions = [run_paired(reduce_to_2d(scenario3d, l), modes, n_trials, seed,
-                          stream_base=l * n_trials, points=sweep,
-                          preprocessors=preprocessors, **kwargs)
+    regions = [run_paired(reduce_to_2d(scenario3d, l), modes, n_trials, seed, sweep,
+                          stream_base=l * n_trials, preprocessors=preprocessors,
+                          **kwargs)
                for l in range(n_regions)]
-    if points is None:
-        regions = [[results] for results in regions]
 
     def mean(i, m, name):
         per_region = [getattr(r[i][m], name) for r in regions]
         return None if per_region[0] is None else sum(per_region) / n_regions
-    out = [{m: McSummary(m, sum(r[i][m].trial_sum_rates for r in regions),
-                         mean(i, m, "trial_terms"), mean(i, m, "trial_picks"))
-            for m in modes} for i in range(len(regions[0]))]
-    return out[0] if points is None else out
+    return [{m: McSummary(m, sum(r[i][m].trial_sum_rates for r in regions),
+                          mean(i, m, "trial_terms"), mean(i, m, "trial_picks"))
+             for m in modes} for i in range(len(points))]

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from dualpol.channel import RngStream
-from dualpol.metrics import draw_trial, run_paired
+from dualpol.metrics import SweepPoint, draw_trial, run_paired
 from dualpol.modeswitch import switch_threshold_bits
 from dualpol.precode import build_all, build_preprocessors
 from dualpol.rmt import (
@@ -24,7 +24,7 @@ from dualpol.rmt import (
     asym_bds,
     solve_fixed_point,
 )
-from dualpol.scenario import make_scenario
+from dualpol.scenario import make_scenario, power_from_db
 
 SEED = 2024
 
@@ -94,7 +94,8 @@ def test_criterion_02_chi_zero_equivalence(fig4):
         g_bd = asym_bd(sc, tau_sq=0.1).gamma
         g_bds = asym_bds(sc, tau_sq=0.1).gamma
         worst = max(worst, float(np.abs(g_bds - g_bd).max() / g_bd.min()))
-    res = run_paired(fig4.with_power_db(10.0), ["BD", "BDS"], 500, SEED)
+    [res] = run_paired(fig4, ["BD", "BDS"], 500, SEED,
+                       [SweepPoint(power=power_from_db(10.0))])
     mc_diff = abs(res["BD"].sum_rate - res["BDS"].sum_rate)
     tol = 2.0 * max(res["BD"].stderr, res["BDS"].stderr)
     ok = worst < 1e-6 and mc_diff <= tol
@@ -175,28 +176,27 @@ def test_criterion_05_crossing_point(fig4):
 FAMILY = [(40, 2, 4, 4, 800), (80, 4, 8, 8, 500), (120, 8, 16, 11, 400)]
 
 
-def _de_gap(sc, mode, snr, trials):
+def _de_gaps(sc, trials):
     """Relative gap between the MC per-user effective SINR (rate domain)
-    and the deterministic equivalent."""
-    scp = sc.with_power_db(snr)
-    if mode == "BD":
-        de = asym_bd(scp, tau_sq=0.1).mean_gamma()
-    else:
-        de = asym_bds(scp, tau_sq=0.01).mean_gamma()
-    res = run_paired(scp, [mode], trials, SEED, tau_sq=0.1)[mode]
-    eff = 2.0 ** (res.sum_rate / scp.n_users) - 1.0
-    return abs(eff - de) / de
+    and the deterministic equivalent, per (mode, SNR), at tau^2 = 0.1."""
+    snrs = (5.0, 25.0)
+    results = run_paired(sc, ["BD", "BDS"], trials, SEED,
+                         [SweepPoint(power=power_from_db(snr), tau_sq=0.1) for snr in snrs])
+    gaps = {}
+    for snr, res in zip(snrs, results):
+        scp = sc.with_power_db(snr)
+        for mode, de in (("BD", asym_bd(scp, tau_sq=0.1).mean_gamma()),
+                         ("BDS", asym_bds(scp, tau_sq=0.01).mean_gamma())):
+            eff = 2.0 ** (res[mode].sum_rate / scp.n_users) - 1.0
+            gaps[(mode, snr)] = abs(eff - de) / de
+    return gaps
 
 
 def test_criterion_06_de_convergence():
-    gaps = {}
-    for mode in ("BD", "BDS"):
-        for snr in (5.0, 25.0):
-            seq = []
-            for (M, nb, bb, r, trials) in FAMILY:
-                sc = make_scenario(M=M, G=4, n_bar=nb, b_bar=bb, r=r, chi=0.0)
-                seq.append(_de_gap(sc, mode, snr, trials))
-            gaps[(mode, snr)] = seq
+    per_size = [_de_gaps(make_scenario(M=M, G=4, n_bar=nb, b_bar=bb, r=r, chi=0.0), trials)
+                for (M, nb, bb, r, trials) in FAMILY]
+    gaps = {key: [size[key] for size in per_size]
+            for key in [(mode, snr) for mode in ("BD", "BDS") for snr in (5.0, 25.0)]}
     monotone = all(seq[0] > seq[1] > seq[2] for seq in gaps.values())
     small_at_120 = all(gaps[(m, 5.0)][2] < 0.10 for m in ("BD", "BDS"))
     high_snr_worse = all(gaps[(m, 25.0)][2] > gaps[(m, 5.0)][2]
@@ -257,19 +257,17 @@ def test_criterion_07_fixed_point_oracles():
 # ----------------------------------------------------------------------
 
 def test_criterion_08_switching_optimality(fig4):
+    cells = [(snr, n_bits, chi) for snr in (15.0, 25.0) for n_bits in (50, 65)
+             for chi in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)]
+    points = [SweepPoint(power=power_from_db(snr), chi=chi, n_bits=n_bits)
+              for snr, n_bits, chi in cells]
     violations = []
-    for snr in (15.0, 25.0):
-        base = asym_bds(fig4.with_power_db(snr))
-        for n_bits in (50, 65):
-            for chi in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5):
-                sc = fig4.with_power_db(snr).with_chi(chi)
-                res = run_paired(sc, ["BD", "BDS", "SWITCH"], 500, SEED,
-                                 n_bits=n_bits, base=base)
-                best = max(res["BD"].sum_rate, res["BDS"].sum_rate)
-                slack = 2.0 * max(res["BD"].stderr, res["BDS"].stderr)
-                if res["SWITCH"].sum_rate < best - slack:
-                    violations.append((snr, n_bits, chi,
-                                       best - res["SWITCH"].sum_rate))
+    for cell, res in zip(cells, run_paired(fig4, ["BD", "BDS", "SWITCH"], 500, SEED,
+                                           points)):
+        best = max(res["BD"].sum_rate, res["BDS"].sum_rate)
+        slack = 2.0 * max(res["BD"].stderr, res["BDS"].stderr)
+        if res["SWITCH"].sum_rate < best - slack:
+            violations.append((*cell, best - res["SWITCH"].sum_rate))
     ok = not violations
     assert report(8, ok,
                   f"grid 2 SNR x 2 budgets x 6 chi, 500 paired trials; "
@@ -283,18 +281,19 @@ def test_criterion_08_switching_optimality(fig4):
 def test_criterion_09_bit_threshold(fig4):
     sc25 = fig4.with_power_db(25.0)
     base = asym_bds(sc25)
+    chis = (0.1, 0.2)
+    thresholds = {chi: switch_threshold_bits(base, chi, sc25.r) for chi in chis}
+    grids = {chi: np.arange(int(thr) - 12, int(thr) + 13, 4)
+             for chi, thr in thresholds.items()}
+    # the true offset at chi = 0.1 sits 0.04 bits inside the tolerance,
+    # so the crossing estimate needs sub-half-bit precision
+    points = [SweepPoint(chi=chi, n_bits=int(nb)) for chi in chis for nb in grids[chi]]
+    diff = {(p.chi, p.n_bits): res["BDS"].sum_rate - res["BD"].sum_rate
+            for p, res in zip(points, run_paired(sc25, ["BD", "BDS"], 1000, SEED, points))}
     offsets = {}
-    for chi in (0.1, 0.2):
-        thr = switch_threshold_bits(base, chi, sc25.r)
-        scx = sc25.with_chi(chi)
-        grid = np.arange(int(thr) - 12, int(thr) + 13, 4)
-        # the true offset at chi = 0.1 sits 0.04 bits inside the tolerance,
-        # so the crossing estimate needs sub-half-bit precision
-        diffs = []
-        for nb in grid:
-            res = run_paired(scx, ["BD", "BDS"], 1000, SEED, n_bits=int(nb))
-            diffs.append(res["BDS"].sum_rate - res["BD"].sum_rate)
-        diffs = np.array(diffs)
+    for chi in chis:
+        thr, grid = thresholds[chi], grids[chi]
+        diffs = np.array([diff[chi, int(nb)] for nb in grid])
         sign_change = np.where(np.diff(np.sign(diffs)) != 0)[0]
         assert sign_change.size, "no BD/BDS crossing inside the bit grid"
         i = sign_change[0]
@@ -319,22 +318,22 @@ def test_criterion_10_dual_vs_single():
                          chi=chi, b_bar=14, scenario_id="dual")
     s_half = replace(make_scenario(M=120, G=4, n_bar=8, spacing=0.5,
                                    spread=spread, dual_pol=False, b_bar=14,
-                                   enforce_rank_constraint=False,
                                    scenario_id="s2"), gains=(gain,) * 4)
     s_quarter = replace(make_scenario(M=120, G=4, n_bar=8, spacing=0.25,
                                       spread=spread, dual_pol=False, b_bar=14,
-                                      enforce_rank_constraint=False,
                                       scenario_id="s4"), gains=(gain,) * 4)
 
-    def mc(sc, snr):
-        return run_paired(sc.with_power_db(snr), ["BD"], 400, SEED)["BD"]
+    def mc(sc, *snrs):
+        points = [SweepPoint(power=power_from_db(snr)) for snr in snrs]
+        return [res["BD"] for res in run_paired(sc, ["BD"], 400, SEED, points)]
 
+    d10, d20 = mc(dual, 10.0, 20.0)
+    q10, q20 = mc(s_quarter, 10.0, 20.0)
+    [h20] = mc(s_half, 20.0)
     checks = {}
-    for snr in (10.0, 20.0):
-        d, q = mc(dual, snr), mc(s_quarter, snr)
+    for snr, d, q in ((10.0, d10, q10), (20.0, d20, q20)):
         checks[f"dual>quarter@{snr:g}"] = (
             d.sum_rate - q.sum_rate, 2 * (d.stderr + q.stderr))
-    d20, h20 = mc(dual, 20.0), mc(s_half, 20.0)
     checks["dual>half@20"] = (d20.sum_rate - h20.sum_rate,
                               2 * (d20.stderr + h20.stderr))
     ok = all(diff > slack for diff, slack in checks.values())
@@ -352,12 +351,10 @@ def mismatch_runs():
 
     sc3 = make_scenario_3d().with_power_db(25.0)
     modes = ["BD", "BDS", "SWITCH", "SWITCH_RAW"]
-    out = {}
-    for theta in (0.0, 0.22 * math.pi):
-        out[theta] = run_3d_paired(sc3, modes, 500, SEED,
-                                   tau_sq_dist=(0.0, 1.0),
-                                   chi_dist=(0.0, 0.5), theta_max=theta)
-    return out
+    thetas = (0.0, 0.22 * math.pi)
+    return dict(zip(thetas, run_3d_paired(
+        sc3, modes, 500, SEED, [SweepPoint(theta_max=theta) for theta in thetas],
+        tau_sq_dist=(0.0, 1.0), chi_dist=(0.0, 0.5))))
 
 
 def _paired_se(a, b):

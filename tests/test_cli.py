@@ -202,6 +202,18 @@ class TestMain:
         assert out.read_text() == ""
         assert "config error" in capsys.readouterr().err
 
+    def test_tau_sq_dist_above_one_is_flagged(self, tmp_path, capsys):
+        # Draws above 1 are clamped per trial, like a fixed tau_sq above 1,
+        # and flagged the same way.
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("m = 24\ngroups = 2\nn_bar = 4\nschemes = BD\n"
+                       "n_trials = 5\ntau_sq_dist = uniform:0:2\n")
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2
+        assert "tau_sq_dist=uniform:0:2 draws tau_sq above 1, clamped to 1.0" \
+            in capsys.readouterr().err
+
     @pytest.mark.parametrize("line", ["snr_db = nan", "chi = inf", "tau_sq = nan"])
     @pytest.mark.parametrize("scheme", ["BD", "ASYM_BD"])
     def test_non_finite_sweep_value_exit_two_before_header(self, tmp_path, capsys,

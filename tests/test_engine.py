@@ -12,7 +12,7 @@ import dualpol.metrics as metrics
 import dualpol.precode as precode
 import dualpol.rmt as rmt
 from dualpol.channel import RngStream
-from dualpol.errors import DegenerateInputError, InvalidInputError
+from dualpol.errors import DegenerateInputError
 from dualpol.metrics import SweepPoint, csit_tau_sq, draw_trial, run_paired, sinr_report
 from dualpol.precode import build_preprocessors
 from dualpol.scenario import make_scenario
@@ -29,9 +29,13 @@ def assert_terms_match(got, want):
     assert np.all(np.abs(got[:, 3] - want[:, 3]) <= RTOL * want[:, 0])
 
 
-def assert_engine_matches(scenario, modes, n_trials, seed, **kwargs):
-    got = run_paired(scenario, modes, n_trials, seed, **kwargs)
-    want, picks, terms = reference_paired(scenario, modes, n_trials, seed, **kwargs)
+def assert_engine_matches(scenario, modes, n_trials, seed, point=SweepPoint(), **kwargs):
+    """``run_paired`` at one point against the oracle on the scenario, whose
+    power and chi the point leaves at their defaults."""
+    got = run_paired(scenario, modes, n_trials, seed, [point], **kwargs)[0]
+    want, picks, terms = reference_paired(
+        scenario, modes, n_trials, seed, tau_sq=point.tau_sq, n_bits=point.n_bits,
+        theta_max=point.theta_max, **kwargs)
     for mode in modes:
         np.testing.assert_allclose(got[mode].trial_sum_rates, want[mode],
                                    rtol=RTOL, atol=0.0)
@@ -46,15 +50,15 @@ def fig4(fig4_scenario):
     return fig4_scenario.with_chi(0.1).with_power_db(10.0)
 
 
-@pytest.mark.parametrize("kwargs", [
-    {},
-    {"tau_sq": 0.1},
-    {"n_bits": 60},
-    {"chi_dist": (0.0, 0.5), "tau_sq_dist": (0.0, 1.0)},
-    {"theta_max": 0.3 * math.pi, "tau_sq": 0.2},
+@pytest.mark.parametrize("point, kwargs", [
+    (SweepPoint(), {}),
+    (SweepPoint(tau_sq=0.1), {}),
+    (SweepPoint(n_bits=60), {}),
+    (SweepPoint(), {"chi_dist": (0.0, 0.5), "tau_sq_dist": (0.0, 1.0)}),
+    (SweepPoint(theta_max=0.3 * math.pi, tau_sq=0.2), {}),
 ], ids=["perfect", "tau_sq", "n_bits", "dists", "mismatch"])
-def test_bd_bds_match_reference(fig4, kwargs):
-    assert_engine_matches(fig4, ["BD", "BDS"], 5, 17, **kwargs)
+def test_bd_bds_match_reference(fig4, point, kwargs):
+    assert_engine_matches(fig4, ["BD", "BDS"], 5, 17, point, **kwargs)
 
 
 @pytest.mark.parametrize("modes", [
@@ -66,7 +70,7 @@ def test_switching_matches_reference(fig4, modes):
     # Mismatch separates SWITCH from SWITCH_RAW; the per-trial tau^2 mixes
     # the picks, while each of BD and BDS still runs on the whole block.
     _, picks = assert_engine_matches(
-        fig4, modes, 12, 5, theta_max=0.3 * math.pi,
+        fig4, modes, 12, 5, SweepPoint(theta_max=0.3 * math.pi),
         chi_dist=(0.0, 0.5), tau_sq_dist=(0.0, 1.0))
     for mode in modes:
         if mode.startswith("SWITCH"):
@@ -77,13 +81,13 @@ def test_single_pol_with_gains_matches_reference():
     sc = make_scenario(M=40, G=2, n_bar=4, dual_pol=False, thetas=[-0.6, 0.6],
                        spread=math.pi / 10).with_power_db(10.0)
     sc = replace(sc, gains=(0.8, 1.3))
-    assert_engine_matches(sc, ["BD"], 4, 3, tau_sq=0.2)
+    assert_engine_matches(sc, ["BD"], 4, 3, SweepPoint(tau_sq=0.2))
 
 
 def test_single_group_matches_reference():
     sc = make_scenario(M=16, G=1, n_bar=2, thetas=[0.1], spread=0.35,
                        chi=0.2).with_power_db(5.0)
-    assert_engine_matches(sc, ["BD", "BDS"], 4, 2, tau_sq=0.3)
+    assert_engine_matches(sc, ["BD", "BDS"], 4, 2, SweepPoint(tau_sq=0.3))
 
 
 @pytest.mark.parametrize("chi, bds", [(0.0, True), (0.2, False)])
@@ -100,36 +104,37 @@ def test_single_user_subgroups_switch_matches_reference(chi, bds):
 
 
 def test_one_trial_matches_reference(fig4):
-    got, _ = assert_engine_matches(fig4, ["BD", "BDS"], 1, 8, tau_sq=0.1)
+    got, _ = assert_engine_matches(fig4, ["BD", "BDS"], 1, 8, SweepPoint(tau_sq=0.1))
     assert got["BD"].n_trials == 1 and got["BD"].stderr == 0.0
 
 
 def test_trial_blocks_do_not_change_results(small_scenario, monkeypatch):
     sc = small_scenario.with_chi(0.2).with_power_db(10.0)
-    kwargs = dict(chi_dist=(0.0, 0.5), tau_sq_dist=(0.0, 1.0),
-                  theta_max=0.2 * math.pi)
+    point = SweepPoint(theta_max=0.2 * math.pi)
+    kwargs = dict(chi_dist=(0.0, 0.5), tau_sq_dist=(0.0, 1.0))
     modes = ["BD", "SWITCH"]
-    whole = run_paired(sc, modes, 10, 4, **kwargs)
+    [whole] = run_paired(sc, modes, 10, 4, [point], **kwargs)
     monkeypatch.setattr(metrics, "TRIAL_BLOCK", 3)
-    blocked = run_paired(sc, modes, 10, 4, **kwargs)
+    [blocked] = run_paired(sc, modes, 10, 4, [point], **kwargs)
     for mode in modes:
         assert np.array_equal(whole[mode].trial_sum_rates,
                               blocked[mode].trial_sum_rates)
         assert np.array_equal(whole[mode].trial_terms, blocked[mode].trial_terms)
     assert whole["SWITCH"].extras == blocked["SWITCH"].extras
-    assert_engine_matches(sc, modes, 10, 4, **kwargs)
+    assert_engine_matches(sc, modes, 10, 4, point, **kwargs)
 
 
 def test_3d_regions_use_offset_streams():
     sc3 = make_scenario_3d().with_power_db(25.0)
-    kwargs = dict(chi_dist=(0.0, 0.5), tau_sq_dist=(0.0, 1.0),
-                  theta_max=0.22 * math.pi)
+    kwargs = dict(chi_dist=(0.0, 0.5), tau_sq_dist=(0.0, 1.0))
     modes = ["BD", "BDS", "SWITCH", "SWITCH_RAW"]
     n = 3
-    got = run_3d_paired(sc3, modes, n, 6, **kwargs)
+    [got] = run_3d_paired(sc3, modes, n, 6, [SweepPoint(theta_max=0.22 * math.pi)],
+                          **kwargs)
     for mode in modes:
         regions = [reference_paired(reduce_to_2d(sc3, l), [mode], n, 6,
-                                    stream_base=l * n, **kwargs)
+                                    stream_base=l * n, theta_max=0.22 * math.pi,
+                                    **kwargs)
                    for l in range(sc3.n_regions)]
         np.testing.assert_allclose(got[mode].trial_sum_rates,
                                    sum(sums[mode] for sums, _, _ in regions),
@@ -147,34 +152,41 @@ def test_3d_regions_use_offset_streams():
 def test_zero_gains_raise_instead_of_nan_rows(small_scenario, mode):
     sc = replace(small_scenario, gains=(0.0,) * small_scenario.G)
     with pytest.raises(DegenerateInputError):
-        run_paired(sc, [mode], 3, 1)
+        run_paired(sc, [mode], 3, 1, [SweepPoint()])
 
 
 # ----------------------------------------------------------------------
 # A sweep shares draws and channels across its points; each point's
-# results must be those of its own one-point call, bit for bit.
+# results must be those of a sweep of that point alone on the scenario at
+# its power and chi, bit for bit, with the points in order or reversed.
 # ----------------------------------------------------------------------
 
 ALL_MODES = ["BD", "BDS", "SWITCH", "SWITCH_RAW"]
 
 
+def assert_same_results(got, want, modes, context=None):
+    for mode in modes:
+        assert np.array_equal(got[mode].trial_sum_rates,
+                              want[mode].trial_sum_rates), (context, mode)
+        assert np.array_equal(got[mode].trial_terms, want[mode].trial_terms)
+        assert got[mode].stderr == want[mode].stderr
+        assert got[mode].extras == want[mode].extras
+
+
 def assert_sweep_equals_cells(scenario, modes, n_trials, seed, points, **kwargs):
-    sweep = run_paired(scenario, modes, n_trials, seed, points=points, **kwargs)
+    sweep = run_paired(scenario, modes, n_trials, seed, points, **kwargs)
+    backward = run_paired(scenario, modes, n_trials, seed, points[::-1], **kwargs)[::-1]
     assert len(sweep) == len(points)
-    for point, got in zip(points, sweep):
+    for point, got, got_backward in zip(points, sweep, backward):
         sc = scenario
         if point.power is not None:
             sc = sc.with_power(point.power)
         if point.chi is not None:
             sc = sc.with_chi(point.chi)
-        want = run_paired(sc, modes, n_trials, seed, tau_sq=point.tau_sq,
-                          n_bits=point.n_bits, theta_max=point.theta_max, **kwargs)
-        for mode in modes:
-            assert np.array_equal(got[mode].trial_sum_rates,
-                                  want[mode].trial_sum_rates), (point, mode)
-            assert np.array_equal(got[mode].trial_terms, want[mode].trial_terms)
-            assert got[mode].stderr == want[mode].stderr
-            assert got[mode].extras == want[mode].extras
+        [want] = run_paired(sc, modes, n_trials, seed,
+                            [replace(point, power=None, chi=None)], **kwargs)
+        assert_same_results(got, want, modes, point)
+        assert_same_results(got_backward, want, modes, point)
 
 
 @pytest.mark.parametrize("points, kwargs", [
@@ -183,8 +195,8 @@ def assert_sweep_equals_cells(scenario, modes, n_trials, seed, points, **kwargs)
     ([SweepPoint(power=p, chi=0.1, n_bits=b) for p in (3.0, 100.0) for b in (30, 60)], {}),
     ([SweepPoint(power=p, n_bits=b) for p in (3.0, 100.0) for b in (None, 60)],
      {"chi_dist": (0.0, 0.5), "tau_sq_dist": (0.0, 1.0)}),
-    ([SweepPoint(theta_max=t, chi=c, tau_sq=0.2) for t in (0.0, 0.69) for c in (0.1, 0.4)],
-     {}),
+    ([SweepPoint(power=p, theta_max=t, chi=c, tau_sq=0.2) for p in (3.0, 100.0)
+      for t in (0.0, 0.69) for c in (0.1, 0.4)], {}),
 ], ids=["chi_power", "tau_sq", "n_bits", "dists", "mixed_theta"])
 def test_sweep_equals_cells(small_scenario, points, kwargs):
     sc = small_scenario.with_power_db(10.0)
@@ -219,21 +231,13 @@ def test_3d_sweep_equals_cells():
     points = [SweepPoint(power=p, theta_max=t) for p in (100.0, 316.0)
               for t in (0.0, 0.69)]
     kwargs = dict(chi_dist=(0.0, 0.5), tau_sq_dist=(0.0, 1.0))
-    sweep = run_3d_paired(sc3, ALL_MODES, 3, 6, points=points, **kwargs)
-    for point, got in zip(points, sweep):
-        want = run_3d_paired(replace(sc3, power=point.power), ALL_MODES, 3, 6,
-                             theta_max=point.theta_max, **kwargs)
-        for mode in ALL_MODES:
-            assert np.array_equal(got[mode].trial_sum_rates,
-                                  want[mode].trial_sum_rates)
-
-
-def test_sweep_rejects_per_call_point_arguments(small_scenario):
-    with pytest.raises(InvalidInputError):
-        run_paired(small_scenario, ["BD"], 2, 1, points=[SweepPoint()], tau_sq=0.1)
-    with pytest.raises(InvalidInputError):
-        run_paired(small_scenario, ["SWITCH"], 2, 1, base=object(),
-                   points=[SweepPoint(power=1.0), SweepPoint(power=2.0)])
+    sweep = run_3d_paired(sc3, ALL_MODES, 3, 6, points, **kwargs)
+    backward = run_3d_paired(sc3, ALL_MODES, 3, 6, points[::-1], **kwargs)[::-1]
+    for point, got, got_backward in zip(points, sweep, backward):
+        [want] = run_3d_paired(replace(sc3, power=point.power), ALL_MODES, 3, 6,
+                               [SweepPoint(theta_max=point.theta_max)], **kwargs)
+        assert_same_results(got, want, ALL_MODES, point)
+        assert_same_results(got_backward, want, ALL_MODES, point)
 
 
 def count_preprocessor_builds(monkeypatch):
@@ -254,7 +258,7 @@ def test_switch_bases_share_one_de_sweep(small_scenario, monkeypatch):
     # every power, however many powers the points hold.
     calls = count_preprocessor_builds(monkeypatch)
     points = [SweepPoint(power=p, chi=c) for p in (3.0, 10.0, 100.0) for c in (0.1, 0.4)]
-    run_paired(small_scenario, ["SWITCH", "SWITCH_RAW"], 2, 1, points=points)
+    run_paired(small_scenario, ["SWITCH", "SWITCH_RAW"], 2, 1, points)
     assert len(calls) == 1
 
 
@@ -263,7 +267,7 @@ def test_3d_regions_share_one_preprocessor_build(monkeypatch):
     # serves every region's trials and SWITCH crossover.
     sc3 = make_scenario_3d().with_power_db(25.0)
     calls = count_preprocessor_builds(monkeypatch)
-    run_3d_paired(sc3, ALL_MODES, 2, 1, theta_max=0.69)
+    run_3d_paired(sc3, ALL_MODES, 2, 1, [SweepPoint(theta_max=0.69)])
     assert len(calls) == 1
 
 
@@ -286,7 +290,7 @@ def test_sweep_builds_each_trial_generator_once(small_scenario, monkeypatch):
     n_trials = 5
     calls = count_calls(monkeypatch, RngStream, "generator")
     points = [SweepPoint(theta_max=t) for t in (0.0, 0.3, 0.6)]
-    run_paired(small_scenario, ["BD"], n_trials, 1, chi_dist=(0.0, 0.5), points=points)
+    run_paired(small_scenario, ["BD"], n_trials, 1, points, chi_dist=(0.0, 0.5))
     assert len(calls) == n_trials
 
 
@@ -303,7 +307,7 @@ def test_points_share_a_csit_view_across_powers(fig4_scenario, monkeypatch, poin
     # the batching).
     rzf = count_calls(monkeypatch, precode, "rzf_precoder")
     views = count_calls(monkeypatch, metrics, "csit_view")
-    run_paired(fig4_scenario, ["BD", "BDS"], 3, 1, points=points)
+    run_paired(fig4_scenario, ["BD", "BDS"], 3, 1, points)
     assert len(rzf) == 2 * len(points)
     assert [args[3] for args in views] == ["BD", "BDS"] * n_views
 
@@ -325,15 +329,15 @@ def test_stacked_decomposition_equals_per_group_loop(G, split_cross):
 @pytest.mark.parametrize("mode", ["BD", "BDS"])
 def test_sinr_report_equals_per_group_loop(fig4, mode):
     # The per-realization path is the engine at one trial: run_paired's
-    # one-trial row on the same stream, bit for bit. The oracle builds its
-    # own M-row precoders and agrees to RTOL.
+    # row of a one-trial, one-point sweep on the same stream, bit for bit.
+    # The oracle builds its own M-row precoders and agrees to RTOL.
     pre = build_preprocessors(fig4)
     tau_sq, theta_max = 0.09, 0.3
     tau = math.sqrt(csit_tau_sq(tau_sq, None, fig4.r, mode))
     channels = draw_trial(fig4, RngStream(3, 0), theta_max=theta_max)
     got = sinr_report(fig4, channels, mode, tau=tau, preprocessors=pre)
-    run = run_paired(fig4, [mode], 1, 3, tau_sq=tau_sq, theta_max=theta_max,
-                     preprocessors=pre)[mode]
+    point = SweepPoint(tau_sq=tau_sq, theta_max=theta_max)
+    run = run_paired(fig4, [mode], 1, 3, [point], preprocessors=pre)[0][mode]
     assert got.sum_rate == run.trial_sum_rates[0]
     assert np.array_equal(got.terms, run.trial_terms[0])
     want = reference_report(fig4, channels, mode, tau, pre)

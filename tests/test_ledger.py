@@ -44,7 +44,7 @@ def test_criterion_11_oracle_is_reference_paired(monkeypatch):
     monkeypatch.setattr(ledger, "reference_paired", spy)
     monkeypatch.setattr(ledger, "TRIALS", 2)
     got = ledger._run_3d_per_realization(ledger.THETA, 5)
-    want = ledger._run_3d(ledger.THETA, 5)
+    [want] = ledger._run_3d(5, ledger.THETA)
     assert stream_bases == [0, 2, 4]
     for mode in ledger.MODES:
         np.testing.assert_allclose(got[mode].trial_sum_rates,
@@ -73,10 +73,10 @@ def test_criterion_6_terms_come_from_run_paired(monkeypatch):
 
     run_paired, summaries = ledger.run_paired, []
 
-    def spy(scenario, modes, n_trials, seed, **kwargs):
-        result = run_paired(scenario, modes, 2, seed, **kwargs)
-        summaries.append(result[modes[0]])
-        return result
+    def spy(scenario, modes, n_trials, seed, points, **kwargs):
+        results = run_paired(scenario, modes, 2, seed, points, **kwargs)
+        summaries.extend(result[mode] for result in results for mode in modes)
+        return results
 
     monkeypatch.setattr(ledger, "run_paired", spy)
     out = []

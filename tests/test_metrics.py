@@ -17,7 +17,7 @@ from dualpol.metrics import (
 )
 from dualpol.modeswitch import FeedbackBudget, tau_from_bits
 from dualpol.precode import build_all, build_preprocessors
-from dualpol.scenario import make_scenario
+from dualpol.scenario import make_scenario, power_from_db
 
 
 def symbol_level_powers(channels, precoders, power, n_draws=10000, seed=0):
@@ -133,7 +133,6 @@ def test_chi_zero_cross_power_is_zero(fig4_scenario):
 
 def test_chi_one_subgroup_symmetry(small_scenario):
     sc = small_scenario.with_chi(1.0).with_power_db(10.0)
-    res = run_paired(sc, ["BDS"], 400, 7)["BDS"]
     # vertical and horizontal subgroup SINR means agree within MC error:
     # re-run collecting per-user SINRs
     pre = build_preprocessors(sc)
@@ -156,7 +155,7 @@ def test_fig4_chi0_bd_equals_bds_trialwise(fig4_scenario):
     # identical inner factors and noise: the two schemes coincide up to the
     # joint-vs-per-block normalization, within 0.5 % per trial on average
     sc = fig4_scenario.with_power_db(10.0)
-    res = run_paired(sc, ["BD", "BDS"], 300, 1)
+    [res] = run_paired(sc, ["BD", "BDS"], 300, 1, [SweepPoint()])
     rel = np.abs(res["BD"].trial_sum_rates - res["BDS"].trial_sum_rates) \
         / res["BD"].trial_sum_rates
     assert rel.mean() < 0.005
@@ -164,20 +163,20 @@ def test_fig4_chi0_bd_equals_bds_trialwise(fig4_scenario):
 
 def test_monte_carlo_basics(small_scenario):
     sc = small_scenario.with_power_db(10.0)
-    one = run_paired(sc, ["BD"], 1, 5)["BD"]
+    one = run_paired(sc, ["BD"], 1, 5, [SweepPoint()])[0]["BD"]
     assert one.n_trials == 1 and one.stderr == 0.0
     # n_trials = 1 reproduces a single report
     channels = draw_trial(sc, RngStream(5, 0))
     rep = sinr_bd(channels, build_all(sc, channels, "BD", tau=0.0), sc.power)
     assert one.sum_rate == pytest.approx(rep.sum_rate, rel=1e-12)
     with pytest.raises(InvalidInputError):
-        run_paired(sc, ["BD"], 0, 5)
+        run_paired(sc, ["BD"], 0, 5, [SweepPoint()])
 
 
 def test_stderr_scaling(small_scenario):
     # doubling the trials halves stderr^2 within 20 %
     sc = small_scenario.with_power_db(10.0)
-    res = run_paired(sc, ["BD"], 2000, 11)["BD"]
+    res = run_paired(sc, ["BD"], 2000, 11, [SweepPoint()])[0]["BD"]
     sums = res.trial_sum_rates
     var_full = sums.var(ddof=1) / 2000
     var_half = sums[:1000].var(ddof=1) / 1000
@@ -186,20 +185,18 @@ def test_stderr_scaling(small_scenario):
 
 def test_determinism_and_pairing(small_scenario):
     sc = small_scenario.with_power_db(10.0)
-    a = run_paired(sc, ["BD"], 50, 3)["BD"]
-    b = run_paired(sc, ["BD"], 50, 3)["BD"]
+    a = run_paired(sc, ["BD"], 50, 3, [SweepPoint()])[0]["BD"]
+    b = run_paired(sc, ["BD"], 50, 3, [SweepPoint()])[0]["BD"]
     assert np.array_equal(a.trial_sum_rates, b.trial_sum_rates)
-    both = run_paired(sc, ["BD", "BDS"], 50, 3)
+    [both] = run_paired(sc, ["BD", "BDS"], 50, 3, [SweepPoint()])
     assert np.array_equal(both["BD"].trial_sum_rates, a.trial_sum_rates)
 
 
 def test_sum_rate_nondecreasing_in_power(small_scenario):
-    means = []
-    errs = []
-    for snr in [0.0, 10.0, 20.0]:
-        res = run_paired(small_scenario.with_power_db(snr), ["BD"], 200, 13)["BD"]
-        means.append(res.sum_rate)
-        errs.append(res.stderr)
+    points = [SweepPoint(power=power_from_db(snr)) for snr in (0.0, 10.0, 20.0)]
+    res = [r["BD"] for r in run_paired(small_scenario, ["BD"], 200, 13, points)]
+    means = [r.sum_rate for r in res]
+    errs = [r.stderr for r in res]
     assert means[1] > means[0] - 2 * (errs[0] + errs[1])
     assert means[2] > means[1] - 2 * (errs[1] + errs[2])
 
@@ -211,7 +208,7 @@ def test_bds_tau_convention():
 
 def test_switch_runs_and_reports_fraction(fig4_scenario):
     sc = fig4_scenario.with_chi(0.05).with_power_db(15.0)
-    res = run_paired(sc, ["BD", "BDS", "SWITCH"], 20, 9, n_bits=60)
+    [res] = run_paired(sc, ["BD", "BDS", "SWITCH"], 20, 9, [SweepPoint(n_bits=60)])
     assert 0.0 <= res["SWITCH"].extras["bds_fraction"] <= 1.0
     assert res["SWITCH"].sum_rate > 0.0
 
@@ -231,27 +228,26 @@ def test_negative_tau_sq_rejected_before_any_sqrt(small_scenario):
         with pytest.raises(InvalidInputError, match="tau_sq"):
             csit_tau_sq(-0.5, None, 4, "BD")
         with pytest.raises(InvalidInputError, match="tau_sq"):
-            run_paired(small_scenario, ["BD"], 2, 1, tau_sq=-0.5)
-        with pytest.raises(InvalidInputError, match="tau_sq"):
-            run_paired(small_scenario, ["BD"], 2, 1, points=[SweepPoint(tau_sq=-0.5)])
+            run_paired(small_scenario, ["BD"], 2, 1, [SweepPoint(tau_sq=-0.5)])
 
 
 @pytest.mark.parametrize("theta_max", [-0.3, -1e-9, math.pi / 2 + 0.01])
 def test_theta_max_outside_quarter_turn_rejected(small_scenario, theta_max):
     with pytest.raises(InvalidInputError, match="theta_max"):
-        run_paired(small_scenario, ["BD"], 2, 1, theta_max=theta_max)
+        run_paired(small_scenario, ["BD"], 2, 1, [SweepPoint(theta_max=theta_max)])
     with pytest.raises(InvalidInputError, match="theta_max"):
         run_paired(small_scenario, ["BD"], 2, 1,
-                   points=[SweepPoint(), SweepPoint(theta_max=theta_max)])
+                   [SweepPoint(), SweepPoint(theta_max=theta_max)])
 
 
 def test_r1_budget_runs_bd_and_rejects_bds():
     # At r = 1 the BDS RVQ bound 2^(-N/(r-1)) is undefined; BD's is not.
     sc = make_scenario(M=24, G=2, n_bar=4, b_bar=8, r=1).with_power_db(10.0)
-    res = run_paired(sc, ["BD"], 3, 1, n_bits=40)
+    budget = [SweepPoint(n_bits=40)]
+    [res] = run_paired(sc, ["BD"], 3, 1, budget)
     assert np.isfinite(res["BD"].sum_rate)
     with pytest.raises(InvalidInputError, match="r > 1"):
-        run_paired(sc, ["BD", "BDS"], 3, 1, n_bits=40)
+        run_paired(sc, ["BD", "BDS"], 3, 1, budget)
 
 
 def test_one_user_per_subgroup_switches_without_warnings():
@@ -261,8 +257,8 @@ def test_one_user_per_subgroup_switches_without_warnings():
     sc = make_scenario(M=24, G=2, n_bar=2, chi=0.2).with_power_db(10.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        noisy = run_paired(sc, ["BD", "BDS", "SWITCH_RAW"], 3, 1, tau_sq=0.1)
-        perfect = run_paired(sc, ["BD", "SWITCH_RAW"], 3, 1)
+        [noisy] = run_paired(sc, ["BD", "BDS", "SWITCH_RAW"], 3, 1, [SweepPoint(tau_sq=0.1)])
+        [perfect] = run_paired(sc, ["BD", "SWITCH_RAW"], 3, 1, [SweepPoint()])
     assert noisy["SWITCH_RAW"].extras["bds_fraction"] == 1.0
     assert np.array_equal(noisy["SWITCH_RAW"].trial_sum_rates, noisy["BDS"].trial_sum_rates)
     assert perfect["SWITCH_RAW"].extras["bds_fraction"] == 0.0

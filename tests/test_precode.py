@@ -101,6 +101,18 @@ def test_constraint_violations_name_the_inequality():
         bd_preprocessor(covs, 0, r=too_deep, b_bar=4)
 
 
+def test_rank_cap_binds_dual_polarized_arrays_only():
+    # b_bar <= 2 r_g on a dual-polarized array; a single-polarized baseline
+    # on the same positions may run above its rank.
+    narrow = dict(G=2, n_bar=4, spread=math.radians(3.0))
+    dual = make_scenario(M=60, **narrow)
+    assert dual.b_bar == 2 * min(c.effective_rank for c in dual.covariances) == 8
+    with pytest.raises(InvalidConfigurationError, match="2\\*r_g"):
+        make_scenario(M=60, b_bar=10, **narrow)
+    single = make_scenario(M=30, b_bar=10, dual_pol=False, **narrow)
+    assert single.b_bar > min(c.effective_rank for c in single.covariances)
+
+
 def test_no_groups_is_a_config_error():
     with pytest.raises(InvalidConfigurationError, match="at least one group"):
         make_scenario(G=0)

@@ -400,7 +400,7 @@ def test_newton_iterations_over_the_cli_snr_range(cell, fig4_scenario):
 
 @pytest.mark.parametrize("solver", [asym_bd, asym_bds])
 def test_single_polarized_array_rejected(solver):
-    sc = make_scenario(M=24, G=2, n_bar=4, dual_pol=False, enforce_rank_constraint=False)
+    sc = make_scenario(M=24, G=2, n_bar=4, dual_pol=False)
     with pytest.raises(InvalidInputError, match="dual-polarized"):
         solver(sc.with_power_db(10.0), tau_sq=0.1)
 
@@ -482,14 +482,14 @@ class TestChiApproximations:
 def test_mc_gap_shrinks_with_m():
     # deterministic-equivalent consistency: the MC-vs-DE gap at fixed ratios
     # drops as the dimensions grow
-    from dualpol.metrics import run_paired
+    from dualpol.metrics import SweepPoint, run_paired
 
     gaps = []
     for (M, nb, bb, r, trials) in [(40, 2, 4, 4, 300), (120, 8, 16, 11, 150)]:
         sc = make_scenario(M=M, G=4, n_bar=nb, b_bar=bb, r=r,
                            chi=0.0).with_power_db(5.0)
         de = asym_bd(sc).mean_gamma()
-        res = run_paired(sc, ["BD"], trials, 19)["BD"]
+        res = run_paired(sc, ["BD"], trials, 19, [SweepPoint()])[0]["BD"]
         eff = 2.0 ** (res.sum_rate / sc.n_users) - 1.0
         gaps.append(abs(eff - de) / de)
     assert gaps[1] < gaps[0]

@@ -9,8 +9,7 @@ from dualpol.errors import (
     InvalidConfigurationError,
     InvalidInputError,
 )
-from dualpol.metrics import run_paired
-from dualpol.rmt import asym_bds
+from dualpol.metrics import SweepPoint, run_paired
 from dualpol.scene3d import (
     elevation_prefilter,
     make_scenario_3d,
@@ -133,9 +132,9 @@ class TestRun3d:
         from dataclasses import replace
 
         sc3 = replace(fig11, regions=(fig11.regions[0],))
-        got = run_3d_paired(sc3, ["BD"], 10, 3)["BD"]
-        want = run_paired(reduce_to_2d(sc3, 0), ["BD"], 10, 3,
-                          stream_base=0)["BD"]
+        got = run_3d_paired(sc3, ["BD"], 10, 3, [SweepPoint()])[0]["BD"]
+        want = run_paired(reduce_to_2d(sc3, 0), ["BD"], 10, 3, [SweepPoint()],
+                          stream_base=0)[0]["BD"]
         assert got.sum_rate == pytest.approx(want.sum_rate, rel=1e-12)
 
     def test_total_power_conserved(self, fig11):
@@ -158,21 +157,14 @@ class TestRun3d:
     def test_fig11_small_chi_ordering(self, fig11):
         # BDS >= BD and SWITCH >= both at small chi (2 stderr slack)
         sc3 = fig11.with_chi(0.02)
-        res = run_3d_paired(sc3, ["BD", "BDS", "SWITCH"], 120, 7, n_bits=60)
+        [res] = run_3d_paired(sc3, ["BD", "BDS", "SWITCH"], 120, 7, [SweepPoint(n_bits=60)])
         slack = 2 * max(r.stderr for r in res.values())
         assert res["BDS"].sum_rate >= res["BD"].sum_rate - slack
         assert res["SWITCH"].sum_rate >= max(res["BD"].sum_rate,
                                              res["BDS"].sum_rate) - slack
 
-    def test_rejects_one_base_for_every_region(self, fig11):
-        # Each region's gain gives it its own SWITCH crossover.
-        base = asym_bds(reduce_to_2d(fig11, 0).with_chi(0.0), tau_sq=0.0)
-        with pytest.raises(InvalidInputError, match="crossover"):
-            run_3d_paired(fig11, ["SWITCH"], 2, 1, base=base)
-
     def test_mismatch_degrades_sum_rate(self, fig11):
         sc3 = fig11.with_chi(0.1)
-        aligned = run_3d_paired(sc3, ["BD"], 100, 11, tau_sq=0.1)["BD"]
-        mismatched = run_3d_paired(sc3, ["BD"], 100, 11, tau_sq=0.1,
-                                   theta_max=0.22 * math.pi)["BD"]
+        points = [SweepPoint(tau_sq=0.1, theta_max=t) for t in (0.0, 0.22 * math.pi)]
+        aligned, mismatched = (r["BD"] for r in run_3d_paired(sc3, ["BD"], 100, 11, points))
         assert mismatched.sum_rate < aligned.sum_rate - 2 * aligned.stderr
