@@ -2,26 +2,28 @@
 
 Usage, from the repository root:
 
-    PYTHONPATH=src python docs/ledger.py [--write] [3] [6] [11]
+    PYTHONPATH=src python docs/ledger.py [--write] [3] [6] [11] [rounding]
 
-Without section numbers every section runs (about 30 s on two cores:
-section 6 about 5 s, section 11 about 24 s). The output is the ledger's
-measurement block in Markdown; with ``--write`` it also replaces the block
-between the ledger's ``<!-- measured -->`` markers. All numbers come from
-the library at the acceptance suite's seed, 2024, unless a line names
-another seed. Section 6 reads the SINR terms of both sides from the
-library: ``McSummary.terms`` of ``run_paired`` and
-``AsymptoticSolution.terms``, with one preprocessor build per size.
+Without section names every section runs (about 20 s on two cores:
+section 6 about 4 s, section 11 about 17 s, the others about 1 s each).
+The output is the ledger's measurement block in Markdown; with
+``--write`` it also replaces the block between the ledger's
+``<!-- measured -->`` markers. All numbers come from the library at the
+acceptance suite's seed, 2024, unless a line names another seed. Section
+6 reads the SINR terms of both sides from the library:
+``McSummary.terms`` of ``run_paired`` and ``AsymptoticSolution.terms``,
+with one preprocessor build per size.
 
 Section 11 compares four polarization-mismatch models, two choices of the
 channel draw times two choices of the CSIT. The library holds only the
 mended pair (independent inner factor per receive port; CSIT is the
-rotated channel). The earlier choices are rebuilt here and swapped in for
-the duration of a run. Those runs go through the engine's per-realization
-oracle, ``reference_paired`` in ``tests/reference.py`` (``draw_trial``, then
-its own M-row precoders, ``reference_transmit``, and the M-row channel),
-which the swapped-in functions reach; ``run_paired`` draws and precodes its
-stacked trials without them:
+rotated channel), whose runs go through the engine. The earlier choices
+are rebuilt here and swapped in for the duration of a run. Those runs go
+through the engine's per-realization oracle, ``reference_paired`` in
+``tests/reference.py`` (``draw_trial``, then its own M-row precoders,
+``reference_transmit``, and the M-row channel), which the swapped-in
+functions reach; ``run_paired`` draws and precodes its stacked trials
+without them:
 
 * coherent draw: one inner factor per user, rotated between the two
   polarization blocks, (cos - sqrt(chi) sin, sin + sqrt(chi) cos) for
@@ -30,6 +32,11 @@ stacked trials without them:
 * aligned CSIT: the estimate is synthesised from the corrupted inner
   factor as if no user were rotated, so the rotation acts as an unmodeled
   CSIT error.
+
+Section "rounding" shows why the pinned rows reproduce only bit for bit: it
+perturbs every covariance of two preset cells by a seeded Hermitian matrix
+of rounding size and reports which KL modes change sign, how far the BD
+projectors move and how far the sum rates move.
 """
 
 from __future__ import annotations
@@ -40,14 +47,15 @@ import math
 import os
 import re
 import sys
-from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from unittest import mock
 
 import numpy as np
 
 import dualpol.channel as channel
+from dualpol import cli
 from dualpol.channel import RngStream
+from dualpol.corrstats import SpatialCovariance
 from dualpol.metrics import McSummary, SweepPoint, run_paired
 from dualpol.precode import build_preprocessors
 from dualpol.rmt import DePoint, asym_bd, asym_sweep
@@ -284,8 +292,6 @@ VARIANTS = {
 
 
 def _patched(draw, csit):
-    if (draw, csit) == ("independent", "measured"):
-        return nullcontext()
     return mock.patch.object(channel, "_draw", _variant_draw(draw, csit))
 
 
@@ -345,11 +351,14 @@ def section_11(out):
                "SWITCH - SWITCH_RAW | 2 paired SE | 11c |")
     out.append("|---|---|---|---|---|---|---|---|---|")
     # theta_max = 0 draws no angles, so the aligned runs are common to all
-    # four models.
-    [aligned] = _run_3d(SEED, 0.0)
+    # four models; the library model's tilted run is the engine's.
+    aligned, library = _run_3d(SEED, 0.0, THETA)
     for (draw, csit), note in VARIANTS.items():
-        with _patched(draw, csit):
-            tilted = _run_3d_per_realization(THETA, SEED)
+        if (draw, csit) == ("independent", "measured"):
+            tilted = library
+        else:
+            with _patched(draw, csit):
+                tilted = _run_3d_per_realization(THETA, SEED)
         label = f"{draw}, {csit}" + (f" ({note})" if note else "")
         out.append(_row(label, SEED, _verdicts(aligned, tilted)))
     for seed in (7, 11, 99):
@@ -358,13 +367,87 @@ def section_11(out):
     out.append("")
 
 
-SECTIONS = {"3": section_3, "6": section_6, "11": section_11}
+# ----------------------------------------------------------------------
+# Rounding: why the pinned rows reproduce only bit for bit
+# ----------------------------------------------------------------------
+
+PERTURBATION = 1e-16
+
+
+def _perturbed(scenario, seed):
+    """The scenario with every covariance plus PERTURBATION (W + W^H)/2,
+    W of i.i.d. complex standard normal entries drawn from one stream."""
+    gen = RngStream(seed).generator()
+    covs = []
+    for cov in scenario.covariances:
+        shape = (cov.dim, cov.dim)
+        W = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+        covs.append(SpatialCovariance.from_matrix(
+            cov.matrix + PERTURBATION * (W + W.conj().T) / 2.0))
+    return replace(scenario, covariances=tuple(covs))
+
+
+def _projector_change(x):
+    """One significant digit, or "< 1e-6" below the level at which the
+    unperturbed projectors already differ between BLAS thread counts."""
+    return f"{x:.0e}" if x >= 1e-6 else "< 1e-6"
+
+
+def _rate_move(before, after):
+    """The largest relative move of a sum rate between two sweeps' summaries."""
+    return max(abs(b.sum_rate / a.sum_rate - 1.0) for a, b in zip(before, after))
+
+
+def section_rounding(out):
+    out.append(f"### Rounding: every covariance plus a seeded Hermitian perturbation "
+               f"of size {PERTURBATION:g}\n")
+    out.append("| cell | group | effective rank | KL modes that change sign | "
+               "largest entry change of B_s B_s^H |")
+    out.append("|---|---|---|---|---|")
+    moves = []
+    for name, ident in (("fig3", "fig3-single-ds0.5"), ("fig4", "fig4")):
+        cfg = cli._resolve(cli.preset(name))
+        schemes = cfg["schemes"]
+        sc = dict(cli._build_variants(cfg))[ident]
+        _, points = cli._sweep(cfg)
+        moved = _perturbed(sc, SEED)
+        pre, pre_moved = build_preprocessors(sc), build_preprocessors(moved)
+        for g, (cov, cov_moved) in enumerate(zip(sc.covariances, moved.covariances)):
+            r = cov.effective_rank
+            overlap = np.sum(cov.eigvecs[:, :r].conj() * cov_moved.eigvecs[:, :r], axis=0)
+            flips = ", ".join(str(j) for j in np.flatnonzero(overlap.real < 0.0)) or "none"
+            change = np.abs(pre[g].B_s @ pre[g].B_s.conj().T
+                            - pre_moved[g].B_s @ pre_moved[g].B_s.conj().T).max()
+            out.append(f"| {ident} | {g} | {r} | {flips} | {_projector_change(change)} |")
+        runs = [run_paired(s, schemes, 100, SEED, points, preprocessors=p)
+                for s, p in ((sc, pre), (moved, pre_moved))]
+        row = [ident, ", ".join(schemes), str(len(points))]
+        for n in (10, 100):
+            mc = [[_first(result[m], n) for result in run for m in schemes] for run in runs]
+            row.append(f"{_rate_move(*mc):.0e}")
+        if sc.dual_pol:
+            de = [DePoint(m, p.power, p.chi, 0.0) for p in points for m in schemes]
+            row.append(f"{_rate_move(asym_sweep(sc, de, pre), asym_sweep(moved, de, pre_moved)):.0e}")
+        else:
+            row.append("n/a (single-polarized)")
+        moves.append("| " + " | ".join(row) + " |")
+    out.append("")
+    out.append("### Rounding: the largest relative move of a sum rate under the "
+               "same perturbation\n")
+    out.append("| cell | schemes | sweep points | MC, 10 trials | MC, 100 trials | DE |")
+    out.append("|---|---|---|---|---|---|")
+    out += moves
+    out.append("")
+
+
+SECTIONS = {"3": section_3, "6": section_6, "11": section_11, "rounding": section_rounding}
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("sections", nargs="*",
-                        help="criteria to measure: 3, 6, 11 (default: all)")
+                        help="sections to measure: criteria 3, 6, 11 and "
+                             "rounding (default: all)")
     parser.add_argument("--write", action="store_true",
                         help="replace the measured block of docs/LEDGER.md")
     args = parser.parse_args(argv)

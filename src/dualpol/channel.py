@@ -77,8 +77,9 @@ class GroupChannel:
     A = U Lambda^(1/2)), one row block per polarization; its first half of
     columns are vertically polarized users, the second half horizontally
     polarized ones. ``Z`` is the CSIT noise, scaled at draw time to the
-    standard deviation of each entry of X. Single-polarized channels have
-    one row block (H = gain A X). Mismatched draws carry the users'
+    standard deviation of each entry of X, or None when the draw kept no
+    noise: such a channel has perfect CSIT only. Single-polarized channels
+    have one row block (H = gain A X). Mismatched draws carry the users'
     rotation angles.
 
     A trial-stacked channel (``channel_from_normals``) has a leading trial
@@ -86,7 +87,7 @@ class GroupChannel:
     """
 
     X: np.ndarray = field(repr=False)
-    Z: np.ndarray = field(repr=False)
+    Z: np.ndarray | None = field(repr=False)
     stats: SpatialCovariance = field(repr=False)
     gain: float = 1.0
     mismatch_angles: np.ndarray | None = None
@@ -167,17 +168,28 @@ def _kl_coefficients(chi, G, angles=None, G_cross=None):
             np.hypot(w_own, w_cross))
 
 
-def _read_group(gen, normals, theta_max=None):
+def _read_group(gen, normals, theta_max=None, scratch=None):
     """Read one group's draws from ``gen`` in stream order: the normals of
     the inner factor G and the CSIT noise Z into ``normals[:4]`` and, when
     mismatched (``theta_max`` given), the users' angles and the orthogonal
-    port's normals into ``normals[4:]``. ``normals`` is the (k, rows, n)
-    array ``channel_from_normals`` takes; returns the angles, or None."""
-    gen.standard_normal(out=normals[:4])
+    port's normals into the rest. ``normals`` is the (k, rows, n) array
+    ``channel_from_normals`` takes; returns the angles, or None.
+
+    With a 1-D ``scratch`` array, the noise's normals are read into its
+    head and dropped, so ``normals`` holds G, then the orthogonal port's
+    normals: the draw of a channel with perfect CSIT only.
+    """
+    if scratch is None:
+        gen.standard_normal(out=normals[:4])
+        rest = normals[4:]
+    else:
+        gen.standard_normal(out=normals[:2])
+        gen.standard_normal(out=scratch[:normals[:2].size])
+        rest = normals[2:]
     if theta_max is None:
         return None
     angles = gen.uniform(-theta_max, theta_max, size=normals.shape[-1])
-    gen.standard_normal(out=normals[4:])
+    gen.standard_normal(out=rest)
     return angles
 
 
@@ -198,24 +210,29 @@ def channel_from_normals(stats: SpatialCovariance, chi, normals: np.ndarray,
 
     ``normals`` (..., k, rows, n) holds, in draw order, the real and
     imaginary parts of the inner factor G, of the CSIT noise and, for a
-    mismatched draw (``angles`` given, k = 6), of the orthogonal port's
-    inner factor. Leading axes stack trials, and ``chi`` and ``angles``
-    then carry one entry per trial. Twice the effective rank of rows make
-    a dual-polarized channel; one rank's worth, a single-polarized one,
-    which has X = G and ignores ``chi``.
+    mismatched draw (``angles`` given), of the orthogonal port's inner
+    factor: k = 4, or 6 when mismatched. Without the noise's two parts
+    (k = 2, or 4 when mismatched) the channel holds no noise (``Z`` is
+    None) and has perfect CSIT only. Leading axes stack trials, and
+    ``chi`` and ``angles`` then carry one entry per trial. Twice the
+    effective rank of rows make a dual-polarized channel; one rank's worth,
+    a single-polarized one, which has X = G and ignores ``chi``.
     """
+    k = normals.shape[-3]
     G = _complex(normals[..., 0, :, :], normals[..., 1, :, :])
-    Z = _complex(normals[..., 2, :, :], normals[..., 3, :, :])
+    Z = None
+    if k == (4 if angles is None else 6):
+        Z = _complex(normals[..., 2, :, :], normals[..., 3, :, :])
     if normals.shape[-2] != 2 * stats.effective_rank:
         return GroupChannel(X=G, Z=Z, stats=stats, gain=gain)
     if not np.all((0.0 <= chi) & (chi <= 1.0)):
         raise InvalidInputError("chi must lie in [0, 1]")
     G_cross = None
     if angles is not None:
-        G_cross = _complex(normals[..., 4, :, :], normals[..., 5, :, :])
+        G_cross = _complex(normals[..., k - 2, :, :], normals[..., k - 1, :, :])
     X, std = _kl_coefficients(chi, G, angles, G_cross)
-    return GroupChannel(X=X, Z=_blockwise(Z, std), stats=stats, gain=gain,
-                        mismatch_angles=angles)
+    return GroupChannel(X=X, Z=None if Z is None else _blockwise(Z, std), stats=stats,
+                        gain=gain, mismatch_angles=angles)
 
 
 def draw_channel(stats: SpatialCovariance, chi: float, n_users: int, rng,
@@ -263,13 +280,16 @@ def draw_single_pol_channel(stats: SpatialCovariance, n_users: int, rng,
 def mix_csit(G: np.ndarray, Z: np.ndarray, tau) -> np.ndarray:
     """sqrt(1 - tau^2) G + tau Z: variance-preserving CSIT corruption.
 
-    ``tau`` is one value, or one per trial of a trial-stacked G.
+    ``tau`` is one value, or one per trial of a trial-stacked G. ``Z`` may
+    be None where every tau is 0.
     """
     tau = np.asarray(tau, dtype=float)
     if not np.all((0.0 <= tau) & (tau <= 1.0)):
         raise InvalidInputError("tau must lie in [0, 1]")
     if not tau.any():
         return G
+    if Z is None:
+        raise InvalidInputError("a channel drawn without CSIT noise has perfect CSIT only")
     tau = tau[..., None, None]
     return np.sqrt(1.0 - tau * tau) * G + tau * Z
 

@@ -8,7 +8,9 @@ scheme comparisons are paired.
 
 ``run_paired`` evaluates a block of trials as one stacked computation in
 the KL domain (``precode.kl_projections``); every trial still draws from
-its own stream. One call runs a whole sweep on one geometry: the sweep
+its own stream. A block holds as many trials as keep its largest array
+within ``BLOCK_BYTES``, and a sweep that only reads perfect CSIT holds no
+CSIT noise. One call runs a whole sweep on one geometry: the sweep
 points (``SweepPoint``) share the preprocessors and every trial's draws
 (one set per theta_max, each read from the trial stream's one generator),
 since the preprocessors depend only on the long-term statistics and the
@@ -56,8 +58,21 @@ __all__ = ["SinrReport", "McSummary", "SweepPoint", "sinr_bd", "sinr_bds",
 
 MC_MODES = ("BD", "BDS", "SWITCH", "SWITCH_RAW")
 
-#: Trials stacked into one computation; bounds the memory of a long run.
-TRIAL_BLOCK = 256
+#: Bytes of the largest array of a block of trials, the amplitude maps
+#: (``_amplitude_maps``): it sets how many trials a block stacks, and so
+#: the memory of a long run (``block_trials``).
+BLOCK_BYTES = 8 << 20
+
+#: Trial chunks in which ``_report`` forms the received powers.
+_POWER_CHUNKS = 4
+
+
+def block_trials(scenario: GroupScenario) -> int:
+    """Trials stacked into one computation: as many as keep the amplitude
+    maps, 16 G^2 n_bar B_bar bytes per trial, within ``BLOCK_BYTES``; at
+    least one."""
+    per_trial = 16 * scenario.G ** 2 * scenario.n_bar * scenario.b_bar
+    return max(1, BLOCK_BYTES // per_trial)
 
 
 @dataclass(frozen=True)
@@ -242,7 +257,7 @@ class SweepPoint:
     theta_max: float = 0.0
 
 
-def _draw_block(scenario, seed, streams, chi_dist, tau_sq_dist, thetas):
+def _draw_block(scenario, seed, streams, chi_dist, tau_sq_dist, thetas, noise):
     """A trial block's draws, one (chi, tau^2, normals, angles) per
     theta_max in ``thetas``, yielded in turn so that one theta_max's
     normals are held at a time.
@@ -254,7 +269,8 @@ def _draw_block(scenario, seed, streams, chi_dist, tau_sq_dist, thetas):
     theta_max after the first reads the group draws again from the state
     saved after the uniforms, as a fresh stream would. The normals and
     angles come per group, the normals shaped (T, k, rows, n) for
-    ``channel_from_normals``.
+    ``channel_from_normals``. Without ``noise`` the CSIT noise's normals
+    are still read, into one scratch array, but not kept.
     """
     T, n = len(streams), scenario.n_bar
     pols = 2 if scenario.dual_pol else 1
@@ -263,15 +279,17 @@ def _draw_block(scenario, seed, streams, chi_dist, tau_sq_dist, thetas):
     chi = np.array([gen.uniform(*chi_dist) for gen in gens]) if chi_dist else None
     tau_sq = np.array([gen.uniform(*tau_sq_dist) for gen in gens]) if tau_sq_dist else None
     starts = [gen.bit_generator.state for gen in gens] if len(thetas) > 1 else None
+    scratch = None if noise else np.empty(2 * max(rows) * n)
     for k, theta_max in enumerate(thetas):
         theta = theta_max if theta_max > 0.0 else None  # None: aligned draws
-        normals = [np.empty((T, 4 if theta is None else 6, rows_g, n)) for rows_g in rows]
+        parts = (4 if noise else 2) + (0 if theta is None else 2)
+        normals = [np.empty((T, parts, rows_g, n)) for rows_g in rows]
         angles = [None] * scenario.G if theta is None else np.empty((scenario.G, T, n))
         for t, gen in enumerate(gens):
             if k:
                 gen.bit_generator.state = starts[t]
             for g, normals_g in enumerate(normals):
-                angles_g = _read_group(gen, normals_g[t], theta)
+                angles_g = _read_group(gen, normals_g[t], theta, scratch)
                 if theta is not None:
                     angles[g, t] = angles_g
         yield chi, tau_sq, normals, angles
@@ -302,9 +320,22 @@ def _stacked_report(scenario, maps, view):
 
 def _report(maps, P, power, split_cross):
     """The ``SinrReport`` of inner precoders P (..., G, B_bar, n_bar) seen
-    through ``_amplitude_maps``, each stream at an equal share of ``power``."""
-    *lead, G, _, n = P.shape
-    powers = power / (G * n) * np.abs(maps @ P) ** 2
+    through ``_amplitude_maps``, each stream at an equal share of ``power``.
+
+    The powers |maps @ P|^2 power / (G n_bar) are formed in trial chunks
+    into one real array, in place, so no complex product of every trial is
+    held.
+    """
+    *lead, G, B, n = P.shape
+    maps = maps.reshape(-1, *maps.shape[-3:])
+    P = P.reshape(-1, G, B, n)
+    powers = np.empty((len(P), G, maps.shape[-2], n))
+    step = -(-len(P) // _POWER_CHUNKS)
+    for first in range(0, len(P), step):
+        chunk = powers[first:first + step]
+        np.abs(maps[first:first + step] @ P[first:first + step], out=chunk)
+        np.square(chunk, out=chunk)
+        chunk *= power / (G * n)
     return _decompose(powers.reshape(*lead, G, G, -1, n), split_cross)
 
 
@@ -401,8 +432,10 @@ def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
     The points share the preprocessors, the trial draws and the channels
     built from them (one per chi). Each trial stream is seeded once per
     block of trials and read again from its saved start for each
-    theta_max, which draws its own normals. A point's results do not depend
-    on the other points: they are those of a sweep of that point alone.
+    theta_max, which draws its own normals. When no point reads CSIT noise
+    (every tau_sq 0, no n_bits and no ``tau_sq_dist``), the draws read the
+    noise's normals but keep none. A point's results do not depend on the
+    other points: they are those of a sweep of that point alone.
 
     The switching schemes pick BD or BDS per trial, from chi: SWITCH from
     the effective chi of a mismatched draw, SWITCH_RAW from the raw one.
@@ -439,10 +472,13 @@ def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
     # arrays are never mismatched.
     by_draw = dict(_grouped(range(len(points)), lambda i: (
         points[i].theta_max if scenario.dual_pol and points[i].theta_max > 0.0 else 0.0)))
-    for first in range(0, n_trials, TRIAL_BLOCK):
-        streams = range(stream_base + first,
-                        stream_base + min(first + TRIAL_BLOCK, n_trials))
-        blocks = _draw_block(scenario, seed, streams, chi_dist, tau_sq_dist, list(by_draw))
+    noise = bool(tau_sq_dist) or any(
+        p.tau_sq != 0.0 or p.n_bits is not None for p in points)
+    block = block_trials(scenario)
+    for first in range(0, n_trials, block):
+        streams = range(stream_base + first, stream_base + min(first + block, n_trials))
+        blocks = _draw_block(scenario, seed, streams, chi_dist, tau_sq_dist,
+                             list(by_draw), noise)
         for (theta_max, at_theta), (chi_drawn, *draws) in zip(by_draw.items(), blocks):
             for chi, at_chi in _grouped(
                     at_theta, lambda i: None if chi_dist else points[i].chi):

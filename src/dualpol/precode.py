@@ -190,7 +190,8 @@ def build_all(scenario: GroupScenario, channels, mode: str,
 
 def _one_trial(channels) -> list:
     """The group channels of one realization as a one-trial stack."""
-    return [replace(entry, X=entry.X[None], Z=entry.Z[None]) for entry in channels]
+    return [replace(entry, X=entry.X[None], Z=None if entry.Z is None else entry.Z[None])
+            for entry in channels]
 
 
 def kl_projections(preprocessors, covariances, gains) -> tuple:

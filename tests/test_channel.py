@@ -72,6 +72,26 @@ def test_complex_assembly_matches_the_division_bit_for_bit(k):
         np.testing.assert_array_equal(got.view(float), want.view(float))
 
 
+@pytest.mark.parametrize("theta_max", [None, 0.3 * math.pi], ids=["aligned", "mismatched"])
+def test_noise_free_draw_reads_the_same_stream(stats, theta_max):
+    # Reading the CSIT noise into a scratch array and dropping it leaves the
+    # stream where keeping it does: the same X and angles, and no Z.
+    rows, n = 2 * stats.effective_rank, 6
+    k = 4 if theta_max is None else 6
+    kept, dropped = np.empty((k, rows, n)), np.empty((k - 2, rows, n))
+    gen_kept, gen_dropped = RngStream(9, 1).generator(), RngStream(9, 1).generator()
+    angles = _read_group(gen_kept, kept, theta_max)
+    angles_dropped = _read_group(gen_dropped, dropped, theta_max, np.empty(2 * rows * n + 5))
+    assert gen_kept.standard_normal() == gen_dropped.standard_normal()
+    assert np.array_equal(angles, angles_dropped) or angles is angles_dropped is None
+    noisy = channel_from_normals(stats, 0.3, kept, angles)
+    clean = channel_from_normals(stats, 0.3, dropped, angles_dropped)
+    assert clean.Z is None and np.array_equal(clean.X, noisy.X)
+    assert np.array_equal(clean.h_hat(0.0), noisy.H)
+    with pytest.raises(InvalidInputError):
+        clean.coefficients_hat(0.1)
+
+
 def _column_sample_cov(stats, chi, n_draws, cols, theta_max=None, seed=3):
     """Sample covariance of the columns ``cols`` of ``n_draws`` 8-user draws
     read from one stream in the order of ``draw_channel`` (a block of draws

@@ -2,8 +2,10 @@
 oracle, ``reference.reference_paired``."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -108,13 +110,21 @@ def test_one_trial_matches_reference(fig4):
     assert got["BD"].n_trials == 1 and got["BD"].stderr == 0.0
 
 
+def three_trial_blocks(monkeypatch, scenario):
+    """Set ``metrics.BLOCK_BYTES`` so that blocks on the scenario hold 3
+    trials; 10 trials then end in a ragged block of 1."""
+    monkeypatch.setattr(metrics, "BLOCK_BYTES",
+                        3 * 16 * scenario.G ** 2 * scenario.n_bar * scenario.b_bar + 1)
+    assert metrics.block_trials(scenario) == 3
+
+
 def test_trial_blocks_do_not_change_results(small_scenario, monkeypatch):
     sc = small_scenario.with_chi(0.2).with_power_db(10.0)
     point = SweepPoint(theta_max=0.2 * math.pi)
     kwargs = dict(chi_dist=(0.0, 0.5), tau_sq_dist=(0.0, 1.0))
     modes = ["BD", "SWITCH"]
     [whole] = run_paired(sc, modes, 10, 4, [point], **kwargs)
-    monkeypatch.setattr(metrics, "TRIAL_BLOCK", 3)
+    three_trial_blocks(monkeypatch, sc)
     [blocked] = run_paired(sc, modes, 10, 4, [point], **kwargs)
     for mode in modes:
         assert np.array_equal(whole[mode].trial_sum_rates,
@@ -197,7 +207,10 @@ def assert_sweep_equals_cells(scenario, modes, n_trials, seed, points, **kwargs)
      {"chi_dist": (0.0, 0.5), "tau_sq_dist": (0.0, 1.0)}),
     ([SweepPoint(power=p, theta_max=t, chi=c, tau_sq=0.2) for p in (3.0, 100.0)
       for t in (0.0, 0.69) for c in (0.1, 0.4)], {}),
-], ids=["chi_power", "tau_sq", "n_bits", "dists", "mixed_theta"])
+    # A cell at tau^2 = 0 keeps no CSIT noise, a sweep with a tau^2 = 0.1
+    # point does: both read the same stream, aligned or mismatched.
+    ([SweepPoint(tau_sq=t, theta_max=th) for t in (0.0, 0.1) for th in (0.0, 0.69)], {}),
+], ids=["chi_power", "tau_sq", "n_bits", "dists", "mixed_theta", "noise_paths"])
 def test_sweep_equals_cells(small_scenario, points, kwargs):
     sc = small_scenario.with_power_db(10.0)
     assert_sweep_equals_cells(sc, ALL_MODES, 7, 3, points, **kwargs)
@@ -219,7 +232,7 @@ def test_single_pol_sweep_equals_cells():
 
 
 def test_blocked_sweep_equals_cells(small_scenario, monkeypatch):
-    monkeypatch.setattr(metrics, "TRIAL_BLOCK", 3)
+    three_trial_blocks(monkeypatch, small_scenario)
     points = [SweepPoint(power=p, theta_max=t) for p in (3.0, 100.0)
               for t in (0.0, 0.69)]
     assert_sweep_equals_cells(small_scenario, ALL_MODES, 10, 4, points,
@@ -238,6 +251,32 @@ def test_3d_sweep_equals_cells():
                                [SweepPoint(theta_max=point.theta_max)], **kwargs)
         assert_same_results(got, want, ALL_MODES, point)
         assert_same_results(got_backward, want, ALL_MODES, point)
+
+
+def test_blocks_are_sized_in_bytes(fig4):
+    # The amplitude maps of a block stay within BLOCK_BYTES: 256 trials at
+    # the fig4 cell, and about 20 at criterion 6's largest size,
+    # (M, n_bar, B_bar, r) = (480, 28, 56, 29), whose G, n_bar and B_bar
+    # are all the block size reads.
+    assert metrics.block_trials(fig4) == 256
+    large = SimpleNamespace(G=4, n_bar=28, b_bar=56)
+    assert 1 <= metrics.block_trials(large) <= 32
+
+
+def test_perfect_csit_sweep_memory(fig4_scenario):
+    # The benchmark's fig4 sweep, 100 trials in one block: it holds no CSIT
+    # noise and no complex copy of the received powers (12.97 MiB when it
+    # did).
+    pre = build_preprocessors(fig4_scenario)
+    points = [SweepPoint(power=10.0 ** (snr / 10.0), chi=chi)
+              for chi in (0.0, 0.1) for snr in (0, 15, 30)]
+    tracemalloc.start()
+    try:
+        run_paired(fig4_scenario, ["BD", "BDS"], 100, 1, points, preprocessors=pre)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10.5 * 2 ** 20
 
 
 def count_preprocessor_builds(monkeypatch):

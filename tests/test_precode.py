@@ -284,3 +284,14 @@ def test_rzf_with_its_gram_is_bit_exact():
         want = rzf_precoder(H, alpha, 8)
         got = rzf_precoder(H, alpha, 8, gram)
         assert np.array_equal(got.P, want.P) and np.array_equal(got.xi_sq, want.xi_sq)
+
+
+@pytest.mark.parametrize("mode", ["BD", "BDS"])
+def test_noise_free_channels_precode_at_perfect_csit(fig4_scenario, fig4_pre, mode):
+    # A channel that holds no CSIT noise serves the per-realization API at
+    # tau = 0 with the precoders of the same channel with its noise.
+    channels = draw_trial(fig4_scenario.with_chi(0.1), RngStream(2, 0))
+    clean = tuple(replace(entry, Z=None) for entry in channels)
+    want = build_all(fig4_scenario, channels, mode, preprocessors=fig4_pre)
+    got = build_all(fig4_scenario, clean, mode, preprocessors=fig4_pre)
+    assert np.array_equal(got.inner, want.inner)
