@@ -10,21 +10,22 @@ anywhere.
 ``asym_sweep`` evaluates a whole sweep on one geometry in one call, the
 counterpart of ``metrics.run_paired(points=)``. The points share the BD
 preprocessors, each group's eigenbasis and the inter-group couplings
-(``_Basis``). Each (scheme, power) is one solve: one fixed-point loop over
-a batch of members, then one stacked solve of all their derivative
-systems. BD's members are every group at every distinct chi of that power;
-BDS's classes do not depend on chi, so its members are the groups and chi
-only scales the cross and inter-group terms. A member's result does not
-depend on the batch it is in. The CSIT quality tau^2 enters only the final
-SINR assembly (``AsymptoticSolution.terms``). ``asym_bd`` and ``asym_bds``
-are one-point sweeps.
+(``_Basis``). Each (scheme, power) is one solve over its distinct chi,
+returning one solution per chi: one fixed-point loop over a batch of
+members, then one stacked solve of all their derivative systems. BD's
+members are every group at every distinct chi; BDS's classes do not depend
+on chi, so its members are the groups and chi only scales the cross and
+inter-group terms, by the slope ``AsymptoticSolution.chi_slope``. A
+member's result does not depend on the batch it is in. The CSIT quality
+tau^2 enters only the final SINR assembly (``AsymptoticSolution.terms``).
+``asym_bd`` and ``asym_bds`` are one-point sweeps.
 
 The fixed point takes Newton steps with the map's analytic Jacobian J
 (``_jacobian``), the same J whose (I - J) the derivative systems solve, so
 near the fixed point it converges quadratically. It stops at
 max(1e-12, 16 eps max|e|): its iterate grows with the power, so at high
 SNR an absolute tolerance would ask for more than the float resolution
-of e.
+of e. It gives up after ``FIXED_POINT_MAX_ITER`` iterations.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ class FixedPointProblem:
     a Hermitian shift S, the (negative) argument z, and the trace normalizer M.
 
     Classes and S are either all matrices or all 1-D: the eigenvalues of
-    matrices that share one eigenbasis."""
+    matrices that share one eigenbasis. Multiplicities are nonnegative
+    reals; a fractional one weighs a class in a mixture."""
 
     covariances: tuple
     multiplicities: tuple
@@ -73,10 +75,14 @@ class FixedPointProblem:
     def __post_init__(self):
         if self.z >= 0.0:
             raise InvalidInputError("z must be negative")
+        if self.M < 1:
+            raise InvalidInputError("M must be at least 1")
         if len(self.covariances) != len(self.multiplicities):
             raise InvalidInputError("one multiplicity per covariance class")
         object.__setattr__(self, "covariances", tuple(np.asarray(R) for R in self.covariances))
-        object.__setattr__(self, "multiplicities", tuple(int(n) for n in self.multiplicities))
+        object.__setattr__(self, "multiplicities", tuple(float(n) for n in self.multiplicities))
+        if any(n < 0.0 for n in self.multiplicities):
+            raise InvalidInputError("multiplicities must be nonnegative")
         forms = {R.ndim for R in self.covariances}
         if self.S is not None:
             forms.add(np.ndim(self.S))
@@ -92,8 +98,7 @@ class FixedPointResult:
     residual: float
 
 
-def solve_fixed_point(problem: FixedPointProblem, tol: float = FIXED_POINT_TOL,
-                      max_iter: int = FIXED_POINT_MAX_ITER) -> FixedPointResult:
+def solve_fixed_point(problem: FixedPointProblem) -> FixedPointResult:
     """Solve e_i = (1/M) tr(R_i T(e)) with T(e) = ((1/M) sum_j n_j R_j/(1+e_j) + S - zI)^-1.
 
     For 1-D (diagonal) classes T is the vector of its eigenvalues. The
@@ -116,7 +121,7 @@ def solve_fixed_point(problem: FixedPointProblem, tol: float = FIXED_POINT_TOL,
         return FixedPointResult(e=np.zeros(0), T=T, iterations=0, residual=0.0)
     e, T, iterations, residual = _fixed_points(
         np.stack(problem.covariances)[None], problem.multiplicities, base,
-        problem.z, problem.M, tol, max_iter)
+        problem.z, problem.M)
     return FixedPointResult(e=e[0], T=T[0], iterations=int(iterations[0]),
                             residual=float(residual[0]))
 
@@ -146,8 +151,7 @@ def _jacobian(classes, T, e, n, M):
     return (n / M) * tr / (M * (1.0 + e[:, None]) ** 2)
 
 
-def _fixed_points(classes, multiplicities, base, z, M, tol=FIXED_POINT_TOL,
-                  max_iter=FIXED_POINT_MAX_ITER):
+def _fixed_points(classes, multiplicities, base, z, M):
     """The fixed points of a batch of members that share the multiplicities,
     the shift ``base`` = S - zI and the trace normalizer M.
 
@@ -157,10 +161,10 @@ def _fixed_points(classes, multiplicities, base, z, M, tol=FIXED_POINT_TOL,
     tr(R_i T(e)), with J its ``_jacobian`` at e; where the Newton iterate
     would leave the positive orthant (or I - J is singular) it takes the
     plain step e_new = f(e). A member stops when its residual max|f(e) - e|
-    falls below max(tol, 16 eps max|f(e)|): the float floor takes over
-    where eps |e| exceeds tol, at high SNR. A stopped member is frozen at
-    (e_new, T(e_new)), so the Newton step taken where the residual met the
-    tolerance leaves an error far below it. Every trace is a row-wise sum
+    falls below max(FIXED_POINT_TOL, 16 eps max|f(e)|): the float floor
+    takes over where eps |e| exceeds the tolerance, at high SNR. A stopped
+    member is frozen at (e_new, T(e_new)), so the Newton step taken where
+    the residual met the tolerance leaves an error far below it. Every trace is a row-wise sum
     and every solve is per member, so a member's result does not depend on
     the batch it is in.
 
@@ -190,7 +194,7 @@ def _fixed_points(classes, multiplicities, base, z, M, tol=FIXED_POINT_TOL,
     residual = np.zeros(members)
     live = np.arange(members)
     e = np.full((members, k), 1.0 / -z)
-    for it in range(1, max_iter + 1):
+    for it in range(1, FIXED_POINT_MAX_ITER + 1):
         T = resolvent(classes, e)
         fe = traces(classes, T) / M
         res = np.abs(fe - e).max(axis=1)
@@ -200,7 +204,7 @@ def _fixed_points(classes, multiplicities, base, z, M, tol=FIXED_POINT_TOL,
         except np.linalg.LinAlgError:
             newton = np.full_like(e, np.nan)
         e_new = np.where(np.all(newton > 0.0, axis=1)[:, None], newton, fe)
-        done = res < np.maximum(tol, _FLOAT_FLOOR * np.abs(fe).max(axis=1))
+        done = res < np.maximum(FIXED_POINT_TOL, _FLOAT_FLOOR * np.abs(fe).max(axis=1))
         if done.any():
             at = live[done]
             e_out[at] = e_new[done]
@@ -213,7 +217,7 @@ def _fixed_points(classes, multiplicities, base, z, M, tol=FIXED_POINT_TOL,
             live, classes, e_new, res = (x[keep] for x in (live, classes, e_new, res))
         e = e_new
     raise NonConvergenceError(
-        f"fixed point not converged after {max_iter} iterations",
+        f"fixed point not converged after {FIXED_POINT_MAX_ITER} iterations",
         residual=float(res.max()))
 
 
@@ -226,13 +230,13 @@ class AsymptoticSolution:
     ``upsilon_intra`` is the raw intra-(sub)group term (to be weighted by the
     own xi^2); ``upsilon_cross`` and ``upsilon_inter`` are already weighted by
     the interfering precoders' xi^2. Nothing else depends on tau^2, so
-    ``replace(sol, tau_sq=t)`` is the solution at t.
+    ``replace(sol, tau_sq=t)`` is the solution at t. For BDS, cross + inter
+    is affine in chi with slope ``chi_slope``; BD's is ``None``.
     """
 
     scheme: str
     tau_sq: float
     power: float
-    n_streams: int
     n_bar: int
     m0: np.ndarray
     m_prime: np.ndarray
@@ -243,7 +247,12 @@ class AsymptoticSolution:
     upsilon_inter: np.ndarray
     iterations: int
     residual: float
-    extras: dict = field(default_factory=dict, repr=False)
+    chi_slope: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def n_streams(self) -> int:
+        """Streams over the cell, G n_bar."""
+        return self.m0.shape[0] * self.n_bar
 
     @property
     def terms(self) -> tuple:
@@ -359,40 +368,27 @@ def asym_sweep(scenario: GroupScenario, points, preprocessors=None) -> list:
     chi are not read. Returns one ``AsymptoticSolution`` per point, equal
     bit for bit to that of its one-point call (``asym_bd``/``asym_bds`` on
     the scenario at the point's power and chi). The points share one
-    ``_Basis``. At each power, every group at every distinct chi of BD is
-    one batched fixed point with one stacked derivative solve, and so are
-    BDS's groups; tau^2 enters only the SINR assembly
+    ``_Basis``. Each distinct (scheme, power) is one solve over its distinct
+    chi (``_bd``/``_bds``): one batched fixed point with one stacked
+    derivative solve. tau^2 enters only the SINR assembly
     (``AsymptoticSolution.terms``). ``preprocessors``, the scenario's
     ``build_preprocessors``, saves a caller that holds them the rebuild.
     """
     points = list(points)
-    unknown = sorted({p.scheme for p in points} - {"BD", "BDS"})
+    unknown = sorted({p.scheme for p in points} - set(_SOLVERS))
     if unknown:
         raise InvalidInputError(f"unknown schemes: {', '.join(unknown)}")
     if preprocessors is None:
         preprocessors = build_preprocessors(scenario)
     basis = _Basis(scenario, preprocessors)
-    bd_chis = {}
+    chis = {}
     for p in points:
-        if p.scheme == "BD":
-            bd_chis.setdefault(p.power, {})[p.chi] = None
+        chis.setdefault((p.scheme, p.power), {})[p.chi] = None
     solved = {}
-    for power, chis in bd_chis.items():
-        for chi, sol in zip(chis, _bd(basis, power, list(chis))):
-            solved["BD", power, chi] = sol
-    for power in dict.fromkeys(p.power for p in points if p.scheme == "BDS"):
-        solved["BDS", power] = _bds(basis, power)
-    out = []
-    for p in points:
-        if p.scheme == "BD":
-            out.append(replace(solved["BD", p.power, p.chi], tau_sq=p.tau_sq))
-        else:
-            sol = solved["BDS", p.power]
-            units = sol.extras
-            out.append(replace(sol, tau_sq=p.tau_sq,
-                               upsilon_cross=p.chi * units["cross_unit"],
-                               upsilon_inter=(1.0 + p.chi) * units["inter_unit"]))
-    return out
+    for (scheme, power), at in chis.items():
+        for chi, sol in zip(at, _SOLVERS[scheme](basis, power, list(at))):
+            solved[scheme, power, chi] = sol
+    return [replace(solved[p.scheme, p.power, p.chi], tau_sq=p.tau_sq) for p in points]
 
 
 def asym_bd(scenario: GroupScenario, tau_sq: float = 0.0) -> AsymptoticSolution:
@@ -423,7 +419,7 @@ def _bd(basis: _Basis, P: float, chis) -> list:
     """
     sc = basis.scenario
     G, n_bar, b_bar, N = sc.G, sc.n_bar, sc.b_bar, sc.n_users
-    alpha = n_bar / (b_bar * P)
+    alpha = sc.with_power(P).alpha
     chis = np.asarray(chis, dtype=float)
     C = len(chis)
     classes = _pol(basis.lam, chis)
@@ -457,15 +453,15 @@ def _bd(basis: _Basis, P: float, chis) -> list:
     iterations = sp.iterations.reshape(C, G).max(axis=1)
     residual = sp.residual.reshape(C, G).max(axis=1)
     return [AsymptoticSolution(
-        scheme="BD", tau_sq=0.0, power=P, n_streams=N, n_bar=n_bar,
+        scheme="BD", tau_sq=0.0, power=P, n_bar=n_bar,
         m0=m0[c], m_prime=m_prime[c], xi_sq=xi_sq[c], psi=psi[c],
         upsilon_intra=ups_intra[c], upsilon_cross=np.zeros((G, 2)),
         upsilon_inter=ups_inter[c], iterations=int(iterations[c]),
         residual=float(residual[c])) for c in range(C)]
 
 
-def _bds(basis: _Basis, P: float) -> AsymptoticSolution:
-    """BDS at power P, chi = 0 and tau^2 = 0.
+def _bds(basis: _Basis, P: float, chis) -> list:
+    """BDS at power P and tau^2 = 0, one solution per chi of ``chis``.
 
     Each co-polarized subgroup has a scalar fixed point on its (B_bar/2)-dim
     effective system; cross-polarized and inter-group interference enter
@@ -473,11 +469,11 @@ def _bds(basis: _Basis, P: float) -> AsymptoticSolution:
     matches the precoder (n_bar / P absolute, i.e. twice alpha per
     dimension), which makes the chi = 0 solution coincide with BD's exactly.
     Both polarizations share every quantity; arrays are (G, 2) throughout.
-    Every group is one member of one ``_Spectral`` batch.
+    Every group is one member of one ``_Spectral`` batch, whatever the chi.
     """
     sc = basis.scenario
     G, n_bar, b_bar, N = sc.G, sc.n_bar, sc.b_bar, sc.n_users
-    alpha = n_bar / (b_bar * P)
+    alpha = sc.with_power(P).alpha
     beta = b_bar // 2
 
     # Member l is perturbed by the identity, by its class and by each other
@@ -500,36 +496,37 @@ def _bds(basis: _Basis, P: float) -> AsymptoticSolution:
     # Interference of subgroup (l, q) onto users of (g, p): the projected
     # covariance is B_lq^H R_gp B_lq = C or D scaled by chi when q != p, so
     # the cross term is chi cross_unit and the inter-group one
-    # (1 + chi) inter_unit (formed in ``asym_sweep``): slope their sum in chi.
+    # (1 + chi) inter_unit: their sum has slope cross_unit + inter_unit.
     cross_unit = xi_sq * (P / N) * (n_bar / b_bar) * mp_gg / u
     inter_unit = np.zeros((G, 2))
     for l in range(G):
         others = [g for g in range(G) if g != l]
         inter_unit[others] += xi_sq[l] * (P / N) * (n_bar / b_bar) * mp[l, 2:, None] / u[l]
 
-    return AsymptoticSolution(
-        scheme="BDS", tau_sq=0.0, power=P, n_streams=N, n_bar=n_bar,
-        m0=m0, m_prime=m_prime, xi_sq=xi_sq, psi=psi,
-        upsilon_intra=ups_intra, upsilon_cross=np.zeros((G, 2)),
-        upsilon_inter=inter_unit,
-        iterations=int(sp.iterations.max()), residual=float(sp.residual.max()),
-        extras={"cross_unit": cross_unit, "inter_unit": inter_unit})
+    chi_slope = cross_unit + inter_unit
+    return [AsymptoticSolution(
+        scheme="BDS", tau_sq=0.0, power=P, n_bar=n_bar, m0=m0, m_prime=m_prime,
+        xi_sq=xi_sq, psi=psi, upsilon_intra=ups_intra, upsilon_cross=chi * cross_unit,
+        upsilon_inter=(1.0 + chi) * inter_unit, iterations=int(sp.iterations.max()),
+        residual=float(sp.residual.max()), chi_slope=chi_slope) for chi in chis]
+
+
+_SOLVERS = {"BD": _bd, "BDS": _bds}
 
 
 def bds_c0(solution_at_zero: AsymptoticSolution) -> float:
     """Interference growth coefficient of the BDS SINR in chi.
 
     The interference terms are affine in chi, so per subgroup the SINR obeys
-    gamma(chi) = gamma(0) / (1 + c chi) exactly with c = (cross_unit +
-    inter_unit) / (1 + intra + cross + inter) at chi = 0, in the
-    normalization of ``terms``; c0 averages c over (g, p). (The compact
-    closed-form coefficient replaces the cross-polarized multiplicity n_bar/2
-    by n_bar/2 - 1 and drops inter-group leakage, which overshoots the decay
+    gamma(chi) = gamma(0) / (1 + c chi) exactly with c = ``chi_slope`` /
+    (1 + intra + cross + inter) at chi = 0, in the normalization of
+    ``terms``; c0 averages c over (g, p). (The compact closed-form
+    coefficient replaces the cross-polarized multiplicity n_bar/2 by
+    n_bar/2 - 1 and drops inter-group leakage, which overshoots the decay
     for small groups; the slope form is exact.)
     """
     _, intra, cross, inter = solution_at_zero.terms
-    units = solution_at_zero.extras
-    c0 = (units["cross_unit"] + units["inter_unit"]) / (1.0 + intra + cross + inter)
+    c0 = solution_at_zero.chi_slope / (1.0 + intra + cross + inter)
     return float(c0.mean())
 
 

@@ -154,7 +154,7 @@ def make_scenario(
     Defaults follow the clustered four-group cell used throughout the
     experiments. When not given, r is the smallest effective rank across
     groups (capped so the null-space constraint stays satisfiable) and
-    b_bar = min(2 n_bar, 2 r) for dual polarization, min(n_bar scaled) else.
+    b_bar = min(2 n_bar, 2 r) for dual polarization, min(n_bar, r) for one.
     """
     if thetas is None:
         thetas = default_theta_grid(G)

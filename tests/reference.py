@@ -200,8 +200,9 @@ DE_REFERENCE_FIELDS = ("gamma", "m0", "m_prime", "xi_sq", "psi", "upsilon_intra"
 
 def write_de_reference(stream):
     """Write the DE reference CSV: one row per cell, group and polarization,
-    every value at 17 significant digits; BDS's chi slope is the sum of its
-    ``cross_unit`` and ``inter_unit``, empty for BD."""
+    every value at 17 significant digits; the ``chi_slope`` column is the
+    solution's ``chi_slope``, the slope in chi of BDS's cross plus
+    inter-group interference, empty for BD."""
     scenario = make_scenario(M=120, G=4, n_bar=8, chi=0.0)
     out = csv.writer(stream, lineterminator="\n")
     out.writerow(("scheme", "snr_db", "chi", "tau_sq", "g", "p", "sum_rate", "iterations")
@@ -209,13 +210,11 @@ def write_de_reference(stream):
     for scheme, snr, chi, tau_sq in DE_REFERENCE_CELLS:
         solver = asym_bd if scheme == "BD" else asym_bds
         sol = solver(scenario.with_chi(chi).with_power_db(snr), tau_sq=tau_sq)
-        slope = (sol.extras["cross_unit"] + sol.extras["inter_unit"]
-                 if scheme == "BDS" else None)
         for g, p in np.ndindex(sol.gamma.shape):
             out.writerow([scheme, f"{snr:g}", chi, tau_sq, g, p, f"{sol.sum_rate:.17g}",
                           sol.iterations]
                          + [f"{getattr(sol, name)[g, p]:.17g}" for name in DE_REFERENCE_FIELDS]
-                         + ["" if slope is None else f"{slope[g, p]:.17g}"])
+                         + ["" if sol.chi_slope is None else f"{sol.chi_slope[g, p]:.17g}"])
 
 
 if __name__ == "__main__":

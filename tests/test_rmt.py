@@ -43,6 +43,22 @@ class TestFixedPoint:
         assert res.residual < 1e-10
         assert res.iterations >= 1
 
+    def test_fractional_multiplicity_is_kept(self):
+        # A class mixture weighs its classes by fractional multiplicities;
+        # truncating 32.5 to 32 would move e by about 1e-2.
+        M, N, alpha = 64, 32.5, 0.4
+        prob = FixedPointProblem(covariances=(np.eye(M),), multiplicities=(N,),
+                                 S=None, z=-alpha, M=M)
+        res = solve_fixed_point(prob)
+        assert res.e[0] == pytest.approx(isotropic_root(N / M, alpha), abs=1e-10)
+
+    @pytest.mark.parametrize("n, M, match", [(-2, 4, "nonnegative"),
+                                             (2, 0, "M must be at least 1")])
+    def test_invalid_multiplicity_or_normalizer_rejected(self, n, M, match):
+        with pytest.raises(InvalidInputError, match=match):
+            FixedPointProblem(covariances=(np.eye(4),), multiplicities=(n,),
+                              S=None, z=-0.4, M=M)
+
     def test_no_users_returns_shift_resolvent(self):
         S = np.diag([1.0, 2.0, 3.0])
         prob = FixedPointProblem(covariances=(), multiplicities=(), S=S,
@@ -149,11 +165,13 @@ class TestFixedPoint:
         assert seen[1][0, 0] == pytest.approx(1.0 / (0.5 / 3.5 + 0.4), rel=1e-14, abs=0.0)
         assert got.e[0] == pytest.approx(want.e[0], rel=1e-13, abs=0.0)
 
-    def test_nonconvergence_carries_residual(self):
+    def test_nonconvergence_carries_residual(self, monkeypatch):
+        monkeypatch.setattr(rmt, "FIXED_POINT_TOL", 1e-14)
+        monkeypatch.setattr(rmt, "FIXED_POINT_MAX_ITER", 2)
         prob = FixedPointProblem(covariances=(np.eye(32),), multiplicities=(16,),
                                  S=None, z=-0.1, M=32)
         with pytest.raises(NonConvergenceError) as err:
-            solve_fixed_point(prob, tol=1e-14, max_iter=2)
+            solve_fixed_point(prob)
         assert err.value.residual is not None and err.value.residual > 0
 
 
@@ -183,10 +201,7 @@ def test_de_matches_pinned_reference(fig4_scenario):
     for (scheme, snr, chi, tau_sq), ref in cells.items():
         solver = asym_bd if scheme == "BD" else asym_bds
         sol = solver(fig4_scenario.with_chi(chi).with_power_db(snr), tau_sq=tau_sq)
-        got = {f: getattr(sol, f) for f in DE_REFERENCE_FIELDS}
-        # BDS's chi slope, pinned as one column, is the sum of its units.
-        got["chi_slope"] = (sol.extras["cross_unit"] + sol.extras["inter_unit"]
-                            if scheme == "BDS" else None)
+        got = {f: getattr(sol, f) for f in DE_REFERENCE_FIELDS + ("chi_slope",)}
         assert len(ref) == sol.gamma.size
         for row in ref:
             where = (scheme, snr, chi, tau_sq, row["g"], row["p"])
@@ -223,7 +238,8 @@ def test_newton_matches_damped_iteration_at_the_float_floor(fig4_scenario, monke
 # ----------------------------------------------------------------------
 
 SWEEP_FIELDS = ("sum_rate", "gamma", "m0", "m_prime", "xi_sq", "psi", "upsilon_intra",
-                "upsilon_cross", "upsilon_inter", "iterations", "residual", "tau_sq")
+                "upsilon_cross", "upsilon_inter", "chi_slope", "iterations", "residual",
+                "tau_sq")
 
 
 def fig4_sweep_cells(scenario):
@@ -249,9 +265,6 @@ def test_sweep_equals_one_point_calls(fig4_scenario):
         assert got.scheme == scheme
         for name in SWEEP_FIELDS:
             assert np.array_equal(getattr(got, name), getattr(want, name)), (where, name)
-        assert got.extras.keys() == want.extras.keys()
-        for name, value in want.extras.items():
-            assert np.array_equal(got.extras[name], value), (where, name)
 
 
 def test_sweep_builds_the_geometry_once(fig4_scenario, monkeypatch):
@@ -413,6 +426,18 @@ class TestBdsAsymptotics:
             g_bds = asym_bds(sc, tau_sq=0.05).gamma
             assert np.abs(g_bds - g_bd).max() / g_bd.min() < 1e-6
 
+    def test_interference_is_affine_in_chi_with_the_published_slope(self, fig6):
+        base = asym_bds(fig6)
+        zero = base.upsilon_cross + base.upsilon_inter
+        for chi in [0.0, 0.3, 1.0]:
+            sol = asym_bds(fig6.with_chi(chi))
+            np.testing.assert_allclose(sol.upsilon_cross + sol.upsilon_inter,
+                                       zero + chi * base.chi_slope, rtol=1e-14, atol=0.0)
+            assert np.array_equal(sol.chi_slope, base.chi_slope)
+
+    def test_bd_has_no_chi_slope(self, fig6):
+        assert asym_bd(fig6).chi_slope is None
+
     def test_polarization_symmetry(self, fig6):
         sol = asym_bds(fig6.with_chi(0.3))
         assert np.abs(sol.gamma[:, 0] - sol.gamma[:, 1]).max() < 1e-12
@@ -458,8 +483,7 @@ class TestChiApproximations:
         u = (1.0 + sol.m0) ** 2
         b0 = sol.xi_sq * sol.upsilon_intra
         denom0 = b0 * (tau_sq * (u - 1.0) + 1.0) / u + 1.0 + sol.upsilon_inter
-        slope = sol.extras["cross_unit"] + sol.extras["inter_unit"]
-        want = float((slope / denom0).mean())
+        want = float((sol.chi_slope / denom0).mean())
         assert bds_c0(sol) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_monotone_decreasing(self, fig6):
