@@ -4,8 +4,9 @@ Usage, from the repository root:
 
     PYTHONPATH=src python docs/ledger.py [--write] [3] [6] [11] [rounding]
 
-Without section names every section runs (about 20 s on two cores:
-section 6 about 4 s, section 11 about 17 s, the others about 1 s each).
+Without section names every section runs (about 9 s on two cores; run
+alone, section 6 takes about 3 s, section 11 about 6 s and the others
+about 1 s each).
 The output is the ledger's measurement block in Markdown; with
 ``--write`` it also replaces the block between the ledger's
 ``<!-- measured -->`` markers. All numbers come from the library at the
@@ -17,13 +18,11 @@ with one preprocessor build per size.
 Section 11 compares four polarization-mismatch models, two choices of the
 channel draw times two choices of the CSIT. The library holds only the
 mended pair (independent inner factor per receive port; CSIT is the
-rotated channel), whose runs go through the engine. The earlier choices
-are rebuilt here and swapped in for the duration of a run. Those runs go
-through the engine's per-realization oracle, ``reference_paired`` in
-``tests/reference.py`` (``draw_trial``, then its own M-row precoders,
-``reference_transmit``, and the M-row channel), which the swapped-in
-functions reach; ``run_paired`` draws and precodes its stacked trials
-without them:
+rotated channel). The earlier choices are rebuilt here as stand-ins for
+the two names the Monte Carlo engine draws through, ``metrics._read_group``
+(a group's draws from its trial stream) and
+``metrics.channel_from_normals`` (its trial-stacked channel), swapped in
+for the duration of a run, so every model runs on the engine:
 
 * coherent draw: one inner factor per user, rotated between the two
   polarization blocks, (cos - sqrt(chi) sin, sin + sqrt(chi) cos) for
@@ -42,7 +41,6 @@ projectors move and how far the sum rates move.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import math
 import os
 import re
@@ -53,6 +51,7 @@ from unittest import mock
 import numpy as np
 
 import dualpol.channel as channel
+import dualpol.metrics as metrics
 from dualpol import cli
 from dualpol.channel import RngStream
 from dualpol.corrstats import SpatialCovariance
@@ -60,23 +59,12 @@ from dualpol.metrics import McSummary, SweepPoint, run_paired
 from dualpol.precode import build_preprocessors
 from dualpol.rmt import DePoint, asym_bd, asym_sweep
 from dualpol.scenario import make_scenario, power_from_db
-from dualpol.scene3d import make_scenario_3d, reduce_to_2d, run_3d_paired
+from dualpol.scene3d import make_scenario_3d, run_3d_paired
 
 SEED = 2024
 DOCS = os.path.dirname(os.path.abspath(__file__))
 LEDGER = os.path.join(DOCS, "LEDGER.md")
-REFERENCE = os.path.join(os.path.dirname(DOCS), "tests", "reference.py")
 BEGIN, END = "<!-- measured -->", "<!-- /measured -->"
-
-
-def _load_reference():
-    spec = importlib.util.spec_from_file_location("dualpol_reference", REFERENCE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-reference_paired = _load_reference().reference_paired
 
 
 # ----------------------------------------------------------------------
@@ -228,59 +216,60 @@ def section_6(out):
 # ----------------------------------------------------------------------
 
 def _coherent_coefficients(chi, G, angles):
-    n2, sq = G.shape[1] // 2, math.sqrt(chi)
+    """The coherent draw's KL coefficients of trial-stacked G (T, 2r, n),
+    at one chi (T,) and angles (T, n) per trial, and their entries' std."""
+    n2, sq = G.shape[-1] // 2, np.sqrt(chi)[:, None]
     c, s = np.cos(angles), np.sin(angles)
-    fac_top = np.concatenate([c[:n2] - sq * s[:n2], sq * c[n2:] - s[n2:]])
-    fac_bot = np.concatenate([s[:n2] + sq * c[:n2], sq * s[n2:] + c[n2:]])
-    w = np.array([fac_top, fac_bot])
+    fac_top = np.concatenate([c[:, :n2] - sq * s[:, :n2], sq * c[:, n2:] - s[:, n2:]], axis=-1)
+    fac_bot = np.concatenate([s[:, :n2] + sq * c[:, :n2], sq * s[:, n2:] + c[:, n2:]], axis=-1)
+    w = np.stack([fac_top, fac_bot], axis=-2)
     return channel._blockwise(G, w), np.abs(w)
 
 
 @dataclass(frozen=True)
 class _AlignedCsit(channel.GroupChannel):
     """A channel whose CSIT ignores the rotation: the estimate is the
-    aligned KL synthesis of the corrupted inner factor ``G``, with ``chi``
-    and the unscaled noise ``W`` of the same draw."""
+    aligned KL coefficients of the corrupted inner factor ``G``, with
+    ``chi`` and the unscaled noise ``W`` of the same draw."""
 
     G: np.ndarray = None
-    chi: float = 0.0
+    chi: np.ndarray = None
     W: np.ndarray = None
 
     def coefficients_hat(self, tau):
-        return channel._kl_coefficients(self.chi, channel.mix_csit(self.G, self.W, tau))[0]
-
-    def h_hat(self, tau):
-        return self._synthesis(self.coefficients_hat(tau))
+        return channel._kl_coefficients(self.chi, channel.mix_csit(self.G, self.W, tau), 2)[0]
 
 
-def _variant_draw(draw, csit):
-    """A stand-in for ``channel._draw`` with the given draw and CSIT model.
+def _patched(draw, csit):
+    """Swap ``metrics._read_group`` and ``metrics.channel_from_normals`` for
+    stand-ins with the given draw and CSIT model, for mismatched draws with
+    CSIT noise; a context manager.
 
-    It reads the stream in the library's order: the normals of G and of
-    the CSIT noise, the angles and, for the independent draw, the
-    orthogonal port's normals.
+    The reader keeps the library's stream order: the normals of G and of
+    the CSIT noise, the angles and, for the independent draw only, the
+    orthogonal port's normals. The builder makes the channel of the draw
+    model and, for aligned CSIT, wraps it in ``_AlignedCsit``.
     """
-    def _draw(stats, chi, n_users, rng, theta_max=None, gain=1.0):
-        gen = rng.generator() if isinstance(rng, RngStream) else rng
-        shape = (2 * stats.effective_rank, n_users)
-        normals = gen.standard_normal((4, *shape))
-        angles = gen.uniform(-theta_max, theta_max, size=n_users)
-        G = channel._complex(normals[0], normals[1])
-        W = channel._complex(normals[2], normals[3])
-        if draw == "coherent":
-            X, X_std = _coherent_coefficients(chi, G, angles)
-            entry = channel.GroupChannel(X=X, Z=channel._blockwise(W, X_std),
-                                         stats=stats, gain=gain,
-                                         mismatch_angles=angles)
+    def read(gen, normals, theta_max=None, scratch=None):
+        if draw == "independent":
+            return channel._read_group(gen, normals, theta_max, scratch)
+        gen.standard_normal(out=normals[:4])
+        return gen.uniform(-theta_max, theta_max, size=normals.shape[-1])
+
+    def build(stats, chi, normals, angles=None, gain=1.0):
+        G = channel._complex(normals[:, 0], normals[:, 1])
+        W = channel._complex(normals[:, 2], normals[:, 3])
+        if draw == "independent":
+            entry = channel.channel_from_normals(stats, chi, normals, angles, gain)
         else:
-            normals = np.concatenate([normals, gen.standard_normal((2, *shape))])
-            entry = channel.channel_from_normals(stats, chi, normals,
-                                                 angles, gain)
+            X, X_std = _coherent_coefficients(chi, G, angles)
+            entry = channel.GroupChannel(X=X, Z=channel._blockwise(W, X_std), stats=stats,
+                                         gain=gain, mismatch_angles=angles)
         if csit == "aligned":
             state = {f.name: getattr(entry, f.name) for f in fields(entry)}
             entry = _AlignedCsit(**state, G=G, chi=chi, W=W)
         return entry
-    return _draw
+    return mock.patch.multiple(metrics, _read_group=read, channel_from_normals=build)
 
 
 VARIANTS = {
@@ -289,10 +278,6 @@ VARIANTS = {
     ("independent", "aligned"): "",
     ("independent", "measured"): "the library model",
 }
-
-
-def _patched(draw, csit):
-    return mock.patch.object(channel, "_draw", _variant_draw(draw, csit))
 
 
 THETA = 0.22 * math.pi
@@ -306,17 +291,6 @@ def _run_3d(seed, *thetas):
     return run_3d_paired(sc3, MODES, TRIALS, seed,
                          [SweepPoint(theta_max=theta) for theta in thetas],
                          tau_sq_dist=(0.0, 1.0), chi_dist=(0.0, 0.5))
-
-
-def _run_3d_per_realization(theta, seed):
-    """``_run_3d`` through the engine's per-realization oracle, region by
-    region on the same streams."""
-    sc3 = make_scenario_3d().with_power_db(25.0)
-    regions = [reference_paired(reduce_to_2d(sc3, l), MODES, TRIALS, seed,
-                                theta_max=theta, chi_dist=(0.0, 0.5),
-                                tau_sq_dist=(0.0, 1.0), stream_base=l * TRIALS)[0]
-               for l in range(sc3.n_regions)]
-    return {m: McSummary(m, sum(r[m] for r in regions)) for m in MODES}
 
 
 def _paired_se(a, b):
@@ -351,14 +325,14 @@ def section_11(out):
                "SWITCH - SWITCH_RAW | 2 paired SE | 11c |")
     out.append("|---|---|---|---|---|---|---|---|---|")
     # theta_max = 0 draws no angles, so the aligned runs are common to all
-    # four models; the library model's tilted run is the engine's.
+    # four models; the library model's tilted run needs no stand-in.
     aligned, library = _run_3d(SEED, 0.0, THETA)
     for (draw, csit), note in VARIANTS.items():
         if (draw, csit) == ("independent", "measured"):
             tilted = library
         else:
             with _patched(draw, csit):
-                tilted = _run_3d_per_realization(THETA, SEED)
+                [tilted] = _run_3d(SEED, THETA)
         label = f"{draw}, {csit}" + (f" ({note})" if note else "")
         out.append(_row(label, SEED, _verdicts(aligned, tilted)))
     for seed in (7, 11, 99):

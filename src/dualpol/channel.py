@@ -97,17 +97,15 @@ class GroupChannel:
         return self.X.shape[-1]
 
     @property
-    def dual_pol(self) -> bool:
-        """Whether X has a row block per polarization."""
-        return self.X.shape[-2] == 2 * self.stats.effective_rank
+    def pols(self) -> int:
+        """The row blocks of X: 2 for a dual-polarized array, 1 for a single."""
+        return self.X.shape[-2] // self.stats.effective_rank
 
     def _synthesis(self, X) -> np.ndarray:
         """The channel with KL coefficients X in this group's basis."""
         A = self.gain * self.stats.factor()
-        if not self.dual_pol:
-            return A @ X
-        r = A.shape[1]
-        return np.concatenate([A @ X[..., :r, :], A @ X[..., r:, :]], axis=-2)
+        lead, n = X.shape[:-2], X.shape[-1]
+        return (A @ X.reshape(*lead, self.pols, -1, n)).reshape(*lead, -1, n)
 
     @cached_property
     def H(self) -> np.ndarray:
@@ -137,26 +135,28 @@ class GroupChannel:
 
 
 def _blockwise(M, w):
-    """Scale the rows of each polarization block of M (..., 2r, n) by the
-    matching row of w (..., 2, n)."""
-    blocks = M.reshape(*M.shape[:-2], 2, -1, M.shape[-1])
+    """Scale the rows of each polarization block of M (..., pols r, n) by
+    the matching row of w (..., pols, n)."""
+    blocks = M.reshape(*M.shape[:-2], w.shape[-2], -1, M.shape[-1])
     return (blocks * w[..., None, :]).reshape(M.shape)
 
 
-def _kl_coefficients(chi, G, angles=None, G_cross=None):
-    """KL coefficients X of a dual-polarized group and their entries' std.
+def _kl_coefficients(chi, G, pols, angles=None, G_cross=None):
+    """KL coefficients X of a group with ``pols`` row blocks and their
+    entries' std.
 
-    A user's own receive port weighs its inner factor ``G`` by 1 on its
-    co-polarized block and sqrt(chi) on the other. An antenna turned by
-    theta adds the orthogonal port, with its own inner factor ``G_cross``
-    and the mirrored weights: the antenna responds with (cos, sin) to the
-    (vertical, horizontal) ports for vertical users and (-sin, cos) for
-    horizontal ones. The terms are independent, so the standard deviation
-    of an entry is the root sum of squares of its two weights. The std is
-    returned per block, shape (..., 2, n).
+    User k is co-polar to block k pols // n. A user's own receive port
+    weighs its inner factor ``G`` by 1 on its co-polarized block and
+    sqrt(chi) on the other; with one block every weight is 1, so X = G.
+    An antenna turned by theta adds the orthogonal port, with its own inner
+    factor ``G_cross`` and the mirrored weights: the antenna responds with
+    (cos, sin) to the (vertical, horizontal) ports for vertical users and
+    (-sin, cos) for horizontal ones. The terms are independent, so the
+    standard deviation of an entry is the root sum of squares of its two
+    weights. The std is returned per block, shape (..., pols, n).
     """
     n = G.shape[-1]
-    copolar = np.arange(2)[:, None] == (np.arange(n) >= n // 2)
+    copolar = np.arange(pols)[:, None] == np.arange(n) * pols // n
     own = np.where(copolar, 1.0, np.sqrt(chi)[..., None, None])
     if angles is None:
         return _blockwise(G, own), own
@@ -214,23 +214,23 @@ def channel_from_normals(stats: SpatialCovariance, chi, normals: np.ndarray,
     factor: k = 4, or 6 when mismatched. Without the noise's two parts
     (k = 2, or 4 when mismatched) the channel holds no noise (``Z`` is
     None) and has perfect CSIT only. Leading axes stack trials, and
-    ``chi`` and ``angles`` then carry one entry per trial. Twice the
-    effective rank of rows make a dual-polarized channel; one rank's worth,
-    a single-polarized one, which has X = G and ignores ``chi``.
+    ``chi`` and ``angles`` then carry one entry per trial. The rows hold
+    one block of the effective rank per polarization: two for a
+    dual-polarized channel, one for a single-polarized one, whose weights
+    are all 1 (X = G, whatever ``chi``).
     """
+    if not np.all((0.0 <= chi) & (chi <= 1.0)):
+        raise InvalidInputError("chi must lie in [0, 1]")
     k = normals.shape[-3]
     G = _complex(normals[..., 0, :, :], normals[..., 1, :, :])
     Z = None
     if k == (4 if angles is None else 6):
         Z = _complex(normals[..., 2, :, :], normals[..., 3, :, :])
-    if normals.shape[-2] != 2 * stats.effective_rank:
-        return GroupChannel(X=G, Z=Z, stats=stats, gain=gain)
-    if not np.all((0.0 <= chi) & (chi <= 1.0)):
-        raise InvalidInputError("chi must lie in [0, 1]")
     G_cross = None
     if angles is not None:
         G_cross = _complex(normals[..., k - 2, :, :], normals[..., k - 1, :, :])
-    X, std = _kl_coefficients(chi, G, angles, G_cross)
+    X, std = _kl_coefficients(chi, G, normals.shape[-2] // stats.effective_rank,
+                              angles, G_cross)
     return GroupChannel(X=X, Z=None if Z is None else _blockwise(Z, std), stats=stats,
                         gain=gain, mismatch_angles=angles)
 

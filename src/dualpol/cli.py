@@ -133,6 +133,8 @@ def _resolve(config: dict) -> dict:
     for axis in ("chi", "tau_sq"):
         dist = cfg[f"{axis}_dist"] = _parse_dist(cfg[f"{axis}_dist"])
         _check_range(axis, dist or (), *KEYS[axis].range)
+        if dist and axis in config:
+            raise InvalidConfigurationError(f"{axis}_dist draws {axis} per trial; remove {axis}")
     cfg["schemes"] = [str(s) for s in cfg["schemes"] if str(s).strip()]
     unknown = [s for s in cfg["schemes"] if s not in MC_MODES + ASYM_SCHEMES]
     if unknown:

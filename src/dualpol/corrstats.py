@@ -146,18 +146,19 @@ def eigendecompose(matrix):
     return eigvecs, eigvals, effective_rank
 
 
-def _one_ring_kernel(displacements, theta, delta, tol=QUADRATURE_TOL):
+def _one_ring_kernel(displacements, theta, delta):
     """Average of exp(-j pi sin(a+theta) d) over a ~ U[-delta, delta].
 
     ``displacements`` holds the distances d along the array axis, in
     wavelengths. Vectorized adaptive composite Simpson over all of them at
     once; panel count doubles until the worst entry moves by less than
-    `tol`. Each level evaluates exp((-j pi) (sin(a + theta) d)) at its new
-    odd nodes only: the level's array takes the previous level's values on
-    its even nodes, where they sit exactly, and its odd columns are written
-    in place, in blocks of about ``_BLOCK_BYTES``. The operations and their
-    order are those of evaluating every level afresh, so the result is bit
-    for bit the same, and the working memory is the last two levels.
+    ``QUADRATURE_TOL``. Each level evaluates
+    exp((-j pi) (sin(a + theta) d)) at its new odd nodes only: the level's
+    array takes the previous level's values on its even nodes, where they
+    sit exactly, and its odd columns are written in place, in blocks of
+    about ``_BLOCK_BYTES``. The operations and their order are those of
+    evaluating every level afresh, so the result is bit for bit the same,
+    and the working memory is the last two levels.
     """
     d = np.asarray(displacements)[:, None]
     phase = -1j * np.pi
@@ -186,7 +187,7 @@ def _one_ring_kernel(displacements, theta, delta, tol=QUADRATURE_TOL):
             np.exp(phase * (sin_odd[None, lo:hi] * d), out=f[:, 2 * lo + 1:2 * hi:2])
         cur = simpson(f, n)
         err = np.abs(cur - prev).max()
-        if err < tol:
+        if err < QUADRATURE_TOL:
             return cur
         prev = cur
     raise NumericalError("one-ring quadrature did not converge", residual=float(err))

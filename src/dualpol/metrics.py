@@ -165,7 +165,7 @@ def _realization_report(channels, precoders, power, mode):
         raise InvalidInputError(f"sinr_{mode.lower()} needs {mode}-mode precoders")
     _, D = kl_projections(precoders.preprocessors, [entry.stats for entry in channels],
                           [entry.gain for entry in channels])
-    maps = _amplitude_maps(D, _one_trial(channels), 2 if channels[0].dual_pol else 1)
+    maps = _amplitude_maps(D, _one_trial(channels))
     return _report(maps[0], precoders.inner, power, mode == "BDS")
 
 
@@ -273,8 +273,7 @@ def _draw_block(scenario, seed, streams, chi_dist, tau_sq_dist, thetas, noise):
     are still read, into one scratch array, but not kept.
     """
     T, n = len(streams), scenario.n_bar
-    pols = 2 if scenario.dual_pol else 1
-    rows = [pols * cov.effective_rank for cov in scenario.covariances]
+    rows = [scenario.pols * cov.effective_rank for cov in scenario.covariances]
     gens = [RngStream(seed, stream).generator() for stream in streams]
     chi = np.array([gen.uniform(*chi_dist) for gen in gens]) if chi_dist else None
     tau_sq = np.array([gen.uniform(*tau_sq_dist) for gen in gens]) if tau_sq_dist else None
@@ -295,15 +294,18 @@ def _draw_block(scenario, seed, streams, chi_dist, tau_sq_dist, thetas, noise):
         yield chi, tau_sq, normals, angles
 
 
-def _amplitude_maps(D, channels, pols):
+def _amplitude_maps(D, channels):
     """X_g^H blockdiag(D_gl, D_gl) of every pair of groups (l, g), stacked
-    as (T, G_l, G_g n, B_bar): row block g holds group g's users.
+    as (T, G_l, G_g n, B_bar): row block g holds group g's users. A
+    single-polarized array's X has one row block, and the block diagonal
+    one D_gl (``GroupChannel.pols``).
 
     Right-multiplied by the inner precoders (``stacked_precoders``) it gives
     the amplitudes of every group's streams at every user.
     """
     G = len(D)
     T, _, n = channels[0].X.shape
+    pols = channels[0].pols
     maps = np.empty((T, G, G, n, pols, D[0].shape[1] // G), dtype=complex)
     for g, (D_g, entry) in enumerate(zip(D, channels)):
         X = entry.X
@@ -392,7 +394,7 @@ def _chi_rows(scenario, C, D, modes, chi, draws, theta_max, points, scenarios,
     channels = [channel_from_normals(cov, chi, normals_g, angles_g, gain)
                 for cov, normals_g, angles_g, gain in zip(
                     scenario.covariances, normals, angles, scenario.gains)]
-    maps = _amplitude_maps(D, channels, 2 if scenario.dual_pol else 1)
+    maps = _amplitude_maps(D, channels)
     chi_used = {"SWITCH": chi, "SWITCH_RAW": chi}
     if theta_max > 0.0 and "SWITCH" in modes:
         chi_used["SWITCH"] = mismatch_effective_stats(chi, theta_max).chi_eff

@@ -38,19 +38,18 @@ _NULLSPACE_TOL = 1e-10
 class Preprocessor:
     """Outer matrix of one group.
 
-    ``B_s`` is the per-polarization block (M/2 x B_bar/2); the BD matrix is
-    I_2 (x) B_s and the BDS pair stacks B_s over a zero block. Single-pol
-    scenarios store the full matrix in ``B_s`` directly.
+    ``B_s`` is the per-polarization block (M/pols x B_bar/pols) of an
+    array with ``pols`` polarizations; the BD matrix is I_pols (x) B_s (B_s
+    itself for a single-polarized array) and the BDS pair stacks B_s over
+    a zero block.
     """
 
     B_s: np.ndarray
-    dual_pol: bool = True
+    pols: int = 2
 
     @property
     def bd(self) -> np.ndarray:
-        if not self.dual_pol:
-            return self.B_s
-        return np.kron(np.eye(2), self.B_s)
+        return np.kron(np.eye(self.pols), self.B_s)
 
     @property
     def bds_v(self) -> np.ndarray:
@@ -106,33 +105,31 @@ def null_space_modes(R: np.ndarray, others, n_cols: int) -> np.ndarray:
 
 
 def bd_preprocessor(all_stats, g: int, r: int, b_bar: int,
-                    dual_pol: bool = True) -> Preprocessor:
-    """Block-diagonalization preprocessor of group ``g``.
+                    pols: int = 2) -> Preprocessor:
+    """Block-diagonalization preprocessor of group ``g`` on an array with
+    ``pols`` polarizations.
 
-    The top B_bar/2 eigenmodes (B_bar for single polarization) of R_g
-    compressed into the null space of the other groups' top-r
-    eigenvectors (``null_space_modes``).
+    The top B_bar/pols eigenmodes of R_g compressed into the null space of
+    the other groups' top-r eigenvectors (``null_space_modes``).
     """
-    n_cols = b_bar // 2 if dual_pol else b_bar
+    n_cols = b_bar // pols
     G = len(all_stats)
     stats = all_stats[g]
     room = stats.dim - (G - 1) * r
     if n_cols > room:
         raise InvalidConfigurationError(
-            f"violated b_bar <= {'2' if dual_pol else '1'}*(array - (G-1) r): "
+            f"violated b_bar <= {pols}*(array - (G-1) r): "
             f"{n_cols} columns > {room} free dimensions"
         )
     if r > min(s.effective_rank for s in all_stats):
         raise InvalidConfigurationError("violated r <= min effective rank")
     others = [all_stats[l].dominant_eigvecs(r) for l in range(G) if l != g]
-    return Preprocessor(B_s=null_space_modes(stats.matrix, others, n_cols),
-                        dual_pol=dual_pol)
+    return Preprocessor(B_s=null_space_modes(stats.matrix, others, n_cols), pols=pols)
 
 
 def build_preprocessors(scenario: GroupScenario) -> tuple:
     return tuple(
-        bd_preprocessor(scenario.covariances, g, scenario.r, scenario.b_bar,
-                        scenario.dual_pol)
+        bd_preprocessor(scenario.covariances, g, scenario.r, scenario.b_bar, scenario.pols)
         for g in range(scenario.G)
     )
 
@@ -243,8 +240,7 @@ def csit_view(scenario: GroupScenario, C, channels, mode: str, tau) -> CsitView:
         raise InvalidInputError(f"unknown precoding mode {mode!r}")
     if mode == "BDS" and not scenario.dual_pol:
         raise InvalidInputError("BDS requires a dual-polarized scenario")
-    n_bar = scenario.n_bar
-    pols = 2 if scenario.dual_pol else 1
+    n_bar, pols = scenario.n_bar, scenario.pols
     H = []
     for C_g, entry in zip(C, channels):
         if mode == "BD":

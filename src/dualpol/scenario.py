@@ -65,6 +65,11 @@ class GroupScenario:
         return self.G * self.n_bar
 
     @property
+    def pols(self) -> int:
+        """Polarizations of the array: 2 dual-polarized, 1 single."""
+        return 2 if self.dual_pol else 1
+
+    @property
     def alpha(self) -> float:
         """RZF regularization N_bar / (B_bar P), the MMSE-consistent choice."""
         return self.n_bar / (self.b_bar * self.power)
@@ -72,15 +77,15 @@ class GroupScenario:
     def validate(self):
         if not self.covariances:
             raise InvalidConfigurationError("a scenario needs at least one group")
-        half = self.M // 2 if self.dual_pol else self.M
+        half = self.M // self.pols
         for cov in self.covariances:
             if cov.dim != half:
                 raise InvalidConfigurationError(
                     f"covariance dimension {cov.dim} does not match array size {half}"
                 )
-        if self.dual_pol and self.M % 2 != 0:
+        if self.M % self.pols != 0:
             raise InvalidConfigurationError("dual-polarized M must be even")
-        if self.n_bar % 2 != 0 and self.dual_pol:
+        if self.n_bar % self.pols != 0:
             raise InvalidConfigurationError("n_bar must be even (half per polarization)")
         if self.r < 1:
             raise InvalidConfigurationError("r must be at least 1")
@@ -89,15 +94,14 @@ class GroupScenario:
             raise InvalidConfigurationError(
                 f"r={self.r} exceeds the smallest effective rank {min_rank}"
             )
-        pol_factor = 2 if self.dual_pol else 1
-        room = pol_factor * (half - (self.G - 1) * self.r)
+        room = self.pols * (half - (self.G - 1) * self.r)
         if not self.n_bar <= self.b_bar:
             raise InvalidConfigurationError(
                 f"violated n_bar <= b_bar: {self.n_bar} > {self.b_bar}"
             )
         if not self.b_bar <= room:
             raise InvalidConfigurationError(
-                f"violated b_bar <= {pol_factor}*(M/{pol_factor} - (G-1) r) = {room}"
+                f"violated b_bar <= {self.pols}*(M/{self.pols} - (G-1) r) = {room}"
             )
         # Single-polarized baselines (the equal-aperture quarter-wavelength
         # array) intentionally run with b_bar above the covariance rank.
@@ -158,12 +162,12 @@ def make_scenario(
     """
     if thetas is None:
         thetas = default_theta_grid(G)
-    n_positions = M // 2 if dual_pol else M
+    pols = 2 if dual_pol else 1
     covs = tuple(
-        one_ring_covariance(GroupGeometry(theta, spread), n_positions, spacing)
+        one_ring_covariance(GroupGeometry(theta, spread), M // pols, spacing)
         for theta in thetas
     )
-    b_bar, r = _default_dims(covs, n_bar, 2 if dual_pol else 1, b_bar, r)
+    b_bar, r = _default_dims(covs, n_bar, pols, b_bar, r)
     return GroupScenario(
         M=M, n_bar=n_bar, b_bar=b_bar, r=r, covariances=covs, chi=chi,
         power=power, dual_pol=dual_pol, scenario_id=scenario_id,

@@ -9,9 +9,8 @@ signal, intra, cross and inter powers over the M-row channel
 (``reference_report``), group by group (``decompose_per_group``). It forms
 H and shares neither the engine's KL projections, its batched RZF nor its
 stacked decomposition, ``metrics._decompose``.
-``test_engine.py`` imports it, and ``docs/ledger.py`` loads this file by
-path for criterion 11; the name has no ``test_`` prefix, so pytest does not
-collect it.
+``test_engine.py`` imports it; the name has no ``test_`` prefix, so pytest
+does not collect it.
 
 The deterministic equivalents have an oracle too: ``damped_fixed_points``
 solves the resolvent fixed point by the damped plain iteration, run to the

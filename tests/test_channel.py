@@ -201,7 +201,7 @@ def test_mismatched_csit_keeps_tau_meaning(stats):
 def test_single_pol_draw(stats):
     entry = draw_single_pol_channel(stats, 4, RngStream(3, 0))
     assert entry.H.shape == (stats.dim, 4)
-    assert not entry.dual_pol
+    assert entry.pols == 1
 
 
 def corrupted(G, tau, stream):

@@ -320,6 +320,11 @@ class TestMain:
         ("n_bits = 20\ntau_sq = 0.7", "tau_sq"),
         ("schemes = ASYM_BD\nn_bits = 20\ntau_sq = 0.9, 0.1", "tau_sq"),
         ("n_bits = 20\ntau_sq_dist = uniform:0:1", "tau_sq_dist"),
+        # A distribution draws chi or tau^2 per trial; the fixed value was
+        # ignored.
+        ("chi = 0.3\nchi_dist = uniform:0:0.5", "chi"),
+        ("chi = 0.3, 0.6\nchi_dist = uniform:0:0.5\ngrid = true", "chi"),
+        ("tau_sq = 0.5\ntau_sq_dist = uniform:0:1", "tau_sq"),
     ])
     def test_ignored_draws_exit_two_before_header(self, tmp_path, capsys, lines, key):
         cfg = tmp_path / "c.cfg"

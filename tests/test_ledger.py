@@ -1,9 +1,10 @@
-"""``docs/ledger.py`` measures criterion 11 through the engine's oracle,
-and criterion 6 through the terms of the engine and of the DE.
+"""``docs/ledger.py`` measures criterion 11's four mismatch models on the
+Monte Carlo engine, and criterion 6 through the terms of the engine and of
+the DE.
 
-The ledger loads ``tests/reference.py`` by path; these checks load the
-ledger the same way and catch a break in that import, or a ledger that
-grows a per-trial loop of its own again.
+These checks load the ledger by path, as it is run, and catch stand-ins
+that no longer reach the engine, or a ledger that grows a per-trial loop
+of its own again.
 """
 
 import importlib.util
@@ -11,13 +12,13 @@ import pathlib
 import sys
 
 import numpy as np
+import pytest
 
 import dualpol.metrics as metrics
 import dualpol.rmt as rmt
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 LEDGER = ROOT / "docs" / "ledger.py"
-REFERENCE = ROOT / "tests" / "reference.py"
 
 
 def _load_ledger(monkeypatch):
@@ -29,26 +30,34 @@ def _load_ledger(monkeypatch):
     return module
 
 
-def test_criterion_11_oracle_is_reference_paired(monkeypatch):
+def _tilted_runs(monkeypatch, model):
+    """Section 11's tilted run at 2 trials and seed 5, on the library
+    model and under ``model``'s stand-ins."""
     ledger = _load_ledger(monkeypatch)
-    oracle = ledger.reference_paired
-    assert pathlib.Path(oracle.__code__.co_filename).resolve() == REFERENCE
-    assert oracle.__name__ == "reference_paired"
-
-    stream_bases = []
-
-    def spy(*args, **kwargs):
-        stream_bases.append(kwargs["stream_base"])
-        return oracle(*args, **kwargs)
-
-    monkeypatch.setattr(ledger, "reference_paired", spy)
     monkeypatch.setattr(ledger, "TRIALS", 2)
-    got = ledger._run_3d_per_realization(ledger.THETA, 5)
-    [want] = ledger._run_3d(5, ledger.THETA)
-    assert stream_bases == [0, 2, 4]
-    for mode in ledger.MODES:
-        np.testing.assert_allclose(got[mode].trial_sum_rates,
-                                   want[mode].trial_sum_rates, rtol=1e-12, atol=0.0)
+    [library] = ledger._run_3d(5, ledger.THETA)
+    with ledger._patched(*model):
+        [patched] = ledger._run_3d(5, ledger.THETA)
+    return ledger.MODES, library, patched
+
+
+def test_criterion_11_library_stand_ins_change_nothing(monkeypatch):
+    """The library model's stand-ins leave the engine's run unchanged bit
+    for bit, so the other models differ from it by their draw and CSIT
+    alone."""
+    modes, want, got = _tilted_runs(monkeypatch, ("independent", "measured"))
+    for mode in modes:
+        for name in ("trial_sum_rates", "trial_terms", "trial_picks"):
+            np.testing.assert_array_equal(getattr(got[mode], name),
+                                          getattr(want[mode], name), err_msg=name)
+
+
+@pytest.mark.parametrize("model", [("coherent", "aligned"), ("coherent", "measured"),
+                                   ("independent", "aligned")], ids="-".join)
+def test_criterion_11_other_models_reach_the_engine(monkeypatch, model):
+    modes, want, got = _tilted_runs(monkeypatch, model)
+    for mode in modes:
+        assert not np.array_equal(got[mode].trial_sum_rates, want[mode].trial_sum_rates), mode
 
 
 def test_criterion_6_terms_come_from_run_paired(monkeypatch):
