@@ -14,7 +14,7 @@ levels double the panel count. Each level evaluates the integrand only at
 its new odd nodes, written in place into the level's array in cache-sized
 column blocks, next to the previous level's values on its even nodes. The
 result is bit for bit that of evaluating every level afresh, and the
-working memory is the last two levels.
+working memory is the last two levels, bounded by ``_MAX_BYTES``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,11 @@ RANK_TOL = 1e-6
 #: Absolute per-entry tolerance of the covariance quadrature.
 QUADRATURE_TOL = 1e-10
 
-_MAX_PANELS = 1 << 20
+#: Bytes the quadrature's two live levels may take; a rule that would need
+#: more raises ``NumericalError`` before allocating its next level. At 15
+#: degrees and half-wavelength spacing the ledger's M = 480 cell (239 lags)
+#: peaks at 89.7 MiB, and 499 lags, a dual-polarized M = 1000, at 374 MiB.
+_MAX_BYTES = 1 << 29
 
 #: Bytes of integrand values a quadrature level evaluates at a time: a
 #: block small enough to stay in cache between its product, exp and store.
@@ -152,7 +156,8 @@ def _one_ring_kernel(displacements, theta, delta):
     ``displacements`` holds the distances d along the array axis, in
     wavelengths. Vectorized adaptive composite Simpson over all of them at
     once; panel count doubles until the worst entry moves by less than
-    ``QUADRATURE_TOL``. Each level evaluates
+    ``QUADRATURE_TOL``, or raises ``NumericalError`` when the next level
+    and the one before it would exceed ``_MAX_BYTES``. Each level evaluates
     exp((-j pi) (sin(a + theta) d)) at its new odd nodes only: the level's
     array takes the previous level's values on its even nodes, where they
     sit exactly, and its odd columns are written in place, in blocks of
@@ -175,9 +180,14 @@ def _one_ring_kernel(displacements, theta, delta):
     n = 8
     alpha = np.linspace(-delta, delta, 2 * n + 1)
     f = np.exp(phase * (np.sin(alpha + theta)[None, :] * d))
-    prev = simpson(f, n)
-    while n <= _MAX_PANELS:
+    prev, err = simpson(f, n), None
+    while True:
         n *= 2
+        if f.nbytes + 16 * d.shape[0] * (2 * n + 1) > _MAX_BYTES:
+            raise NumericalError(
+                f"one-ring quadrature did not converge in {n // 2} panels on "
+                f"{d.shape[0]} lags; more would exceed {_MAX_BYTES >> 20} MiB",
+                residual=err)
         sin_odd = np.sin(np.linspace(-delta, delta, 2 * n + 1)[1::2] + theta)
         finer = np.empty((d.shape[0], 2 * n + 1), dtype=complex)
         finer[:, ::2] = f
@@ -190,7 +200,6 @@ def _one_ring_kernel(displacements, theta, delta):
         if err < QUADRATURE_TOL:
             return cur
         prev = cur
-    raise NumericalError("one-ring quadrature did not converge", residual=float(err))
 
 
 def one_ring_covariance(

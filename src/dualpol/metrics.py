@@ -64,7 +64,7 @@ MC_MODES = ("BD", "BDS", "SWITCH", "SWITCH_RAW")
 BLOCK_BYTES = 8 << 20
 
 #: Trial chunks in which ``_report`` forms the received powers.
-_POWER_CHUNKS = 4
+_POWER_CHUNKS = 8
 
 
 def block_trials(scenario: GroupScenario) -> int:
@@ -173,15 +173,23 @@ def _decompose(powers, split_cross):
     """SINR decomposition from received powers.
 
     ``powers[..., l, g, k, j]`` is the power user k of group g receives from
-    stream j of group l; leading axes stack trials. A user's inter-group
-    term adds the other groups' powers in ascending order of l.
+    stream j of group l; leading axes stack trials.
     """
-    G, n = powers.shape[-4], powers.shape[-1]
+    groups = np.arange(powers.shape[-4])
+    return _combine(powers[..., groups, groups, :, :], powers.sum(axis=-1), split_cross)
+
+
+def _combine(own, received, split_cross):
+    """``_decompose`` from its two reductions of the powers:
+    ``own[..., g, k, j]``, group g's power from its own streams, and
+    ``received[..., l, g, k]``, the sum over j, which this overwrites. A
+    user's inter-group term adds the other groups' powers in ascending
+    order of l.
+    """
+    G, n = own.shape[-3], own.shape[-1]
     groups = np.arange(G)
-    lead = powers.shape[:-4]
-    own = powers[..., groups, groups, :, :]
+    lead = own.shape[:-3]
     diag = np.diagonal(own, axis1=-2, axis2=-1)
-    received = powers.sum(axis=-1)
     if split_cross:
         n2 = n // 2
         same_block = np.concatenate([own[..., :n2, :n2].sum(axis=-1),
@@ -324,42 +332,47 @@ def _report(maps, P, power, split_cross):
     """The ``SinrReport`` of inner precoders P (..., G, B_bar, n_bar) seen
     through ``_amplitude_maps``, each stream at an equal share of ``power``.
 
-    The powers |maps @ P|^2 power / (G n_bar) are formed in trial chunks
-    into one real array, in place, so no complex product of every trial is
-    held.
+    The powers |maps @ P|^2 power / (G n_bar) are formed in place one trial
+    chunk at a time, and each chunk is reduced to the two arrays
+    ``_combine`` reads, so neither a complex product nor the received
+    powers of every trial are held.
     """
     *lead, G, B, n = P.shape
     maps = maps.reshape(-1, *maps.shape[-3:])
     P = P.reshape(-1, G, B, n)
-    powers = np.empty((len(P), G, maps.shape[-2], n))
+    k = maps.shape[-2] // G
+    groups = np.arange(G)
+    own = np.empty((len(P), G, k, n))
+    received = np.empty((len(P), G, G, k))
     step = -(-len(P) // _POWER_CHUNKS)
     for first in range(0, len(P), step):
-        chunk = powers[first:first + step]
-        np.abs(maps[first:first + step] @ P[first:first + step], out=chunk)
-        np.square(chunk, out=chunk)
-        chunk *= power / (G * n)
-    return _decompose(powers.reshape(*lead, G, G, -1, n), split_cross)
+        chunk = slice(first, first + step)
+        powers = np.abs(maps[chunk] @ P[chunk]).reshape(-1, G, G, k, n)
+        np.square(powers, out=powers)
+        powers *= power / (G * n)
+        own[chunk] = powers[:, groups, groups]
+        powers.sum(axis=-1, out=received[chunk])
+    return _combine(own.reshape(*lead, G, k, n), received.reshape(*lead, G, G, k),
+                    split_cross)
 
 
-def _point_rows(scenario, maps, view, modes, point, tau_sq, chi_used, scale):
-    """Per-trial rows of every mode at one sweep point, (T, 6): the sum
-    rate, the four ``SinrReport.terms`` and 1 where BDS evaluates the trial.
-
-    ``scenario`` is at the point's power and ``tau_sq`` holds the drawn
-    per-trial tau^2, or None. The switching schemes pick BDS where their
-    chi (``chi_used``) is at most ``scale`` tau_BD^2. Each of BD and BDS is
-    evaluated on the whole block when some mode picks it on some trial,
-    on the ``precode.CsitView`` that ``view(scheme, tau)`` returns.
-    """
-    T = maps.shape[0]
+def _csit_tau(scenario, point, tau_sq, scheme, T):
+    """A scheme's per-trial CSIT quality tau at a sweep point, (T,);
+    ``tau_sq`` holds the drawn per-trial tau^2, or None."""
     if tau_sq is None:
         tau_sq = np.full(T, float(point.tau_sq))
+    return np.sqrt(np.broadcast_to(
+        csit_tau_sq(tau_sq, point.n_bits, scenario.r, scheme), (T,)))
 
-    def tau(scheme):
-        return np.sqrt(np.broadcast_to(
-            csit_tau_sq(tau_sq, point.n_bits, scenario.r, scheme), (T,)))
 
-    tau_bd = tau("BD")
+def _point_picks(scenario, modes, point, tau_sq, chi_used, scale, T):
+    """BD's per-trial tau at one sweep point, and where each mode
+    evaluates BDS: one boolean (T,) array per mode.
+
+    ``scenario`` is at the point's power. The switching schemes pick BDS
+    where their chi (``chi_used``) is at most ``scale`` tau_BD^2.
+    """
+    tau_bd = _csit_tau(scenario, point, tau_sq, "BD", T)
     uses_bds = {}
     for mode in modes:
         if mode in ("BD", "BDS"):
@@ -369,46 +382,54 @@ def _point_rows(scenario, maps, view, modes, point, tau_sq, chi_used, scale):
             # infinite (one user per subgroup): the finite rule's limit.
             uses_bds[mode] = chi_used[mode] <= np.multiply(
                 scale, tau_bd ** 2, out=np.zeros(T), where=tau_bd > 0.0)
-    picks = np.array(list(uses_bds.values()))
-    rows = {"BD": np.nan, "BDS": np.nan}
-    for scheme, needed in (("BD", not picks.all()), ("BDS", picks.any())):
-        if needed:
-            rep = _stacked_report(scenario, maps, view(
-                scheme, tau_bd if scheme == "BD" else tau("BDS")))
-            rows[scheme] = np.column_stack([rep.sum_rate, rep.terms])
-    return {m: np.column_stack([np.where(uses_bds[m][:, None], rows["BDS"], rows["BD"]),
-                                uses_bds[m]]) for m in modes}
+    return tau_bd, uses_bds
 
 
 def _summary(mode, rows):
-    """The ``McSummary`` of a mode's (n_trials, 6) ``_point_rows``."""
+    """The ``McSummary`` of a mode's (n_trials, 6) ``_chi_rows``."""
     picks = rows[:, 5] if mode.startswith("SWITCH") else None
     return McSummary(mode, np.ascontiguousarray(rows[:, 0]), rows[:, 1:5], picks)
 
 
 def _chi_rows(scenario, C, D, modes, chi, draws, theta_max, points, scenarios,
               scales):
-    """``_point_rows`` of the points that share one chi's channels, built
-    from a trial block's ``draws`` (tau^2, normals, angles)."""
+    """Per-trial rows of every mode at each of the points that share one
+    chi's channels, built from a trial block's ``draws`` (tau^2, normals,
+    angles): one dict per point of (T, 6) arrays, the sum rate, the four
+    ``SinrReport.terms`` and 1 where BDS evaluates the trial.
+
+    Each of BD and BDS is evaluated on the whole block at the points where
+    some mode picks it on some trial, and BDS's tau is computed only there.
+    BD runs at every point before BDS, so one ``precode.CsitView`` is live
+    at a time; consecutive points share it while their CSIT quality does.
+    """
     tau_sq, normals, angles = draws
     channels = [channel_from_normals(cov, chi, normals_g, angles_g, gain)
                 for cov, normals_g, angles_g, gain in zip(
                     scenario.covariances, normals, angles, scenario.gains)]
     maps = _amplitude_maps(D, channels)
+    T = maps.shape[0]
     chi_used = {"SWITCH": chi, "SWITCH_RAW": chi}
     if theta_max > 0.0 and "SWITCH" in modes:
         chi_used["SWITCH"] = mismatch_effective_stats(chi, theta_max).chi_eff
-    views = {}
-
-    def view(scheme, tau):
-        # The points share a scheme's view while their CSIT quality does.
-        cached = views.get(scheme)
-        if cached is None or not np.array_equal(cached.tau, tau):
-            cached = views[scheme] = csit_view(scenario, C, channels, scheme, tau)
-        return cached
-
-    return [_point_rows(scenarios[p.power], maps, view, modes, p, tau_sq,
-                        chi_used, scales.get(p.power)) for p in points]
+    picks = [_point_picks(scenarios[p.power], modes, p, tau_sq, chi_used,
+                          scales.get(p.power), T) for p in points]
+    rows = [{"BD": np.nan, "BDS": np.nan} for _ in points]
+    for scheme in ("BD", "BDS"):
+        view = None
+        for p, (tau_bd, uses_bds), rows_p in zip(points, picks, rows):
+            bds = np.array(list(uses_bds.values()))
+            if not (bds if scheme == "BDS" else ~bds).any():
+                continue
+            tau = tau_bd if scheme == "BD" else _csit_tau(scenario, p, tau_sq, "BDS", T)
+            if view is None or not np.array_equal(view.tau, tau):
+                view = None  # free the old view before building the next
+                view = csit_view(scenario, C, channels, scheme, tau)
+            rep = _stacked_report(scenarios[p.power], maps, view)
+            rows_p[scheme] = np.column_stack([rep.sum_rate, rep.terms])
+    return [{m: np.column_stack([np.where(uses_bds[m][:, None], rows_p["BDS"], rows_p["BD"]),
+                                 uses_bds[m]]) for m in modes}
+            for (_, uses_bds), rows_p in zip(picks, rows)]
 
 
 def _grouped(indices, key):

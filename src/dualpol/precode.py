@@ -158,11 +158,13 @@ def rzf_precoder(H_eff_hat: np.ndarray, alpha: float, n_streams: int,
     if gram is None:
         gram = _gram(H_eff_hat)
     KH = H_eff_hat @ np.linalg.inv(gram + dim * alpha * np.eye(n))
-    norm = np.sum(np.abs(KH) ** 2, axis=(-2, -1))
+    norm = np.abs(KH)
+    norm = np.square(norm, out=norm).sum(axis=(-2, -1))
     if np.any(norm <= 0.0):
         raise DegenerateInputError("all-zero effective channel cannot be normalized")
     xi_sq = n_streams / norm
-    return InnerPrecoder(P=np.sqrt(xi_sq)[..., None, None] * KH, xi_sq=xi_sq)
+    KH *= np.sqrt(xi_sq)[..., None, None]
+    return InnerPrecoder(P=KH, xi_sq=xi_sq)
 
 
 def build_all(scenario: GroupScenario, channels, mode: str,

@@ -96,3 +96,14 @@ def test_any_config_exits_cleanly(text):
     assert rows[0] == ",".join(CSV_COLUMNS)
     for row in rows[1:]:
         assert "nan" not in row and "inf" not in row, row
+
+
+def test_quadrature_past_its_byte_bound_exits_three():
+    # Every value lies inside KEYS, but the widest spread on 499 lags at
+    # four wavelengths needs a rule finer than corrstats._MAX_BYTES allows:
+    # it used to allocate 1.95 GiB for one level and die with a traceback.
+    code, err, written = _run("m = 1000\nspacing = 4\nspread_deg = 89\ngroups = 2\n"
+                              "n_bar = 2\nn_trials = 1\nschemes = BD\n")
+    assert code == 3, err
+    assert "Traceback" not in err and "quadrature" in err
+    assert written == ""

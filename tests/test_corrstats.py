@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualpol.corrstats import (
+    _BLOCK_BYTES,
     QUADRATURE_TOL,
     GroupGeometry,
     SpatialCovariance,
@@ -100,8 +101,9 @@ class TestOneRing:
 
     def test_quadrature_memory_is_two_levels(self):
         # The 59 lags end on 2,048 panels: the peak holds that level and the
-        # one before it, plus 1 MiB for the blocks and the eigensolver.
-        bound = 59 * (4097 + 2049) * 16 + (1 << 20)
+        # one before it, plus at most one real block (half a complex one)
+        # for the nodes' sines and the eigensolver.
+        bound = 59 * (4097 + 2049) * 16 + _BLOCK_BYTES // 2
         tracemalloc.start()
         try:
             one_ring_covariance(GroupGeometry(THETA, DELTA), 60, 0.5)
