@@ -19,7 +19,9 @@ regularizer, the cross-block scale and the CSIT mix. A point's precoders
 are one batched RZF over every trial and group, and the points at one chi
 and CSIT quality share its ``precode.CsitView``, so between them only the
 regularizer changes. The per-realization API (``draw_trial``,
-``precode.build_all``, ``sinr_bd``/``sinr_bds``) is this engine at one trial.
+``precode.build_all``, ``sinr_bd``/``sinr_bds``) is this engine at one trial:
+``draw_trial`` reads its trial through ``_draw_block``, the one reader of a
+trial's stream.
 """
 
 from __future__ import annotations
@@ -31,14 +33,9 @@ import numpy as np
 # rmt's functions are looked up on the module at call time, so wrappers
 # installed there (perfbench/tracer.py) see the calls.
 from . import rmt
-from .channel import (
-    RngStream,
-    _read_group,
-    channel_from_normals,
-    draw_channel,
-    draw_mismatched_channel,
-    draw_single_pol_channel,
-)
+from .channel import RngStream, _read_group, channel_from_normals
+# Unused here: perfbench/tracer.py still wraps these two names.
+from .channel import draw_channel, draw_mismatched_channel  # noqa: F401
 from .corrstats import mismatch_effective_stats
 from .errors import InvalidInputError
 from .modeswitch import FeedbackBudget, chi_crossover_scale, tau_from_bits
@@ -232,20 +229,23 @@ def csit_tau_sq(tau_sq, n_bits, r: int, scheme: str):
 
 
 def draw_trial(scenario: GroupScenario, rng, chi=None, theta_max=0.0):
-    """All groups' channels for one coherence block: a tuple in group order."""
+    """All groups' channels for one coherence block: a tuple in group order.
+
+    The trial is ``_draw_block``'s read of one trial from ``rng``, an
+    ``RngStream`` or a Generator, which then continues past it. As in
+    ``run_paired``, a positive ``theta_max`` turns the users of a
+    dual-polarized array only, and the draw keeps its CSIT noise.
+    """
+    theta = theta_max if scenario.dual_pol and theta_max > 0.0 else 0.0
+    if theta > np.pi / 2:
+        raise InvalidInputError("theta_max must lie in [0, pi/2]")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     chi = scenario.chi if chi is None else chi
-    entries = []
-    for g, cov in enumerate(scenario.covariances):
-        gain = scenario.gains[g]
-        if not scenario.dual_pol:
-            entries.append(draw_single_pol_channel(cov, scenario.n_bar, gen, gain))
-        elif theta_max > 0.0:
-            entries.append(draw_mismatched_channel(
-                cov, chi, theta_max, scenario.n_bar, gen, gain))
-        else:
-            entries.append(draw_channel(cov, chi, scenario.n_bar, gen, gain))
-    return tuple(entries)
+    _, _, normals, angles = next(_draw_block(scenario, [gen], None, None, [theta], True))
+    return tuple(channel_from_normals(cov, chi, normals_g[0],
+                                      None if angles_g is None else angles_g[0], gain)
+                 for cov, normals_g, angles_g, gain in zip(
+                     scenario.covariances, normals, angles, scenario.gains))
 
 
 @dataclass(frozen=True)
@@ -265,24 +265,24 @@ class SweepPoint:
     theta_max: float = 0.0
 
 
-def _draw_block(scenario, seed, streams, chi_dist, tau_sq_dist, thetas, noise):
+def _draw_block(scenario, gens, chi_dist, tau_sq_dist, thetas, noise):
     """A trial block's draws, one (chi, tau^2, normals, angles) per
     theta_max in ``thetas``, yielded in turn so that one theta_max's
-    normals are held at a time.
+    normals are held at a time: the one reader of a trial's stream.
 
-    Trial t reads RngStream(seed, t) in the order of ``draw_trial``: the
+    Trial t reads its generator ``gens[t]`` (``run_paired`` builds it once
+    per block, from RngStream(seed, stream_base + t)) in this order: the
     chi_dist and tau_sq_dist uniforms (chi and tau^2 are None without
     them), then each group's draws (``channel._read_group``), mismatched
-    when theta_max > 0. Each trial's generator is built once: every
-    theta_max after the first reads the group draws again from the state
-    saved after the uniforms, as a fresh stream would. The normals and
-    angles come per group, the normals shaped (T, k, rows, n) for
-    ``channel_from_normals``. Without ``noise`` the CSIT noise's normals
-    are still read, into one scratch array, but not kept.
+    when theta_max > 0. Every theta_max after the first reads the group
+    draws again from the state saved after the uniforms, as a fresh
+    stream would. The normals and angles come per group, the normals
+    shaped (T, k, rows, n) for ``channel_from_normals``. Without ``noise``
+    the CSIT noise's normals are still read, into one scratch array, but
+    not kept.
     """
-    T, n = len(streams), scenario.n_bar
+    T, n = len(gens), scenario.n_bar
     rows = [scenario.pols * cov.effective_rank for cov in scenario.covariances]
-    gens = [RngStream(seed, stream).generator() for stream in streams]
     chi = np.array([gen.uniform(*chi_dist) for gen in gens]) if chi_dist else None
     tau_sq = np.array([gen.uniform(*tau_sq_dist) for gen in gens]) if tau_sq_dist else None
     starts = [gen.bit_generator.state for gen in gens] if len(thetas) > 1 else None
@@ -499,13 +499,13 @@ def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
         p.tau_sq != 0.0 or p.n_bits is not None for p in points)
     block = block_trials(scenario)
     for first in range(0, n_trials, block):
-        streams = range(stream_base + first, stream_base + min(first + block, n_trials))
-        blocks = _draw_block(scenario, seed, streams, chi_dist, tau_sq_dist,
-                             list(by_draw), noise)
+        gens = [RngStream(seed, stream).generator() for stream in range(
+            stream_base + first, stream_base + min(first + block, n_trials))]
+        blocks = _draw_block(scenario, gens, chi_dist, tau_sq_dist, list(by_draw), noise)
         for (theta_max, at_theta), (chi_drawn, *draws) in zip(by_draw.items(), blocks):
             for chi, at_chi in _grouped(
                     at_theta, lambda i: None if chi_dist else points[i].chi):
-                chi = chi_drawn if chi_dist else np.full(len(streams), float(chi))
+                chi = chi_drawn if chi_dist else np.full(len(gens), float(chi))
                 at_chi_rows = _chi_rows(
                     scenario, C, D, modes, chi, draws, theta_max,
                     [points[i] for i in at_chi], scenarios, scales)

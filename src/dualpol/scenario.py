@@ -87,6 +87,9 @@ class GroupScenario:
             raise InvalidConfigurationError("dual-polarized M must be even")
         if self.n_bar % self.pols != 0:
             raise InvalidConfigurationError("n_bar must be even (half per polarization)")
+        if self.b_bar % self.pols != 0:
+            raise InvalidConfigurationError(
+                f"b_bar must be even (half per polarization): {self.b_bar}")
         if self.r < 1:
             raise InvalidConfigurationError("r must be at least 1")
         min_rank = min(c.effective_rank for c in self.covariances)
@@ -120,25 +123,6 @@ class GroupScenario:
         return replace(self, chi=chi)
 
 
-def _default_dims(covs, n_bar: int, pol: int, b_bar=None, r=None) -> tuple:
-    """(b_bar, r) of a scenario on covariances ``covs``, ``pol`` per position.
-
-    Unless given, r is the smallest effective rank and b_bar =
-    min(pol n_bar, pol r). r is then capped so that every group keeps
-    enough interference-free dimensions for the preprocessor.
-    """
-    if not covs:
-        raise InvalidConfigurationError("a scenario needs at least one group")
-    min_rank = min(c.effective_rank for c in covs)
-    if r is None:
-        r = min_rank
-    if b_bar is None:
-        b_bar = min(pol * n_bar, pol * r)
-    G, n_positions = len(covs), covs[0].dim
-    r_cap = (n_positions - b_bar // pol) // (G - 1) if G > 1 else min_rank
-    return b_bar, min(r, r_cap)
-
-
 def make_scenario(
     M: int = 120,
     G: int = 4,
@@ -153,12 +137,15 @@ def make_scenario(
     dual_pol: bool = True,
     scenario_id: str = "scenario",
 ) -> GroupScenario:
-    """Build a uniform-linear-array scenario from one-ring geometry.
+    """Build a uniform-linear-array scenario from one-ring geometry, one
+    group per entry of ``thetas`` (default: ``default_theta_grid(G)``).
 
     Defaults follow the clustered four-group cell used throughout the
     experiments. When not given, r is the smallest effective rank across
-    groups (capped so the null-space constraint stays satisfiable) and
-    b_bar = min(2 n_bar, 2 r) for dual polarization, min(n_bar, r) for one.
+    groups and b_bar = min(2 n_bar, 2 r) for dual polarization,
+    min(n_bar, r) for one. r is then capped so that every group keeps
+    enough interference-free dimensions for the preprocessor; a single
+    group's cap is the smallest rank.
     """
     if thetas is None:
         thetas = default_theta_grid(G)
@@ -167,8 +154,15 @@ def make_scenario(
         one_ring_covariance(GroupGeometry(theta, spread), M // pols, spacing)
         for theta in thetas
     )
-    b_bar, r = _default_dims(covs, n_bar, pols, b_bar, r)
+    if not covs:
+        raise InvalidConfigurationError("a scenario needs at least one group")
+    min_rank = min(c.effective_rank for c in covs)
+    r = min_rank if r is None else r
+    if b_bar is None:
+        b_bar = pols * min(n_bar, r)
+    G = len(covs)
+    r_cap = (M // pols - b_bar // pols) // (G - 1) if G > 1 else min_rank
     return GroupScenario(
-        M=M, n_bar=n_bar, b_bar=b_bar, r=r, covariances=covs, chi=chi,
+        M=M, n_bar=n_bar, b_bar=b_bar, r=min(r, r_cap), covariances=covs, chi=chi,
         power=power, dual_pol=dual_pol, scenario_id=scenario_id,
     )

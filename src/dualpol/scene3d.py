@@ -17,16 +17,13 @@ import numpy as np
 # precode.build_preprocessors is looked up on the module at call time, so
 # wrappers installed there (perfbench/tracer.py) see the call.
 from . import precode
-from .corrstats import (
-    GroupGeometry,
-    SpatialCovariance,
-    elevation_covariance,
-    one_ring_covariance,
-)
+from .corrstats import SpatialCovariance, elevation_covariance
+# Unused here: perfbench/tracer.py still wraps this name.
+from .corrstats import one_ring_covariance  # noqa: F401
 from .errors import InfeasibleRegionError, InvalidInputError
 from .metrics import McSummary, run_paired
 from .precode import null_space_modes
-from .scenario import GroupScenario, _default_dims, default_theta_grid, power_from_db
+from .scenario import GroupScenario, make_scenario, power_from_db
 
 __all__ = [
     "ElevationRegion",
@@ -118,18 +115,14 @@ def make_scenario_3d(
     positions (2 m_e m_a antenna elements), both axes uniform at
     ``spacing``. The scatter-ring radius follows the azimuth spread
     (s = d tan(spread)), so nearer regions subtend wider elevation intervals.
+    The regions share one azimuth cell, the dual-polarized ``make_scenario``
+    of m_a positions with its default dimensions, to which each region
+    reduces (``reduce_to_2d``).
     """
     covs_elev = [elevation_covariance(height, d, d * math.tan(spread), m_e, spacing)
                  for d in distances]
-    covs_az = tuple(
-        one_ring_covariance(GroupGeometry(theta, spread), m_a, spacing)
-        for theta in default_theta_grid(G)
-    )
-    b_bar, r = _default_dims(covs_az, n_bar, 2)
-    azimuth = GroupScenario(
-        M=2 * m_a, n_bar=n_bar, b_bar=b_bar, r=r, covariances=covs_az, chi=chi,
-        dual_pol=True, scenario_id=scenario_id,
-    )
+    azimuth = make_scenario(M=2 * m_a, G=G, n_bar=n_bar, spacing=spacing,
+                            spread=spread, chi=chi, scenario_id=scenario_id)
     regions = []
     for l, d in enumerate(distances):
         q, lam = elevation_prefilter(covs_elev, l)

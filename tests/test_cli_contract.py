@@ -40,7 +40,7 @@ EDGES = {
     "spacing": [-0.5, 0, 0.25, 0.5, 4, 4.5, "nan"],
     "spread_deg": [-5, 0, 1, 15, 89, 90],
     "m": [-4, 0, 2, 4, 5, 8, 16, 24, 24.0],
-    "b_bar": [-1, 0, 1, 2, 4, 8, 16],
+    "b_bar": [-1, 0, 1, 2, 4, 5, 8, 16],
     "r": [0, 1, 2, 3, 8],
     "arrays": ["dual", "single", "dual@0.25", "single@0.5", "dual, single",
                "dual@x", "dual@-1", "dual@5", "single@nan", "bogus"],
@@ -106,4 +106,14 @@ def test_quadrature_past_its_byte_bound_exits_three():
                               "n_bar = 2\nn_trials = 1\nschemes = BD\n")
     assert code == 3, err
     assert "Traceback" not in err and "quadrature" in err
+    assert written == ""
+
+
+def test_odd_b_bar_on_a_dual_polarized_array_exits_two():
+    # The deterministic equivalents used to die reshaping b_bar // 2
+    # preprocessor columns per polarization against b_bar.
+    code, err, written = _run("m = 16\ngroups = 2\nn_bar = 4\nb_bar = 5\n"
+                              "schemes = BD, ASYM_BD\n")
+    assert code == 2, err
+    assert "Traceback" not in err and "b_bar" in err
     assert written == ""

@@ -110,6 +110,69 @@ def test_one_trial_matches_reference(fig4):
     assert got["BD"].n_trials == 1 and got["BD"].stderr == 0.0
 
 
+def engine_channels(monkeypatch, scenario, seed, point, **kwargs):
+    """Every group's channels of a 3-trial ``run_paired`` block, as the
+    engine builds them from its one read of the trials' streams."""
+    built = []
+    original = metrics.channel_from_normals
+
+    def spy(*args, **kw):
+        built.append(original(*args, **kw))
+        return built[-1]
+    monkeypatch.setattr(metrics, "channel_from_normals", spy)
+    run_paired(scenario, ["BD"], 3, seed, [point], **kwargs)
+    monkeypatch.undo()
+    return built[:scenario.G]
+
+
+def one_trial(block, t):
+    """Trial t of trial-stacked channels."""
+    return [SimpleNamespace(X=e.X[t], Z=e.Z[t], mismatch_angles=None
+                            if e.mismatch_angles is None else e.mismatch_angles[t])
+            for e in block]
+
+
+def assert_same_draws(got, want):
+    """Two trials' channels hold the same X, Z and angles, bit for bit."""
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a.X, b.X) and np.array_equal(a.Z, b.Z)
+        if b.mismatch_angles is None:
+            assert a.mismatch_angles is None
+        else:
+            assert np.array_equal(a.mismatch_angles, b.mismatch_angles)
+
+
+@pytest.mark.parametrize("dual_pol, theta_max", [
+    (True, 0.0), (True, 0.3 * math.pi), (False, 0.0)],
+    ids=["aligned", "mismatched", "single"])
+def test_draw_trial_is_one_trial_of_the_block_read(monkeypatch, dual_pol, theta_max):
+    sc = make_scenario(M=24 if dual_pol else 12, G=2, n_bar=4, spread=math.pi / 8,
+                       thetas=[-math.pi / 5, math.pi / 5], dual_pol=dual_pol)
+    chi = 0.2 if dual_pol else 0.0
+    # A positive tau^2 keeps the CSIT noise, which draw_trial always keeps.
+    block = engine_channels(monkeypatch, sc, 7,
+                            SweepPoint(chi=chi, tau_sq=0.1, theta_max=theta_max))
+    for t in range(3):
+        got = draw_trial(sc, RngStream(7, t), chi, theta_max)
+        assert_same_draws(got, one_trial(block, t))
+        assert_same_draws(draw_trial(sc, RngStream(7, t).generator(), chi, theta_max), got)
+    # One Generator read by two calls continues its stream: the trial's
+    # chi_dist uniform, then its channels, as in the engine's read.
+    block = engine_channels(monkeypatch, sc, 7, SweepPoint(tau_sq=0.1, theta_max=theta_max),
+                            chi_dist=(0.0, 0.5))
+    gen = RngStream(7, 2).generator()
+    chi = gen.uniform(0.0, 0.5)
+    assert_same_draws(draw_trial(sc, gen, chi, theta_max), one_trial(block, 2))
+
+
+def test_draw_trial_continues_a_reused_generator(small_scenario):
+    gen, again = RngStream(3, 0).generator(), RngStream(3, 0).generator()
+    first, second = draw_trial(small_scenario, gen), draw_trial(small_scenario, gen)
+    assert_same_draws(first, draw_trial(small_scenario, again))
+    assert_same_draws(second, draw_trial(small_scenario, again))
+    assert not np.array_equal(first[0].X, second[0].X)
+
+
 def three_trial_blocks(monkeypatch, scenario):
     """Set ``metrics.BLOCK_BYTES`` so that blocks on the scenario hold 3
     trials; 10 trials then end in a ragged block of 1."""

@@ -113,6 +113,15 @@ def test_rank_cap_binds_dual_polarized_arrays_only():
     assert single.b_bar > min(c.effective_rank for c in single.covariances)
 
 
+def test_odd_b_bar_rejected_on_dual_polarized_arrays():
+    # Each polarization takes b_bar / 2 preprocessor columns, so an odd
+    # b_bar would give the preprocessor one column fewer than the rest of
+    # the model reads.
+    with pytest.raises(InvalidConfigurationError, match="b_bar"):
+        make_scenario(b_bar=15)
+    assert make_scenario(M=60, G=2, n_bar=4, b_bar=5, dual_pol=False).b_bar == 5
+
+
 def test_no_groups_is_a_config_error():
     with pytest.raises(InvalidConfigurationError, match="at least one group"):
         make_scenario(G=0)
