@@ -393,10 +393,10 @@ def _keep_freed_memory() -> None:
     (the most it accepts), trim above 64 MiB; a no-op without ``mallopt``.
 
     glibc's defaults adapt to the frees seen so far, so whether a run's
-    multi-megabyte arrays (the quadrature's levels, the batched trials)
-    fault in fresh pages on every call depended on what the process had
-    allocated before: the same run took a quarter longer in one process
-    than in the next.
+    multi-megabyte arrays (the batched trials, the quadrature's levels on
+    large arrays) fault in fresh pages on every call depended on what the
+    process had allocated before: the same run took a quarter longer in
+    one process than in the next.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -9,16 +9,22 @@ Every array is a uniform linear array, its element spacing given in units
 of the carrier wavelength, so the covariance kernel never needs the
 wavelength itself and every covariance is Toeplitz.
 
-The kernel integrates all lags at once with an adaptive Simpson rule whose
-levels double the panel count. Each level evaluates the integrand only at
-its new odd nodes, written in place into the level's array in cache-sized
-column blocks, next to the previous level's values on its even nodes. The
-result is bit for bit that of evaluating every level afresh, and the
-working memory is the last two levels, bounded by ``_MAX_BYTES``.
+The kernel integrates the lags with an adaptive Simpson rule whose levels
+double the panel count. Each level evaluates the integrand only at its new
+odd nodes, next to the previous level's values on its even nodes. The lags
+run in near-equal chunks of at most ``_CHUNK_ROWS``, each through its own
+levels, so the working memory is one chunk's last two levels. A chunk has
+at least 3 rows unless it holds every lag: only then does the BLAS product
+give its Simpson sums the bits of the product over all lags. Every lag
+stops at the first level where no lag moves by ``QUADRATURE_TOL`` or more:
+a chunk that needs a finer level than the chunks before it raises the
+level, and those are recomputed. The result is bit for bit that of
+evaluating every level afresh over all lags at once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -43,15 +49,19 @@ RANK_TOL = 1e-6
 #: Absolute per-entry tolerance of the covariance quadrature.
 QUADRATURE_TOL = 1e-10
 
-#: Bytes the quadrature's two live levels may take; a rule that would need
-#: more raises ``NumericalError`` before allocating its next level. At 15
-#: degrees and half-wavelength spacing the ledger's M = 480 cell (239 lags)
-#: peaks at 89.7 MiB, and 499 lags, a dual-polarized M = 1000, at 374 MiB.
+#: Bound on the quadrature's size: it raises ``NumericalError`` before a
+#: level whose array over all lags, next to the level before it, would take
+#: more bytes than this. The levels are computed in chunks and never held
+#: over all lags at once, so this bounds the work (lags times panels), with
+#: the refusal of the unchunked rule: at 15 degrees and half-wavelength
+#: spacing the ledger's M = 480 cell (239 lags) would need 89.7 MiB, and
+#: 499 lags, a dual-polarized M = 1000, 374 MiB.
 _MAX_BYTES = 1 << 29
 
-#: Bytes of integrand values a quadrature level evaluates at a time: a
-#: block small enough to stay in cache between its product, exp and store.
-_BLOCK_BYTES = 1 << 18
+#: Lags per quadrature chunk, at most. More lags than this split into
+#: near-equal chunks of at least 8 rows, above the 3 a row block needs to
+#: get the same Simpson sums from the BLAS product as the whole array.
+_CHUNK_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -154,52 +164,76 @@ def _one_ring_kernel(displacements, theta, delta):
     """Average of exp(-j pi sin(a+theta) d) over a ~ U[-delta, delta].
 
     ``displacements`` holds the distances d along the array axis, in
-    wavelengths. Vectorized adaptive composite Simpson over all of them at
-    once; panel count doubles until the worst entry moves by less than
-    ``QUADRATURE_TOL``, or raises ``NumericalError`` when the next level
-    and the one before it would exceed ``_MAX_BYTES``. Each level evaluates
+    wavelengths. Adaptive composite Simpson: the panel count doubles from 8
+    until no entry moves by ``QUADRATURE_TOL`` or more, or raises
+    ``NumericalError`` when the next level and the one before it, over all
+    lags, would exceed ``_MAX_BYTES``. Each level evaluates
     exp((-j pi) (sin(a + theta) d)) at its new odd nodes only: the level's
     array takes the previous level's values on its even nodes, where they
-    sit exactly, and its odd columns are written in place, in blocks of
-    about ``_BLOCK_BYTES``. The operations and their order are those of
-    evaluating every level afresh, so the result is bit for bit the same,
-    and the working memory is the last two levels.
+    sit exactly. The operations and their order are those of evaluating
+    every level afresh, so the result is bit for bit the same.
+
+    The lags run in near-equal chunks of at most ``_CHUNK_ROWS`` rows, so
+    the working memory is one chunk's last two levels. A chunk of 3 or
+    more rows gets the same Simpson sums ``f @ w`` as all lags at once
+    (one chunk holds fewer only when it holds every lag). The stopping
+    level stays that of all lags: chunks run in order, each stopping at
+    the first level at or above the running floor where it moves by less
+    than the tolerance; a chunk that needs a finer level raises the floor,
+    and the chunks already done are recomputed at it. Listing the largest
+    displacement first, as ``one_ring_covariance`` does, lets the first
+    chunk set the floor, so the others are not redone. Each level's node
+    sines and Simpson weights are computed once and shared by the chunks.
     """
     d = np.asarray(displacements)[:, None]
+    lags = d.shape[0]
     phase = -1j * np.pi
-    # Odd nodes per block: the block's complex integrand fills _BLOCK_BYTES.
-    width = max(1, _BLOCK_BYTES // (16 * d.shape[0]))
 
-    def simpson(f, n_panels):
-        w = np.ones(f.shape[1])
+    @functools.cache
+    def level(n):
+        # The first level's node sines are all of them, a finer level's
+        # only its new odd ones; then the level's Simpson weights.
+        alpha = np.linspace(-delta, delta, 2 * n + 1)
+        w = np.ones(2 * n + 1)
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
-        h = (2.0 * delta) / (2 * n_panels)
-        return (h / 3.0) * (f @ w) / (2.0 * delta)
+        return np.sin((alpha if n == 8 else alpha[1::2]) + theta), w
 
-    n = 8
-    alpha = np.linspace(-delta, delta, 2 * n + 1)
-    f = np.exp(phase * (np.sin(alpha + theta)[None, :] * d))
-    prev, err = simpson(f, n), None
-    while True:
-        n *= 2
-        if f.nbytes + 16 * d.shape[0] * (2 * n + 1) > _MAX_BYTES:
-            raise NumericalError(
-                f"one-ring quadrature did not converge in {n // 2} panels on "
-                f"{d.shape[0]} lags; more would exceed {_MAX_BYTES >> 20} MiB",
-                residual=err)
-        sin_odd = np.sin(np.linspace(-delta, delta, 2 * n + 1)[1::2] + theta)
-        finer = np.empty((d.shape[0], 2 * n + 1), dtype=complex)
-        finer[:, ::2] = f
-        f = finer
-        for lo in range(0, n, width):
-            hi = min(lo + width, n)
-            np.exp(phase * (sin_odd[None, lo:hi] * d), out=f[:, 2 * lo + 1:2 * hi:2])
-        cur = simpson(f, n)
-        err = np.abs(cur - prev).max()
-        if err < QUADRATURE_TOL:
-            return cur
-        prev = cur
+    def simpson(f, n):
+        h = (2.0 * delta) / (2 * n)
+        return (h / 3.0) * (f @ level(n)[1]) / (2.0 * delta)
+
+    def integrate(rows, floor):
+        # The chunk's sums at the first level of at least ``floor`` panels
+        # where they move by less than QUADRATURE_TOL, and that level.
+        n = 8
+        f = np.exp(phase * (level(n)[0] * rows))
+        prev, err = simpson(f, n), None
+        while True:
+            n *= 2
+            if 16 * lags * ((n + 1) + (2 * n + 1)) > _MAX_BYTES:
+                raise NumericalError(
+                    f"one-ring quadrature did not converge in {n // 2} panels on "
+                    f"{lags} lags; more would exceed {_MAX_BYTES >> 20} MiB",
+                    residual=err)
+            finer = np.empty((rows.shape[0], 2 * n + 1), dtype=complex)
+            finer[:, ::2] = f
+            f = finer
+            np.exp(phase * (level(n)[0] * rows), out=f[:, 1::2])
+            cur = simpson(f, n)
+            err = np.abs(cur - prev).max()
+            if n >= floor and err < QUADRATURE_TOL:
+                return n, cur
+            prev = cur
+
+    chunks = np.array_split(d, -(-lags // _CHUNK_ROWS))
+    floor, panels, sums = 16, [0] * len(chunks), [None] * len(chunks)
+    while min(panels) < floor:
+        for i, rows in enumerate(chunks):
+            if panels[i] < floor:
+                panels[i], sums[i] = integrate(rows, floor)
+                floor = panels[i]
+    return np.concatenate(sums)
 
 
 def one_ring_covariance(

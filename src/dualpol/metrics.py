@@ -233,12 +233,13 @@ def draw_trial(scenario: GroupScenario, rng, chi=None, theta_max=0.0):
 
     The trial is ``_draw_block``'s read of one trial from ``rng``, an
     ``RngStream`` or a Generator, which then continues past it. As in
-    ``run_paired``, a positive ``theta_max`` turns the users of a
-    dual-polarized array only, and the draw keeps its CSIT noise.
+    ``run_paired``, ``theta_max`` must lie in [0, pi/2], a positive one
+    turns the users of a dual-polarized array only, and the draw keeps its
+    CSIT noise.
     """
-    theta = theta_max if scenario.dual_pol and theta_max > 0.0 else 0.0
-    if theta > np.pi / 2:
+    if not 0.0 <= theta_max <= np.pi / 2:
         raise InvalidInputError("theta_max must lie in [0, pi/2]")
+    theta = theta_max if scenario.dual_pol and theta_max > 0.0 else 0.0
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     chi = scenario.chi if chi is None else chi
     _, _, normals, angles = next(_draw_block(scenario, [gen], None, None, [theta], True))

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualpol.corrstats import (
-    _BLOCK_BYTES,
     QUADRATURE_TOL,
     GroupGeometry,
     SpatialCovariance,
@@ -89,28 +88,39 @@ class TestOneRing:
         for spacing, size, theta, delta in itertools.chain(
                 itertools.product([0.25, 0.5, 1.0], [10, 60], [-0.8, 0.0, 0.7],
                                   [1e-9, 0.14, 0.26, 1.0]),
-                # The fig5 single-polarized array: 119 lags, whose deep
-                # levels span many blocks and end in a ragged one.
+                # The fig5 single-polarized array: 119 lags in 8 chunks.
                 itertools.product([0.5], [120], [-0.8, 0.0, 0.7], [0.26]),
-                # One lag: every level is a single block.
+                # 17, 18 and 33 lags split into unequal chunks (9 and 8,
+                # 9 and 9, 11, 11 and 11 rows).
+                itertools.product([0.5], [18, 19, 34], [-0.8, 0.0, 0.7],
+                                  [0.14, 1.0]),
+                # One lag: a single chunk of one row.
                 itertools.product([0.25, 0.5, 1.0], [2], [-0.8, 0.0, 0.7],
                                   [1e-9, 0.14, 0.26, 1.0])):
             d = spacing * np.arange(1 - size, 0)
-            assert np.array_equal(_one_ring_kernel(d, theta, delta),
-                                  adaptive_simpson_oracle(d, theta, delta))
+            # Smallest displacement first too: a later chunk then needs a
+            # finer level than the first, and the chunks done are redone.
+            for lags in (d, d[::-1]):
+                assert np.array_equal(_one_ring_kernel(lags, theta, delta),
+                                      adaptive_simpson_oracle(lags, theta, delta))
 
     def test_quadrature_memory_is_two_levels(self):
-        # The 59 lags end on 2,048 panels: the peak holds that level and the
-        # one before it, plus at most one real block (half a complex one)
-        # for the nodes' sines and the eigensolver.
-        bound = 59 * (4097 + 2049) * 16 + _BLOCK_BYTES // 2
-        tracemalloc.start()
-        try:
-            one_ring_covariance(GroupGeometry(THETA, DELTA), 60, 0.5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound
+        # The lags run in chunks of at most 16 rows: 59 lags in chunks of
+        # 15 or 14 ending on 2,048 panels, 239 in chunks of 16 or 15 ending
+        # on 8,192. The peak holds one chunk's finest level and the one
+        # before it, or the finest level and its new nodes' temporaries (a
+        # real product and its complex one); the eigensolver's arrays fit
+        # under that.
+        for size, rows, panels in [(60, 15, 2048), (240, 16, 8192)]:
+            levels = rows * ((2 * panels + 1) + (panels + 1)) * 16
+            bound = levels + rows * panels * (8 + 16)
+            tracemalloc.start()
+            try:
+                one_ring_covariance(GroupGeometry(THETA, DELTA), size, 0.5)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, size
 
     def test_effective_rank_matches_reference_eigensolver(self, cov):
         # Reference eigensolver on the oracle-integrated matrix counts 11

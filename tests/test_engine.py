@@ -14,7 +14,7 @@ import dualpol.metrics as metrics
 import dualpol.precode as precode
 import dualpol.rmt as rmt
 from dualpol.channel import RngStream
-from dualpol.errors import DegenerateInputError
+from dualpol.errors import DegenerateInputError, InvalidInputError
 from dualpol.metrics import SweepPoint, csit_tau_sq, draw_trial, run_paired, sinr_report
 from dualpol.precode import build_preprocessors
 from dualpol.scenario import make_scenario
@@ -171,6 +171,16 @@ def test_draw_trial_continues_a_reused_generator(small_scenario):
     assert_same_draws(first, draw_trial(small_scenario, again))
     assert_same_draws(second, draw_trial(small_scenario, again))
     assert not np.array_equal(first[0].X, second[0].X)
+
+
+@pytest.mark.parametrize("dual_pol, theta_max", [(True, -0.3), (False, -0.3),
+                                                  (False, 3.0), (True, math.nan)])
+def test_draw_trial_rejects_theta_max_outside_a_quarter_turn(dual_pol, theta_max):
+    # As run_paired does, on either array: a negative angle used to draw
+    # an aligned trial, and a single-polarized array took any angle.
+    sc = make_scenario(M=24 if dual_pol else 12, G=2, n_bar=4, dual_pol=dual_pol)
+    with pytest.raises(InvalidInputError, match="theta_max"):
+        draw_trial(sc, RngStream(1, 0), theta_max=theta_max)
 
 
 def three_trial_blocks(monkeypatch, scenario):
