@@ -55,10 +55,10 @@ import dualpol.metrics as metrics
 from dualpol import cli
 from dualpol.channel import RngStream
 from dualpol.corrstats import SpatialCovariance
-from dualpol.metrics import McSummary, SweepPoint, run_paired
+from dualpol.metrics import McSummary, run_paired
 from dualpol.precode import build_preprocessors
-from dualpol.rmt import DePoint, asym_bd, asym_sweep
-from dualpol.scenario import make_scenario, power_from_db
+from dualpol.rmt import asym_bd, asym_sweep
+from dualpol.scenario import SweepPoint, make_scenario, power_from_db
 from dualpol.scene3d import make_scenario_3d, run_3d_paired
 
 SEED = 2024
@@ -123,9 +123,9 @@ def _term_row(key, mode, snr, trials, mc, de):
 
 
 def _de(scenario, mode, pre, tau_sq=0.0):
-    """``asym_bd``/``asym_bds`` on the scenario, with its preprocessors."""
-    return asym_sweep(scenario, [DePoint(mode, scenario.power, scenario.chi, tau_sq)],
-                      pre)[0]
+    """The DE of one scheme on the scenario, with its preprocessors; BDS
+    runs at the equal-feedback square of BD's ``tau_sq``, as in the MC."""
+    return asym_sweep(scenario, [mode], [SweepPoint(tau_sq=tau_sq)], pre)[0][mode]
 
 
 def _de_gap(mc, de):
@@ -193,8 +193,7 @@ def section_6(out):
     for dims, sc, pre, (_, trials), runs in sizes:
         for mode in ("BD", "BDS"):
             for snr in (5.0, 25.0):
-                de = _de(sc.with_power_db(snr), mode, pre,
-                         tau_sq=0.1 if mode == "BD" else 0.01)
+                de = _de(sc.with_power_db(snr), mode, pre, tau_sq=0.1)
                 mc = _first(runs[0.1, snr][mode], trials)
                 gap, rate_gap = _de_gap(mc, de)
                 out.append(f"| {_key(dims)} | {trials} | {mode} | {snr:g} dB | "
@@ -400,8 +399,9 @@ def section_rounding(out):
             mc = [[_first(result[m], n) for result in run for m in schemes] for run in runs]
             row.append(f"{_rate_move(*mc):.0e}")
         if sc.dual_pol:
-            de = [DePoint(m, p.power, p.chi, 0.0) for p in points for m in schemes]
-            row.append(f"{_rate_move(asym_sweep(sc, de, pre), asym_sweep(moved, de, pre_moved)):.0e}")
+            de = [[result[m] for result in asym_sweep(s, schemes, points, p) for m in schemes]
+                  for s, p in ((sc, pre), (moved, pre_moved))]
+            row.append(f"{_rate_move(*de):.0e}")
         else:
             row.append("n/a (single-polarized)")
         moves.append("| " + " | ".join(row) + " |")

@@ -32,7 +32,7 @@ from .errors import (
     NonConvergenceError,
     NumericalError,
 )
-from .metrics import McSummary, SinrReport, SweepPoint, run_paired, sinr_bd, sinr_bds
+from .metrics import McSummary, SinrReport, run_paired, sinr_bd, sinr_bds
 from .modeswitch import FeedbackBudget, switch_threshold_bits, tau_from_bits
 from .precode import (
     InnerPrecoder,
@@ -44,7 +44,6 @@ from .precode import (
 )
 from .rmt import (
     AsymptoticSolution,
-    DePoint,
     FixedPointProblem,
     approx_bds_chi,
     asym_bd,
@@ -53,7 +52,7 @@ from .rmt import (
     bds_c0,
     solve_fixed_point,
 )
-from .scenario import GroupScenario, make_scenario
+from .scenario import GroupScenario, SweepPoint, make_scenario
 from .scene3d import (
     ElevationRegion,
     Scenario3D,

@@ -33,8 +33,8 @@ from typing import NamedTuple
 # wrappers installed there (perfbench/tracer.py) see the calls.
 from . import rmt, scene3d
 from .errors import DualpolError, InvalidConfigurationError, NumericalError
-from .metrics import MC_MODES, SweepPoint, csit_tau_sq, run_paired
-from .scenario import make_scenario, power_from_db
+from .metrics import MC_MODES, run_paired
+from .scenario import SweepPoint, make_scenario, power_from_db
 
 __all__ = ["KEYS", "main", "parse_config", "preset", "list_presets", "run_config"]
 
@@ -356,7 +356,7 @@ def _check_variants(variants, schemes, points):
 def _sweep(cfg):
     """Each sweep point's axis values and ``SweepPoint``. A tau^2 above 1,
     fixed or in the range of ``tau_sq_dist``, is flagged here and clamped
-    to 1 where it is used (``csit_tau_sq``)."""
+    to 1 where it is used (``modeswitch.csit_tau_sq``)."""
     if cfg["tau_sq_dist"] and cfg["tau_sq_dist"][1] > 1.0:
         lo, hi = cfg["tau_sq_dist"]
         print(f"warning: {cfg['scenario_id']}: tau_sq_dist=uniform:{lo:g}:{hi:g} draws "
@@ -442,11 +442,8 @@ def _run_variant(sc, cfg, points):
                      for m in mc_modes]
     de_modes = [s[len("ASYM_"):] for s in cfg["schemes"] if s in ASYM_SCHEMES]
     if de_modes:
-        solutions = iter(rmt.asym_sweep(sc, [
-            rmt.DePoint(mode, p.power, p.chi, csit_tau_sq(p.tau_sq, p.n_bits, sc.r, mode))
-            for p in points for mode in de_modes]))
-        for rows in cells:
-            rows += [(f"ASYM_{mode}", next(solutions).sum_rate, 0.0, 0) for mode in de_modes]
+        for rows, result in zip(cells, rmt.asym_sweep(sc, de_modes, points)):
+            rows += [(f"ASYM_{m}", result[m].sum_rate, 0.0, 0) for m in de_modes]
     return cells
 
 

@@ -26,7 +26,7 @@ trial's stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .channel import RngStream, _read_group, channel_from_normals
 from .channel import draw_channel, draw_mismatched_channel  # noqa: F401
 from .corrstats import mismatch_effective_stats
 from .errors import InvalidInputError
-from .modeswitch import FeedbackBudget, chi_crossover_scale, tau_from_bits
+from .modeswitch import chi_crossover_scale, csit_tau_sq
 from .precode import (
     _one_trial,
     build_all,
@@ -47,11 +47,10 @@ from .precode import (
     kl_projections,
     stacked_precoders,
 )
-from .scenario import GroupScenario
+from .scenario import GroupScenario, SweepPoint
 
-__all__ = ["SinrReport", "McSummary", "SweepPoint", "sinr_bd", "sinr_bds",
-           "sinr_report", "bds_tau_sq", "csit_tau_sq", "run_paired",
-           "draw_trial"]
+__all__ = ["SinrReport", "McSummary", "sinr_bd", "sinr_bds", "sinr_report",
+           "run_paired", "draw_trial"]
 
 MC_MODES = ("BD", "BDS", "SWITCH", "SWITCH_RAW")
 
@@ -204,30 +203,6 @@ def _combine(own, received, split_cross):
     return SinrReport(*(x.reshape(*lead, G * n) for x in (diag, intra, cross, inter)))
 
 
-def bds_tau_sq(tau_sq_bd):
-    """Equal-feedback CSIT quality of BDS given BD's tau^2.
-
-    Halving the quantized dimension squares the distortion bound, so the
-    same bit budget that leaves BD at tau^2 leaves BDS at (tau^2)^2.
-    """
-    return np.minimum(tau_sq_bd * tau_sq_bd, 1.0)
-
-
-def csit_tau_sq(tau_sq, n_bits, r: int, scheme: str):
-    """CSIT quality tau^2 of a scheme, BD or BDS.
-
-    An ``n_bits`` budget gives the scheme its exact RVQ bound; otherwise
-    ``tau_sq`` is BD's quality, clamped to 1, and BDS gets its
-    equal-feedback equivalent. ``tau_sq`` may hold one value per trial.
-    """
-    if n_bits is not None:
-        return tau_from_bits(FeedbackBudget(n_bits=n_bits, r=r), scheme)
-    if np.any(np.asarray(tau_sq) < 0.0):
-        raise InvalidInputError("tau_sq must be nonnegative")
-    tau_sq = np.minimum(tau_sq, 1.0)
-    return tau_sq if scheme == "BD" else bds_tau_sq(tau_sq)
-
-
 def draw_trial(scenario: GroupScenario, rng, chi=None, theta_max=0.0):
     """All groups' channels for one coherence block: a tuple in group order.
 
@@ -247,23 +222,6 @@ def draw_trial(scenario: GroupScenario, rng, chi=None, theta_max=0.0):
                                       None if angles_g is None else angles_g[0], gain)
                  for cov, normals_g, angles_g, gain in zip(
                      scenario.covariances, normals, angles, scenario.gains))
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One point of a sweep over a fixed geometry and seed.
-
-    ``power`` and ``chi`` default to the scenario's. ``tau_sq`` and
-    ``n_bits`` set the CSIT qualities as in ``csit_tau_sq``; a run's
-    ``chi_dist``/``tau_sq_dist`` draw chi/tau^2 per trial instead. A
-    positive ``theta_max`` turns each user's antenna by a random angle.
-    """
-
-    power: float | None = None
-    chi: float | None = None
-    tau_sq: float = 0.0
-    n_bits: int | None = None
-    theta_max: float = 0.0
 
 
 def _draw_block(scenario, gens, chi_dist, tau_sq_dist, thetas, noise):
@@ -476,20 +434,18 @@ def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
     unknown = [m for m in modes if m not in MC_MODES]
     if unknown:
         raise InvalidInputError(f"unknown schemes: {', '.join(unknown)}")
-    points = [replace(p, power=scenario.power if p.power is None else p.power,
-                      chi=scenario.chi if p.chi is None else p.chi) for p in points]
+    points = [p.on(scenario) for p in points]
     if any(not 0.0 <= p.theta_max <= np.pi / 2 for p in points):
         raise InvalidInputError("theta_max must lie in [0, pi/2]")
+    scenarios = {p.power: scenario.with_power(p.power) for p in points}
     if preprocessors is None:
         preprocessors = build_preprocessors(scenario)
     C, D = kl_projections(preprocessors, scenario.covariances, scenario.gains)
-    scenarios = {p.power: scenario.with_power(p.power) for p in points}
     scales = {}
     if any(m.startswith("SWITCH") for m in modes):
-        bases = rmt.asym_sweep(
-            scenario, [rmt.DePoint("BDS", power, 0.0) for power in scenarios],
-            preprocessors)
-        scales = {power: chi_crossover_scale(b) for power, b in zip(scenarios, bases)}
+        bases = rmt.asym_sweep(scenario, ["BDS"], [SweepPoint(power, 0.0) for power in scenarios],
+                               preprocessors)
+        scales = {power: chi_crossover_scale(b["BDS"]) for power, b in zip(scenarios, bases)}
 
     rows = [{m: [] for m in modes} for _ in points]
     # Aligned draws serve every theta_max = 0 point; single-polarized

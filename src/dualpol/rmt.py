@@ -8,17 +8,20 @@ systems for the resolvent derivatives. No numerical differentiation is used
 anywhere.
 
 ``asym_sweep`` evaluates a whole sweep on one geometry in one call, the
-counterpart of ``metrics.run_paired(points=)``. The points share the BD
-preprocessors, each group's eigenbasis and the inter-group couplings
-(``_Basis``). Each (scheme, power) is one solve over its distinct chi,
-returning one solution per chi: one fixed-point loop over a batch of
-members, then one stacked solve of all their derivative systems. BD's
-members are every group at every distinct chi; BDS's classes do not depend
-on chi, so its members are the groups and chi only scales the cross and
-inter-group terms, by the slope ``AsymptoticSolution.chi_slope``. A
-member's result does not depend on the batch it is in. The CSIT quality
-tau^2 enters only the final SINR assembly (``AsymptoticSolution.terms``).
-``asym_bd`` and ``asym_bds`` are one-point sweeps.
+counterpart of ``metrics.run_paired``: it takes the same ``SweepPoint``s,
+gives each scheme its CSIT quality by the same rule
+(``modeswitch.csit_tau_sq``) and rejects the chi, tau^2 and power that the
+Monte Carlo rejects. The points share the BD preprocessors, each group's
+eigenbasis and the inter-group couplings (``_Basis``). Each (scheme,
+power) is one solve over its distinct chi, returning one solution per chi:
+one fixed-point loop over a batch of members, then one stacked solve of
+all their derivative systems. BD's members are every group at every
+distinct chi; BDS's classes do not depend on chi, so its members are the
+groups and chi only scales the cross and inter-group terms, by the slope
+``AsymptoticSolution.chi_slope``. A member's result does not depend on the
+batch it is in. The CSIT quality tau^2 enters only the final SINR assembly
+(``AsymptoticSolution.terms``). ``asym_bd`` and ``asym_bds`` are one-point
+sweeps at a scheme's own tau^2.
 
 The fixed point takes Newton steps with the map's analytic Jacobian J
 (``_jacobian``), the same J whose (I - J) the derivative systems solve, so
@@ -31,19 +34,18 @@ of e. It gives up after ``FIXED_POINT_MAX_ITER`` iterations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidInputError, NonConvergenceError, NumericalError
+from .modeswitch import csit_tau_sq
 from .precode import build_preprocessors
-from .scenario import GroupScenario
+from .scenario import GroupScenario, SweepPoint
 
 __all__ = [
     "FixedPointProblem",
     "FixedPointResult",
     "AsymptoticSolution",
-    "DePoint",
     "solve_fixed_point",
     "asym_sweep",
     "asym_bd",
@@ -308,7 +310,6 @@ class _Basis:
         if not scenario.dual_pol:
             raise InvalidInputError(
                 "the deterministic equivalents need a dual-polarized array")
-        self.scenario = scenario
         G = scenario.G
         R = [cov.matrix * gain ** 2
              for cov, gain in zip(scenario.covariances, scenario.gains)]
@@ -351,54 +352,63 @@ class _Spectral:
             raise NumericalError("singular (I - J) derivative system") from exc
 
 
-class DePoint(NamedTuple):
-    """One cell of a deterministic-equivalent sweep: ``scheme`` ("BD" or
-    "BDS") at a transmit power, chi and CSIT quality tau^2."""
+def asym_sweep(scenario: GroupScenario, modes, points, preprocessors=None) -> list:
+    """Deterministic equivalents of the schemes ``modes`` (BD, BDS) over a
+    sweep on one geometry; one dict of ``AsymptoticSolution`` per mode for
+    each point, as ``metrics.run_paired`` returns its summaries.
 
-    scheme: str
-    power: float
-    chi: float
-    tau_sq: float = 0.0
-
-
-def asym_sweep(scenario: GroupScenario, points, preprocessors=None) -> list:
-    """Deterministic equivalents of a whole sweep on one geometry.
-
-    ``points`` is a sequence of ``DePoint``; the scenario's own power and
-    chi are not read. Returns one ``AsymptoticSolution`` per point, equal
-    bit for bit to that of its one-point call (``asym_bd``/``asym_bds`` on
-    the scenario at the point's power and chi). The points share one
-    ``_Basis``. Each distinct (scheme, power) is one solve over its distinct
-    chi (``_bd``/``_bds``): one batched fixed point with one stacked
-    derivative solve. tau^2 enters only the SINR assembly
-    (``AsymptoticSolution.terms``). ``preprocessors``, the scenario's
-    ``build_preprocessors``, saves a caller that holds them the rebuild.
+    ``points`` is a sequence of ``SweepPoint``, whose power and chi default
+    to the scenario's. Each scheme's tau^2 is ``modeswitch.csit_tau_sq`` of
+    the point's, as in the Monte Carlo: BD's clamped to 1, BDS at its
+    equal-feedback square, or each at its RVQ bound for ``n_bits``. A
+    point's solution is, bit for bit, that of its one-point call
+    (``asym_bd``/``asym_bds`` on the scenario at the point's power and chi,
+    at that tau^2). The points share one ``_Basis``. Each distinct (scheme,
+    power) is one solve over its distinct chi (``_bd``/``_bds``): one
+    batched fixed point with one stacked derivative solve. tau^2 enters
+    only the SINR assembly (``AsymptoticSolution.terms``).
+    ``preprocessors``, the scenario's ``build_preprocessors``, saves a
+    caller that holds them the rebuild.
     """
-    points = list(points)
-    unknown = sorted({p.scheme for p in points} - set(_SOLVERS))
+    modes = list(modes)
+    unknown = [m for m in modes if m not in _SOLVERS]
     if unknown:
         raise InvalidInputError(f"unknown schemes: {', '.join(unknown)}")
+    points = [p.on(scenario) for p in points]
+    if any(not 0.0 <= p.chi <= 1.0 for p in points):
+        raise InvalidInputError("chi must lie in [0, 1]")
+    if any(p.theta_max != 0.0 for p in points):
+        raise InvalidInputError("the deterministic equivalents need theta_max = 0")
+    taus = [{m: csit_tau_sq(p.tau_sq, p.n_bits, scenario.r, m) for m in modes} for p in points]
+    scenarios = {p.power: scenario.with_power(p.power) for p in points}
     if preprocessors is None:
         preprocessors = build_preprocessors(scenario)
     basis = _Basis(scenario, preprocessors)
-    chis = {}
-    for p in points:
-        chis.setdefault((p.scheme, p.power), {})[p.chi] = None
     solved = {}
-    for (scheme, power), at in chis.items():
-        for chi, sol in zip(at, _SOLVERS[scheme](basis, power, list(at))):
-            solved[scheme, power, chi] = sol
-    return [replace(solved[p.scheme, p.power, p.chi], tau_sq=p.tau_sq) for p in points]
+    for power, sc in scenarios.items():
+        chis = list(dict.fromkeys(p.chi for p in points if p.power == power))
+        for m in modes:
+            solved[m, power] = dict(zip(chis, _SOLVERS[m](basis, sc, chis)))
+    return [{m: replace(solved[m, p.power][p.chi], tau_sq=tau[m]) for m in modes}
+            for p, tau in zip(points, taus)]
 
 
 def asym_bd(scenario: GroupScenario, tau_sq: float = 0.0) -> AsymptoticSolution:
     """Full deterministic equivalent of the BD scheme (both polarizations)."""
-    return asym_sweep(scenario, [DePoint("BD", scenario.power, scenario.chi, tau_sq)])[0]
+    return _one_point(scenario, "BD", tau_sq)
 
 
 def asym_bds(scenario: GroupScenario, tau_sq: float = 0.0) -> AsymptoticSolution:
     """Full deterministic equivalent of the BDS scheme."""
-    return asym_sweep(scenario, [DePoint("BDS", scenario.power, scenario.chi, tau_sq)])[0]
+    return _one_point(scenario, "BDS", tau_sq)
+
+
+def _one_point(scenario, scheme, tau_sq):
+    """The scheme's ``asym_sweep`` solution at the scenario's power and chi,
+    at its own CSIT quality ``tau_sq`` (not BD's), which is checked and
+    clamped to 1 as BD's is."""
+    [solutions] = asym_sweep(scenario, [scheme], [SweepPoint()])
+    return replace(solutions[scheme], tau_sq=csit_tau_sq(tau_sq, None, scenario.r, "BD"))
 
 
 def _pol(x, chi):
@@ -410,16 +420,16 @@ def _pol(x, chi):
                      np.concatenate([cx, x], axis=-1)], axis=-2)
 
 
-def _bd(basis: _Basis, P: float, chis) -> list:
-    """BD at power P and tau^2 = 0, one solution per chi of ``chis``.
+def _bd(basis: _Basis, sc: GroupScenario, chis) -> list:
+    """BD at tau^2 = 0 and the power P of ``sc``, the basis's scenario at
+    that power, one solution per chi of ``chis``.
 
     In the eigenbasis of C_g the class of polarization v, blockdiag(C_g,
     chi C_g), is diag(lam, chi lam), and that of h its mirror. Every group
     at every chi is one member (chi, group) of one ``_Spectral`` batch.
     """
-    sc = basis.scenario
     G, n_bar, b_bar, N = sc.G, sc.n_bar, sc.b_bar, sc.n_users
-    alpha = sc.with_power(P).alpha
+    P, alpha = sc.power, sc.alpha
     chis = np.asarray(chis, dtype=float)
     C = len(chis)
     classes = _pol(basis.lam, chis)
@@ -460,8 +470,9 @@ def _bd(basis: _Basis, P: float, chis) -> list:
         residual=float(residual[c])) for c in range(C)]
 
 
-def _bds(basis: _Basis, P: float, chis) -> list:
-    """BDS at power P and tau^2 = 0, one solution per chi of ``chis``.
+def _bds(basis: _Basis, sc: GroupScenario, chis) -> list:
+    """BDS at tau^2 = 0 and the power P of ``sc``, the basis's scenario at
+    that power, one solution per chi of ``chis``.
 
     Each co-polarized subgroup has a scalar fixed point on its (B_bar/2)-dim
     effective system; cross-polarized and inter-group interference enter
@@ -471,9 +482,8 @@ def _bds(basis: _Basis, P: float, chis) -> list:
     Both polarizations share every quantity; arrays are (G, 2) throughout.
     Every group is one member of one ``_Spectral`` batch, whatever the chi.
     """
-    sc = basis.scenario
     G, n_bar, b_bar, N = sc.G, sc.n_bar, sc.b_bar, sc.n_users
-    alpha = sc.with_power(P).alpha
+    P, alpha = sc.power, sc.alpha
     beta = b_bar // 2
 
     # Member l is perturbed by the identity, by its class and by each other

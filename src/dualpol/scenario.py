@@ -3,7 +3,8 @@
 A ``GroupScenario`` bundles everything that varies slowly: per-group
 covariances, polarization statistics, dimensions and the transmit power.
 Short-term quantities (channel realizations, CSIT quality tau) are passed
-separately to the Monte Carlo and asymptotic routines.
+separately to the Monte Carlo and asymptotic routines; a ``SweepPoint``
+sets them for one point of either engine's sweep.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass, replace
 from .corrstats import GroupGeometry, one_ring_covariance
 from .errors import InvalidConfigurationError
 
-__all__ = ["GroupScenario", "make_scenario", "default_theta_grid", "power_from_db"]
+__all__ = ["GroupScenario", "SweepPoint", "make_scenario", "default_theta_grid",
+           "power_from_db"]
 
 
 def power_from_db(snr_db: float) -> float:
@@ -75,6 +77,8 @@ class GroupScenario:
         return self.n_bar / (self.b_bar * self.power)
 
     def validate(self):
+        if not 0.0 < self.power < math.inf:
+            raise InvalidConfigurationError(f"power must be positive and finite: {self.power}")
         if not self.covariances:
             raise InvalidConfigurationError("a scenario needs at least one group")
         half = self.M // self.pols
@@ -121,6 +125,30 @@ class GroupScenario:
 
     def with_chi(self, chi: float) -> "GroupScenario":
         return replace(self, chi=chi)
+
+
+@dataclass(frozen=True)
+class SweepPoint:
+    """One point of a sweep over a fixed geometry, in either engine.
+
+    ``power`` and ``chi`` default to the scenario's. ``tau_sq`` and
+    ``n_bits`` set the schemes' CSIT qualities as in
+    ``modeswitch.csit_tau_sq``; a Monte Carlo run's ``chi_dist``/
+    ``tau_sq_dist`` draw chi/tau^2 per trial instead. A positive
+    ``theta_max`` turns each user's antenna by a random angle (Monte Carlo
+    only).
+    """
+
+    power: float | None = None
+    chi: float | None = None
+    tau_sq: float = 0.0
+    n_bits: int | None = None
+    theta_max: float = 0.0
+
+    def on(self, scenario: GroupScenario) -> "SweepPoint":
+        """This point with an unset power and chi taken from the scenario."""
+        return replace(self, power=scenario.power if self.power is None else self.power,
+                       chi=scenario.chi if self.chi is None else self.chi)
 
 
 def make_scenario(

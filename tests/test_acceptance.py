@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from dualpol.channel import RngStream
-from dualpol.metrics import SweepPoint, draw_trial, run_paired
+from dualpol.metrics import draw_trial, run_paired
 from dualpol.modeswitch import switch_threshold_bits
 from dualpol.precode import build_all, build_preprocessors
 from dualpol.rmt import (
@@ -24,7 +24,7 @@ from dualpol.rmt import (
     asym_bds,
     solve_fixed_point,
 )
-from dualpol.scenario import make_scenario, power_from_db
+from dualpol.scenario import SweepPoint, make_scenario, power_from_db
 
 SEED = 2024
 

@@ -15,9 +15,10 @@ import dualpol.precode as precode
 import dualpol.rmt as rmt
 from dualpol.channel import RngStream
 from dualpol.errors import DegenerateInputError, InvalidInputError
-from dualpol.metrics import SweepPoint, csit_tau_sq, draw_trial, run_paired, sinr_report
+from dualpol.metrics import draw_trial, run_paired, sinr_report
+from dualpol.modeswitch import csit_tau_sq
 from dualpol.precode import build_preprocessors
-from dualpol.scenario import make_scenario
+from dualpol.scenario import SweepPoint, make_scenario
 from dualpol.scene3d import make_scenario_3d, reduce_to_2d, run_3d_paired
 from reference import decompose_per_group, reference_paired, reference_report
 

@@ -6,18 +6,10 @@ import pytest
 
 from dualpol.channel import RngStream, complex_normal
 from dualpol.errors import InvalidInputError
-from dualpol.metrics import (
-    SweepPoint,
-    bds_tau_sq,
-    csit_tau_sq,
-    draw_trial,
-    run_paired,
-    sinr_bd,
-    sinr_bds,
-)
-from dualpol.modeswitch import FeedbackBudget, tau_from_bits
+from dualpol.metrics import draw_trial, run_paired, sinr_bd, sinr_bds
+from dualpol.modeswitch import FeedbackBudget, bds_tau_sq, csit_tau_sq, tau_from_bits
 from dualpol.precode import build_all, build_preprocessors
-from dualpol.scenario import make_scenario, power_from_db
+from dualpol.scenario import SweepPoint, make_scenario, power_from_db
 
 
 def symbol_level_powers(channels, precoders, power, n_draws=10000, seed=0):

@@ -9,11 +9,11 @@ import pytest
 import dualpol.rmt as rmt
 from dualpol.channel import complex_normal
 from dualpol.corrstats import SpatialCovariance
-from dualpol.errors import InvalidInputError, NonConvergenceError
-from dualpol.metrics import csit_tau_sq
+from dualpol.errors import DualpolError, InvalidInputError, NonConvergenceError
+from dualpol.metrics import run_paired
+from dualpol.modeswitch import csit_tau_sq
 from dualpol.precode import build_preprocessors
 from dualpol.rmt import (
-    DePoint,
     FixedPointProblem,
     approx_bds_chi,
     asym_bd,
@@ -22,7 +22,7 @@ from dualpol.rmt import (
     bds_c0,
     solve_fixed_point,
 )
-from dualpol.scenario import GroupScenario, make_scenario, power_from_db
+from dualpol.scenario import GroupScenario, SweepPoint, make_scenario, power_from_db
 from reference import DE_REFERENCE_CELLS, DE_REFERENCE_FIELDS, damped_fixed_points
 
 
@@ -220,11 +220,18 @@ def test_newton_matches_damped_iteration_at_the_float_floor(fig4_scenario, monke
     """Every pinned cell's solution is within 5e-13 relative, field by
     field, of the same solution with its fixed points solved by the damped
     plain iteration run to the float floor (``damped_fixed_points``)."""
-    points = [DePoint(s, power_from_db(snr), chi, t) for s, snr, chi, t in DE_REFERENCE_CELLS]
-    newton = asym_sweep(fig4_scenario, points)
+    points = [SweepPoint(power_from_db(snr), chi) for _, snr, chi, _ in DE_REFERENCE_CELLS]
+
+    def pinned_cells():
+        # Each cell's own scheme at its own tau^2, which enters only the
+        # SINR assembly.
+        sweep = asym_sweep(fig4_scenario, ["BD", "BDS"], points)
+        return [replace(sol[s], tau_sq=t) for (s, _, _, t), sol in zip(DE_REFERENCE_CELLS, sweep)]
+
+    newton = pinned_cells()
     monkeypatch.setattr(rmt, "_fixed_points", damped_fixed_points)
-    damped = asym_sweep(fig4_scenario, points)
-    for p, got, want in zip(points, newton, damped):
+    damped = pinned_cells()
+    for p, got, want in zip(DE_REFERENCE_CELLS, newton, damped):
         assert got.sum_rate == pytest.approx(want.sum_rate, rel=5e-13, abs=0.0), p
         for name in DE_REFERENCE_FIELDS:
             np.testing.assert_allclose(getattr(got, name), getattr(want, name),
@@ -242,29 +249,29 @@ SWEEP_FIELDS = ("sum_rate", "gamma", "m0", "m_prime", "xi_sq", "psi", "upsilon_i
                 "tau_sq")
 
 
-def fig4_sweep_cells(scenario):
-    """(scheme, snr_db, chi, tau_sq) of the pinned fig4 grid, then an n_bits
-    point per scheme at its RVQ tau^2."""
-    cells = [(scheme, snr, chi, tau_sq) for snr in (0.0, 15.0, 30.0)
-             for chi in (0.0, 0.3, 1.0) for tau_sq in (0.0, 0.1)
-             for scheme in ("BD", "BDS")]
-    return cells + [(scheme, 25.0, 0.2, csit_tau_sq(0.0, 60, scenario.r, scheme))
-                    for scheme in ("BD", "BDS")]
+def fig4_sweep_points():
+    """The pinned fig4 grid's (SNR, chi, BD's tau^2) points, then an n_bits
+    point, where each scheme takes its RVQ tau^2."""
+    return [SweepPoint(power_from_db(snr), chi, tau_sq) for snr in (0.0, 15.0, 30.0)
+            for chi in (0.0, 0.3, 1.0) for tau_sq in (0.0, 0.1)] + [
+        SweepPoint(power_from_db(25.0), 0.2, n_bits=60)]
 
 
 def test_sweep_equals_one_point_calls(fig4_scenario):
-    cells = fig4_sweep_cells(fig4_scenario)
+    points = fig4_sweep_points()
     # The scenario's own power and chi are not read.
-    sweep = asym_sweep(fig4_scenario.with_chi(0.55).with_power(7.0),
-                       [DePoint(s, power_from_db(snr), chi, t) for s, snr, chi, t in cells])
-    assert len(sweep) == len(cells)
-    for (scheme, snr, chi, tau_sq), got in zip(cells, sweep):
-        solver = asym_bd if scheme == "BD" else asym_bds
-        want = solver(fig4_scenario.with_chi(chi).with_power_db(snr), tau_sq=tau_sq)
-        where = (scheme, snr, chi, tau_sq)
-        assert got.scheme == scheme
-        for name in SWEEP_FIELDS:
-            assert np.array_equal(getattr(got, name), getattr(want, name)), (where, name)
+    sweep = asym_sweep(fig4_scenario.with_chi(0.55).with_power(7.0), ["BD", "BDS"], points)
+    assert len(sweep) == len(points)
+    for p, got_p in zip(points, sweep):
+        for scheme in ("BD", "BDS"):
+            got = got_p[scheme]
+            solver = asym_bd if scheme == "BD" else asym_bds
+            tau_sq = csit_tau_sq(p.tau_sq, p.n_bits, fig4_scenario.r, scheme)
+            want = solver(fig4_scenario.with_chi(p.chi).with_power(p.power), tau_sq=tau_sq)
+            where = (scheme, p)
+            assert got.scheme == scheme
+            for name in SWEEP_FIELDS:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (where, name)
 
 
 def test_sweep_builds_the_geometry_once(fig4_scenario, monkeypatch):
@@ -281,19 +288,17 @@ def test_sweep_builds_the_geometry_once(fig4_scenario, monkeypatch):
     fixed_points = rmt._fixed_points
     monkeypatch.setattr(rmt, "build_preprocessors", counted_build)
     monkeypatch.setattr(rmt, "_fixed_points", counted_solve)
-    cells = fig4_sweep_cells(fig4_scenario)
-    asym_sweep(fig4_scenario, [DePoint(s, power_from_db(snr), chi, t)
-                               for s, snr, chi, t in cells])
+    points = fig4_sweep_points()
+    asym_sweep(fig4_scenario, ["BD", "BDS"], points)
     assert len(builds) == 1
     # One batched fixed point per BD power, with every group at every
     # distinct chi of that power as a member, and one per BDS power, with
     # every group; BD's members have two classes, BDS's one.
     G = fig4_scenario.G
     bd = {}
-    for s, snr, chi, _ in cells:
-        if s == "BD":
-            bd.setdefault(snr, set()).add(chi)
-    bds = {snr for s, snr, _, _ in cells if s == "BDS"}
+    for p in points:
+        bd.setdefault(p.power, set()).add(p.chi)
+    bds = {p.power for p in points}
     assert sorted(solves) == sorted([(G * len(chis), 2) for chis in bd.values()]
                                     + [(G, 1)] * len(bds))
 
@@ -302,22 +307,70 @@ def test_sweep_members_do_not_depend_on_their_batch(fig4_scenario):
     """A point's solution is the same bits whether its chi shares the
     batched fixed point with the sweep's other chi, in either order, or is
     solved alone."""
-    points = [DePoint(s, power_from_db(snr), chi, t)
-              for snr in (0.0, 25.0) for chi in (0.0, 0.1, 0.3, 0.7, 1.0)
-              for t in (0.0, 0.2) for s in ("BD", "BDS")]
-    forward = asym_sweep(fig4_scenario, points)
-    backward = asym_sweep(fig4_scenario, points[::-1])[::-1]
-    alone = [asym_sweep(fig4_scenario, [p])[0] for p in points]
-    for p, a, b, c in zip(points, forward, backward, alone):
-        for name in SWEEP_FIELDS:
-            want = getattr(c, name)
-            assert np.array_equal(getattr(a, name), want), (p, name)
-            assert np.array_equal(getattr(b, name), want), (p, name)
+    modes = ["BD", "BDS"]
+    points = [SweepPoint(power_from_db(snr), chi, t)
+              for snr in (0.0, 25.0) for chi in (0.0, 0.1, 0.3, 0.7, 1.0) for t in (0.0, 0.2)]
+    forward = asym_sweep(fig4_scenario, modes, points)
+    backward = asym_sweep(fig4_scenario, modes, points[::-1])[::-1]
+    for p, a, b in zip(points, forward, backward):
+        for s in modes:
+            alone = asym_sweep(fig4_scenario, [s], [p])[0][s]
+            for name in SWEEP_FIELDS:
+                want = getattr(alone, name)
+                assert np.array_equal(getattr(a[s], name), want), (s, p, name)
+                assert np.array_equal(getattr(b[s], name), want), (s, p, name)
 
 
 def test_sweep_rejects_unknown_schemes(fig4_scenario):
     with pytest.raises(InvalidInputError, match="unknown schemes: SWITCH"):
-        asym_sweep(fig4_scenario, [DePoint("BD", 1.0, 0.0), DePoint("SWITCH", 1.0, 0.0)])
+        asym_sweep(fig4_scenario, ["BD", "SWITCH"], [SweepPoint(1.0, 0.0)])
+
+
+# Points that both engines reject, each with the one message of its rule.
+BAD_POINTS = [
+    pytest.param(SweepPoint(chi=2.0), r"chi must lie in \[0, 1\]", id="chi=2"),
+    pytest.param(SweepPoint(chi=-0.5), r"chi must lie in \[0, 1\]", id="chi=-0.5"),
+    pytest.param(SweepPoint(chi=math.nan), r"chi must lie in \[0, 1\]", id="chi=nan"),
+    pytest.param(SweepPoint(tau_sq=-0.2), "tau_sq must be nonnegative", id="tau_sq=-0.2"),
+    pytest.param(SweepPoint(power=0.0), "power must be positive and finite", id="power=0"),
+    pytest.param(SweepPoint(power=math.inf), "power must be positive and finite", id="power=inf"),
+    pytest.param(SweepPoint(power=-1.0), "power must be positive and finite", id="power=-1"),
+]
+
+
+@pytest.mark.parametrize("engine", ["DE", "MC"])
+@pytest.mark.parametrize("point, message", BAD_POINTS)
+def test_both_engines_reject_the_same_points(small_scenario, engine, point, message):
+    sc = small_scenario.with_power(10.0)
+    with pytest.raises(DualpolError, match=message):
+        if engine == "DE":
+            asym_sweep(sc, ["BD", "BDS"], [point])
+        else:
+            run_paired(sc, ["BD", "BDS"], 2, 1, [point])
+
+
+def test_both_engines_clamp_tau_sq_at_one(small_scenario):
+    sc = small_scenario.with_power(10.0)
+    points = [SweepPoint(tau_sq=1.5), SweepPoint(tau_sq=1.0)]
+    over, one = asym_sweep(sc, ["BD", "BDS"], points)
+    mc_over, mc_one = run_paired(sc, ["BD", "BDS"], 3, 1, points)
+    for s in ("BD", "BDS"):
+        assert over[s].tau_sq == 1.0 and over[s].sum_rate == one[s].sum_rate
+        assert np.array_equal(mc_over[s].trial_sum_rates, mc_one[s].trial_sum_rates)
+
+
+@pytest.mark.parametrize("solver", [asym_bd, asym_bds])
+def test_one_point_calls_check_and_clamp_their_own_tau_sq(small_scenario, solver):
+    sc = small_scenario.with_power(10.0)
+    with pytest.raises(InvalidInputError, match="tau_sq must be nonnegative"):
+        solver(sc, tau_sq=-0.2)
+    over, one = solver(sc, tau_sq=1.5), solver(sc, tau_sq=1.0)
+    assert over.tau_sq == 1.0 and over.sum_rate == one.sum_rate
+
+
+def test_sweep_rejects_mismatched_points(small_scenario):
+    with pytest.raises(InvalidInputError, match="theta_max = 0"):
+        asym_sweep(small_scenario, ["BD"], [SweepPoint(theta_max=0.3)])
 
 
 @pytest.fixture(scope="module")
@@ -405,10 +458,11 @@ def test_newton_iterations_over_the_cli_snr_range(cell, fig4_scenario):
     takes at most 30 Newton iterations, on the fig4 cell and on the
     24-element two-group cell."""
     scenario = fig4_scenario if cell == "fig4" else make_scenario(M=24, G=2, n_bar=4)
-    points = [DePoint(s, power_from_db(float(snr)), chi) for snr in range(-100, 101, 10)
-              for chi in (0.0, 0.3, 1.0) for s in ("BD", "BDS")]
-    for p, sol in zip(points, asym_sweep(scenario, points)):
-        assert sol.iterations <= 30, p
+    points = [SweepPoint(power_from_db(float(snr)), chi) for snr in range(-100, 101, 10)
+              for chi in (0.0, 0.3, 1.0)]
+    for p, sols in zip(points, asym_sweep(scenario, ["BD", "BDS"], points)):
+        for s, sol in sols.items():
+            assert sol.iterations <= 30, (s, p)
 
 
 @pytest.mark.parametrize("solver", [asym_bd, asym_bds])
@@ -506,8 +560,6 @@ class TestChiApproximations:
 def test_mc_gap_shrinks_with_m():
     # deterministic-equivalent consistency: the MC-vs-DE gap at fixed ratios
     # drops as the dimensions grow
-    from dualpol.metrics import SweepPoint, run_paired
-
     gaps = []
     for (M, nb, bb, r, trials) in [(40, 2, 4, 4, 300), (120, 8, 16, 11, 150)]:
         sc = make_scenario(M=M, G=4, n_bar=nb, b_bar=bb, r=r,

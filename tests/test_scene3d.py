@@ -9,7 +9,8 @@ from dualpol.errors import (
     InvalidConfigurationError,
     InvalidInputError,
 )
-from dualpol.metrics import SweepPoint, run_paired
+from dualpol.metrics import run_paired
+from dualpol.scenario import SweepPoint
 from dualpol.scene3d import (
     elevation_prefilter,
     make_scenario_3d,
