@@ -21,7 +21,6 @@ from .channel import (
     RngStream,
     draw_channel,
     draw_mismatched_channel,
-    draw_single_pol_channel,
 )
 from .errors import (
     DegenerateInputError,

@@ -32,7 +32,6 @@ __all__ = [
     "GroupChannel",
     "draw_channel",
     "draw_mismatched_channel",
-    "draw_single_pol_channel",
     "channel_from_normals",
     "mix_csit",
 ]
@@ -264,17 +263,6 @@ def draw_mismatched_channel(stats: SpatialCovariance, chi: float,
     if not 0.0 <= theta_max <= np.pi / 2:
         raise InvalidInputError("theta_max must lie in [0, pi/2]")
     return _draw(stats, chi, n_users, rng, theta_max=theta_max, gain=gain)
-
-
-def draw_single_pol_channel(stats: SpatialCovariance, n_users: int, rng,
-                            gain: float = 1.0) -> GroupChannel:
-    """Co-polarized baseline: H = U Lambda^(1/2) G over the full array."""
-    if n_users < 1:
-        raise InvalidInputError("n_users must be positive")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    normals = np.empty((4, stats.effective_rank, n_users))
-    _read_group(gen, normals)
-    return channel_from_normals(stats, 0.0, normals, gain=gain)
 
 
 def mix_csit(G: np.ndarray, Z: np.ndarray, tau) -> np.ndarray:

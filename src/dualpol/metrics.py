@@ -207,18 +207,16 @@ def draw_trial(scenario: GroupScenario, rng, chi=None, theta_max=0.0):
     """All groups' channels for one coherence block: a tuple in group order.
 
     The trial is ``_draw_block``'s read of one trial from ``rng``, an
-    ``RngStream`` or a Generator, which then continues past it. As in
-    ``run_paired``, ``theta_max`` must lie in [0, pi/2], a positive one
-    turns the users of a dual-polarized array only, and the draw keeps its
-    CSIT noise.
+    ``RngStream`` or a Generator, which then continues past it. Its chi
+    (the scenario's when None) and ``theta_max`` are resolved and checked
+    as ``run_paired``'s points are, by ``SweepPoint.on``, before the read,
+    and the draw keeps its CSIT noise.
     """
-    if not 0.0 <= theta_max <= np.pi / 2:
-        raise InvalidInputError("theta_max must lie in [0, pi/2]")
-    theta = theta_max if scenario.dual_pol and theta_max > 0.0 else 0.0
+    point = SweepPoint(chi=chi, theta_max=theta_max).on(scenario)
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    chi = scenario.chi if chi is None else chi
-    _, _, normals, angles = next(_draw_block(scenario, [gen], None, None, [theta], True))
-    return tuple(channel_from_normals(cov, chi, normals_g[0],
+    _, _, normals, angles = next(_draw_block(scenario, [gen], None, None,
+                                             [point.theta_max], True))
+    return tuple(channel_from_normals(cov, point.chi, normals_g[0],
                                       None if angles_g is None else angles_g[0], gain)
                  for cov, normals_g, angles_g, gain in zip(
                      scenario.covariances, normals, angles, scenario.gains))
@@ -406,8 +404,11 @@ def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
     channel draws; one dict of ``McSummary`` per mode for each point.
 
     ``modes`` may contain BD, BDS, SWITCH, and SWITCH_RAW. ``points`` is a
-    sequence of ``SweepPoint``, which set the power, chi and CSIT quality.
-    ``chi_dist``/``tau_sq_dist`` draw chi and tau^2 per trial instead.
+    sequence of ``SweepPoint``, which set the power, chi and CSIT quality
+    and are resolved and checked (``SweepPoint.on``) before any trial is
+    drawn. ``chi_dist``/``tau_sq_dist`` draw chi and tau^2 per trial
+    instead, so a point may not set them too (``n_bits`` still sets the
+    schemes' quality over drawn tau^2, as in ``csit_tau_sq``).
     ``stream_base`` offsets the per-trial RNG streams so independent
     sub-experiments (e.g. elevation regions) stay decorrelated.
 
@@ -434,9 +435,11 @@ def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
     unknown = [m for m in modes if m not in MC_MODES]
     if unknown:
         raise InvalidInputError(f"unknown schemes: {', '.join(unknown)}")
+    for axis, dist, unset in (("chi", chi_dist, None), ("tau_sq", tau_sq_dist, 0.0)):
+        if dist and any(getattr(p, axis) != unset for p in points):
+            raise InvalidInputError(
+                f"{axis}_dist draws {axis} per trial; a point must leave {axis} at {unset}")
     points = [p.on(scenario) for p in points]
-    if any(not 0.0 <= p.theta_max <= np.pi / 2 for p in points):
-        raise InvalidInputError("theta_max must lie in [0, pi/2]")
     scenarios = {p.power: scenario.with_power(p.power) for p in points}
     if preprocessors is None:
         preprocessors = build_preprocessors(scenario)
@@ -448,10 +451,7 @@ def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
         scales = {power: chi_crossover_scale(b["BDS"]) for power, b in zip(scenarios, bases)}
 
     rows = [{m: [] for m in modes} for _ in points]
-    # Aligned draws serve every theta_max = 0 point; single-polarized
-    # arrays are never mismatched.
-    by_draw = dict(_grouped(range(len(points)), lambda i: (
-        points[i].theta_max if scenario.dual_pol and points[i].theta_max > 0.0 else 0.0)))
+    by_draw = dict(_grouped(range(len(points)), lambda i: points[i].theta_max))
     noise = bool(tau_sq_dist) or any(
         p.tau_sq != 0.0 or p.n_bits is not None for p in points)
     block = block_trials(scenario)

@@ -357,16 +357,18 @@ def asym_sweep(scenario: GroupScenario, modes, points, preprocessors=None) -> li
     sweep on one geometry; one dict of ``AsymptoticSolution`` per mode for
     each point, as ``metrics.run_paired`` returns its summaries.
 
-    ``points`` is a sequence of ``SweepPoint``, whose power and chi default
-    to the scenario's. Each scheme's tau^2 is ``modeswitch.csit_tau_sq`` of
-    the point's, as in the Monte Carlo: BD's clamped to 1, BDS at its
-    equal-feedback square, or each at its RVQ bound for ``n_bits``. A
-    point's solution is, bit for bit, that of its one-point call
-    (``asym_bd``/``asym_bds`` on the scenario at the point's power and chi,
-    at that tau^2). The points share one ``_Basis``. Each distinct (scheme,
-    power) is one solve over its distinct chi (``_bd``/``_bds``): one
-    batched fixed point with one stacked derivative solve. tau^2 enters
-    only the SINR assembly (``AsymptoticSolution.terms``).
+    ``points`` is a sequence of ``SweepPoint``, resolved and checked as the
+    Monte Carlo's are (``SweepPoint.on``); a point with theta_max > 0,
+    which the deterministic equivalents do not model, is rejected. Each
+    scheme's tau^2 is ``modeswitch.csit_tau_sq`` of the point's, as in the
+    Monte Carlo: BD's clamped to 1, BDS at its equal-feedback square, or
+    each at its RVQ bound for ``n_bits``. A point's solution is, bit for
+    bit, that of its one-point call (``asym_bd``/``asym_bds`` on the
+    scenario at the point's power and chi, at that tau^2). The points share
+    one ``_Basis``. Each distinct (scheme, power) is one solve over its
+    distinct chi (``_bd``/``_bds``): one batched fixed point with one
+    stacked derivative solve. tau^2 enters only the SINR assembly
+    (``AsymptoticSolution.terms``).
     ``preprocessors``, the scenario's ``build_preprocessors``, saves a
     caller that holds them the rebuild.
     """
@@ -375,8 +377,6 @@ def asym_sweep(scenario: GroupScenario, modes, points, preprocessors=None) -> li
     if unknown:
         raise InvalidInputError(f"unknown schemes: {', '.join(unknown)}")
     points = [p.on(scenario) for p in points]
-    if any(not 0.0 <= p.chi <= 1.0 for p in points):
-        raise InvalidInputError("chi must lie in [0, 1]")
     if any(p.theta_max != 0.0 for p in points):
         raise InvalidInputError("the deterministic equivalents need theta_max = 0")
     taus = [{m: csit_tau_sq(p.tau_sq, p.n_bits, scenario.r, m) for m in modes} for p in points]

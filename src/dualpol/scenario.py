@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .corrstats import GroupGeometry, one_ring_covariance
-from .errors import InvalidConfigurationError
+from .errors import InvalidConfigurationError, InvalidInputError
 
 __all__ = ["GroupScenario", "SweepPoint", "make_scenario", "default_theta_grid",
            "power_from_db"]
@@ -33,13 +33,12 @@ def default_theta_grid(n_groups: int) -> list:
 class GroupScenario:
     """Long-term description of one cell.
 
-    For a dual-polarized scenario `M` counts antenna elements (M/2 co-located
-    pairs) and each covariance is (M/2 x M/2); a single-polarized baseline
-    uses full (M x M) covariances. `gains` are per-group amplitude scalings
+    The covariances set the array size `M`: a dual-polarized array has M/2
+    co-located pairs and (M/2 x M/2) covariances, a single-polarized
+    baseline full (M x M) ones. `gains` are per-group amplitude scalings
     applied to the channel (used by the 3D reduction).
     """
 
-    M: int
     n_bar: int
     b_bar: int
     r: int
@@ -72,6 +71,11 @@ class GroupScenario:
         return 2 if self.dual_pol else 1
 
     @property
+    def M(self) -> int:
+        """Antenna elements: one covariance dimension per polarization."""
+        return self.pols * self.covariances[0].dim
+
+    @property
     def alpha(self) -> float:
         """RZF regularization N_bar / (B_bar P), the MMSE-consistent choice."""
         return self.n_bar / (self.b_bar * self.power)
@@ -81,14 +85,9 @@ class GroupScenario:
             raise InvalidConfigurationError(f"power must be positive and finite: {self.power}")
         if not self.covariances:
             raise InvalidConfigurationError("a scenario needs at least one group")
-        half = self.M // self.pols
-        for cov in self.covariances:
-            if cov.dim != half:
-                raise InvalidConfigurationError(
-                    f"covariance dimension {cov.dim} does not match array size {half}"
-                )
-        if self.M % self.pols != 0:
-            raise InvalidConfigurationError("dual-polarized M must be even")
+        half = self.covariances[0].dim
+        if any(cov.dim != half for cov in self.covariances):
+            raise InvalidConfigurationError("every group's covariance needs the same dimension")
         if self.n_bar % self.pols != 0:
             raise InvalidConfigurationError("n_bar must be even (half per polarization)")
         if self.b_bar % self.pols != 0:
@@ -134,9 +133,9 @@ class SweepPoint:
     ``power`` and ``chi`` default to the scenario's. ``tau_sq`` and
     ``n_bits`` set the schemes' CSIT qualities as in
     ``modeswitch.csit_tau_sq``; a Monte Carlo run's ``chi_dist``/
-    ``tau_sq_dist`` draw chi/tau^2 per trial instead. A positive
-    ``theta_max`` turns each user's antenna by a random angle (Monte Carlo
-    only).
+    ``tau_sq_dist`` draw chi/tau^2 per trial instead, and reject a point
+    that sets them. A positive ``theta_max`` turns each user's antenna by a
+    random angle (Monte Carlo only).
     """
 
     power: float | None = None
@@ -146,9 +145,21 @@ class SweepPoint:
     theta_max: float = 0.0
 
     def on(self, scenario: GroupScenario) -> "SweepPoint":
-        """This point with an unset power and chi taken from the scenario."""
+        """This point on the scenario, as both engines and
+        ``metrics.draw_trial`` read it: an unset power and chi taken from
+        the scenario, chi checked to lie in [0, 1] and theta_max in
+        [0, pi/2], and theta_max 0 on a single-polarized array, which is
+        never mismatched. The power is checked where a scenario takes it
+        (``GroupScenario.validate``), tau^2 where it is resolved
+        (``modeswitch.csit_tau_sq``).
+        """
+        chi = scenario.chi if self.chi is None else self.chi
+        if not 0.0 <= chi <= 1.0:
+            raise InvalidInputError("chi must lie in [0, 1]")
+        if not 0.0 <= self.theta_max <= math.pi / 2:
+            raise InvalidInputError("theta_max must lie in [0, pi/2]")
         return replace(self, power=scenario.power if self.power is None else self.power,
-                       chi=scenario.chi if self.chi is None else self.chi)
+                       chi=chi, theta_max=self.theta_max if scenario.dual_pol else 0.0)
 
 
 def make_scenario(
@@ -178,6 +189,8 @@ def make_scenario(
     if thetas is None:
         thetas = default_theta_grid(G)
     pols = 2 if dual_pol else 1
+    if M % pols != 0:
+        raise InvalidConfigurationError("dual-polarized M must be even")
     covs = tuple(
         one_ring_covariance(GroupGeometry(theta, spread), M // pols, spacing)
         for theta in thetas
@@ -191,6 +204,6 @@ def make_scenario(
     G = len(covs)
     r_cap = (M // pols - b_bar // pols) // (G - 1) if G > 1 else min_rank
     return GroupScenario(
-        M=M, n_bar=n_bar, b_bar=b_bar, r=min(r, r_cap), covariances=covs, chi=chi,
+        n_bar=n_bar, b_bar=b_bar, r=min(r, r_cap), covariances=covs, chi=chi,
         power=power, dual_pol=dual_pol, scenario_id=scenario_id,
     )

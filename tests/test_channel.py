@@ -13,11 +13,12 @@ from dualpol.channel import (
     complex_normal,
     draw_channel,
     draw_mismatched_channel,
-    draw_single_pol_channel,
     mix_csit,
 )
 from dualpol.corrstats import GroupGeometry, one_ring_covariance
 from dualpol.errors import InvalidInputError
+from dualpol.metrics import draw_trial
+from dualpol.scenario import make_scenario
 
 
 @pytest.fixture(scope="module")
@@ -198,9 +199,10 @@ def test_mismatched_csit_keeps_tau_meaning(stats):
         assert corr == pytest.approx(math.sqrt(1.0 - tau * tau), rel=0.02)
 
 
-def test_single_pol_draw(stats):
-    entry = draw_single_pol_channel(stats, 4, RngStream(3, 0))
-    assert entry.H.shape == (stats.dim, 4)
+def test_single_pol_draw():
+    sc = make_scenario(M=8, G=1, n_bar=4, spread=math.pi / 8, thetas=[0.2], dual_pol=False)
+    [entry] = draw_trial(sc, RngStream(3, 0))
+    assert entry.H.shape == (entry.stats.dim, 4)
     assert entry.pols == 1
 
 

@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+import dualpol.metrics as metrics
 from dualpol.channel import RngStream, complex_normal
-from dualpol.errors import InvalidInputError
+from dualpol.errors import DualpolError, InvalidInputError
 from dualpol.metrics import draw_trial, run_paired, sinr_bd, sinr_bds
 from dualpol.modeswitch import FeedbackBudget, bds_tau_sq, csit_tau_sq, tau_from_bits
 from dualpol.precode import build_all, build_preprocessors
@@ -230,6 +231,54 @@ def test_theta_max_outside_quarter_turn_rejected(small_scenario, theta_max):
     with pytest.raises(InvalidInputError, match="theta_max"):
         run_paired(small_scenario, ["BD"], 2, 1,
                    [SweepPoint(), SweepPoint(theta_max=theta_max)])
+
+
+@pytest.mark.parametrize("point, message", [
+    (SweepPoint(chi=2.0), r"chi must lie in \[0, 1\]"),
+    (SweepPoint(chi=math.nan), r"chi must lie in \[0, 1\]"),
+    (SweepPoint(theta_max=-0.3), r"theta_max must lie in \[0, pi/2\]"),
+    (SweepPoint(power=0.0), "power must be positive and finite"),
+], ids=["chi=2", "chi=nan", "theta_max=-0.3", "power=0"])
+def test_bad_point_rejected_before_any_trial_is_drawn(small_scenario, monkeypatch,
+                                                      point, message):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(metrics, "_draw_block", no_draws)
+    with pytest.raises(DualpolError, match=message):
+        run_paired(small_scenario, ["BD"], 2, 1, [SweepPoint(), point])
+
+
+@pytest.fixture(scope="module")
+def wide_pair():
+    return make_scenario(M=24, G=2, n_bar=4, thetas=[-0.6, 0.6], spread=0.4).with_power(10.0)
+
+
+@pytest.mark.parametrize("point, kwargs, message", [
+    (SweepPoint(chi=0.9), {"chi_dist": (0.0, 0.5)}, "chi_dist draws chi"),
+    (SweepPoint(chi=0.0), {"chi_dist": (0.0, 0.5)}, "chi_dist draws chi"),
+    (SweepPoint(tau_sq=0.9), {"tau_sq_dist": (0.0, 0.5)}, "tau_sq_dist draws tau_sq"),
+], ids=["chi", "chi=0", "tau_sq"])
+def test_drawn_chi_or_tau_sq_rejects_a_point_that_sets_it(wide_pair, point, kwargs, message):
+    # The drawn values would override the point's own, so any chi (even 0)
+    # or a nonzero tau^2 next to its distribution is an error, not a no-op.
+    with pytest.raises(InvalidInputError, match=message):
+        run_paired(wide_pair, ["BD", "BDS"], 4, 1, [SweepPoint(), point], **kwargs)
+
+
+def test_point_on_a_scenario_is_resolved_and_checked(small_scenario):
+    sc = small_scenario.with_chi(0.3).with_power(10.0)
+    single = make_scenario(M=12, G=2, n_bar=4, dual_pol=False)
+    point = SweepPoint(theta_max=0.3)
+    assert point.on(sc) == SweepPoint(power=10.0, chi=0.3, theta_max=0.3)
+    assert point.on(single).theta_max == 0.0  # never mismatched
+    with pytest.raises(InvalidInputError, match="theta_max"):
+        SweepPoint(theta_max=3.0).on(single)
+    # The scenario's own chi is checked too, even when chi_dist draws it.
+    with pytest.raises(InvalidInputError, match="chi must lie"):
+        run_paired(sc.with_chi(1.5), ["BD"], 2, 1, [SweepPoint()], chi_dist=(0.0, 0.5))
+    with pytest.raises(InvalidInputError, match="chi must lie"):
+        draw_trial(sc, RngStream(1, 0), chi=-0.1)
 
 
 def test_r1_budget_runs_bd_and_rejects_bds():

@@ -126,7 +126,18 @@ def test_no_groups_is_a_config_error():
     with pytest.raises(InvalidConfigurationError, match="at least one group"):
         make_scenario(G=0)
     with pytest.raises(InvalidConfigurationError, match="at least one group"):
-        GroupScenario(M=24, n_bar=4, b_bar=8, r=2, covariances=())
+        GroupScenario(n_bar=4, b_bar=8, r=2, covariances=())
+
+
+def test_array_size_comes_from_the_covariances():
+    assert make_scenario(M=24, G=2, n_bar=4).M == 24
+    assert make_scenario(M=13, G=2, n_bar=4, dual_pol=False).M == 13
+    with pytest.raises(InvalidConfigurationError, match="dual-polarized M must be even"):
+        make_scenario(M=25, G=2, n_bar=4)
+    covs = [one_ring_covariance(GroupGeometry(theta, math.pi / 8), dim, 0.5)
+            for theta, dim in ((-0.6, 12), (0.6, 14))]
+    with pytest.raises(InvalidConfigurationError, match="same dimension"):
+        GroupScenario(n_bar=4, b_bar=4, r=2, covariances=covs)
 
 
 class TestRzf:

@@ -399,7 +399,7 @@ class TestBdAsymptotics:
         # G = 1, R^s = I: the fixed point solves a scalar quadratic
         n_half, n_bar, b_bar, chi, P = 16, 8, 12, 0.4, 8.0
         cov = SpatialCovariance.from_matrix(np.eye(n_half))
-        sc = GroupScenario(M=2 * n_half, n_bar=n_bar, b_bar=b_bar, r=10,
+        sc = GroupScenario(n_bar=n_bar, b_bar=b_bar, r=10,
                            covariances=(cov,), chi=chi, power=P)
         sol = asym_bd(sc)
         kappa = (1.0 + chi) / 2.0
