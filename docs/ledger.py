@@ -287,9 +287,8 @@ TRIALS = 500
 def _run_3d(seed, *thetas):
     """The cell's runs at each theta_max, one sweep on shared draws."""
     sc3 = make_scenario_3d().with_power_db(25.0)
-    return run_3d_paired(sc3, MODES, TRIALS, seed,
-                         [SweepPoint(theta_max=theta) for theta in thetas],
-                         tau_sq_dist=(0.0, 1.0), chi_dist=(0.0, 0.5))
+    return run_3d_paired(sc3, MODES, TRIALS, seed, [
+        SweepPoint(chi=(0.0, 0.5), tau_sq=(0.0, 1.0), theta_max=theta) for theta in thetas])
 
 
 def _paired_se(a, b):

@@ -29,9 +29,9 @@ import sys
 from dataclasses import replace
 from typing import NamedTuple
 
-# rmt's and scene3d's functions are looked up on the module at call time, so
-# wrappers installed there (perfbench/tracer.py) see the calls.
-from . import rmt, scene3d
+# precode's, rmt's and scene3d's functions are looked up on the module at
+# call time, so wrappers installed there (perfbench/tracer.py) see the calls.
+from . import precode, rmt, scene3d
 from .errors import DualpolError, InvalidConfigurationError, NumericalError
 from .metrics import MC_MODES, run_paired
 from .scenario import SweepPoint, make_scenario, power_from_db
@@ -354,9 +354,11 @@ def _check_variants(variants, schemes, points):
 
 
 def _sweep(cfg):
-    """Each sweep point's axis values and ``SweepPoint``. A tau^2 above 1,
-    fixed or in the range of ``tau_sq_dist``, is flagged here and clamped
-    to 1 where it is used (``modeswitch.csit_tau_sq``)."""
+    """Each sweep point's axis values and ``SweepPoint``, whose chi and
+    tau^2 are the ``chi_dist`` and ``tau_sq_dist`` ranges where those are
+    set (the axis values then hold None). A tau^2 above 1, fixed or in the
+    range of ``tau_sq_dist``, is flagged here and clamped to 1 where it is
+    used (``modeswitch.csit_tau_sq``)."""
     if cfg["tau_sq_dist"] and cfg["tau_sq_dist"][1] > 1.0:
         lo, hi = cfg["tau_sq_dist"]
         print(f"warning: {cfg['scenario_id']}: tau_sq_dist=uniform:{lo:g}:{hi:g} draws "
@@ -377,8 +379,9 @@ def _sweep(cfg):
         if tau_sq > 1.0:
             print(f"warning: {cfg['scenario_id']} {p}: tau_sq={tau_sq} clamped to 1.0 "
                   "(CSIT model bounds tau <= 1)", file=sys.stderr)
-        points.append(SweepPoint(power=power_from_db(p["snr_db"]), chi=p["chi"],
-                                 tau_sq=tau_sq, n_bits=p["n_bits"],
+        points.append(SweepPoint(power=power_from_db(p["snr_db"]),
+                                 chi=cfg["chi_dist"] or p["chi"],
+                                 tau_sq=cfg["tau_sq_dist"] or tau_sq, n_bits=p["n_bits"],
                                  theta_max=math.radians(p["theta_max_ms_deg"])))
     return values, points
 
@@ -430,19 +433,22 @@ def run_config(config: dict, out_stream) -> None:
 def _run_variant(sc, cfg, points):
     """Every sweep point's rows of one variant: its Monte Carlo schemes from
     one sweep call (``run_paired``, or ``run_3d_paired`` over the regions),
-    then its DE schemes from one ``rmt.asym_sweep`` call."""
+    then its DE schemes from one ``rmt.asym_sweep`` call. Both engines take
+    the same points and one build of the BD preprocessors (of the azimuth
+    scenario in 3D)."""
     mc_modes = [s for s in cfg["schemes"] if s in MC_MODES]
+    de_modes = [s[len("ASYM_"):] for s in cfg["schemes"] if s in ASYM_SCHEMES]
     cells = [[] for _ in points]
+    pre = (precode.build_preprocessors(getattr(sc, "azimuth_scenario", sc))
+           if cfg["schemes"] else None)
     if mc_modes:
         run = scene3d.run_3d_paired if cfg["mode_3d"] else run_paired
-        results = run(sc, mc_modes, cfg["n_trials"], cfg["seed"], points=points,
-                      chi_dist=cfg["chi_dist"], tau_sq_dist=cfg["tau_sq_dist"])
+        results = run(sc, mc_modes, cfg["n_trials"], cfg["seed"], points, preprocessors=pre)
         for rows, result in zip(cells, results):
             rows += [(m, result[m].sum_rate, result[m].stderr, cfg["n_trials"])
                      for m in mc_modes]
-    de_modes = [s[len("ASYM_"):] for s in cfg["schemes"] if s in ASYM_SCHEMES]
     if de_modes:
-        for rows, result in zip(cells, rmt.asym_sweep(sc, de_modes, points)):
+        for rows, result in zip(cells, rmt.asym_sweep(sc, de_modes, points, pre)):
             rows += [(f"ASYM_{m}", result[m].sum_rate, 0.0, 0) for m in de_modes]
     return cells
 

@@ -12,16 +12,16 @@ its own stream. A block holds as many trials as keep its largest array
 within ``BLOCK_BYTES``, and a sweep that only reads perfect CSIT holds no
 CSIT noise. One call runs a whole sweep on one geometry: the sweep
 points (``SweepPoint``) share the preprocessors and every trial's draws
-(one set per theta_max, each read from the trial stream's one generator),
-since the preprocessors depend only on the long-term statistics and the
-normals only on the seed; power, chi and tau^2 change only the RZF
-regularizer, the cross-block scale and the CSIT mix. A point's precoders
-are one batched RZF over every trial and group, and the points at one chi
-and CSIT quality share its ``precode.CsitView``, so between them only the
-regularizer changes. The per-realization API (``draw_trial``,
-``precode.build_all``, ``sinr_bd``/``sinr_bds``) is this engine at one trial:
-``draw_trial`` reads its trial through ``_draw_block``, the one reader of a
-trial's stream.
+(one set per theta_max and drawn chi and tau^2 range, each read from the
+trial stream's one generator), since the preprocessors depend only on the
+long-term statistics and the normals only on the seed; power, chi and
+tau^2 change only the RZF regularizer, the cross-block scale and the CSIT
+mix. A point's precoders are one batched RZF over every trial and group,
+and the points at one chi and CSIT quality share its
+``precode.CsitView``, so between them only the regularizer changes. The
+per-realization API (``draw_trial``, ``precode.build_all``,
+``sinr_bd``/``sinr_bds``) is this engine at one trial: ``draw_trial`` reads
+its trial through ``_draw_block``, the one reader of a trial's stream.
 """
 
 from __future__ import annotations
@@ -165,22 +165,13 @@ def _realization_report(channels, precoders, power, mode):
     return _report(maps[0], precoders.inner, power, mode == "BDS")
 
 
-def _decompose(powers, split_cross):
-    """SINR decomposition from received powers.
-
-    ``powers[..., l, g, k, j]`` is the power user k of group g receives from
-    stream j of group l; leading axes stack trials.
-    """
-    groups = np.arange(powers.shape[-4])
-    return _combine(powers[..., groups, groups, :, :], powers.sum(axis=-1), split_cross)
-
-
 def _combine(own, received, split_cross):
-    """``_decompose`` from its two reductions of the powers:
-    ``own[..., g, k, j]``, group g's power from its own streams, and
-    ``received[..., l, g, k]``, the sum over j, which this overwrites. A
-    user's inter-group term adds the other groups' powers in ascending
-    order of l.
+    """The SINR decomposition from two reductions of the received powers
+    ``powers[..., l, g, k, j]``, the power user k of group g receives from
+    stream j of group l (leading axes stack trials): ``own[..., g, k, j]``,
+    group g's power from its own streams, and ``received[..., l, g, k]``,
+    the sum over j, which this overwrites. A user's inter-group term adds
+    the other groups' powers in ascending order of l.
     """
     G, n = own.shape[-3], own.shape[-1]
     groups = np.arange(G)
@@ -214,44 +205,44 @@ def draw_trial(scenario: GroupScenario, rng, chi=None, theta_max=0.0):
     """
     point = SweepPoint(chi=chi, theta_max=theta_max).on(scenario)
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    _, _, normals, angles = next(_draw_block(scenario, [gen], None, None,
-                                             [point.theta_max], True))
+    _, _, normals, angles = next(_draw_block(scenario, [gen], [point.draws], True))
     return tuple(channel_from_normals(cov, point.chi, normals_g[0],
                                       None if angles_g is None else angles_g[0], gain)
                  for cov, normals_g, angles_g, gain in zip(
                      scenario.covariances, normals, angles, scenario.gains))
 
 
-def _draw_block(scenario, gens, chi_dist, tau_sq_dist, thetas, noise):
+def _draw_block(scenario, gens, draws, noise):
     """A trial block's draws, one (chi, tau^2, normals, angles) per
-    theta_max in ``thetas``, yielded in turn so that one theta_max's
-    normals are held at a time: the one reader of a trial's stream.
+    (theta_max, chi range, tau^2 range) in ``draws`` (``SweepPoint.draws``),
+    yielded in turn so that one set of normals is held at a time: the one
+    reader of a trial's stream.
 
     Trial t reads its generator ``gens[t]`` (``run_paired`` builds it once
-    per block, from RngStream(seed, stream_base + t)) in this order: the
-    chi_dist and tau_sq_dist uniforms (chi and tau^2 are None without
-    them), then each group's draws (``channel._read_group``), mismatched
-    when theta_max > 0. Every theta_max after the first reads the group
-    draws again from the state saved after the uniforms, as a fresh
-    stream would. The normals and angles come per group, the normals
-    shaped (T, k, rows, n) for ``channel_from_normals``. Without ``noise``
-    the CSIT noise's normals are still read, into one scratch array, but
-    not kept.
+    per block, from RngStream(seed, stream_base + t)) in this order: a
+    uniform from the chi range, one from the tau^2 range (chi and tau^2 are
+    None for a fixed value), then each group's draws
+    (``channel._read_group``), mismatched when theta_max > 0. Every set
+    after the first restores the generators to their start and reads its
+    own uniforms and group draws, as a fresh stream would. The normals and
+    angles come per group, the normals shaped (T, k, rows, n) for
+    ``channel_from_normals``. Without ``noise`` the CSIT noise's normals
+    are still read, into one scratch array, but not kept.
     """
     T, n = len(gens), scenario.n_bar
     rows = [scenario.pols * cov.effective_rank for cov in scenario.covariances]
-    chi = np.array([gen.uniform(*chi_dist) for gen in gens]) if chi_dist else None
-    tau_sq = np.array([gen.uniform(*tau_sq_dist) for gen in gens]) if tau_sq_dist else None
-    starts = [gen.bit_generator.state for gen in gens] if len(thetas) > 1 else None
+    starts = [gen.bit_generator.state for gen in gens] if len(draws) > 1 else None
     scratch = None if noise else np.empty(2 * max(rows) * n)
-    for k, theta_max in enumerate(thetas):
+    for k, (theta_max, *ranges) in enumerate(draws):
+        for gen, start in zip(gens, starts if k else ()):  # the first set is at the start
+            gen.bit_generator.state = start
+        chi, tau_sq = (None if r is None else np.array([gen.uniform(*r) for gen in gens])
+                       for r in ranges)
         theta = theta_max if theta_max > 0.0 else None  # None: aligned draws
         parts = (4 if noise else 2) + (0 if theta is None else 2)
         normals = [np.empty((T, parts, rows_g, n)) for rows_g in rows]
         angles = [None] * scenario.G if theta is None else np.empty((scenario.G, T, n))
         for t, gen in enumerate(gens):
-            if k:
-                gen.bit_generator.state = starts[t]
             for g, normals_g in enumerate(normals):
                 angles_g = _read_group(gen, normals_g[t], theta, scratch)
                 if theta is not None:
@@ -316,10 +307,8 @@ def _report(maps, P, power, split_cross):
 def _csit_tau(scenario, point, tau_sq, scheme, T):
     """A scheme's per-trial CSIT quality tau at a sweep point, (T,);
     ``tau_sq`` holds the drawn per-trial tau^2, or None."""
-    if tau_sq is None:
-        tau_sq = np.full(T, float(point.tau_sq))
-    return np.sqrt(np.broadcast_to(
-        csit_tau_sq(tau_sq, point.n_bits, scenario.r, scheme), (T,)))
+    tau_sq = point.tau_sq if tau_sq is None else tau_sq
+    return np.sqrt(np.broadcast_to(csit_tau_sq(tau_sq, point.n_bits, scenario.r, scheme), (T,)))
 
 
 def _point_picks(scenario, modes, point, tau_sq, chi_used, scale, T):
@@ -398,27 +387,25 @@ def _grouped(indices, key):
 
 
 def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
-               points, *, chi_dist=None, tau_sq_dist=None,
-               stream_base: int = 0, preprocessors=None):
+               points, *, stream_base: int = 0, preprocessors=None):
     """Run all requested schemes over a sweep on one geometry, on shared
     channel draws; one dict of ``McSummary`` per mode for each point.
 
     ``modes`` may contain BD, BDS, SWITCH, and SWITCH_RAW. ``points`` is a
     sequence of ``SweepPoint``, which set the power, chi and CSIT quality
     and are resolved and checked (``SweepPoint.on``) before any trial is
-    drawn. ``chi_dist``/``tau_sq_dist`` draw chi and tau^2 per trial
-    instead, so a point may not set them too (``n_bits`` still sets the
-    schemes' quality over drawn tau^2, as in ``csit_tau_sq``).
+    drawn. A point's chi or tau^2 range is drawn uniformly once per trial.
     ``stream_base`` offsets the per-trial RNG streams so independent
     sub-experiments (e.g. elevation regions) stay decorrelated.
 
     The points share the preprocessors, the trial draws and the channels
     built from them (one per chi). Each trial stream is seeded once per
-    block of trials and read again from its saved start for each
-    theta_max, which draws its own normals. When no point reads CSIT noise
-    (every tau_sq 0, no n_bits and no ``tau_sq_dist``), the draws read the
-    noise's normals but keep none. A point's results do not depend on the
-    other points: they are those of a sweep of that point alone.
+    block of trials and read again from its start for each distinct
+    (theta_max, chi range, tau^2 range) (``SweepPoint.draws``), which draws
+    its own uniforms and normals. When no point reads CSIT noise (every
+    tau^2 0 and no n_bits), the draws read the noise's normals but keep
+    none. A point's results do not depend on the other points, for any mix
+    of fixed and drawn ones: they are those of a sweep of that point alone.
 
     The switching schemes pick BD or BDS per trial, from chi: SWITCH from
     the effective chi of a mismatched draw, SWITCH_RAW from the raw one.
@@ -435,10 +422,6 @@ def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
     unknown = [m for m in modes if m not in MC_MODES]
     if unknown:
         raise InvalidInputError(f"unknown schemes: {', '.join(unknown)}")
-    for axis, dist, unset in (("chi", chi_dist, None), ("tau_sq", tau_sq_dist, 0.0)):
-        if dist and any(getattr(p, axis) != unset for p in points):
-            raise InvalidInputError(
-                f"{axis}_dist draws {axis} per trial; a point must leave {axis} at {unset}")
     points = [p.on(scenario) for p in points]
     scenarios = {p.power: scenario.with_power(p.power) for p in points}
     if preprocessors is None:
@@ -451,18 +434,16 @@ def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
         scales = {power: chi_crossover_scale(b["BDS"]) for power, b in zip(scenarios, bases)}
 
     rows = [{m: [] for m in modes} for _ in points]
-    by_draw = dict(_grouped(range(len(points)), lambda i: points[i].theta_max))
-    noise = bool(tau_sq_dist) or any(
-        p.tau_sq != 0.0 or p.n_bits is not None for p in points)
+    by_draw = dict(_grouped(range(len(points)), lambda i: points[i].draws))
+    noise = any(p.tau_sq != 0.0 or p.n_bits is not None for p in points)
     block = block_trials(scenario)
     for first in range(0, n_trials, block):
         gens = [RngStream(seed, stream).generator() for stream in range(
             stream_base + first, stream_base + min(first + block, n_trials))]
-        blocks = _draw_block(scenario, gens, chi_dist, tau_sq_dist, list(by_draw), noise)
-        for (theta_max, at_theta), (chi_drawn, *draws) in zip(by_draw.items(), blocks):
-            for chi, at_chi in _grouped(
-                    at_theta, lambda i: None if chi_dist else points[i].chi):
-                chi = chi_drawn if chi_dist else np.full(len(gens), float(chi))
+        blocks = _draw_block(scenario, gens, list(by_draw), noise)
+        for ((theta_max, *_), at_draws), (chi_drawn, *draws) in zip(by_draw.items(), blocks):
+            for chi, at_chi in _grouped(at_draws, lambda i: points[i].chi):
+                chi = np.full(len(gens), float(chi)) if chi_drawn is None else chi_drawn
                 at_chi_rows = _chi_rows(
                     scenario, C, D, modes, chi, draws, theta_max,
                     [points[i] for i in at_chi], scenarios, scales)

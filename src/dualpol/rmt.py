@@ -358,8 +358,9 @@ def asym_sweep(scenario: GroupScenario, modes, points, preprocessors=None) -> li
     each point, as ``metrics.run_paired`` returns its summaries.
 
     ``points`` is a sequence of ``SweepPoint``, resolved and checked as the
-    Monte Carlo's are (``SweepPoint.on``); a point with theta_max > 0,
-    which the deterministic equivalents do not model, is rejected. Each
+    Monte Carlo's are (``SweepPoint.on``); a point with theta_max > 0 or a
+    drawn chi or tau^2 range, which the deterministic equivalents do not
+    model, is rejected. Each
     scheme's tau^2 is ``modeswitch.csit_tau_sq`` of the point's, as in the
     Monte Carlo: BD's clamped to 1, BDS at its equal-feedback square, or
     each at its RVQ bound for ``n_bits``. A point's solution is, bit for
@@ -377,8 +378,8 @@ def asym_sweep(scenario: GroupScenario, modes, points, preprocessors=None) -> li
     if unknown:
         raise InvalidInputError(f"unknown schemes: {', '.join(unknown)}")
     points = [p.on(scenario) for p in points]
-    if any(p.theta_max != 0.0 for p in points):
-        raise InvalidInputError("the deterministic equivalents need theta_max = 0")
+    if any(p.draws != (0.0, None, None) for p in points):
+        raise InvalidInputError("the DEs need theta_max = 0 and a fixed chi and tau_sq")
     taus = [{m: csit_tau_sq(p.tau_sq, p.n_bits, scenario.r, m) for m in modes} for p in points]
     scenarios = {p.power: scenario.with_power(p.power) for p in points}
     if preprocessors is None:

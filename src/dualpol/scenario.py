@@ -126,36 +126,55 @@ class GroupScenario:
         return replace(self, chi=chi)
 
 
+def _ends(value) -> tuple:
+    """The ends of a number or of a drawn (lo, hi) range, which must be
+    finite with lo <= hi."""
+    ends = value if isinstance(value, tuple) else (value,)
+    if len(ends) > 1 and not 0.0 <= ends[1] - ends[0] < math.inf:  # an inf or nan end fails
+        raise InvalidInputError(f"a drawn range needs finite lo <= hi, got {value}")
+    return ends
+
+
 @dataclass(frozen=True)
 class SweepPoint:
     """One point of a sweep over a fixed geometry, in either engine.
 
     ``power`` and ``chi`` default to the scenario's. ``tau_sq`` and
     ``n_bits`` set the schemes' CSIT qualities as in
-    ``modeswitch.csit_tau_sq``; a Monte Carlo run's ``chi_dist``/
-    ``tau_sq_dist`` draw chi/tau^2 per trial instead, and reject a point
-    that sets them. A positive ``theta_max`` turns each user's antenna by a
-    random angle (Monte Carlo only).
+    ``modeswitch.csit_tau_sq``: a set ``n_bits`` replaces tau^2, drawn or
+    not. chi and tau^2 are each a number or a (lo, hi) range, which a
+    Monte Carlo trial draws uniformly, once per trial for all users; the
+    deterministic equivalents take numbers only. A positive ``theta_max``
+    turns each user's antenna by a random angle (Monte Carlo only).
     """
 
     power: float | None = None
-    chi: float | None = None
-    tau_sq: float = 0.0
+    chi: float | tuple | None = None
+    tau_sq: float | tuple = 0.0
     n_bits: int | None = None
     theta_max: float = 0.0
+
+    @property
+    def draws(self) -> tuple:
+        """What a Monte Carlo trial reads for this point: (theta_max, chi
+        range, tau^2 range), with None for a fixed chi or tau^2."""
+        return (self.theta_max, *(v if isinstance(v, tuple) else None
+                                  for v in (self.chi, self.tau_sq)))
 
     def on(self, scenario: GroupScenario) -> "SweepPoint":
         """This point on the scenario, as both engines and
         ``metrics.draw_trial`` read it: an unset power and chi taken from
-        the scenario, chi checked to lie in [0, 1] and theta_max in
-        [0, pi/2], and theta_max 0 on a single-polarized array, which is
-        never mismatched. The power is checked where a scenario takes it
-        (``GroupScenario.validate``), tau^2 where it is resolved
-        (``modeswitch.csit_tau_sq``).
+        the scenario; chi, or both ends of its range, checked to lie in
+        [0, 1], tau^2's to be nonnegative, a range's to be finite with
+        lo <= hi, and theta_max in [0, pi/2]; theta_max 0 on a
+        single-polarized array, which is never mismatched. The power is
+        checked where a scenario takes it (``GroupScenario.validate``).
         """
         chi = scenario.chi if self.chi is None else self.chi
-        if not 0.0 <= chi <= 1.0:
+        if not all(0.0 <= end <= 1.0 for end in _ends(chi)):
             raise InvalidInputError("chi must lie in [0, 1]")
+        if min(_ends(self.tau_sq)) < 0.0:
+            raise InvalidInputError("tau_sq must be nonnegative")
         if not 0.0 <= self.theta_max <= math.pi / 2:
             raise InvalidInputError("theta_max must lie in [0, pi/2]")
         return replace(self, power=scenario.power if self.power is None else self.power,

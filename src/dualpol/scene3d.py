@@ -152,26 +152,28 @@ def reduce_to_2d(scenario3d: Scenario3D, l: int) -> GroupScenario:
 
 
 def run_3d_paired(scenario3d: Scenario3D, modes, n_trials: int, seed: int,
-                  points, **kwargs):
+                  points, *, preprocessors=None):
     """All schemes over all regions on shared draws; per-trial region sums.
 
     One ``run_paired`` call per region, on the same ``SweepPoint``s (whose
-    power is the whole cell's); one dict per point, like ``run_paired``.
-    Each region has its own gain, so the switching schemes solve each
-    region's own crossover. The regions share the azimuth geometry
-    (``reduce_to_2d`` changes only gains and power), so one build of its BD
-    preprocessors serves every region's trials and crossover. A summary
-    sums the regions' trial sum rates and averages their ``trial_terms``
-    and ``trial_picks``.
+    power is the whole cell's, and whose chi and tau^2 may be drawn
+    ranges); one dict per point, like ``run_paired``. Each region has its
+    own gain, so the switching schemes solve each region's own crossover.
+    The regions share the azimuth geometry (``reduce_to_2d`` changes only
+    gains and power), so one build of its BD preprocessors serves every
+    region's trials and crossover; ``preprocessors``, that build of the
+    ``azimuth_scenario``, saves a caller that holds it the rebuild. A
+    summary sums the regions' trial sum rates and averages their
+    ``trial_terms`` and ``trial_picks``.
     """
     modes = list(modes)
     n_regions = scenario3d.n_regions
     sweep = [p if p.power is None else replace(p, power=p.power / n_regions)
              for p in points]
-    preprocessors = precode.build_preprocessors(scenario3d.azimuth_scenario)
+    if preprocessors is None:
+        preprocessors = precode.build_preprocessors(scenario3d.azimuth_scenario)
     regions = [run_paired(reduce_to_2d(scenario3d, l), modes, n_trials, seed, sweep,
-                          stream_base=l * n_trials, preprocessors=preprocessors,
-                          **kwargs)
+                          stream_base=l * n_trials, preprocessors=preprocessors)
                for l in range(n_regions)]
 
     def mean(i, m, name):

@@ -8,7 +8,7 @@ estimate with its own loop (``reference_transmit``) and decomposes it into
 signal, intra, cross and inter powers over the M-row channel
 (``reference_report``), group by group (``decompose_per_group``). It forms
 H and shares neither the engine's KL projections, its batched RZF nor its
-stacked decomposition, ``metrics._decompose``. It does share the engine's
+stacked decomposition, ``metrics._combine``. It does share the engine's
 stream reader: ``draw_trial`` is ``metrics._draw_block`` at one trial, so
 this oracle checks what the engine computes from the draws, not the order
 it reads them in. That order is pinned by the preset CSVs

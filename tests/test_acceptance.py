@@ -352,9 +352,8 @@ def mismatch_runs():
     sc3 = make_scenario_3d().with_power_db(25.0)
     modes = ["BD", "BDS", "SWITCH", "SWITCH_RAW"]
     thetas = (0.0, 0.22 * math.pi)
-    return dict(zip(thetas, run_3d_paired(
-        sc3, modes, 500, SEED, [SweepPoint(theta_max=theta) for theta in thetas],
-        tau_sq_dist=(0.0, 1.0), chi_dist=(0.0, 0.5))))
+    return dict(zip(thetas, run_3d_paired(sc3, modes, 500, SEED, [
+        SweepPoint(chi=(0.0, 0.5), tau_sq=(0.0, 1.0), theta_max=theta) for theta in thetas])))
 
 
 def _paired_se(a, b):

@@ -1,6 +1,7 @@
 """The trial-batched Monte Carlo engine against its per-realization
 oracle, ``reference.reference_paired``."""
 
+import io
 import math
 import tracemalloc
 import warnings
@@ -14,6 +15,7 @@ import dualpol.metrics as metrics
 import dualpol.precode as precode
 import dualpol.rmt as rmt
 from dualpol.channel import RngStream
+from dualpol.cli import preset, run_config
 from dualpol.errors import DegenerateInputError, InvalidInputError
 from dualpol.metrics import draw_trial, run_paired, sinr_report
 from dualpol.modeswitch import csit_tau_sq
@@ -32,13 +34,16 @@ def assert_terms_match(got, want):
     assert np.all(np.abs(got[:, 3] - want[:, 3]) <= RTOL * want[:, 0])
 
 
-def assert_engine_matches(scenario, modes, n_trials, seed, point=SweepPoint(), **kwargs):
+def assert_engine_matches(scenario, modes, n_trials, seed, point=SweepPoint()):
     """``run_paired`` at one point against the oracle on the scenario, whose
-    power and chi the point leaves at their defaults."""
-    got = run_paired(scenario, modes, n_trials, seed, [point], **kwargs)[0]
+    power the point leaves at its default and whose chi it leaves at its
+    default or draws; the oracle takes the point's ranges as its
+    ``chi_dist``/``tau_sq_dist``."""
+    got = run_paired(scenario, modes, n_trials, seed, [point])[0]
+    _, chi_dist, tau_sq_dist = point.draws
     want, picks, terms = reference_paired(
         scenario, modes, n_trials, seed, tau_sq=point.tau_sq, n_bits=point.n_bits,
-        theta_max=point.theta_max, **kwargs)
+        theta_max=point.theta_max, chi_dist=chi_dist, tau_sq_dist=tau_sq_dist)
     for mode in modes:
         np.testing.assert_allclose(got[mode].trial_sum_rates, want[mode],
                                    rtol=RTOL, atol=0.0)
@@ -53,15 +58,15 @@ def fig4(fig4_scenario):
     return fig4_scenario.with_chi(0.1).with_power_db(10.0)
 
 
-@pytest.mark.parametrize("point, kwargs", [
-    (SweepPoint(), {}),
-    (SweepPoint(tau_sq=0.1), {}),
-    (SweepPoint(n_bits=60), {}),
-    (SweepPoint(), {"chi_dist": (0.0, 0.5), "tau_sq_dist": (0.0, 1.0)}),
-    (SweepPoint(theta_max=0.3 * math.pi, tau_sq=0.2), {}),
+@pytest.mark.parametrize("point", [
+    SweepPoint(),
+    SweepPoint(tau_sq=0.1),
+    SweepPoint(n_bits=60),
+    SweepPoint(chi=(0.0, 0.5), tau_sq=(0.0, 1.0)),
+    SweepPoint(theta_max=0.3 * math.pi, tau_sq=0.2),
 ], ids=["perfect", "tau_sq", "n_bits", "dists", "mismatch"])
-def test_bd_bds_match_reference(fig4, point, kwargs):
-    assert_engine_matches(fig4, ["BD", "BDS"], 5, 17, point, **kwargs)
+def test_bd_bds_match_reference(fig4, point):
+    assert_engine_matches(fig4, ["BD", "BDS"], 5, 17, point)
 
 
 @pytest.mark.parametrize("modes", [
@@ -73,8 +78,8 @@ def test_switching_matches_reference(fig4, modes):
     # Mismatch separates SWITCH from SWITCH_RAW; the per-trial tau^2 mixes
     # the picks, while each of BD and BDS still runs on the whole block.
     _, picks = assert_engine_matches(
-        fig4, modes, 12, 5, SweepPoint(theta_max=0.3 * math.pi),
-        chi_dist=(0.0, 0.5), tau_sq_dist=(0.0, 1.0))
+        fig4, modes, 12, 5,
+        SweepPoint(chi=(0.0, 0.5), tau_sq=(0.0, 1.0), theta_max=0.3 * math.pi))
     for mode in modes:
         if mode.startswith("SWITCH"):
             assert 0 < sum(picks[mode]) < len(picks[mode])
@@ -111,7 +116,7 @@ def test_one_trial_matches_reference(fig4):
     assert got["BD"].n_trials == 1 and got["BD"].stderr == 0.0
 
 
-def engine_channels(monkeypatch, scenario, seed, point, **kwargs):
+def engine_channels(monkeypatch, scenario, seed, point):
     """Every group's channels of a 3-trial ``run_paired`` block, as the
     engine builds them from its one read of the trials' streams."""
     built = []
@@ -121,7 +126,7 @@ def engine_channels(monkeypatch, scenario, seed, point, **kwargs):
         built.append(original(*args, **kw))
         return built[-1]
     monkeypatch.setattr(metrics, "channel_from_normals", spy)
-    run_paired(scenario, ["BD"], 3, seed, [point], **kwargs)
+    run_paired(scenario, ["BD"], 3, seed, [point])
     monkeypatch.undo()
     return built[:scenario.G]
 
@@ -158,9 +163,9 @@ def test_draw_trial_is_one_trial_of_the_block_read(monkeypatch, dual_pol, theta_
         assert_same_draws(got, one_trial(block, t))
         assert_same_draws(draw_trial(sc, RngStream(7, t).generator(), chi, theta_max), got)
     # One Generator read by two calls continues its stream: the trial's
-    # chi_dist uniform, then its channels, as in the engine's read.
-    block = engine_channels(monkeypatch, sc, 7, SweepPoint(tau_sq=0.1, theta_max=theta_max),
-                            chi_dist=(0.0, 0.5))
+    # chi uniform, then its channels, as in the engine's read.
+    block = engine_channels(monkeypatch, sc, 7,
+                            SweepPoint(chi=(0.0, 0.5), tau_sq=0.1, theta_max=theta_max))
     gen = RngStream(7, 2).generator()
     chi = gen.uniform(0.0, 0.5)
     assert_same_draws(draw_trial(sc, gen, chi, theta_max), one_trial(block, 2))
@@ -194,18 +199,17 @@ def three_trial_blocks(monkeypatch, scenario):
 
 def test_trial_blocks_do_not_change_results(small_scenario, monkeypatch):
     sc = small_scenario.with_chi(0.2).with_power_db(10.0)
-    point = SweepPoint(theta_max=0.2 * math.pi)
-    kwargs = dict(chi_dist=(0.0, 0.5), tau_sq_dist=(0.0, 1.0))
+    point = SweepPoint(chi=(0.0, 0.5), tau_sq=(0.0, 1.0), theta_max=0.2 * math.pi)
     modes = ["BD", "SWITCH"]
-    [whole] = run_paired(sc, modes, 10, 4, [point], **kwargs)
+    [whole] = run_paired(sc, modes, 10, 4, [point])
     three_trial_blocks(monkeypatch, sc)
-    [blocked] = run_paired(sc, modes, 10, 4, [point], **kwargs)
+    [blocked] = run_paired(sc, modes, 10, 4, [point])
     for mode in modes:
         assert np.array_equal(whole[mode].trial_sum_rates,
                               blocked[mode].trial_sum_rates)
         assert np.array_equal(whole[mode].trial_terms, blocked[mode].trial_terms)
     assert whole["SWITCH"].extras == blocked["SWITCH"].extras
-    assert_engine_matches(sc, modes, 10, 4, point, **kwargs)
+    assert_engine_matches(sc, modes, 10, 4, point)
 
 
 def test_3d_regions_use_offset_streams():
@@ -213,8 +217,8 @@ def test_3d_regions_use_offset_streams():
     kwargs = dict(chi_dist=(0.0, 0.5), tau_sq_dist=(0.0, 1.0))
     modes = ["BD", "BDS", "SWITCH", "SWITCH_RAW"]
     n = 3
-    [got] = run_3d_paired(sc3, modes, n, 6, [SweepPoint(theta_max=0.22 * math.pi)],
-                          **kwargs)
+    [got] = run_3d_paired(sc3, modes, n, 6, [SweepPoint(
+        chi=(0.0, 0.5), tau_sq=(0.0, 1.0), theta_max=0.22 * math.pi)])
     for mode in modes:
         regions = [reference_paired(reduce_to_2d(sc3, l), [mode], n, 6,
                                     stream_base=l * n, theta_max=0.22 * math.pi,
@@ -242,7 +246,8 @@ def test_zero_gains_raise_instead_of_nan_rows(small_scenario, mode):
 # ----------------------------------------------------------------------
 # A sweep shares draws and channels across its points; each point's
 # results must be those of a sweep of that point alone on the scenario at
-# its power and chi, bit for bit, with the points in order or reversed.
+# its power and fixed chi, bit for bit, with the points in order or
+# reversed.
 # ----------------------------------------------------------------------
 
 ALL_MODES = ["BD", "BDS", "SWITCH", "SWITCH_RAW"]
@@ -257,37 +262,36 @@ def assert_same_results(got, want, modes, context=None):
         assert got[mode].extras == want[mode].extras
 
 
-def assert_sweep_equals_cells(scenario, modes, n_trials, seed, points, **kwargs):
-    sweep = run_paired(scenario, modes, n_trials, seed, points, **kwargs)
-    backward = run_paired(scenario, modes, n_trials, seed, points[::-1], **kwargs)[::-1]
+def assert_sweep_equals_cells(scenario, modes, n_trials, seed, points):
+    sweep = run_paired(scenario, modes, n_trials, seed, points)
+    backward = run_paired(scenario, modes, n_trials, seed, points[::-1])[::-1]
     assert len(sweep) == len(points)
     for point, got, got_backward in zip(points, sweep, backward):
-        sc = scenario
+        sc, cell = scenario, replace(point, power=None)
         if point.power is not None:
             sc = sc.with_power(point.power)
-        if point.chi is not None:
-            sc = sc.with_chi(point.chi)
-        [want] = run_paired(sc, modes, n_trials, seed,
-                            [replace(point, power=None, chi=None)], **kwargs)
+        if point.chi is not None and point.draws[1] is None:
+            sc, cell = sc.with_chi(point.chi), replace(cell, chi=None)
+        [want] = run_paired(sc, modes, n_trials, seed, [cell])
         assert_same_results(got, want, modes, point)
         assert_same_results(got_backward, want, modes, point)
 
 
-@pytest.mark.parametrize("points, kwargs", [
-    ([SweepPoint(power=p, chi=c) for p in (1.0, 31.6) for c in (0.0, 0.3, 1.0)], {}),
-    ([SweepPoint(tau_sq=t) for t in (0.0, 0.1, 0.5, 1.0)], {}),
-    ([SweepPoint(power=p, chi=0.1, n_bits=b) for p in (3.0, 100.0) for b in (30, 60)], {}),
-    ([SweepPoint(power=p, n_bits=b) for p in (3.0, 100.0) for b in (None, 60)],
-     {"chi_dist": (0.0, 0.5), "tau_sq_dist": (0.0, 1.0)}),
-    ([SweepPoint(power=p, theta_max=t, chi=c, tau_sq=0.2) for p in (3.0, 100.0)
-      for t in (0.0, 0.69) for c in (0.1, 0.4)], {}),
+@pytest.mark.parametrize("points", [
+    [SweepPoint(power=p, chi=c) for p in (1.0, 31.6) for c in (0.0, 0.3, 1.0)],
+    [SweepPoint(tau_sq=t) for t in (0.0, 0.1, 0.5, 1.0)],
+    [SweepPoint(power=p, chi=0.1, n_bits=b) for p in (3.0, 100.0) for b in (30, 60)],
+    [SweepPoint(power=p, chi=(0.0, 0.5), tau_sq=(0.0, 1.0), n_bits=b)
+     for p in (3.0, 100.0) for b in (None, 60)],
+    [SweepPoint(power=p, theta_max=t, chi=c, tau_sq=0.2) for p in (3.0, 100.0)
+     for t in (0.0, 0.69) for c in (0.1, 0.4)],
     # A cell at tau^2 = 0 keeps no CSIT noise, a sweep with a tau^2 = 0.1
     # point does: both read the same stream, aligned or mismatched.
-    ([SweepPoint(tau_sq=t, theta_max=th) for t in (0.0, 0.1) for th in (0.0, 0.69)], {}),
+    [SweepPoint(tau_sq=t, theta_max=th) for t in (0.0, 0.1) for th in (0.0, 0.69)],
 ], ids=["chi_power", "tau_sq", "n_bits", "dists", "mixed_theta", "noise_paths"])
-def test_sweep_equals_cells(small_scenario, points, kwargs):
+def test_sweep_equals_cells(small_scenario, points):
     sc = small_scenario.with_power_db(10.0)
-    assert_sweep_equals_cells(sc, ALL_MODES, 7, 3, points, **kwargs)
+    assert_sweep_equals_cells(sc, ALL_MODES, 7, 3, points)
 
 
 def test_sweep_equals_cells_on_fig4(fig4):
@@ -307,24 +311,39 @@ def test_single_pol_sweep_equals_cells():
 
 def test_blocked_sweep_equals_cells(small_scenario, monkeypatch):
     three_trial_blocks(monkeypatch, small_scenario)
-    points = [SweepPoint(power=p, theta_max=t) for p in (3.0, 100.0)
-              for t in (0.0, 0.69)]
-    assert_sweep_equals_cells(small_scenario, ALL_MODES, 10, 4, points,
-                              chi_dist=(0.0, 0.5), tau_sq_dist=(0.0, 1.0))
+    points = [SweepPoint(power=p, chi=(0.0, 0.5), tau_sq=(0.0, 1.0), theta_max=t)
+              for p in (3.0, 100.0) for t in (0.0, 0.69)]
+    assert_sweep_equals_cells(small_scenario, ALL_MODES, 10, 4, points)
 
 
 def test_3d_sweep_equals_cells():
     sc3 = make_scenario_3d()
-    points = [SweepPoint(power=p, theta_max=t) for p in (100.0, 316.0)
-              for t in (0.0, 0.69)]
-    kwargs = dict(chi_dist=(0.0, 0.5), tau_sq_dist=(0.0, 1.0))
-    sweep = run_3d_paired(sc3, ALL_MODES, 3, 6, points, **kwargs)
-    backward = run_3d_paired(sc3, ALL_MODES, 3, 6, points[::-1], **kwargs)[::-1]
+    points = [SweepPoint(power=p, chi=(0.0, 0.5), tau_sq=(0.0, 1.0), theta_max=t)
+              for p in (100.0, 316.0) for t in (0.0, 0.69)]
+    sweep = run_3d_paired(sc3, ALL_MODES, 3, 6, points)
+    backward = run_3d_paired(sc3, ALL_MODES, 3, 6, points[::-1])[::-1]
     for point, got, got_backward in zip(points, sweep, backward):
         [want] = run_3d_paired(replace(sc3, power=point.power), ALL_MODES, 3, 6,
-                               [SweepPoint(theta_max=point.theta_max)], **kwargs)
+                               [replace(point, power=None)])
         assert_same_results(got, want, ALL_MODES, point)
         assert_same_results(got_backward, want, ALL_MODES, point)
+
+
+@pytest.mark.parametrize("theta_max", [0.0, 0.3])
+def test_mixed_fixed_and_drawn_points_equal_their_solo_sweeps(small_scenario, theta_max):
+    # Each draw set (theta_max, chi range, tau^2 range) reads the trial
+    # streams from their start, so a drawn point next to fixed ones reads
+    # what it reads alone, and the fixed ones what they read alone.
+    sc = small_scenario.with_power_db(10.0)
+    points = [SweepPoint(chi=0.2, theta_max=theta_max),
+              SweepPoint(chi=(0.0, 0.5), theta_max=theta_max),
+              SweepPoint(chi=0.1, tau_sq=(0.0, 1.0), theta_max=theta_max)]
+    sweep = run_paired(sc, ALL_MODES, 7, 3, points)
+    for point, got in zip(points, sweep):
+        [want] = run_paired(sc, ALL_MODES, 7, 3, [point])
+        assert_same_results(got, want, ALL_MODES, point)
+        for mode in ALL_MODES:
+            assert np.array_equal(got[mode].trial_picks, want[mode].trial_picks)
 
 
 def test_blocks_are_sized_in_bytes(fig4):
@@ -386,6 +405,15 @@ def test_3d_regions_share_one_preprocessor_build(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name", ["fig5", "fig11"])
+def test_run_config_builds_the_preprocessors_once(monkeypatch, name):
+    # fig5's Monte Carlo and DE schemes share one build (two before they
+    # did); fig11's three regions share one build of the azimuth cell.
+    calls = count_preprocessor_builds(monkeypatch)
+    run_config(dict(preset(name), n_trials=2), io.StringIO())
+    assert len(calls) == 1
+
+
 def count_calls(monkeypatch, module, name):
     """The argument tuples of every call of ``module.name`` from now on."""
     calls = []
@@ -404,8 +432,8 @@ def test_sweep_builds_each_trial_generator_once(small_scenario, monkeypatch):
     # trial's generator is built once and re-read from its saved start.
     n_trials = 5
     calls = count_calls(monkeypatch, RngStream, "generator")
-    points = [SweepPoint(theta_max=t) for t in (0.0, 0.3, 0.6)]
-    run_paired(small_scenario, ["BD"], n_trials, 1, points, chi_dist=(0.0, 0.5))
+    points = [SweepPoint(chi=(0.0, 0.5), theta_max=t) for t in (0.0, 0.3, 0.6)]
+    run_paired(small_scenario, ["BD"], n_trials, 1, points)
     assert len(calls) == n_trials
 
 
@@ -437,7 +465,8 @@ def test_stacked_decomposition_equals_per_group_loop(G, split_cross):
     # which receives each group's powers as its own array.
     rng = np.random.default_rng(G)
     powers = rng.exponential(size=(7, G, G, 8, 8)) * 10.0 ** rng.uniform(-12, 2, (7, G, G, 8, 8))
-    got = metrics._decompose(powers, split_cross)
+    groups = np.arange(G)
+    got = metrics._combine(powers[:, groups, groups], powers.sum(axis=-1), split_cross)
     want = decompose_per_group([np.ascontiguousarray(powers[:, :, g]) for g in range(G)],
                                split_cross)
     for name in ("sinr", "signal", "intra", "cross", "inter"):

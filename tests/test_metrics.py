@@ -238,7 +238,13 @@ def test_theta_max_outside_quarter_turn_rejected(small_scenario, theta_max):
     (SweepPoint(chi=math.nan), r"chi must lie in \[0, 1\]"),
     (SweepPoint(theta_max=-0.3), r"theta_max must lie in \[0, pi/2\]"),
     (SweepPoint(power=0.0), "power must be positive and finite"),
-], ids=["chi=2", "chi=nan", "theta_max=-0.3", "power=0"])
+    (SweepPoint(chi=(0.0, 2.0)), r"chi must lie in \[0, 1\]"),
+    (SweepPoint(chi=(0.5, 0.1)), "finite lo <= hi"),
+    (SweepPoint(chi=(math.nan, 0.5)), "finite lo <= hi"),
+    (SweepPoint(tau_sq=(-1.0, 0.5)), "tau_sq must be nonnegative"),
+    (SweepPoint(tau_sq=(0.0, math.inf)), "finite lo <= hi"),
+], ids=["chi=2", "chi=nan", "theta_max=-0.3", "power=0", "chi~(0,2)", "chi~(0.5,0.1)",
+        "chi~(nan,0.5)", "tau_sq~(-1,0.5)", "tau_sq~(0,inf)"])
 def test_bad_point_rejected_before_any_trial_is_drawn(small_scenario, monkeypatch,
                                                       point, message):
     def no_draws(*args, **kwargs):
@@ -254,16 +260,13 @@ def wide_pair():
     return make_scenario(M=24, G=2, n_bar=4, thetas=[-0.6, 0.6], spread=0.4).with_power(10.0)
 
 
-@pytest.mark.parametrize("point, kwargs, message", [
-    (SweepPoint(chi=0.9), {"chi_dist": (0.0, 0.5)}, "chi_dist draws chi"),
-    (SweepPoint(chi=0.0), {"chi_dist": (0.0, 0.5)}, "chi_dist draws chi"),
-    (SweepPoint(tau_sq=0.9), {"tau_sq_dist": (0.0, 0.5)}, "tau_sq_dist draws tau_sq"),
-], ids=["chi", "chi=0", "tau_sq"])
-def test_drawn_chi_or_tau_sq_rejects_a_point_that_sets_it(wide_pair, point, kwargs, message):
-    # The drawn values would override the point's own, so any chi (even 0)
-    # or a nonzero tau^2 next to its distribution is an error, not a no-op.
-    with pytest.raises(InvalidInputError, match=message):
-        run_paired(wide_pair, ["BD", "BDS"], 4, 1, [SweepPoint(), point], **kwargs)
+@pytest.mark.parametrize("seed", range(1, 8))
+def test_chi_range_above_one_raises_at_every_seed(wide_pair, seed):
+    # The range is checked, not each drawn chi: drawn unchecked from
+    # U[0, 2], chi failed only where a trial drew it above 1, and seed 5's
+    # one trial, drawn below, returned a sum rate (16.678 bits).
+    with pytest.raises(InvalidInputError, match=r"chi must lie in \[0, 1\]"):
+        run_paired(wide_pair, ["BD"], 1, seed, [SweepPoint(chi=(0.0, 2.0))])
 
 
 def test_point_on_a_scenario_is_resolved_and_checked(small_scenario):
@@ -274,9 +277,11 @@ def test_point_on_a_scenario_is_resolved_and_checked(small_scenario):
     assert point.on(single).theta_max == 0.0  # never mismatched
     with pytest.raises(InvalidInputError, match="theta_max"):
         SweepPoint(theta_max=3.0).on(single)
-    # The scenario's own chi is checked too, even when chi_dist draws it.
+    # The scenario's own chi is checked too, where the point sets none; a
+    # point that draws chi, like one that fixes it, does not read it.
     with pytest.raises(InvalidInputError, match="chi must lie"):
-        run_paired(sc.with_chi(1.5), ["BD"], 2, 1, [SweepPoint()], chi_dist=(0.0, 0.5))
+        run_paired(sc.with_chi(1.5), ["BD"], 2, 1, [SweepPoint()])
+    assert SweepPoint(chi=(0.0, 0.5)).on(sc.with_chi(1.5)).chi == (0.0, 0.5)
     with pytest.raises(InvalidInputError, match="chi must lie"):
         draw_trial(sc, RngStream(1, 0), chi=-0.1)
 

@@ -373,6 +373,16 @@ def test_sweep_rejects_mismatched_points(small_scenario):
         asym_sweep(small_scenario, ["BD"], [SweepPoint(theta_max=0.3)])
 
 
+@pytest.mark.parametrize("point", [SweepPoint(chi=(0.0, 0.5)), SweepPoint(tau_sq=(0.0, 1.0)),
+                                   SweepPoint(chi=(0.2, 0.2))],
+                         ids=["chi", "tau_sq", "chi~(0.2,0.2)"])
+def test_sweep_rejects_drawn_points(small_scenario, point):
+    # The deterministic equivalents take one chi and one tau^2: a drawn
+    # range, even a degenerate one, is rejected as a mismatched point is.
+    with pytest.raises(InvalidInputError, match="theta_max = 0"):
+        asym_sweep(small_scenario, ["BD"], [SweepPoint(), point])
+
+
 @pytest.fixture(scope="module")
 def fig6(fig4_scenario):
     return fig4_scenario.with_power_db(15.0)
