@@ -20,6 +20,10 @@ stops at the first level where no lag moves by ``QUADRATURE_TOL`` or more:
 a chunk that needs a finer level than the chunks before it raises the
 level, and those are recomputed. The result is bit for bit that of
 evaluating every level afresh over all lags at once.
+
+A covariance is synthesized on one thread, and nothing here is shared
+between calls, so ``scenario.make_scenario`` runs its groups' calls on
+several threads at once; ``exp`` and the BLAS product release the GIL.
 """
 
 from __future__ import annotations

@@ -201,12 +201,14 @@ def draw_trial(scenario: GroupScenario, rng, chi=None, theta_max=0.0):
     ``RngStream`` or a Generator, which then continues past it. Its chi
     (the scenario's when None) and ``theta_max`` are resolved and checked
     as ``run_paired``'s points are, by ``SweepPoint.on``, before the read,
-    and the draw keeps its CSIT noise.
+    and the draw keeps its CSIT noise. A (lo, hi) chi is drawn as the
+    engine draws it, and the channels are built at the drawn value.
     """
     point = SweepPoint(chi=chi, theta_max=theta_max).on(scenario)
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    _, _, normals, angles = next(_draw_block(scenario, [gen], [point.draws], True))
-    return tuple(channel_from_normals(cov, point.chi, normals_g[0],
+    drawn, _, normals, angles = next(_draw_block(scenario, [gen], [point.draws], True))
+    chi = point.chi if drawn is None else drawn[0]
+    return tuple(channel_from_normals(cov, chi, normals_g[0],
                                       None if angles_g is None else angles_g[0], gain)
                  for cov, normals_g, angles_g, gain in zip(
                      scenario.covariances, normals, angles, scenario.gains))

@@ -5,11 +5,18 @@ covariances, polarization statistics, dimensions and the transmit power.
 Short-term quantities (channel realizations, CSIT quality tau) are passed
 separately to the Monte Carlo and asymptotic routines; a ``SweepPoint``
 sets them for one point of either engine's sweep.
+
+``make_scenario`` synthesizes its G covariances on up to min(G, usable
+cores) threads, the calling thread among them (``_on_cores``): each
+covariance is computed whole on one thread, so the bits are those of a
+serial loop. The quadrature's ``exp`` and BLAS products release the GIL.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 
 from .corrstats import GroupGeometry, one_ring_covariance
@@ -181,6 +188,48 @@ class SweepPoint:
                        chi=chi, theta_max=self.theta_max if scenario.dual_pol else 0.0)
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _on_cores(fn, items) -> list:
+    """``[fn(x) for x in items]`` on k = min(len(items), usable cores)
+    threads: the calling thread takes items 0, k, 2k, ... and each of k - 1
+    worker threads another round-robin share; one core starts no thread.
+    Each call runs whole on one thread and the results come in item order,
+    so they are the loop's, bit for bit. So is an exception: the one the
+    loop would raise, from the first item that fails, reaches the caller
+    once every thread has stopped.
+    """
+    items = list(items)
+    k = min(len(items), _usable_cores()) or 1
+    results, failures = [None] * len(items), []
+
+    def share(first):
+        for i in range(first, len(items), k):
+            try:
+                results[i] = fn(items[i])
+            except Exception as exc:
+                failures.append((i, exc))
+                return
+
+    workers = [threading.Thread(target=share, args=(first,)) for first in range(1, k)]
+    for worker in workers:
+        worker.start()
+    try:
+        share(0)
+    finally:
+        for worker in workers:
+            worker.join()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return results
+
+
 def make_scenario(
     M: int = 120,
     G: int = 4,
@@ -203,17 +252,19 @@ def make_scenario(
     groups and b_bar = min(2 n_bar, 2 r) for dual polarization,
     min(n_bar, r) for one. r is then capped so that every group keeps
     enough interference-free dimensions for the preprocessor; a single
-    group's cap is the smallest rank.
+    group's cap is the smallest rank. The groups' covariances are
+    synthesized on the usable cores (``_on_cores``).
     """
     if thetas is None:
         thetas = default_theta_grid(G)
     pols = 2 if dual_pol else 1
     if M % pols != 0:
         raise InvalidConfigurationError("dual-polarized M must be even")
-    covs = tuple(
-        one_ring_covariance(GroupGeometry(theta, spread), M // pols, spacing)
-        for theta in thetas
-    )
+    # one_ring_covariance is looked up here at call time, so a wrapper
+    # installed on this module (perfbench/tracer.py) sees every call.
+    covs = tuple(_on_cores(
+        lambda theta: one_ring_covariance(GroupGeometry(theta, spread), M // pols, spacing),
+        thetas))
     if not covs:
         raise InvalidConfigurationError("a scenario needs at least one group")
     min_rank = min(c.effective_rank for c in covs)

@@ -162,10 +162,16 @@ def test_draw_trial_is_one_trial_of_the_block_read(monkeypatch, dual_pol, theta_
         got = draw_trial(sc, RngStream(7, t), chi, theta_max)
         assert_same_draws(got, one_trial(block, t))
         assert_same_draws(draw_trial(sc, RngStream(7, t).generator(), chi, theta_max), got)
-    # One Generator read by two calls continues its stream: the trial's
-    # chi uniform, then its channels, as in the engine's read.
+    # A (lo, hi) chi is drawn from the trial's stream, as the engine draws
+    # it, and the channels are built at the drawn value (the range itself
+    # used to reach channel_from_normals, which raised a bare TypeError).
     block = engine_channels(monkeypatch, sc, 7,
                             SweepPoint(chi=(0.0, 0.5), tau_sq=0.1, theta_max=theta_max))
+    for t in range(3):
+        assert_same_draws(draw_trial(sc, RngStream(7, t), (0.0, 0.5), theta_max),
+                          one_trial(block, t))
+    # One Generator read by two calls continues its stream: the trial's
+    # chi uniform, then its channels, as in the engine's read.
     gen = RngStream(7, 2).generator()
     chi = gen.uniform(0.0, 0.5)
     assert_same_draws(draw_trial(sc, gen, chi, theta_max), one_trial(block, 2))
