@@ -14,10 +14,10 @@ Config grammar (one canonical parser):
 once, before anything runs. Exit codes: 0 ok, 2 config error, 3 numerical
 error. A run that succeeds writes the header row and every row; one that
 fails writes nothing. Numeric columns are deterministic for a fixed seed.
-Each variant's covariances are synthesized on the usable cores
-(``scenario.make_scenario``), with the bits of one thread; Monte Carlo
-cells run single-threaded, their trials batched, and all sweep points of a
-variant in one ``metrics.run_paired`` call.
+Each variant's covariances are synthesized on the usable cores when
+OpenBLAS runs one thread (``scenario.make_scenario``), with the bits of
+one thread; Monte Carlo cells run single-threaded, their trials batched,
+and all sweep points of a variant in one ``metrics.run_paired`` call.
 """
 
 from __future__ import annotations

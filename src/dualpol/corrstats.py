@@ -22,8 +22,9 @@ level, and those are recomputed. The result is bit for bit that of
 evaluating every level afresh over all lags at once.
 
 A covariance is synthesized on one thread, and nothing here is shared
-between calls, so ``scenario.make_scenario`` runs its groups' calls on
-several threads at once; ``exp`` and the BLAS product release the GIL.
+between calls, so ``scenario.make_scenario`` may run its groups' calls on
+several threads at once (when OpenBLAS runs one thread); ``exp`` and the
+BLAS product release the GIL.
 """
 
 from __future__ import annotations
