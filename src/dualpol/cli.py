@@ -14,8 +14,9 @@ Config grammar (one canonical parser):
 once, before anything runs. Exit codes: 0 ok, 2 config error, 3 numerical
 error. A run that succeeds writes the header row and every row; one that
 fails writes nothing. Numeric columns are deterministic for a fixed seed.
-Each variant's covariances are synthesized on the usable cores when
-OpenBLAS runs one thread (``scenario.make_scenario``), with the bits of
+Each variant's covariances are synthesized on the affinity set's cores
+when the environment starts OpenBLAS on one thread (say,
+``OPENBLAS_NUM_THREADS=1``; ``scenario.make_scenario``), with the bits of
 one thread; Monte Carlo cells run single-threaded, their trials batched,
 and all sweep points of a variant in one ``metrics.run_paired`` call.
 """
@@ -57,8 +58,9 @@ class _Key(NamedTuple):
 #: configs that take it (3D ones set ``mode_3d = true``). An int is a whole
 #: number (``n_trials = 2.5`` is an error), a number a finite int or float,
 #: and text takes numbers as written (``scenario_id = 7``). A list default
-#: marks a key that may hold a comma-separated list of its type. A None
-#: default means "derived" (``b_bar``, ``r``) or "not set".
+#: marks a key that may hold a comma-separated list of its type; ``schemes``
+#: and ``arrays`` name each entry once. A None default means "derived"
+#: (``b_bar``, ``r``) or "not set".
 KEYS = {
     "scenario_id": _Key("text", "scenario"),
     "schemes": _Key("text", ["BD"]),
@@ -141,6 +143,7 @@ def _resolve(config: dict) -> dict:
     unknown = [s for s in cfg["schemes"] if s not in MC_MODES + ASYM_SCHEMES]
     if unknown:
         raise InvalidConfigurationError(f"unknown schemes: {', '.join(unknown)}")
+    _check_once("schemes", cfg["schemes"])
     asym = [s for s in cfg["schemes"] if s in ASYM_SCHEMES]
     if asym and mode == "3D":
         raise InvalidConfigurationError(
@@ -158,6 +161,7 @@ def _resolve(config: dict) -> dict:
             f"remove {', '.join(taus)}")
     if mode == "2D":
         cfg["arrays"] = [_parse_array(token, cfg["spacing"]) for token in cfg["arrays"]]
+        _check_once("arrays", [f"{pol}@{ds:g}" for pol, ds in cfg["arrays"]])
         single = any(pol == "single" for pol, _ in cfg["arrays"])
         chis = "chi_dist" if cfg["chi_dist"] else "chi" if len(cfg["chi"]) > 1 else None
         if chis and single:
@@ -167,6 +171,13 @@ def _resolve(config: dict) -> dict:
             raise InvalidConfigurationError(
                 "single-polarized arrays are never mismatched; remove theta_max_ms_deg > 0")
     return cfg
+
+
+def _check_once(key, names):
+    """Raise on a name listed twice: it would run, and write, its rows twice."""
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise InvalidConfigurationError(f"{key} lists {', '.join(repeated)} more than once")
 
 
 def _parse_array(token, spacing):

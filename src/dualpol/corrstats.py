@@ -23,8 +23,8 @@ evaluating every level afresh over all lags at once.
 
 A covariance is synthesized on one thread, and nothing here is shared
 between calls, so ``scenario.make_scenario`` may run its groups' calls on
-several threads at once (when OpenBLAS runs one thread); ``exp`` and the
-BLAS product release the GIL.
+several threads at once (when the environment starts OpenBLAS on one
+thread); ``exp`` and the BLAS product release the GIL.
 """
 
 from __future__ import annotations
@@ -255,8 +255,8 @@ def one_ring_covariance(
     """
     if n_elements < 1:
         raise InvalidInputError("n_elements must be positive")
-    if not math.isfinite(spacing):
-        raise InvalidInputError("spacing must be finite")
+    if not 0.0 < spacing < math.inf:  # a nan fails too
+        raise InvalidInputError(f"spacing must be positive and finite: {spacing}")
     n = n_elements
     # by_lag[n - 1 + k] is R's entry at m - n = k.
     by_lag = np.ones(2 * n - 1, dtype=complex)

@@ -393,10 +393,11 @@ def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
     """Run all requested schemes over a sweep on one geometry, on shared
     channel draws; one dict of ``McSummary`` per mode for each point.
 
-    ``modes`` may contain BD, BDS, SWITCH, and SWITCH_RAW. ``points`` is a
-    sequence of ``SweepPoint``, which set the power, chi and CSIT quality
-    and are resolved and checked (``SweepPoint.on``) before any trial is
-    drawn. A point's chi or tau^2 range is drawn uniformly once per trial.
+    ``modes`` may contain BD, BDS, SWITCH, and SWITCH_RAW, each once.
+    ``points`` is a sequence of ``SweepPoint``, which set the power, chi
+    and CSIT quality and are resolved and checked (``SweepPoint.on``)
+    before any trial is drawn. A point's chi or tau^2 range is drawn
+    uniformly once per trial.
     ``stream_base`` offsets the per-trial RNG streams so independent
     sub-experiments (e.g. elevation regions) stay decorrelated.
 
@@ -424,6 +425,8 @@ def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
     unknown = [m for m in modes if m not in MC_MODES]
     if unknown:
         raise InvalidInputError(f"unknown schemes: {', '.join(unknown)}")
+    if len(set(modes)) < len(modes):
+        raise InvalidInputError(f"a scheme is listed twice: {', '.join(modes)}")
     points = [p.on(scenario) for p in points]
     scenarios = {p.power: scenario.with_power(p.power) for p in points}
     if preprocessors is None:

@@ -353,9 +353,10 @@ class _Spectral:
 
 
 def asym_sweep(scenario: GroupScenario, modes, points, preprocessors=None) -> list:
-    """Deterministic equivalents of the schemes ``modes`` (BD, BDS) over a
-    sweep on one geometry; one dict of ``AsymptoticSolution`` per mode for
-    each point, as ``metrics.run_paired`` returns its summaries.
+    """Deterministic equivalents of the schemes ``modes`` (BD, BDS, each
+    once) over a sweep on one geometry; one dict of ``AsymptoticSolution``
+    per mode for each point, as ``metrics.run_paired`` returns its
+    summaries.
 
     ``points`` is a sequence of ``SweepPoint``, resolved and checked as the
     Monte Carlo's are (``SweepPoint.on``); a point with theta_max > 0 or a
@@ -377,6 +378,8 @@ def asym_sweep(scenario: GroupScenario, modes, points, preprocessors=None) -> li
     unknown = [m for m in modes if m not in _SOLVERS]
     if unknown:
         raise InvalidInputError(f"unknown schemes: {', '.join(unknown)}")
+    if len(set(modes)) < len(modes):
+        raise InvalidInputError(f"a scheme is listed twice: {', '.join(modes)}")
     points = [p.on(scenario) for p in points]
     if any(p.draws != (0.0, None, None) for p in points):
         raise InvalidInputError("the DEs need theta_max = 0 and a fixed chi and tau_sq")

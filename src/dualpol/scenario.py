@@ -6,8 +6,10 @@ Short-term quantities (channel realizations, CSIT quality tau) are passed
 separately to the Monte Carlo and asymptotic routines; a ``SweepPoint``
 sets them for one point of either engine's sweep.
 
-``make_scenario`` synthesizes its G covariances on up to min(G, usable
-cores) worker threads when OpenBLAS runs one thread, else on the calling
+``make_scenario`` synthesizes its G covariances on min(G, cores in the
+affinity set) worker threads when the environment starts OpenBLAS on one
+thread (``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
+``OMP_NUM_THREADS``, read as OpenBLAS reads them), else on the calling
 thread (``_on_cores``): each covariance is computed whole on one thread,
 so the bits are those of a serial loop. The quadrature's ``exp`` and BLAS
 products release the GIL.
@@ -15,12 +17,10 @@ products release the GIL.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
 import os
+import re
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 from .corrstats import GroupGeometry, one_ring_covariance
 from .errors import InvalidConfigurationError, InvalidInputError
@@ -191,61 +191,29 @@ class SweepPoint:
                        chi=chi, theta_max=self.theta_max if scenario.dual_pol else 0.0)
 
 
-def _usable_cores() -> int:
-    """The cores this process may run on: its affinity set (else the CPU
-    count), capped by its cgroup's CPU quota rounded up."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        cores = os.cpu_count() or 1
-    quota = _cpu_quota()
-    return cores if quota is None else max(1, min(cores, math.ceil(quota)))
-
-
-def _cpu_quota(root: str = "/sys/fs/cgroup") -> float | None:
-    """This process's cgroup CPU quota in cores (cgroup v2's ``cpu.max``,
-    else v1's CFS quota), or None without one."""
-    for names in (["cpu.max"], ["cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us"]):
-        try:
-            quota, period = " ".join(Path(root, name).read_text() for name in names).split()
-            return None if quota in ("max", "-1") else int(quota) / int(period)
-        except (OSError, ValueError):
-            continue
-    return None
-
-
-@functools.cache
-def _blas_thread_getters() -> tuple:
-    """The thread-count getters of the OpenBLAS libraries mapped into this
-    process (numpy's among them), found as threadpoolctl finds them; none
-    off Linux or with another BLAS."""
-    names = ["openblas_get_num_threads", "openblas_get_num_threads64_",
-             "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_"]
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
-        return tuple(getattr(lib, name) for lib in map(ctypes.CDLL, paths)
-                     for name in names if hasattr(lib, name))
-    except OSError:
-        return ()
-
-
-def _blas_threads() -> int | None:
-    """How many threads OpenBLAS runs now, or None when it cannot be read."""
-    getters = _blas_thread_getters()
-    return max(get() for get in getters) if getters else None
+def _one_blas_thread() -> bool:
+    """Whether the environment starts OpenBLAS on one thread, read as
+    OpenBLAS reads it at load: the first positive count among
+    OPENBLAS_NUM_THREADS and GOTO_NUM_THREADS, else OMP_NUM_THREADS, each
+    parsed as C's ``atoi`` parses it ("1,4" is 1, "abc" is 0)."""
+    counts = (re.match(r"\s*[+-]?[0-9]+", os.environ.get(name, ""))
+              for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+    return next((int(c[0]) for c in counts if c and int(c[0]) > 0), None) == 1
 
 
 def _on_cores(fn, items) -> list:
-    """``[fn(x) for x in items]``, on min(len(items), usable cores) worker
-    threads when OpenBLAS runs one thread, else on the calling thread:
-    OpenBLAS's own threads contend with ours. Each call runs whole on one
-    thread and the results come in item order, so they are the loop's, bit
-    for bit; so is the exception, the first failing item's, raised once
-    every worker has stopped.
+    """``[fn(x) for x in items]``, on min(len(items), cores in the affinity
+    set) worker threads when the environment starts OpenBLAS on one thread
+    (``_one_blas_thread``), else on the calling thread: OpenBLAS's own
+    threads contend with ours, and without ``os.sched_getaffinity`` (not
+    Linux) the cores are not known. Each call runs whole on one thread and
+    the results come in item order, so they are the loop's, bit for bit; so
+    is the exception, the first failing item's, raised once every worker
+    has stopped.
     """
     items = list(items)
-    k = min(len(items), _usable_cores()) if _blas_threads() == 1 else 1
+    k = (min(len(items), len(os.sched_getaffinity(0)))
+         if _one_blas_thread() and hasattr(os, "sched_getaffinity") else 1)
     if k <= 1:
         return [fn(x) for x in items]
     # Imported here, so that a process on the serial path does not pay for
@@ -279,8 +247,8 @@ def make_scenario(
     min(n_bar, r) for one. r is then capped so that every group keeps
     enough interference-free dimensions for the preprocessor; a single
     group's cap is the smallest rank. The groups' covariances are
-    synthesized on the usable cores when OpenBLAS runs one thread
-    (``_on_cores``).
+    synthesized on the affinity set's cores when the environment starts
+    OpenBLAS on one thread (``_on_cores``).
     """
     if thetas is None:
         thetas = default_theta_grid(G)

@@ -162,6 +162,16 @@ class TestRun:
         with pytest.raises(InvalidConfigurationError, match="unknown schemes"):
             _run({"scenario_id": "t", "schemes": ["MRT"]})
 
+    @pytest.mark.parametrize("key, values", [("schemes", ["BD", "BD"]),
+                                             ("arrays", ["dual", "dual@0.5"])])
+    def test_a_repeated_entry_is_rejected_before_any_covariance(self, monkeypatch,
+                                                                key, values):
+        # Each copy used to run again: two BD rows with a deflated stderr,
+        # or two variants under one scenario_id.
+        monkeypatch.setattr("dualpol.cli.make_scenario", None)
+        with pytest.raises(InvalidConfigurationError, match="more than once"):
+            _run({"scenario_id": "t", key: values})
+
 
 class TestMain:
     def test_list_presets_exit_zero(self, capsys):
@@ -245,6 +255,13 @@ class TestMain:
         ("schemes = ASYM_BD\nsnr_db = 1000", "snr_db must lie in [-100, 100]"),
         ("spacing = 5", "spacing must lie in [0, 4]"),
         ("arrays = dual@8", "spacing must lie in [0, 4]"),
+        ("spacing = 0", "spacing must be positive and finite: 0.0"),
+        ("arrays = dual@0", "spacing must be positive and finite: 0.0"),
+        ("schemes = BD, BD", "schemes lists BD more than once"),
+        ("schemes = ASYM_BD, BD, ASYM_BD", "schemes lists ASYM_BD more than once"),
+        ("arrays = dual, dual", "arrays lists dual@0.5 more than once"),
+        ("arrays = single@0.25, dual, single@0.25",
+         "arrays lists single@0.25 more than once"),
         ("arrays = single@0.5\nschemes = BDS", "single-polarized; BDS run on dual"),
         ("arrays = dual, single\nschemes = BD, ASYM_BD", "single-polarized; ASYM_BD run"),
         ("r = 1\nb_bar = 8\nn_bits = 40\nschemes = BD, SWITCH",

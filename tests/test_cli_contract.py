@@ -21,7 +21,7 @@ from dualpol.cli import CSV_COLUMNS, KEYS, main
 EDGES = {
     "scenario_id": ["t", "7", "a b"],
     "schemes": ["BD", "BDS", "SWITCH", "SWITCH_RAW", "ASYM_BD", "ASYM_BDS",
-                "BD, BDS", "BD, ASYM_BD, ASYM_BDS", "BDS, SWITCH, SWITCH_RAW",
+                "BD, BDS", "BD, ASYM_BD, ASYM_BDS", "BDS, SWITCH, SWITCH_RAW", "BD, BD",
                 "MRT", "", "true"],
     "n_trials": [-1, 0, 1, 3, 2.5, "abc", "1, 2"],
     "seed": [-1, 0, 1, 2 ** 40],
@@ -42,7 +42,7 @@ EDGES = {
     "m": [-4, 0, 2, 4, 5, 8, 16, 24, 24.0],
     "b_bar": [-1, 0, 1, 2, 4, 5, 8, 16],
     "r": [0, 1, 2, 3, 8],
-    "arrays": ["dual", "single", "dual@0.25", "single@0.5", "dual, single",
+    "arrays": ["dual", "single", "dual@0.25", "single@0.5", "dual, single", "dual, dual",
                "dual@x", "dual@-1", "dual@5", "single@nan", "bogus"],
     "m_e": [0, 1, 2, 4],
     "m_a": [0, 1, 2, 8, 12],

@@ -218,6 +218,17 @@ def test_trial_blocks_do_not_change_results(small_scenario, monkeypatch):
     assert_engine_matches(sc, modes, 10, 4, point)
 
 
+@pytest.mark.parametrize("modes", [["BD", "BD"], ["BD", "SWITCH", "BD"]])
+def test_a_repeated_scheme_is_rejected(small_scenario, modes):
+    # Each copy used to append every trial once more: BD came back with
+    # twice its trials and its stderr shrunk by sqrt(2).
+    with pytest.raises(InvalidInputError, match="a scheme is listed twice"):
+        run_paired(small_scenario, modes, 5, 1, [SweepPoint()])
+    sc3 = make_scenario_3d(m_e=4, m_a=8, G=2, n_bar=2, distances=(30.0, 60.0))
+    with pytest.raises(InvalidInputError, match="a scheme is listed twice"):
+        run_3d_paired(sc3, modes, 5, 1, [SweepPoint()])
+
+
 def test_3d_regions_use_offset_streams():
     sc3 = make_scenario_3d().with_power_db(25.0)
     kwargs = dict(chi_dist=(0.0, 0.5), tau_sq_dist=(0.0, 1.0))

@@ -326,6 +326,11 @@ def test_sweep_rejects_unknown_schemes(fig4_scenario):
         asym_sweep(fig4_scenario, ["BD", "SWITCH"], [SweepPoint(1.0, 0.0)])
 
 
+def test_sweep_rejects_a_repeated_scheme(fig4_scenario):
+    with pytest.raises(InvalidInputError, match="a scheme is listed twice"):
+        asym_sweep(fig4_scenario, ["BDS", "BD", "BDS"], [SweepPoint(1.0, 0.0)])
+
+
 # Points that both engines reject, each with the one message of its rule.
 BAD_POINTS = [
     pytest.param(SweepPoint(chi=2.0), r"chi must lie in \[0, 1\]", id="chi=2"),

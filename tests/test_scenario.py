@@ -1,6 +1,6 @@
-"""Covariance synthesis on the usable cores: ``make_scenario`` runs its
-groups' quadratures on threads when OpenBLAS runs one thread, and keeps
-the bits of a serial loop."""
+"""Covariance synthesis on the affinity set's cores: ``make_scenario``
+runs its groups' quadratures on threads when the environment starts
+OpenBLAS on one thread, and keeps the bits of a serial loop."""
 
 import functools
 import math
@@ -40,11 +40,39 @@ def serial(cell):
             for theta in thetas]
 
 
+#: A setting of the variables OpenBLAS reads at load for its thread count
+#: (OPENBLAS for OPENBLAS_NUM_THREADS, and so on; "unset" sets none) ->
+#: whether OpenBLAS starts one thread. The first seven are also checked
+#: against the threads OpenBLAS starts.
+RULE = {
+    "unset": False, "OPENBLAS=1": True, "OMP=1": True, "GOTO=1": True,
+    "OPENBLAS=2 OMP=1": False, "OPENBLAS=0 OMP=1": True, "OPENBLAS=abc OMP=1": True,
+    "OPENBLAS=1 GOTO=2": True, "OPENBLAS=0 GOTO=1 OMP=2": True, "GOTO=2 OMP=1": False,
+    "OPENBLAS=-1 OMP=1": True, "OPENBLAS=+1": True, "OPENBLAS=2x": False,
+    "OMP=1,4": True, "OMP=4": False,
+}
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def blas_env(setting):
+    """The variables that ``setting``, a key of ``RULE``, sets."""
+    return {f"{name}_NUM_THREADS": value
+            for name, value in (pair.split("=") for pair in setting.split() if "=" in pair)}
+
+
+def set_blas_env(monkeypatch, setting):
+    for name in BLAS_VARS:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in blas_env(setting).items():
+        monkeypatch.setenv(name, value)
+
+
 def on_cores(monkeypatch, cores, blas_threads=1):
-    """Pretend the process has ``cores`` usable cores and OpenBLAS runs
-    ``blas_threads`` threads."""
-    monkeypatch.setattr(scenario, "_usable_cores", lambda: cores)
-    monkeypatch.setattr(scenario, "_blas_threads", lambda: blas_threads)
+    """Pretend the process may run on ``cores`` cores and its environment
+    starts OpenBLAS on ``blas_threads`` threads (None: its default)."""
+    set_blas_env(monkeypatch, f"OPENBLAS={blas_threads}" if blas_threads else "unset")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
 
 
 def counted_starts(monkeypatch):
@@ -89,53 +117,62 @@ def test_many_threads_keep_every_result_in_place(monkeypatch):
 @pytest.mark.parametrize("cores, blas_threads", [(1, 1), (4, 2), (4, None)])
 def test_no_thread_starts_on_one_core_or_beside_blas_threads(monkeypatch, cores,
                                                              blas_threads):
-    # One core has nothing to share; OpenBLAS's own threads, or a BLAS
-    # whose threads cannot be read, would contend with the workers.
+    # One core has nothing to share; OpenBLAS's own threads would contend
+    # with the workers.
     on_cores(monkeypatch, cores, blas_threads)
     started = counted_starts(monkeypatch)
     make_scenario(M=24, G=4, n_bar=2, r=1)
     assert started == []
 
 
-@pytest.mark.parametrize("env", [1, 2])
-def test_blas_threads_reads_openblas(env):
-    # Read in a fresh process, where OPENBLAS_NUM_THREADS takes effect;
-    # OpenBLAS runs no more threads than the process has cores.
-    if scenario._blas_threads() is None:
-        pytest.skip("numpy's BLAS is not an OpenBLAS that reports its threads")
+@pytest.mark.parametrize("setting, one", RULE.items())
+def test_workers_start_when_the_environment_starts_one_blas_thread(monkeypatch,
+                                                                   setting, one):
+    on_cores(monkeypatch, 2)
+    set_blas_env(monkeypatch, setting)
+    started = counted_starts(monkeypatch)
+    assert scenario._on_cores(abs, [-1, 2, -3]) == [1, 2, 3]
+    assert len(started) == (2 if one else 0)
+
+
+def test_no_thread_starts_without_an_affinity_set(monkeypatch):
+    # Off Linux the cores are not known; the loop runs.
+    on_cores(monkeypatch, 4)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    started = counted_starts(monkeypatch)
+    make_scenario(M=24, G=4, n_bar=2, r=1)
+    assert started == []
+
+
+@pytest.mark.parametrize("setting, one", list(RULE.items())[:7])
+def test_the_rule_reads_the_variables_as_openblas_does(setting, one):
+    # A fresh process, where OpenBLAS reads the variables as it loads: it
+    # starts one thread exactly when the rule says so. The threads are
+    # counted right after numpy's import, before dualpol's.
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("the process's threads cannot be counted here")
+    if "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("on one core OpenBLAS starts one thread whatever the variables")
     src = os.path.dirname(os.path.dirname(scenario.__file__))
-    code = "import dualpol.scenario as s; print(s._blas_threads())"
+    code = ("import os, numpy; n = len(os.listdir('/proc/self/task')); "
+            "import dualpol.scenario as s; print(n, s._one_blas_thread())")
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=dict(os.environ, PYTHONPATH=src,
-                                              OPENBLAS_NUM_THREADS=str(env)))
-    assert int(run.stdout) == min(env, len(os.sched_getaffinity(0)))
+                         check=True, env=dict(env, PYTHONPATH=src, **blas_env(setting)))
+    threads, rule = run.stdout.split()
+    assert (rule, int(threads) == 1) == (str(one), one)
 
 
-def test_usable_cores_without_affinity(monkeypatch):
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(scenario, "_cpu_quota", lambda: None)
-    assert scenario._usable_cores() == (os.cpu_count() or 1)
-
-
-@pytest.mark.parametrize("quota, want", [(None, 8), (0.5, 1), (1.5, 2), (20.0, 8)])
-def test_usable_cores_keep_within_the_cpu_quota(monkeypatch, quota, want):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    monkeypatch.setattr(scenario, "_cpu_quota", lambda: quota)
-    assert scenario._usable_cores() == want
-
-
-@pytest.mark.parametrize("files, want", [
-    ({"cpu.max": "max 100000\n"}, None),
-    ({"cpu.max": "150000 100000\n"}, 1.5),
-    ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, None),
-    ({"cpu/cpu.cfs_quota_us": "50000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 0.5),
-    ({}, None),
-])
-def test_cpu_quota_reads_cgroup_v2_then_v1(tmp_path, files, want):
-    for name, text in files.items():
-        (tmp_path / name).parent.mkdir(exist_ok=True)
-        (tmp_path / name).write_text(text)
-    assert scenario._cpu_quota(str(tmp_path)) == want
+def test_make_scenario_takes_the_path_of_this_process(monkeypatch):
+    # No pretending: this process's own variables and affinity set. CI runs
+    # this file on OpenBLAS's default threads (no worker), under taskset -c 0
+    # (none) and with OPENBLAS_NUM_THREADS=1 (min(4, cores) workers).
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    started = counted_starts(monkeypatch)
+    make_scenario(M=24, G=4, n_bar=2, r=1)
+    assert len(started) == (min(4, cores) if scenario._one_blas_thread() and cores > 1 else 0)
 
 
 @pytest.mark.parametrize("failing", [(0,), (1,), (2, 3), (3, 1)])
