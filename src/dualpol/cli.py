@@ -52,15 +52,18 @@ class _Key(NamedTuple):
     default: object
     range: tuple | None = None
     modes: tuple = ("2D", "3D")
+    ends: str = "[]"
 
 
-#: The config contract: per key its type, default, closed range and the
-#: configs that take it (3D ones set ``mode_3d = true``). An int is a whole
+#: The config contract: per key its type, default, range and the configs
+#: that take it (3D ones set ``mode_3d = true``); a range is closed unless
+#: ``ends`` opens an end, as the library requires. An int is a whole
 #: number (``n_trials = 2.5`` is an error), a number a finite int or float,
 #: and text takes numbers as written (``scenario_id = 7``). A list default
 #: marks a key that may hold a comma-separated list of its type; ``schemes``
-#: and ``arrays`` name each entry once. A None default means "derived"
-#: (``b_bar``, ``r``) or "not set".
+#: and ``arrays`` name each entry once, and so do the sweep axes (``snr_db``,
+#: ``chi``, ``tau_sq``, ``n_bits``, ``theta_max_ms_deg``) their values. A
+#: None default means "derived" (``b_bar``, ``r``) or "not set".
 KEYS = {
     "scenario_id": _Key("text", "scenario"),
     "schemes": _Key("text", ["BD"]),
@@ -77,16 +80,16 @@ KEYS = {
     "tau_sq_dist": _Key("text", None),
     "groups": _Key("int", 4, (1, math.inf)),
     "n_bar": _Key("int", 8, (1, math.inf)),
-    "spacing": _Key("number", 0.5, (0, 4)),
-    "spread_deg": _Key("number", 15.0),
+    "spacing": _Key("number", 0.5, (0, 4), ends="(]"),
+    "spread_deg": _Key("number", 15.0, (0, 90), ends="()"),
     "m": _Key("int", 120, (4, math.inf), ("2D",)),
     "b_bar": _Key("int", None, (1, math.inf), ("2D",)),
     "r": _Key("int", None, (1, math.inf), ("2D",)),
     "arrays": _Key("text", ["dual"], None, ("2D",)),
     "m_e": _Key("int", 10, (2, math.inf), ("3D",)),
     "m_a": _Key("int", 50, (2, math.inf), ("3D",)),
-    "height": _Key("number", 60.0, (0, 1e4), ("3D",)),
-    "distances": _Key("number", [30.0, 60.0, 100.0], (0, 1e4), ("3D",)),
+    "height": _Key("number", 60.0, (0, 1e4), ("3D",), "(]"),
+    "distances": _Key("number", [30.0, 60.0, 100.0], (0, 1e4), ("3D",), "(]"),
 }
 
 _TYPE_NAMES = {"int": "an integer", "number": "a number", "bool": "true or false",
@@ -100,10 +103,15 @@ def _has_type(value, kind) -> bool:
                               "text": (str, int, float)}[kind])
 
 
-def _check_range(key, values, lo, hi):
+def _check_range(key, values, lo, hi, ends="[]"):
     for v in values:
-        if v is not None and not lo <= v <= hi:
-            raise InvalidConfigurationError(f"{key} must lie in [{lo:g}, {hi:g}], got {v!r}")
+        if v is None:
+            continue
+        above = lo <= v if ends[0] == "[" else lo < v
+        below = v <= hi if ends[1] == "]" else v < hi
+        if not (above and below):
+            raise InvalidConfigurationError(
+                f"{key} must lie in {ends[0]}{lo:g}, {hi:g}{ends[1]}, got {v!r}")
 
 
 def _resolve(config: dict) -> dict:
@@ -133,7 +141,14 @@ def _resolve(config: dict) -> dict:
             raise InvalidConfigurationError(
                 f"{key} must be a finite number, got {value!r}")
         if row.range:
-            _check_range(key, values, *row.range)
+            _check_range(key, values, *row.range, row.ends)
+    for axis in ("snr_db", "chi", "tau_sq", "n_bits", "theta_max_ms_deg"):
+        _check_once(axis, cfg[axis])
+    if mode == "3D" and cfg["spread_deg"] >= 45:
+        raise InvalidConfigurationError(
+            f"spread_deg must lie in (0, 45) in a 3D config, where each region's "
+            f"scatter ring, of radius d tan(spread), must not reach its distance d; "
+            f"got {cfg['spread_deg']!r}")
     for axis in ("chi", "tau_sq"):
         dist = cfg[f"{axis}_dist"] = _parse_dist(cfg[f"{axis}_dist"])
         _check_range(axis, dist or (), *KEYS[axis].range)
@@ -174,10 +189,12 @@ def _resolve(config: dict) -> dict:
 
 
 def _check_once(key, names):
-    """Raise on a name listed twice: it would run, and write, its rows twice."""
+    """Raise on a name or value listed twice: it would run, and write, its
+    rows twice."""
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
-        raise InvalidConfigurationError(f"{key} lists {', '.join(repeated)} more than once")
+        raise InvalidConfigurationError(
+            f"{key} lists {', '.join(map(str, repeated))} more than once")
 
 
 def _parse_array(token, spacing):
@@ -186,7 +203,7 @@ def _parse_array(token, spacing):
     if pol not in ("dual", "single") or not (_has_type(ds, "number") and math.isfinite(ds)):
         raise InvalidConfigurationError(
             f"arrays must be dual or single with an optional @<spacing>, got {token!r}")
-    _check_range("spacing", [ds], *KEYS["spacing"].range)
+    _check_range("spacing", [ds], *KEYS["spacing"].range, KEYS["spacing"].ends)
     return pol, float(ds)
 
 

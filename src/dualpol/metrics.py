@@ -16,12 +16,14 @@ points (``SweepPoint``) share the preprocessors and every trial's draws
 trial stream's one generator), since the preprocessors depend only on the
 long-term statistics and the normals only on the seed; power, chi and
 tau^2 change only the RZF regularizer, the cross-block scale and the CSIT
-mix. A point's precoders are one batched RZF over every trial and group,
-and the points at one chi and CSIT quality share its
-``precode.CsitView``, so between them only the regularizer changes. The
-per-realization API (``draw_trial``, ``precode.build_all``,
-``sinr_bd``/``sinr_bds``) is this engine at one trial: ``draw_trial`` reads
-its trial through ``_draw_block``, the one reader of a trial's stream.
+mix. A set evaluated at one chi (a drawn chi always is) frees its normals
+once its channels are built, before any point is evaluated. A point's
+precoders are one batched RZF over every trial and group, and the points
+at one chi and CSIT quality share its ``precode.CsitView``, so between
+them only the regularizer changes. The per-realization API
+(``draw_trial``, ``precode.build_all``, ``sinr_bd``/``sinr_bds``) is this
+engine at one trial: ``draw_trial`` reads its trial through
+``_draw_block``, the one reader of a trial's stream.
 """
 
 from __future__ import annotations
@@ -206,7 +208,7 @@ def draw_trial(scenario: GroupScenario, rng, chi=None, theta_max=0.0):
     """
     point = SweepPoint(chi=chi, theta_max=theta_max).on(scenario)
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    drawn, _, normals, angles = next(_draw_block(scenario, [gen], [point.draws], True))
+    drawn, _, normals, angles = _draw_block(scenario, [gen], point.draws, True)
     chi = point.chi if drawn is None else drawn[0]
     return tuple(channel_from_normals(cov, chi, normals_g[0],
                                       None if angles_g is None else angles_g[0], gain)
@@ -214,42 +216,42 @@ def draw_trial(scenario: GroupScenario, rng, chi=None, theta_max=0.0):
                      scenario.covariances, normals, angles, scenario.gains))
 
 
-def _draw_block(scenario, gens, draws, noise):
-    """A trial block's draws, one (chi, tau^2, normals, angles) per
-    (theta_max, chi range, tau^2 range) in ``draws`` (``SweepPoint.draws``),
-    yielded in turn so that one set of normals is held at a time: the one
-    reader of a trial's stream.
+def _draw_block(scenario, gens, draw, noise, start=None):
+    """One draw set of a trial block, the (chi, tau^2, normals, angles) of
+    one (theta_max, chi range, tau^2 range) ``draw`` (``SweepPoint.draws``):
+    the one reader of a trial's stream. It keeps nothing, so the caller
+    holds the only references to the set's arrays.
 
     Trial t reads its generator ``gens[t]`` (``run_paired`` builds it once
     per block, from RngStream(seed, stream_base + t)) in this order: a
     uniform from the chi range, one from the tau^2 range (chi and tau^2 are
     None for a fixed value), then each group's draws
-    (``channel._read_group``), mismatched when theta_max > 0. Every set
-    after the first restores the generators to their start and reads its
-    own uniforms and group draws, as a fresh stream would. The normals and
-    angles come per group, the normals shaped (T, k, rows, n) for
-    ``channel_from_normals``. Without ``noise`` the CSIT noise's normals
-    are still read, into one scratch array, but not kept.
+    (``channel._read_group``), mismatched when theta_max > 0. Given
+    ``start``, the generators' states before the block's first set, every
+    generator is first restored to it, so that each set after the first
+    reads its own uniforms and group draws as a fresh stream would. The
+    normals and angles come per group, the normals shaped (T, k, rows, n)
+    for ``channel_from_normals``. Without ``noise`` the CSIT noise's
+    normals are still read, into one scratch array, but not kept.
     """
     T, n = len(gens), scenario.n_bar
     rows = [scenario.pols * cov.effective_rank for cov in scenario.covariances]
-    starts = [gen.bit_generator.state for gen in gens] if len(draws) > 1 else None
+    for gen, state in zip(gens, start or ()):
+        gen.bit_generator.state = state
+    theta_max, *ranges = draw
+    chi, tau_sq = (None if r is None else np.array([gen.uniform(*r) for gen in gens])
+                   for r in ranges)
+    theta = theta_max if theta_max > 0.0 else None  # None: aligned draws
+    parts = (4 if noise else 2) + (0 if theta is None else 2)
     scratch = None if noise else np.empty(2 * max(rows) * n)
-    for k, (theta_max, *ranges) in enumerate(draws):
-        for gen, start in zip(gens, starts if k else ()):  # the first set is at the start
-            gen.bit_generator.state = start
-        chi, tau_sq = (None if r is None else np.array([gen.uniform(*r) for gen in gens])
-                       for r in ranges)
-        theta = theta_max if theta_max > 0.0 else None  # None: aligned draws
-        parts = (4 if noise else 2) + (0 if theta is None else 2)
-        normals = [np.empty((T, parts, rows_g, n)) for rows_g in rows]
-        angles = [None] * scenario.G if theta is None else np.empty((scenario.G, T, n))
-        for t, gen in enumerate(gens):
-            for g, normals_g in enumerate(normals):
-                angles_g = _read_group(gen, normals_g[t], theta, scratch)
-                if theta is not None:
-                    angles[g, t] = angles_g
-        yield chi, tau_sq, normals, angles
+    normals = [np.empty((T, parts, rows_g, n)) for rows_g in rows]
+    angles = [None] * scenario.G if theta is None else np.empty((scenario.G, T, n))
+    for t, gen in enumerate(gens):
+        for g, normals_g in enumerate(normals):
+            angles_g = _read_group(gen, normals_g[t], theta, scratch)
+            if theta is not None:
+                angles[g, t] = angles_g
+    return chi, tau_sq, normals, angles
 
 
 def _amplitude_maps(D, channels):
@@ -339,22 +341,19 @@ def _summary(mode, rows):
     return McSummary(mode, np.ascontiguousarray(rows[:, 0]), rows[:, 1:5], picks)
 
 
-def _chi_rows(scenario, C, D, modes, chi, draws, theta_max, points, scenarios,
-              scales):
+def _chi_rows(scenario, C, D, modes, chi, tau_sq, channels, theta_max, points,
+              scenarios, scales):
     """Per-trial rows of every mode at each of the points that share one
-    chi's channels, built from a trial block's ``draws`` (tau^2, normals,
-    angles): one dict per point of (T, 6) arrays, the sum rate, the four
-    ``SinrReport.terms`` and 1 where BDS evaluates the trial.
+    chi's trial-stacked ``channels`` (one per group) and the block's drawn
+    tau^2 (None for fixed ones): one dict per point of (T, 6) arrays, the
+    sum rate, the four ``SinrReport.terms`` and 1 where BDS evaluates the
+    trial.
 
     Each of BD and BDS is evaluated on the whole block at the points where
     some mode picks it on some trial, and BDS's tau is computed only there.
     BD runs at every point before BDS, so one ``precode.CsitView`` is live
     at a time; consecutive points share it while their CSIT quality does.
     """
-    tau_sq, normals, angles = draws
-    channels = [channel_from_normals(cov, chi, normals_g, angles_g, gain)
-                for cov, normals_g, angles_g, gain in zip(
-                    scenario.covariances, normals, angles, scenario.gains)]
     maps = _amplitude_maps(D, channels)
     T = maps.shape[0]
     chi_used = {"SWITCH": chi, "SWITCH_RAW": chi}
@@ -445,13 +444,25 @@ def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
     for first in range(0, n_trials, block):
         gens = [RngStream(seed, stream).generator() for stream in range(
             stream_base + first, stream_base + min(first + block, n_trials))]
-        blocks = _draw_block(scenario, gens, list(by_draw), noise)
-        for ((theta_max, *_), at_draws), (chi_drawn, *draws) in zip(by_draw.items(), blocks):
-            for chi, at_chi in _grouped(at_draws, lambda i: points[i].chi):
+        starts = [gen.bit_generator.state for gen in gens] if len(by_draw) > 1 else None
+        for k, (draw, at_draws) in enumerate(by_draw.items()):
+            chi_drawn, tau_sq, normals, angles = _draw_block(
+                scenario, gens, draw, noise, starts if k else None)
+            at_chis = list(_grouped(at_draws, lambda i: points[i].chi))
+            for chi, at_chi in at_chis:
                 chi = np.full(len(gens), float(chi)) if chi_drawn is None else chi_drawn
+                channels = [channel_from_normals(cov, chi, normals_g, angles_g, gain)
+                            for cov, normals_g, angles_g, gain in zip(
+                                scenario.covariances, normals, angles, scenario.gains)]
+                if len(at_chis) == 1:
+                    # Spent: free them before the maps, views and precoders.
+                    # A set with several chi values keeps them to its end:
+                    # freeing them at its last chi raised mc_fig4's peak.
+                    normals = None
                 at_chi_rows = _chi_rows(
-                    scenario, C, D, modes, chi, draws, theta_max,
+                    scenario, C, D, modes, chi, tau_sq, channels, draw[0],
                     [points[i] for i in at_chi], scenarios, scales)
+                channels = None  # freed before the next chi's are built
                 for i, point_rows in zip(at_chi, at_chi_rows):
                     for mode in modes:
                         rows[i][mode].append(point_rows[mode])

@@ -52,7 +52,8 @@ def _table_row(key, row):
     many = isinstance(row.default, list)
     default = ", ".join("–" if v is None else str(v).lower() if isinstance(v, bool)
                         else str(v) for v in (row.default if many else [row.default]))
-    span = "" if row.range is None else f"[{row.range[0]:g}, {row.range[1]:g}]"
+    span = "" if row.range is None else (
+        f"{row.ends[0]}{row.range[0]:g}, {row.range[1]:g}{row.ends[1]}")
     return (f"| `{key}` | {row.kind}{' (list)' if many else ''} | {default} | {span} "
             f"| {', '.join(row.modes)} |")
 
@@ -253,10 +254,10 @@ class TestMain:
         ("n_bar = 0", "n_bar must lie in [1, inf], got 0"),
         ("n_bits = 0", "n_bits must lie in [1, inf], got 0"),
         ("schemes = ASYM_BD\nsnr_db = 1000", "snr_db must lie in [-100, 100]"),
-        ("spacing = 5", "spacing must lie in [0, 4]"),
-        ("arrays = dual@8", "spacing must lie in [0, 4]"),
-        ("spacing = 0", "spacing must be positive and finite: 0.0"),
-        ("arrays = dual@0", "spacing must be positive and finite: 0.0"),
+        ("spacing = 5", "spacing must lie in (0, 4]"),
+        ("arrays = dual@8", "spacing must lie in (0, 4]"),
+        ("spacing = 0", "spacing must lie in (0, 4], got 0"),
+        ("arrays = dual@0", "spacing must lie in (0, 4], got 0"),
         ("schemes = BD, BD", "schemes lists BD more than once"),
         ("schemes = ASYM_BD, BD, ASYM_BD", "schemes lists ASYM_BD more than once"),
         ("arrays = dual, dual", "arrays lists dual@0.5 more than once"),
@@ -311,7 +312,7 @@ class TestMain:
         ("schemes = BD\nb_bar = 16\nr = 3", "unknown keys for a 3D config: b_bar, r"),
         ("schemes = BD\nm_e = 1", "m_e must lie in [2, inf], got 1"),
         ("schemes = BD\nm_a = 1", "m_a must lie in [2, inf], got 1"),
-        ("schemes = BD\ndistances = 30, 20000", "distances must lie in [0, 10000]"),
+        ("schemes = BD\ndistances = 30, 20000", "distances must lie in (0, 10000]"),
     ])
     def test_3d_config_exit_two_before_header(self, tmp_path, capsys, lines,
                                               message):

@@ -13,6 +13,7 @@ import io
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +28,7 @@ EDGES = {
     "seed": [-1, 0, 1, 2 ** 40],
     "grid": ["true", "false", 1],
     "mode_3d": ["true", "false", "yes"],
-    "snr_db": [-100, -10, 0, 40, 70, 100, 101, "nan", "inf", "0, 20", ",", "x"],
+    "snr_db": [-100, -10, 0, 40, 70, 100, 101, "nan", "inf", "0, 20", "0, 0", ",", "x"],
     "chi": [-0.1, 0, 0.5, 1, 1.5, "nan", "0, 1", "0.1, abc"],
     "tau_sq": [-0.1, 0, 0.1, 1, 1.5, "inf", "0, 0.5, 2"],
     "n_bits": [-5, 0, 1, 10, 40, 2.5, "20, 40"],
@@ -38,7 +39,7 @@ EDGES = {
     "groups": [-1, 0, 1, 2, 3],
     "n_bar": [-2, 0, 1, 2, 3, 4],
     "spacing": [-0.5, 0, 0.25, 0.5, 4, 4.5, "nan"],
-    "spread_deg": [-5, 0, 1, 15, 89, 90],
+    "spread_deg": [-5, 0, 1, 15, 44, 45, 89, 90],
     "m": [-4, 0, 2, 4, 5, 8, 16, 24, 24.0],
     "b_bar": [-1, 0, 1, 2, 4, 5, 8, 16],
     "r": [0, 1, 2, 3, 8],
@@ -117,3 +118,39 @@ def test_odd_b_bar_on_a_dual_polarized_array_exits_two():
     assert code == 2, err
     assert "Traceback" not in err and "b_bar" in err
     assert written == ""
+
+
+@pytest.mark.parametrize("lines, key", [
+    ("snr_db = 0, 0", "snr_db"),
+    ("schemes = ASYM_BD\nsnr_db = 10, 10", "snr_db"),
+    ("chi = 0.1, 0.1", "chi"),
+    ("tau_sq = 0, 0.0", "tau_sq"),
+    ("n_bits = 20, 30, 20", "n_bits"),
+    ("theta_max_ms_deg = 39.6, 39.6", "theta_max_ms_deg"),
+])
+def test_a_repeated_sweep_value_exits_two(lines, key):
+    # Each copy used to run again and write an identical row.
+    code, err, written = _run(BASES[0] + lines + "\n")
+    assert (code, written) == (2, ""), err
+    assert err.startswith(f"config error: {key} lists ") and "more than once" in err
+
+
+@pytest.mark.parametrize("base, line, key", [
+    (0, "spread_deg = 0", "spread_deg"),
+    (0, "spread_deg = -5", "spread_deg"),
+    (0, "spread_deg = 90", "spread_deg"),
+    (1, "height = 0", "height"),
+    (1, "distances = 0", "distances"),
+    (1, "distances = 30, 0", "distances"),
+    (1, "spread_deg = 45", "spread_deg"),
+    (1, "spread_deg = 60", "spread_deg"),
+], ids=lambda v: v if isinstance(v, str) else ("2D", "3D")[v])
+def test_a_bound_the_model_needs_is_a_config_error(base, line, key):
+    # The library rejected each of these, and the CLI printed its message
+    # ("error: ...") without the key's name, except a 3D spread of 45 deg,
+    # which ran because tan(pi/4) rounds to just below 1: its scatter rings
+    # reached their distances to 1e-16. A spacing of 0 is in test_cli.py's
+    # table of invalid values.
+    code, err, written = _run(BASES[base] + line + "\n")
+    assert (code, written) == (2, ""), err
+    assert err.startswith(f"config error: {key} must lie in ")

@@ -1,5 +1,6 @@
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -253,6 +254,31 @@ def test_bad_point_rejected_before_any_trial_is_drawn(small_scenario, monkeypatc
     monkeypatch.setattr(metrics, "_draw_block", no_draws)
     with pytest.raises(DualpolError, match=message):
         run_paired(small_scenario, ["BD"], 2, 1, [SweepPoint(), point])
+
+
+@pytest.mark.parametrize("theta_maxes", [[0.0], [0.0, 0.3]], ids=["one set", "two sets"])
+def test_drawn_chi_normals_are_freed_before_the_first_report(small_scenario, monkeypatch,
+                                                            theta_maxes):
+    # A drawn chi is evaluated at one value per trial, so a set's normals are
+    # spent once its channels are built; they used to stay live in the
+    # reader's suspended frame through the maps, precoders and reports.
+    refs, live_at_reports = [], []
+    build, report = metrics.channel_from_normals, metrics._report
+
+    def spy_build(stats, chi, normals, *args):
+        refs.append(weakref.ref(normals))
+        return build(stats, chi, normals, *args)
+
+    def spy_report(*args, **kw):
+        live_at_reports.append(sum(ref() is not None for ref in refs))
+        return report(*args, **kw)
+    monkeypatch.setattr(metrics, "channel_from_normals", spy_build)
+    monkeypatch.setattr(metrics, "_report", spy_report)
+    points = [SweepPoint(chi=(0.0, 0.5), tau_sq=(0.0, 0.5), theta_max=theta_max)
+              for theta_max in theta_maxes]
+    run_paired(small_scenario.with_power(10.0), ["BD", "BDS", "SWITCH"], 3, 1, points)
+    assert len(refs) == small_scenario.G * len(theta_maxes)
+    assert live_at_reports and not any(live_at_reports)
 
 
 @pytest.fixture(scope="module")
