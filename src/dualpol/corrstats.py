@@ -10,16 +10,19 @@ of the carrier wavelength, so the covariance kernel never needs the
 wavelength itself and every covariance is Toeplitz.
 
 The kernel integrates the lags with an adaptive Simpson rule whose levels
-double the panel count. Each level evaluates the integrand only at its new
-odd nodes, next to the previous level's values on its even nodes. The lags
-run in near-equal chunks of at most ``_CHUNK_ROWS``, each through its own
-levels, so the working memory is one chunk's last two levels. A chunk has
-at least 3 rows unless it holds every lag: only then does the BLAS product
-give its Simpson sums the bits of the product over all lags. Every lag
-stops at the first level where no lag moves by ``QUADRATURE_TOL`` or more:
-a chunk that needs a finer level than the chunks before it raises the
-level, and those are recomputed. The result is bit for bit that of
-evaluating every level afresh over all lags at once.
+double the panel count, in chunks of at most ``_CHUNK_ROWS`` lags, so the
+working memory is one chunk's last two levels. The first chunk, three lags
+when there are more than one chunk holds, finds the stopping level by
+doubling: each level evaluates the integrand only at its new odd nodes,
+next to the previous level's values on its even nodes. Every other chunk
+is then evaluated in one pass at that level, whose even nodes give the
+level before it. A chunk has at least 3 rows unless it holds every lag:
+only then does the BLAS product give its Simpson sums the bits of the
+product over all lags. Every lag stops at the first level where no lag
+moves by ``QUADRATURE_TOL`` or more: a chunk that needs a finer level
+doubles on and raises the level, and the chunks done before it are redone
+there. The result is bit for bit that of evaluating every level afresh
+over all lags at once.
 
 A covariance is synthesized on one thread, and nothing here is shared
 between calls, so ``scenario.make_scenario`` may run its groups' calls on
@@ -63,9 +66,10 @@ QUADRATURE_TOL = 1e-10
 #: 499 lags, a dual-polarized M = 1000, 374 MiB.
 _MAX_BYTES = 1 << 29
 
-#: Lags per quadrature chunk, at most. More lags than this split into
-#: near-equal chunks of at least 8 rows, above the 3 a row block needs to
-#: get the same Simpson sums from the BLAS product as the whole array.
+#: Lags per quadrature chunk, at most. More lags than this split into a
+#: head chunk of 3 rows, the least a row block needs to get the same
+#: Simpson sums from the BLAS product as the whole array, and near-equal
+#: chunks of at least 8 rows.
 _CHUNK_ROWS = 16
 
 
@@ -172,49 +176,63 @@ def _one_ring_kernel(displacements, theta, delta):
     wavelengths. Adaptive composite Simpson: the panel count doubles from 8
     until no entry moves by ``QUADRATURE_TOL`` or more, or raises
     ``NumericalError`` when the next level and the one before it, over all
-    lags, would exceed ``_MAX_BYTES``. Each level evaluates
-    exp((-j pi) (sin(a + theta) d)) at its new odd nodes only: the level's
-    array takes the previous level's values on its even nodes, where they
-    sit exactly. The operations and their order are those of evaluating
-    every level afresh, so the result is bit for bit the same.
+    lags, would exceed ``_MAX_BYTES``.
 
-    The lags run in near-equal chunks of at most ``_CHUNK_ROWS`` rows, so
-    the working memory is one chunk's last two levels. A chunk of 3 or
-    more rows gets the same Simpson sums ``f @ w`` as all lags at once
-    (one chunk holds fewer only when it holds every lag). The stopping
-    level stays that of all lags: chunks run in order, each stopping at
-    the first level at or above the running floor where it moves by less
-    than the tolerance; a chunk that needs a finer level raises the floor,
-    and the chunks already done are recomputed at it. Listing the largest
-    displacement first, as ``one_ring_covariance`` does, lets the first
-    chunk set the floor, so the others are not redone. Each level's node
-    sines and Simpson weights are computed once and shared by the chunks.
+    The lags run in chunks, so the working memory is one chunk's last two
+    levels. More than ``_CHUNK_ROWS`` lags split into a head chunk of the
+    first 3 rows (the largest displacements, as ``one_ring_covariance``
+    lists them) and near-equal chunks of at most ``_CHUNK_ROWS`` rows. A
+    chunk of 3 or more rows gets the same Simpson sums ``f @ w`` as all
+    lags at once, so no chunk is smaller unless it holds every lag.
+
+    Each chunk starts in one pass at the running floor of panels, 16 at
+    first: the exponent 0 + j(-pi (sin(a + theta) d)), which is the complex
+    product (-j pi) (sin(a + theta) d), is written at every node of the
+    level and exponentiated in place; that array gives the level's sums,
+    and a contiguous copy of its even nodes those of the level before.
+    Where they move by ``QUADRATURE_TOL`` or more, the chunk doubles on:
+    each finer level evaluates exp((-j pi) (sin(a + theta) d)) at its new
+    odd nodes only, next to the previous level's values on its even nodes,
+    where they sit exactly. The chunk's stopping level becomes the floor,
+    and the chunks already done are redone at it. So the head's doubling
+    finds the level that the other chunks take in one pass, and every lag
+    stops at the first level where no lag moves by the tolerance. Every
+    integrand value and every sum has the operands and the order of
+    operations of evaluating every level afresh over all lags at once, so
+    the result is bit for bit the same. Each level's node sines and Simpson
+    weights are computed once and shared by the chunks.
     """
     d = np.asarray(displacements)[:, None]
     lags = d.shape[0]
     phase = -1j * np.pi
 
     @functools.cache
-    def level(n):
-        # The first level's node sines are all of them, a finer level's
-        # only its new odd ones; then the level's Simpson weights.
-        alpha = np.linspace(-delta, delta, 2 * n + 1)
+    def sines(n):
+        return np.sin(np.linspace(-delta, delta, 2 * n + 1) + theta)
+
+    @functools.cache
+    def weights(n):
         w = np.ones(2 * n + 1)
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
-        return np.sin((alpha if n == 8 else alpha[1::2]) + theta), w
+        return w
 
     def simpson(f, n):
         h = (2.0 * delta) / (2 * n)
-        return (h / 3.0) * (f @ level(n)[1]) / (2.0 * delta)
+        return (h / 3.0) * (f @ weights(n)) / (2.0 * delta)
 
-    def integrate(rows, floor):
-        # The chunk's sums at the first level of at least ``floor`` panels
-        # where they move by less than QUADRATURE_TOL, and that level.
-        n = 8
-        f = np.exp(phase * (level(n)[0] * rows))
-        prev, err = simpson(f, n), None
+    def integrate(rows, n):
+        # The chunk's sums at the first level of at least n panels where
+        # they move by less than QUADRATURE_TOL, and that level.
+        f = np.empty((rows.shape[0], 2 * n + 1), dtype=complex)
+        np.multiply(sines(n) * rows, -np.pi, out=f.imag)
+        f.real = 0.0
+        np.exp(f, out=f)
+        prev, cur = simpson(f[:, ::2].copy(), n // 2), simpson(f, n)
         while True:
+            err = np.abs(cur - prev).max()
+            if err < QUADRATURE_TOL:
+                return n, cur
             n *= 2
             if 16 * lags * ((n + 1) + (2 * n + 1)) > _MAX_BYTES:
                 raise NumericalError(
@@ -224,14 +242,11 @@ def _one_ring_kernel(displacements, theta, delta):
             finer = np.empty((rows.shape[0], 2 * n + 1), dtype=complex)
             finer[:, ::2] = f
             f = finer
-            np.exp(phase * (level(n)[0] * rows), out=f[:, 1::2])
-            cur = simpson(f, n)
-            err = np.abs(cur - prev).max()
-            if n >= floor and err < QUADRATURE_TOL:
-                return n, cur
-            prev = cur
+            np.exp(phase * (sines(n)[1::2] * rows), out=f[:, 1::2])
+            prev, cur = cur, simpson(f, n)
 
-    chunks = np.array_split(d, -(-lags // _CHUNK_ROWS))
+    chunks = ([d[:3], *np.array_split(d[3:], -(-(lags - 3) // _CHUNK_ROWS))]
+              if lags > _CHUNK_ROWS else [d])
     floor, panels, sums = 16, [0] * len(chunks), [None] * len(chunks)
     while min(panels) < floor:
         for i, rows in enumerate(chunks):

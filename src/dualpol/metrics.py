@@ -427,7 +427,8 @@ def run_paired(scenario: GroupScenario, modes, n_trials: int, seed: int,
     if len(set(modes)) < len(modes):
         raise InvalidInputError(f"a scheme is listed twice: {', '.join(modes)}")
     points = [p.on(scenario) for p in points]
-    scenarios = {p.power: scenario.with_power(p.power) for p in points}
+    scenarios = {power: scenario.with_power(power)
+                 for power in dict.fromkeys(p.power for p in points)}
     if preprocessors is None:
         preprocessors = build_preprocessors(scenario)
     C, D = kl_projections(preprocessors, scenario.covariances, scenario.gains)

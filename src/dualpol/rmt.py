@@ -383,8 +383,10 @@ def asym_sweep(scenario: GroupScenario, modes, points, preprocessors=None) -> li
     points = [p.on(scenario) for p in points]
     if any(p.draws != (0.0, None, None) for p in points):
         raise InvalidInputError("the DEs need theta_max = 0 and a fixed chi and tau_sq")
-    taus = [{m: csit_tau_sq(p.tau_sq, p.n_bits, scenario.r, m) for m in modes} for p in points]
-    scenarios = {p.power: scenario.with_power(p.power) for p in points}
+    taus = {key: {m: csit_tau_sq(*key, scenario.r, m) for m in modes}
+            for key in dict.fromkeys((p.tau_sq, p.n_bits) for p in points)}
+    scenarios = {power: scenario.with_power(power)
+                 for power in dict.fromkeys(p.power for p in points)}
     if preprocessors is None:
         preprocessors = build_preprocessors(scenario)
     basis = _Basis(scenario, preprocessors)
@@ -393,8 +395,8 @@ def asym_sweep(scenario: GroupScenario, modes, points, preprocessors=None) -> li
         chis = list(dict.fromkeys(p.chi for p in points if p.power == power))
         for m in modes:
             solved[m, power] = dict(zip(chis, _SOLVERS[m](basis, sc, chis)))
-    return [{m: replace(solved[m, p.power][p.chi], tau_sq=tau[m]) for m in modes}
-            for p, tau in zip(points, taus)]
+    return [{m: replace(solved[m, p.power][p.chi], tau_sq=taus[p.tau_sq, p.n_bits][m])
+             for m in modes} for p in points]
 
 
 def asym_bd(scenario: GroupScenario, tau_sq: float = 0.0) -> AsymptoticSolution:

@@ -6,9 +6,9 @@ Short-term quantities (channel realizations, CSIT quality tau) are passed
 separately to the Monte Carlo and asymptotic routines; a ``SweepPoint``
 sets them for one point of either engine's sweep.
 
-``make_scenario`` synthesizes its G covariances on min(G, cores in the
-affinity set) worker threads when the environment starts OpenBLAS on one
-thread (``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
+``make_scenario`` synthesizes its G covariances on up to min(G, cores in
+the affinity set) worker threads when the environment starts OpenBLAS on
+one thread (``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
 ``OMP_NUM_THREADS``, read as OpenBLAS reads them), else on the calling
 thread (``_on_cores``): each covariance is computed whole on one thread,
 so the bits are those of a serial loop. The quadrature's ``exp`` and BLAS
@@ -202,11 +202,12 @@ def _one_blas_thread() -> bool:
 
 
 def _on_cores(fn, items) -> list:
-    """``[fn(x) for x in items]``, on min(len(items), cores in the affinity
-    set) worker threads when the environment starts OpenBLAS on one thread
-    (``_one_blas_thread``), else on the calling thread: OpenBLAS's own
-    threads contend with ours, and without ``os.sched_getaffinity`` (not
-    Linux) the cores are not known. Each call runs whole on one thread and
+    """``[fn(x) for x in items]``, on up to min(len(items), cores in the
+    affinity set) worker threads when the environment starts OpenBLAS on
+    one thread (``_one_blas_thread``), else on the calling thread: OpenBLAS's
+    own threads contend with ours, and without ``os.sched_getaffinity`` (not
+    Linux) the cores are not known. The pool starts a worker only when none
+    is idle, so fewer may start. Each call runs whole on one thread and
     the results come in item order, so they are the loop's, bit for bit; so
     is the exception, the first failing item's, raised once every worker
     has stopped.
@@ -247,8 +248,8 @@ def make_scenario(
     min(n_bar, r) for one. r is then capped so that every group keeps
     enough interference-free dimensions for the preprocessor; a single
     group's cap is the smallest rank. The groups' covariances are
-    synthesized on the affinity set's cores when the environment starts
-    OpenBLAS on one thread (``_on_cores``).
+    synthesized on up to one worker thread per core of the affinity set
+    when the environment starts OpenBLAS on one thread (``_on_cores``).
     """
     if thetas is None:
         thetas = default_theta_grid(G)

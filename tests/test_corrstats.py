@@ -18,6 +18,7 @@ from dualpol.corrstats import (
     one_ring_covariance,
 )
 from dualpol.errors import InvalidInputError
+from dualpol.scenario import default_theta_grid
 
 
 def simpson_oracle(dy, theta, delta, n=10000):
@@ -90,10 +91,17 @@ class TestOneRing:
                                   [1e-9, 0.14, 0.26, 1.0]),
                 # The fig5 single-polarized array: 119 lags in 8 chunks.
                 itertools.product([0.5], [120], [-0.8, 0.0, 0.7], [0.26]),
-                # 17, 18 and 33 lags split into unequal chunks (9 and 8,
-                # 9 and 9, 11, 11 and 11 rows).
+                # 17, 18 and 33 lags: a head chunk of 3 rows, then 14, 15
+                # and 30 rows (the last in two chunks of 15).
                 itertools.product([0.5], [18, 19, 34], [-0.8, 0.0, 0.7],
                                   [0.14, 1.0]),
+                # 16 to 20 lags, either side of the head split, at the
+                # narrowest and a wide spread.
+                itertools.product([0.5], [17, 18, 19, 20, 21], [-0.8, 0.0, 0.7],
+                                  [1e-9, 1.2]),
+                # The M = 480 cell's 239 lags at -45 degrees: the head chunk
+                # stops a level short of rows 3 to 5, and is redone.
+                [(0.5, 240, -math.pi / 4, math.pi / 12)],
                 # One lag: a single chunk of one row.
                 itertools.product([0.25, 0.5, 1.0], [2], [-0.8, 0.0, 0.7],
                                   [1e-9, 0.14, 0.26, 1.0])):
@@ -104,13 +112,31 @@ class TestOneRing:
                 assert np.array_equal(_one_ring_kernel(lags, theta, delta),
                                       adaptive_simpson_oracle(lags, theta, delta))
 
+    def test_kernel_exponentiates_each_node_once(self, monkeypatch):
+        # On the fig4 cell the head chunk's doubling finds 2,048 panels for
+        # every group, and the other chunks take that level in one pass:
+        # each lag's 4,097 nodes go through exp once.
+        counted, exp = [], np.exp
+
+        def counting(x, *args, **kw):
+            counted.append(np.size(x))
+            return exp(x, *args, **kw)
+        monkeypatch.setattr(np, "exp", counting)
+        for theta in default_theta_grid(4):
+            counted.clear()
+            one_ring_covariance(GroupGeometry(theta, DELTA), 60, 0.5)
+            assert sum(counted) == 59 * 4097, theta
+
     def test_quadrature_memory_is_two_levels(self):
-        # The lags run in chunks of at most 16 rows: 59 lags in chunks of
-        # 15 or 14 ending on 2,048 panels, 239 in chunks of 16 or 15 ending
-        # on 8,192. The peak holds one chunk's finest level and the one
-        # before it, or the finest level and its new nodes' temporaries (a
-        # real product and its complex one); the eigensolver's arrays fit
-        # under that.
+        # The lags run in a head chunk of 3 rows and chunks of at most 16:
+        # 59 lags in a head and four chunks of 14 ending on 2,048 panels,
+        # 239 in a head and chunks of 16 or 15 ending on 8,192. The peak
+        # holds one chunk's finest level next to the real product its
+        # exponent is written from or the copy of its even nodes; a chunk
+        # that doubles on holds its last two levels, or the finest level
+        # and its new nodes' temporaries (a real product and its complex
+        # one). The eigensolver's arrays fit under that. The bound is that
+        # of chunks of 15 and 16 rows.
         for size, rows, panels in [(60, 15, 2048), (240, 16, 8192)]:
             levels = rows * ((2 * panels + 1) + (panels + 1)) * 16
             bound = levels + rows * panels * (8 + 16)

@@ -11,7 +11,7 @@ from dualpol.errors import DualpolError, InvalidInputError
 from dualpol.metrics import draw_trial, run_paired, sinr_bd, sinr_bds
 from dualpol.modeswitch import FeedbackBudget, bds_tau_sq, csit_tau_sq, tau_from_bits
 from dualpol.precode import build_all, build_preprocessors
-from dualpol.scenario import SweepPoint, make_scenario, power_from_db
+from dualpol.scenario import GroupScenario, SweepPoint, make_scenario, power_from_db
 
 
 def symbol_level_powers(channels, precoders, power, n_draws=10000, seed=0):
@@ -279,6 +279,18 @@ def test_drawn_chi_normals_are_freed_before_the_first_report(small_scenario, mon
     run_paired(small_scenario.with_power(10.0), ["BD", "BDS", "SWITCH"], 3, 1, points)
     assert len(refs) == small_scenario.G * len(theta_maxes)
     assert live_at_reports and not any(live_at_reports)
+
+
+def test_a_sweep_takes_one_scenario_per_distinct_power(small_scenario, monkeypatch):
+    powers, with_power = [], GroupScenario.with_power
+
+    def counted(scenario, power):
+        powers.append(power)
+        return with_power(scenario, power)
+    monkeypatch.setattr(GroupScenario, "with_power", counted)
+    points = [SweepPoint(power, chi) for power in (1.0, 10.0) for chi in (0.0, 0.3, 1.0)]
+    run_paired(small_scenario, ["BD"], 1, 1, points)
+    assert sorted(powers) == [1.0, 10.0]
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -275,7 +276,7 @@ def test_sweep_equals_one_point_calls(fig4_scenario):
 
 
 def test_sweep_builds_the_geometry_once(fig4_scenario, monkeypatch):
-    builds, solves = [], []
+    builds, solves, powers, qualities = [], [], [], []
 
     def counted_build(scenario):
         builds.append(scenario)
@@ -285,12 +286,26 @@ def test_sweep_builds_the_geometry_once(fig4_scenario, monkeypatch):
         solves.append(classes.shape[:2])
         return fixed_points(classes, *args)
 
-    fixed_points = rmt._fixed_points
+    def counted_with_power(scenario, power):
+        powers.append(power)
+        return with_power(scenario, power)
+
+    def counted_quality(tau_sq, n_bits, *args):
+        qualities.append((tau_sq, n_bits))
+        return csit_tau_sq(tau_sq, n_bits, *args)
+
+    fixed_points, with_power = rmt._fixed_points, GroupScenario.with_power
     monkeypatch.setattr(rmt, "build_preprocessors", counted_build)
     monkeypatch.setattr(rmt, "_fixed_points", counted_solve)
+    monkeypatch.setattr(GroupScenario, "with_power", counted_with_power)
+    monkeypatch.setattr(rmt, "csit_tau_sq", counted_quality)
     points = fig4_sweep_points()
     asym_sweep(fig4_scenario, ["BD", "BDS"], points)
     assert len(builds) == 1
+    # Each distinct power takes one scenario, and each distinct CSIT
+    # quality one tau^2 per scheme.
+    assert Counter(powers) == Counter({p.power for p in points})
+    assert Counter(qualities) == Counter(dict.fromkeys([(p.tau_sq, p.n_bits) for p in points], 2))
     # One batched fixed point per BD power, with every group at every
     # distinct chi of that power as a member, and one per BDS power, with
     # every group; BD's members have two classes, BDS's one.

@@ -91,10 +91,16 @@ def counted_starts(monkeypatch):
 def test_covariances_are_those_of_serial_calls(monkeypatch, cell, cores):
     # Each group's covariance is computed whole on one thread, so every
     # field is the serial call's, bit for bit, whatever the thread count.
+    # The pool starts a worker only when none is idle, so a worker that
+    # finishes a group before the last one is submitted takes the next:
+    # up to min(G, cores) start.
     on_cores(monkeypatch, cores)
     started = counted_starts(monkeypatch)
     got = CELLS[cell][0]().covariances
-    assert len(started) == (cores if cores > 1 else 0)
+    if cores > 1:
+        assert 1 <= len(started) <= min(len(got), cores)
+    else:
+        assert started == []
     for cov, want in zip(got, serial(cell), strict=True):
         for name in FIELDS:
             assert np.array_equal(getattr(cov, name), getattr(want, name)), name
